@@ -50,13 +50,16 @@ class JobError(ValueError):
 def _load_job(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            job = json.load(fh)
     except OSError as exc:
         raise JobError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise JobError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(job, dict):
+        raise JobError(f"{path} must hold a JSON object, not {type(job).__name__}")
+    return job
 
 
 def _parse_volume(obj):
@@ -101,7 +104,10 @@ def cmd_compute(args) -> int:
         print(f"error: bad job file: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    k_max = args.kmax if args.kmax is not None else int(job.get("k_max", 2))
+    k_max = args.kmax if args.kmax is not None else job.get("k_max", 2)
+    if isinstance(k_max, bool) or not isinstance(k_max, int):
+        print(f"error: k_max must be an integer, got {k_max!r}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         req = HeatRequest(model, rep, k_max)
     except TruncationOverflowError as exc:

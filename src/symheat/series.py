@@ -368,24 +368,6 @@ class SeriesPoly:
         mono = (0,) * self.p
         return self.terms.get(mono, MatrixSeries(self.dim, self.limits.s_order, {}))
 
-    def exp_scalar(self) -> "SeriesPoly":
-        """exp of a scalar-valued (dim 1) polynomial with no constant term."""
-        if self.dim != 1:
-            raise ValueError("exp_scalar only applies to scalar-valued polynomials")
-        if (0,) * self.p in self.terms:
-            raise ValueError("exp_scalar needs a vanishing constant term")
-        out = SeriesPoly.one(self.p, 1, self.limits)
-        power = SeriesPoly.one(self.p, 1, self.limits)
-        fact = 1
-        jmax = max(self.limits.omega_degree, self.limits.s_order)
-        for j in range(1, jmax + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            fact *= j
-            out = out + power.scale(GaussianRational(1) / GaussianRational(fact))
-        return out
-
     def truncated(self, limits: SeriesLimits) -> "SeriesPoly":
         return SeriesPoly(self.p, self.dim, limits, {
             mono: ms.truncate(limits.s_order)
@@ -422,29 +404,135 @@ def log_sinhc_coeffs(order: int) -> TruncSeries:
     return TruncSeries(order, coeffs).log()
 
 
+def _sparse_generators(mats, scale, exponent):
+    """The generators scale*A_i as {row: {col: value}}, and the exponent.
+
+    Values are plain rationals when every one of them and the exponent is
+    real, and GaussianRational otherwise.  Later steps only add, multiply
+    and test for zero, so both kinds share one code path.
+    """
+    dim = mats[0].rows
+    for a in mats:
+        if a.rows != a.cols or a.rows != dim:
+            raise ValueError("pencil matrices must be square of a common size")
+    scale, exponent = _GR(scale), _GR(exponent)
+    gens = []
+    for a in mats:
+        rows = {r: {c: x * scale for c, x in enumerate(a.row(r)) if x} for r in range(dim)}
+        gens.append({r: row for r, row in rows.items() if row})
+    if exponent.is_real() and all(
+        v.is_real() for g in gens for row in g.values() for v in row.values()
+    ):
+        gens = [{r: {c: v.re for c, v in row.items()} for r, row in g.items()} for g in gens]
+        exponent = exponent.re
+    return gens, exponent
+
+
+def _add_into(dst: dict, key, v):
+    dst[key] = dst[key] + v if key in dst else v
+
+
+def _pencil_step(power, gens):
+    """A(omega)^(m+1) from A(omega)^m, both as {monomial: sparse matrix}."""
+    out = {}
+    for mono, x in power.items():
+        for i, a in enumerate(gens):
+            dst = out.setdefault(mono[:i] + (mono[i] + 1,) + mono[i + 1:], {})
+            for r, xrow in x.items():
+                drow = dst.setdefault(r, {})
+                for c, xv in xrow.items():
+                    for k, av in a.get(c, {}).items():
+                        _add_into(drow, k, xv * av)
+    cleaned = {}
+    for mono, mat in out.items():
+        rows = {r: {k: v for k, v in row.items() if v} for r, row in mat.items()}
+        rows = {r: row for r, row in rows.items() if row}
+        if rows:
+            cleaned[mono] = rows
+    return cleaned
+
+
+def _trace_product(x, y):
+    """tr(X Y) for sparse {row: {col: value}} matrices."""
+    acc = 0
+    for r, xrow in x.items():
+        for c, xv in xrow.items():
+            yv = y.get(c, {}).get(r)
+            if yv is not None:
+                acc = acc + xv * yv
+    return acc
+
+
 def det_sinhc_pencil(mats, scale, exponent, limits: SeriesLimits) -> SeriesPoly:
     """det(sinhc(s*scale*A(omega)))^exponent as a scalar-valued polynomial.
 
-    Computed as exp(exponent * sum_m c_m tr[(s*scale*A(omega))^(2m)]) with
-    c_m the log-sinhc coefficients; cofactor expansion never appears.
+    With A(omega) = sum_i omega^i A_i and M = min(omega_degree, s_order),
+    the determinant is exp(exponent * sum_m c_2m tr[(scale*A(omega))^(2m)])
+    truncated at degree M, c_2m the log-sinhc coefficients; cofactor
+    expansion never appears.  The s-order of every term equals its
+    omega-degree, so the work is done on plain {monomial: value} dicts and
+    turned into a SeriesPoly once, at the end:
+
+    - each scale*A_i is stored sparsely as {row: {col: value}}, over plain
+      rationals when every scaled entry and the exponent are real (every
+      catalog space) and over GaussianRational otherwise, with one code
+      path for both;
+    - P_m = A(omega)^m is built only for m <= M/2, and each power sum
+      tr A^(2m) is the sum over monomial pairs (mu, nu) of
+      tr(P_m[mu] P_m[nu]) at mu + nu;
+    - the graded exponent f = sum_n f_n is exponentiated with the
+      recurrence n g_n = sum_k k f_k g_(n-k), g_0 = 1.
     """
     p = len(mats)
     if p == 0:
         return SeriesPoly.one(0, 1, limits)
-    mmax2 = min(limits.omega_degree, limits.s_order)
-    logc = log_sinhc_coeffs(mmax2)
-    pen = omega_pencil(mats, limits, scale)
-    acc = SeriesPoly.zero(p, 1, limits)
-    power = SeriesPoly.one(p, pen.dim, limits)
-    for j in range(1, mmax2 + 1):
-        power = power * pen
-        if power.is_zero():
+    gens, exponent = _sparse_generators(mats, scale, exponent)
+    top = min(limits.omega_degree, limits.s_order)
+    logc = log_sinhc_coeffs(top)
+    zero_mono = (0,) * p
+
+    # f[n]: degree-n part of exponent * log det(sinhc), only even n occur
+    f = {}
+    power = {zero_mono: {r: {r: 1} for r in range(mats[0].rows)}}
+    for m in range(1, top // 2 + 1):
+        power = _pencil_step(power, gens)
+        if not power:
             break
-        if j % 2 == 0:
-            cm = logc.coeff(j)
-            if not cm.is_zero():
-                acc = acc + power.trace().scale(cm)
-    return acc.scale(exponent).exp_scalar()
+        cm = logc.coeff(2 * m).re * exponent
+        items = list(power.items())
+        fn = {}
+        for a, (mu, x) in enumerate(items):
+            for nu, y in items[a:]:
+                tr = _trace_product(x, y)
+                if not tr:
+                    continue
+                if nu != mu:
+                    tr = tr + tr
+                _add_into(fn, tuple(u + v for u, v in zip(mu, nu)), cm * tr)
+        fn = {mono: v for mono, v in fn.items() if v}
+        if fn:
+            f[2 * m] = fn
+
+    g = {0: {zero_mono: 1}}
+    for n in range(1, top + 1):
+        gn = {}
+        for k, fk in f.items():
+            if k > n or n - k not in g:
+                continue
+            for m1, v1 in fk.items():
+                kv1 = v1 * k
+                for m2, v2 in g[n - k].items():
+                    _add_into(gn, tuple(u + v for u, v in zip(m1, m2)), kv1 * v2)
+        gn = {mono: v / n for mono, v in gn.items() if v}
+        if gn:
+            g[n] = gn
+
+    terms = {
+        mono: MatrixSeries(1, limits.s_order, {n: Matrix(1, 1, [v])})
+        for n, gn in g.items()
+        for mono, v in gn.items()
+    }
+    return SeriesPoly(p, 1, limits, terms)
 
 
 def cosh_pencil(mats, dim: int, limits: SeriesLimits) -> SeriesPoly:

@@ -39,6 +39,20 @@ class TestCompute:
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
 
+    @pytest.mark.parametrize("k_max", ["x", 2.5, True])
+    def test_non_integer_kmax(self, tmp_path, capsys, k_max):
+        job = json.loads((JOBS / "s2_scalar.json").read_text(encoding="utf-8"))
+        job["k_max"] = k_max
+        rc = main(["compute", write_job(tmp_path, job)])
+        assert rc == 2
+        assert "k_max must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    def test_top_level_array_rejected(self, tmp_path, capsys, command):
+        rc = main([command, write_job(tmp_path, [{"space": {}}])])
+        assert rc == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["compute", "/nonexistent/job.json"]) == 2
 

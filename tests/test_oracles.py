@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from mpmath import mp
 
 from symheat.bundles import catalog_rep, scalar_rep, spinor_rep, vector_rep
@@ -150,3 +151,57 @@ class TestGilkey:
         hc = heat_coefficients(HeatRequest(model, rep, 2))
         assert hc.a[1] == gilkey_a1(model, rep)
         assert hc.a[2] == gilkey_a2(model, rep)
+
+
+def exact_sphere_scalar_coefficients(n, k_max):
+    """a_0..a_kmax of the scalar Laplacian on the unit S^n, from its spectrum.
+
+    With nu = l + (n-1)/2 the eigenvalue l(l+n-1) is nu^2 - ((n-1)/2)^2 and
+    the multiplicity (2l+n-1)(l+1)...(l+n-2)/(n-1)! is a polynomial P(nu).
+    P vanishes at nu = h, h+1, ... below (n-1)/2 (h = 1/2 for even n, 0 for
+    odd n), so the sum may run over every nu = h + j, j >= 0, and
+    Euler-Maclaurin at shift h gives, to all orders,
+
+        sum_nu nu^d e^(-t nu^2) ~ Gamma((d+1)/2) / (2 t^((d+1)/2))
+                                  - sum_i B_(d+1+2i)(h) / (d+1+2i) (-t)^i / i!
+
+    and sum_k a_k t^k = (4 pi t)^(n/2) e^(((n-1)/2)^2 t) sum_nu P(nu)
+    e^(-t nu^2) / vol(S^n).
+    """
+    t, nu = sympy.symbols("t nu", positive=True)
+    h0 = sympy.Rational(n - 1, 2)
+    l = nu - h0
+    mult = sympy.Poly((2 * l + n - 1) * sympy.prod([l + j for j in range(1, n - 1)])
+                      / sympy.factorial(n - 1), nu)
+    shift = sympy.Rational(1, 2) if n % 2 == 0 else 0
+    spectral_sum = 0
+    for (d,), p in mult.terms():
+        e = sympy.Rational(d + 1, 2)
+        spectral_sum += p * sympy.gamma(e) / (2 * t**e)
+        for i in range(k_max + 1):
+            spectral_sum -= (p * sympy.bernoulli(d + 1 + 2 * i, shift) / (d + 1 + 2 * i)
+                             * (-t) ** i / sympy.factorial(i))
+    volume = 2 * sympy.pi ** sympy.Rational(n + 1, 2) / sympy.gamma(sympy.Rational(n + 1, 2))
+    gen = sympy.expand(sympy.exp(h0**2 * t) * (4 * sympy.pi * t) ** sympy.Rational(n, 2)
+                       * spectral_sum / volume)
+    gen = sympy.series(gen, t, 0, k_max + 1).removeO()
+    return [rational(str(gen.coeff(t, k))) for k in range(k_max + 1)]
+
+
+class TestExactSphereScalarOracle:
+    @pytest.mark.parametrize("n, want", [
+        (2, ["1", "1/3", "1/15", "4/315", "1/315"]),
+        (3, ["1", "1", "1/2", "1/6", "1/24"]),
+        (4, ["1", "2", "29/15", "74/63", "149/315", "358/3465", "-2774/135135"]),
+        # closed form e^(4t) (1 - 2t/3)
+        (5, ["1", "10/3", "16/3", "16/3"]),
+    ])
+    def test_known_values(self, n, want):
+        assert exact_sphere_scalar_coefficients(n, len(want) - 1) == [rational(x) for x in want]
+
+    @pytest.mark.parametrize("n, k_max", [(4, 5), (5, 3)])
+    def test_frontier_matches_heat_engine(self, n, k_max):
+        model = sphere(n, 1)
+        hc = heat_coefficients(HeatRequest(model, scalar_rep(model), k_max))
+        want = exact_sphere_scalar_coefficients(n, k_max)
+        assert [a[0, 0] for a in hc.a] == [GaussianRational(x) for x in want]

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from symheat.series import (
 
 EPS = Matrix.from_rows([[0, 1], [-1, 0]])
 HALF = rational(1, 2)
+Z = sympy.symbols("z")
 
 
 def sympy_series_coeffs(expr, x, order):
@@ -86,20 +89,33 @@ class TestDetSinhcPencil:
         assert poly.terms[mono4].trace().coeff(4) == GaussianRational(rational(7, 5760))
         assert poly.terms[mono0].trace().coeff(0) == GaussianRational(1)
 
-    def test_s2_tangent_factor_against_sympy(self):
+    @pytest.mark.parametrize("mats, exponent, expr, lim", [
         # eigenvalues of -eps are +-i, so the determinant is (sin z / z)^2
-        z = sympy.symbols("z")
-        expected = sympy_series_coeffs((z / sympy.sin(z)), z, 8)
-        lim = SeriesLimits(8, 8)
-        poly = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), lim)
-        for deg in range(9):
-            got = poly.terms.get((deg,))
-            want = expected[deg]  # coefficient of z^deg with z = s*omega/2
-            scaled = want * GaussianRational(rational(1, 2**deg))
-            if got is None:
-                assert want.is_zero()
-            else:
-                assert got.trace().coeff(deg) == scaled
+        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(8, 8)),
+        ([Matrix.diag([GaussianRational(0, 1), GaussianRational(0, 2)])], rational(1),
+         sympy.sin(Z) / Z * sympy.sin(2 * Z) / (2 * Z), SeriesLimits(8, 8)),
+        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(7, 9)),
+        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(9, 6)),
+        ([-EPS, Matrix.zeros(2)], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(8, 8)),
+        ([-EPS, -EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(6, 6)),
+    ], ids=["eps", "imaginary_diag", "odd_omega_degree", "odd_s_order", "zero_generator",
+            "equal_generators"])
+    def test_s2_tangent_factor_against_sympy(self, mats, exponent, expr, lim):
+        # The nonzero generators are all one matrix G, so A(omega) is
+        # (sum of their omegas) * G and the factor is expr(z) at
+        # z = s * (sum of their omegas) / 2, expanded multinomially.
+        top = min(lim.omega_degree, lim.s_order)
+        expected = sympy_series_coeffs(expr, Z, top)
+        ranges = [[0] if m.is_zero() else range(top + 1) for m in mats]
+        want = {}
+        for mono in itertools.product(*ranges):
+            deg = sum(mono)
+            if deg > top or expected[deg].is_zero():
+                continue
+            count = math.factorial(deg) // math.prod(math.factorial(e) for e in mono)
+            want[mono] = expected[deg] * GaussianRational(rational(count, 2**deg))
+        poly = det_sinhc_pencil(mats, HALF, exponent, lim)
+        assert {mono: ms.trace().coeff(sum(mono)) for mono, ms in poly.terms.items()} == want
 
     def test_zero_pencil(self):
         lim = SeriesLimits(4, 4)
