@@ -19,7 +19,6 @@ from .engine import (
     HeatRequest,
     TruncationOverflowError,
     coefficient_report,
-    default_thread_count,
     heat_coefficients,
     heat_trace,
     render_report_text,
@@ -67,8 +66,12 @@ def _parse_volume(obj):
     if obj is None:
         return None, 0
     if isinstance(obj, dict):
-        return rational(obj.get("coeff", 1)), int(obj.get("pi_power", 0))
-    return rational(obj), 0
+        coeff, power = rational(obj.get("coeff", 1)), int(obj.get("pi_power", 0))
+    else:
+        coeff, power = rational(obj), 0
+    if coeff <= 0:
+        raise ValueError("volume must be positive")
+    return coeff, power
 
 
 def _build_pair(job: dict):
@@ -113,17 +116,20 @@ def cmd_compute(args) -> int:
     except TruncationOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    coeffs = heat_coefficients(req, threads=args.threads)
 
-    trace = None
-    pi_power = 0
+    vol, pi_power = None, 0
     if args.trace:
-        vol, pi_power = _parse_volume(job.get("volume"))
+        try:
+            vol, pi_power = _parse_volume(job.get("volume"))
+        except (TypeError, ValueError) as exc:
+            print(f"error: bad volume: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         if vol is None:
             print("error: --trace needs a 'volume' entry in the job file",
                   file=sys.stderr)
             return EXIT_PARSE
-        trace = heat_trace(coeffs, vol)
+    coeffs = heat_coefficients(req)
+    trace = heat_trace(coeffs, vol) if args.trace else None
     report = coefficient_report(coeffs, trace=trace, mode=args.output,
                                 pi_power=pi_power)
     if args.format == "text":
@@ -177,6 +183,9 @@ def cmd_check_group(args) -> int:
     except (ModelBuildError, BundleError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: bad job file: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     results = []
     try:
@@ -243,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--output", choices=["exact", "decimal", "both"],
                     default="exact")
     pc.add_argument("--format", choices=["json", "text"], default="json")
-    pc.add_argument("--threads", type=int, default=default_thread_count(),
-                    help="worker threads (default: SYMHEAT_THREADS or 1)")
     pc.add_argument("-o", "--out", default=None, help="write output to a file")
     pc.set_defaults(func=cmd_compute)
 

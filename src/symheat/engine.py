@@ -13,25 +13,20 @@ where <.> is the Gaussian holonomy average.  The exponential prefactor
 and the averaged bracket commute because [R^2, R_i] = 0 (checked at rep
 build time), so the factor order above is the one used verbatim.
 
+The bracket is an omega-polynomial with one exact value per monomial
+(series.SeriesPoly); the average turns it into a list of t-coefficients,
+the prefactor is the list [M^k / k!], and a_k is the t^k coefficient of
+their product times the twist factor.
+
 pi never appears: coefficients and traced invariants are exact rationals.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bundles import FiberRep
 from .exact import GaussianRational, Matrix, rational, rational_to_str
-from .series import (
-    MatrixSeries,
-    SeriesLimits,
-    cosh_pencil,
-    det_sinhc_numeric,
-    det_sinhc_pencil,
-    limits_for_order,
-    matrix_exp_series,
-)
+from .series import cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series
 from .spaces import SymmetricSpaceModel
 from .wick import GaussianWeight, average_poly
 
@@ -89,59 +84,33 @@ class HeatTraceResult:
     A: tuple
 
 
-def default_thread_count() -> int:
-    env = os.environ.get("SYMHEAT_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _ordered_parallel(jobs, threads: int):
-    """Run thunks, returning results in submission order.
-
-    Thread scheduling cannot change the outputs: each job is independent
-    and the reduction order is fixed by the jobs list.
-    """
-    if threads <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
-def heat_coefficients(req: HeatRequest, threads: int | None = None) -> HeatCoefficients:
+def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     """Expand the generating function and read off a_0 .. a_kmax exactly."""
     model, rep, k_max = req.model, req.rep, req.k_max
-    threads = default_thread_count() if threads is None else threads
-    limits = limits_for_order(k_max)
+    degree = 2 * k_max
     dimV = rep.dimV
 
-    jobs = [
-        lambda: cosh_pencil(rep.R, dimV, limits),
-        lambda: det_sinhc_pencil(model.F, _HALF, rational(1, 2), limits),
-        lambda: det_sinhc_pencil(model.D, _HALF, rational(-1, 2), limits),
-    ]
-    f_cosh, f_hol, f_tan = _ordered_parallel(jobs, threads)
-
+    f_cosh = cosh_pencil(rep.R, dimV, degree)
+    f_hol = det_sinhc_pencil(model.F, _HALF, rational(1, 2), degree)
+    f_tan = det_sinhc_pencil(model.D, _HALF, rational(-1, 2), degree)
     bracket = f_cosh * f_hol * f_tan
-    weight = GaussianWeight.from_beta(model.beta)
-    averaged = average_poly(bracket, weight)
+    averaged = average_poly(bracket, GaussianWeight.from_beta(model.beta))
 
     exponent_matrix = Matrix.identity(dimV).scale(
         model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)
     ) - rep.casimir
-    prefactor = matrix_exp_series(exponent_matrix, limits)
-    twist_factor = det_sinhc_numeric(rep.B, rational(-1, 2), limits)
+    prefactor = matrix_exp_series(exponent_matrix, degree)
+    twist = det_sinhc_numeric(rep.B, rational(-1, 2), degree)
 
-    total = prefactor.matmul(averaged).scale_series(twist_factor)
-
-    coeffs = []
-    for k in range(k_max + 1):
-        coeffs.append(total.coeff(2 * k))
-    for k in range(2 * k_max + 1):
-        if k % 2 == 1 and not total.coeff(k).is_zero():
-            raise AssertionError("odd power of sqrt(t) survived the average")
+    # a_k = sum over i + j + l = k of prefactor[i] averaged[j] (twist at t^l)
+    coeffs = [Matrix.zeros(dimV)] * (k_max + 1)
+    for i, pre in enumerate(prefactor):
+        for j, avg in enumerate(averaged[: k_max + 1 - i]):
+            prod = pre * avg
+            for k in range(i + j, k_max + 1):
+                tw = twist.coeff(2 * (k - i - j))
+                if tw:
+                    coeffs[k] = coeffs[k] + prod.scale(tw)
     if coeffs[0] != Matrix.identity(dimV):
         raise AssertionError("a_0 is not the identity")
     return HeatCoefficients(n=model.n, dimV=dimV, a=tuple(coeffs))

@@ -267,6 +267,9 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self._e)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     # -- algebra -----------------------------------------------------------
 
     def _require_same_shape(self, other: "Matrix"):

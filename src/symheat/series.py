@@ -6,36 +6,19 @@ exponentials — expanded to a requested order with exact coefficients.
 Determinants of series-valued matrices are never computed by cofactor
 expansion; only traces of matrix powers enter.
 
-Truncation discipline: producing the coefficients a_0..a_k needs s-order
-2k and omega-degree 2k.  Limits are fixed once per computation and every
-operation truncates against them.  In every polynomial built here each
-omega variable carries exactly one factor of s, so the s-order of a term
-equals its omega-degree until the Gaussian average collapses the omegas.
+In every polynomial built here each omega variable carries exactly one
+factor of s, so a term's s-power is its omega-degree until the Gaussian
+average collapses the omegas.  A SeriesPoly therefore stores one exact
+value per omega-monomial and leaves s^|mu| implicit.  Producing the
+coefficients a_0..a_k needs truncation degree 2k; it is fixed once per
+computation and every operation truncates against it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .exact import GaussianRational, Matrix, ONE, ZERO
 
 _GR = GaussianRational.of
-
-
-@dataclass(frozen=True)
-class SeriesLimits:
-    """Central truncation limits: max omega-degree and max s-order."""
-
-    omega_degree: int
-    s_order: int
-
-    def __post_init__(self):
-        if self.omega_degree < 0 or self.s_order < 0:
-            raise ValueError("truncation limits must be non-negative")
-
-
-def limits_for_order(k_max: int) -> SeriesLimits:
-    return SeriesLimits(2 * k_max, 2 * k_max)
 
 
 class TruncSeries:
@@ -153,161 +136,32 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
 
-class MatrixSeries:
-    """Matrix-valued truncated series in s, stored sparsely by s-power."""
-
-    __slots__ = ("dim", "order", "terms")
-
-    def __init__(self, dim: int, order: int, terms=None):
-        clean = {}
-        for k, m in (terms or {}).items():
-            if k <= order and not m.is_zero():
-                clean[k] = m
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixSeries is immutable")
-
-    @classmethod
-    def identity(cls, dim: int, order: int) -> "MatrixSeries":
-        return cls(dim, order, {0: Matrix.identity(dim)})
-
-    @classmethod
-    def from_matrix(cls, m: Matrix, order: int, power: int = 0) -> "MatrixSeries":
-        return cls(m.rows, order, {power: m})
-
-    @classmethod
-    def from_scalar_series(cls, ts: TruncSeries, dim: int) -> "MatrixSeries":
-        eye = Matrix.identity(dim)
-        return cls(dim, ts.order, {
-            k: eye.scale(x) for k, x in enumerate(ts.c) if not x.is_zero()
-        })
-
-    def coeff(self, k: int) -> Matrix:
-        return self.terms.get(k, Matrix.zeros(self.dim, self.dim))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixSeries):
-            return NotImplemented
-        return self.dim == other.dim and self.order == other.order and self.terms == other.terms
-
-    def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
-        n = min(self.order, other.order)
-        out = {}
-        for k in sorted(set(self.terms) | set(other.terms)):
-            if k > n:
-                continue
-            a, b = self.terms.get(k), other.terms.get(k)
-            out[k] = a + b if a is not None and b is not None else (a if a is not None else b)
-        return MatrixSeries(self.dim, n, out)
-
-    def __neg__(self) -> "MatrixSeries":
-        return MatrixSeries(self.dim, self.order, {k: -m for k, m in self.terms.items()})
-
-    def scale(self, v) -> "MatrixSeries":
-        v = _GR(v)
-        return MatrixSeries(self.dim, self.order, {k: m.scale(v) for k, m in self.terms.items()})
-
-    def matmul(self, other: "MatrixSeries") -> "MatrixSeries":
-        n = min(self.order, other.order)
-        out = {}
-        for i in sorted(self.terms):
-            if i > n:
-                continue
-            a = self.terms[i]
-            for j in sorted(other.terms):
-                if i + j > n:
-                    break
-                prod = a * other.terms[j]
-                k = i + j
-                out[k] = out[k] + prod if k in out else prod
-        return MatrixSeries(self.dim, n, out)
-
-    def scale_series(self, ts: TruncSeries) -> "MatrixSeries":
-        n = min(self.order, ts.order)
-        out = {}
-        for i in sorted(self.terms):
-            if i > n:
-                continue
-            m = self.terms[i]
-            for j in range(0, n - i + 1):
-                x = ts.c[j]
-                if x.is_zero():
-                    continue
-                k = i + j
-                add = m.scale(x)
-                out[k] = out[k] + add if k in out else add
-        return MatrixSeries(self.dim, n, out)
-
-    def trace(self) -> TruncSeries:
-        return TruncSeries(self.order, [
-            self.terms[k].trace() if k in self.terms else ZERO
-            for k in range(self.order + 1)
-        ])
-
-    def truncate(self, order: int) -> "MatrixSeries":
-        return MatrixSeries(self.dim, order, {k: m for k, m in self.terms.items() if k <= order})
-
-    def __repr__(self):
-        return f"MatrixSeries(dim={self.dim}, powers={sorted(self.terms)})"
-
-
-def _mono_key(mono):
-    # graded-lex: total degree first, then lexicographic
-    return (sum(mono), mono)
-
-
-def _series_value_product(v1: "MatrixSeries", v2: "MatrixSeries") -> "MatrixSeries":
-    """Product of term values; a dim-1 value acts as a scalar series."""
-    if v1.dim == v2.dim:
-        return v1.matmul(v2)
-    if v1.dim == 1:
-        return v2.scale_series(v1.trace())
-    if v2.dim == 1:
-        return v1.scale_series(v2.trace())
-    raise ValueError(f"incompatible value dimensions {v1.dim} and {v2.dim}")
-
-
 class SeriesPoly:
-    """Polynomial in omega^1..omega^p with MatrixSeries coefficients.
+    """Polynomial in omega^1..omega^p with one exact value per monomial.
 
-    Monomials are exponent tuples of length p; iteration is always in
-    graded-lex order so reductions are deterministic.
+    A value is a dim x dim Matrix or, for the det(sinhc) factors, a plain
+    scalar (dim 1); the term at monomial mu carries s^|mu| implicitly.
+    Values multiply with `*` whatever their kinds, and zero values are
+    dropped.
     """
 
-    __slots__ = ("p", "dim", "limits", "terms")
+    __slots__ = ("p", "dim", "degree", "terms")
 
-    def __init__(self, p: int, dim: int, limits: SeriesLimits, terms=None):
-        clean = {}
-        for mono, ms in (terms or {}).items():
-            if sum(mono) > limits.omega_degree or ms.is_zero():
-                continue
-            clean[mono] = ms
+    def __init__(self, p: int, dim: int, degree: int, terms=None):
+        if degree < 0:
+            raise ValueError("truncation degree must be non-negative")
+        clean = {mono: v for mono, v in (terms or {}).items() if v and sum(mono) <= degree}
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "limits", limits)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesPoly is immutable")
 
     @classmethod
-    def one(cls, p: int, dim: int, limits: SeriesLimits) -> "SeriesPoly":
-        mono = (0,) * p
-        return cls(p, dim, limits, {mono: MatrixSeries.identity(dim, limits.s_order)})
-
-    @classmethod
-    def zero(cls, p: int, dim: int, limits: SeriesLimits) -> "SeriesPoly":
-        return cls(p, dim, limits, {})
-
-    def iter_sorted(self):
-        for mono in sorted(self.terms, key=_mono_key):
-            yield mono, self.terms[mono]
+    def one(cls, p: int, dim: int, degree: int) -> "SeriesPoly":
+        return cls(p, dim, degree, {(0,) * p: Matrix.identity(dim)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -318,76 +172,54 @@ class SeriesPoly:
         return (
             self.p == other.p
             and self.dim == other.dim
-            and self.limits == other.limits
+            and self.degree == other.degree
             and self.terms == other.terms
         )
 
     def __add__(self, other: "SeriesPoly") -> "SeriesPoly":
         self._check_compatible(other)
         out = dict(self.terms)
-        for mono, ms in other.terms.items():
-            out[mono] = out[mono] + ms if mono in out else ms
-        return SeriesPoly(self.p, self.dim, self.limits, out)
+        for mono, v in other.terms.items():
+            _add_into(out, mono, v)
+        return SeriesPoly(self.p, self.dim, self.degree, out)
 
-    def scale(self, v) -> "SeriesPoly":
-        return SeriesPoly(self.p, self.dim, self.limits, {
-            mono: ms.scale(v) for mono, ms in self.terms.items()
+    def scale(self, c) -> "SeriesPoly":
+        return SeriesPoly(self.p, self.dim, self.degree, {
+            mono: v * c for mono, v in self.terms.items()
         })
 
     def _check_compatible(self, other: "SeriesPoly"):
         if self.p != other.p:
             raise ValueError("omega variable counts differ")
-        if self.limits != other.limits:
-            raise ValueError("truncation limits inconsistent")
+        if self.degree != other.degree:
+            raise ValueError("truncation degrees differ")
 
     def __mul__(self, other: "SeriesPoly") -> "SeriesPoly":
         self._check_compatible(other)
+        right = [(m2, sum(m2), v2) for m2, v2 in other.terms.items()]
         out = {}
-        for m1, v1 in self.iter_sorted():
-            d1 = sum(m1)
-            for m2, v2 in other.iter_sorted():
-                if d1 + sum(m2) > self.limits.omega_degree:
-                    continue
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                prod = _series_value_product(v1, v2)
-                if prod.is_zero():
-                    continue
-                out[mono] = out[mono] + prod if mono in out else prod
+        for m1, v1 in self.terms.items():
+            room = self.degree - sum(m1)
+            for m2, d2, v2 in right:
+                if d2 <= room:
+                    _add_into(out, tuple(a + b for a, b in zip(m1, m2)), v1 * v2)
         dim = self.dim if self.dim != 1 else other.dim
-        return SeriesPoly(self.p, dim, self.limits, out)
+        return SeriesPoly(self.p, dim, self.degree, out)
 
-    def trace(self) -> "SeriesPoly":
-        out = {}
-        for mono, ms in self.terms.items():
-            tr = ms.trace()
-            if not tr.is_zero():
-                out[mono] = MatrixSeries.from_scalar_series(tr, 1)
-        return SeriesPoly(self.p, 1, self.limits, out)
-
-    def constant_term(self) -> MatrixSeries:
-        mono = (0,) * self.p
-        return self.terms.get(mono, MatrixSeries(self.dim, self.limits.s_order, {}))
-
-    def truncated(self, limits: SeriesLimits) -> "SeriesPoly":
-        return SeriesPoly(self.p, self.dim, limits, {
-            mono: ms.truncate(limits.s_order)
-            for mono, ms in self.terms.items()
-            if sum(mono) <= limits.omega_degree
-        })
+    def truncated(self, degree: int) -> "SeriesPoly":
+        return SeriesPoly(self.p, self.dim, degree, self.terms)
 
 
-def omega_pencil(mats, limits: SeriesLimits, scale=1) -> SeriesPoly:
-    """Degree-one polynomial sum_i omega^i * (s * scale * A_i)."""
+def omega_pencil(mats, degree: int) -> SeriesPoly:
+    """Degree-one polynomial sum_i omega^i * (s * A_i)."""
     p = len(mats)
     dim = mats[0].rows if p else 1
-    scale = _GR(scale)
     terms = {}
     for i, a in enumerate(mats):
         if a.rows != a.cols or a.rows != dim:
             raise ValueError("pencil matrices must be square of a common size")
-        mono = tuple(1 if j == i else 0 for j in range(p))
-        terms[mono] = MatrixSeries(dim, limits.s_order, {1: a.scale(scale)})
-    return SeriesPoly(p, dim, limits, terms)
+        terms[tuple(1 if j == i else 0 for j in range(p))] = a
+    return SeriesPoly(p, dim, degree, terms)
 
 
 def log_sinhc_coeffs(order: int) -> TruncSeries:
@@ -463,15 +295,14 @@ def _trace_product(x, y):
     return acc
 
 
-def det_sinhc_pencil(mats, scale, exponent, limits: SeriesLimits) -> SeriesPoly:
+def det_sinhc_pencil(mats, scale, exponent, degree: int) -> SeriesPoly:
     """det(sinhc(s*scale*A(omega)))^exponent as a scalar-valued polynomial.
 
-    With A(omega) = sum_i omega^i A_i and M = min(omega_degree, s_order),
-    the determinant is exp(exponent * sum_m c_2m tr[(scale*A(omega))^(2m)])
-    truncated at degree M, c_2m the log-sinhc coefficients; cofactor
-    expansion never appears.  The s-order of every term equals its
-    omega-degree, so the work is done on plain {monomial: value} dicts and
-    turned into a SeriesPoly once, at the end:
+    With A(omega) = sum_i omega^i A_i and M = degree, the determinant is
+    exp(exponent * sum_m c_2m tr[(scale*A(omega))^(2m)]) truncated at
+    degree M, c_2m the log-sinhc coefficients; cofactor expansion never
+    appears.  The work is done on plain {monomial: value} dicts, and their
+    values become the polynomial's scalar values:
 
     - each scale*A_i is stored sparsely as {row: {col: value}}, over plain
       rationals when every scaled entry and the exponent are real (every
@@ -485,16 +316,15 @@ def det_sinhc_pencil(mats, scale, exponent, limits: SeriesLimits) -> SeriesPoly:
     """
     p = len(mats)
     if p == 0:
-        return SeriesPoly.one(0, 1, limits)
+        return SeriesPoly(0, 1, degree, {(): 1})
     gens, exponent = _sparse_generators(mats, scale, exponent)
-    top = min(limits.omega_degree, limits.s_order)
-    logc = log_sinhc_coeffs(top)
+    logc = log_sinhc_coeffs(degree)
     zero_mono = (0,) * p
 
     # f[n]: degree-n part of exponent * log det(sinhc), only even n occur
     f = {}
     power = {zero_mono: {r: {r: 1} for r in range(mats[0].rows)}}
-    for m in range(1, top // 2 + 1):
+    for m in range(1, degree // 2 + 1):
         power = _pencil_step(power, gens)
         if not power:
             break
@@ -514,7 +344,7 @@ def det_sinhc_pencil(mats, scale, exponent, limits: SeriesLimits) -> SeriesPoly:
             f[2 * m] = fn
 
     g = {0: {zero_mono: 1}}
-    for n in range(1, top + 1):
+    for n in range(1, degree + 1):
         gn = {}
         for k, fk in f.items():
             if k > n or n - k not in g:
@@ -527,24 +357,20 @@ def det_sinhc_pencil(mats, scale, exponent, limits: SeriesLimits) -> SeriesPoly:
         if gn:
             g[n] = gn
 
-    terms = {
-        mono: MatrixSeries(1, limits.s_order, {n: Matrix(1, 1, [v])})
-        for n, gn in g.items()
-        for mono, v in gn.items()
-    }
-    return SeriesPoly(p, 1, limits, terms)
+    terms = {mono: v for gn in g.values() for mono, v in gn.items()}
+    return SeriesPoly(p, 1, degree, terms)
 
 
-def cosh_pencil(mats, dim: int, limits: SeriesLimits) -> SeriesPoly:
+def cosh_pencil(mats, dim: int, degree: int) -> SeriesPoly:
     """cosh(s*R(omega)) = sum_m s^(2m) R(omega)^(2m) / (2m)!, matrix-valued."""
     p = len(mats)
-    out = SeriesPoly.one(p, dim, limits)
+    out = SeriesPoly.one(p, dim, degree)
     if p == 0:
         return out
-    pen = omega_pencil(mats, limits, 1)
-    power = SeriesPoly.one(p, dim, limits)
+    pen = omega_pencil(mats, degree)
+    power = out
     fact = 1
-    for j in range(1, min(limits.omega_degree, limits.s_order) + 1):
+    for j in range(1, degree + 1):
         power = power * pen
         if power.is_zero():
             break
@@ -554,40 +380,32 @@ def cosh_pencil(mats, dim: int, limits: SeriesLimits) -> SeriesPoly:
     return out
 
 
-def matrix_exp_series(m: Matrix, limits: SeriesLimits) -> MatrixSeries:
-    """exp(t*M) = sum_k t^k M^k / k! with t = s^2, truncated."""
+def matrix_exp_series(m: Matrix, degree: int) -> list:
+    """The t-coefficients [M^k / k! for k <= degree/2] of exp(t*M), t = s^2."""
     if not m.is_square:
         raise ValueError("matrix exponential needs a square matrix")
-    out = MatrixSeries.identity(m.rows, limits.s_order)
-    power = Matrix.identity(m.rows)
-    fact = 1
-    for k in range(1, limits.s_order // 2 + 1):
-        power = power * m
-        if power.is_zero():
-            break
-        fact *= k
-        term = power.scale(GaussianRational(1) / GaussianRational(fact))
-        out = out + MatrixSeries.from_matrix(term, limits.s_order, 2 * k)
+    out = [Matrix.identity(m.rows)]
+    for k in range(1, degree // 2 + 1):
+        out.append((out[-1] * m).scale(GaussianRational(1) / GaussianRational(k)))
     return out
 
 
-def det_sinhc_numeric(b: Matrix, exponent, limits: SeriesLimits) -> TruncSeries:
-    """det(sinh(t*B)/(t*B))^exponent as a series in t (= s^2), via tr-log.
+def det_sinhc_numeric(b: Matrix, exponent, degree: int) -> TruncSeries:
+    """det(sinh(t*B)/(t*B))^exponent as a series in s (t = s^2), via tr-log.
 
     B is the antisymmetric purely-imaginary twist matrix; only whole even
     powers of t appear and all coefficients are real rationals.
     """
     if not b.is_square:
         raise ValueError("twist matrix must be square")
-    order = limits.s_order
-    mmax = order // 4
+    mmax = degree // 4
     logc = log_sinhc_coeffs(2 * mmax) if mmax else None
-    acc = TruncSeries.zero(order)
+    acc = TruncSeries.zero(degree)
     power = Matrix.identity(b.rows)
     for m in range(1, mmax + 1):
         power = power * b * b
         if power.is_zero():
             break
         cm = logc.coeff(2 * m)
-        acc = acc + TruncSeries.monomial(order, 4 * m, cm * power.trace())
+        acc = acc + TruncSeries.monomial(degree, 4 * m, cm * power.trace())
     return acc.scale(exponent).exp()

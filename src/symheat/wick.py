@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .exact import GaussianRational, Matrix, ZERO, invert
-from .series import MatrixSeries, SeriesPoly
+from .series import SeriesPoly
 
 _GR = GaussianRational.of
 
@@ -147,18 +147,21 @@ def mono_to_indices(mono) -> tuple:
     return tuple(out)
 
 
-def average_poly(poly: SeriesPoly, w: GaussianWeight) -> MatrixSeries:
-    """Average each omega-monomial; only even powers of s survive.
+def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
+    """The t-coefficients of the average of a Matrix-valued polynomial.
 
-    Accumulation runs in graded-lex monomial order so the result is
-    deterministic regardless of how the polynomial was assembled.
+    A degree-d monomial carries s^d, so its average lands at t^(d/2);
+    odd-degree monomials must average to zero.
     """
     if poly.p != w.p:
         raise ValueError("polynomial and weight have different variable counts")
-    out = MatrixSeries(poly.dim, poly.limits.s_order, {})
-    for mono, ms in poly.iter_sorted():
+    out = [Matrix.zeros(poly.dim)] * (poly.degree // 2 + 1)
+    for mono, v in poly.terms.items():
         mom = average_monomial(mono_to_indices(mono), w)
         if mom.is_zero():
             continue
-        out = out + ms.scale(mom)
+        d = sum(mono)
+        if d % 2 == 1:
+            raise AssertionError("odd power of sqrt(t) survived the average")
+        out[d // 2] = out[d // 2] + v.scale(mom)
     return out

@@ -1,8 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from symheat.bundles import catalog_rep, scalar_rep, spinor_rep, vector_rep
+from symheat.bundles import (
+    catalog_rep,
+    rep_from_descriptor,
+    scalar_rep,
+    spinor_rep,
+    vector_rep,
+)
 from symheat.engine import (
     HeatCoefficients,
     HeatRequest,
@@ -14,16 +21,18 @@ from symheat.engine import (
     render_report_text,
 )
 from symheat.exact import GaussianRational, Matrix, rational
-from symheat.series import SeriesLimits, det_sinhc_numeric
-from symheat.spaces import flat, hyperbolic, product, sphere
+from symheat.series import det_sinhc_numeric
+from symheat.spaces import flat, hyperbolic, product, space_from_descriptor, sphere
+
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 
 def q(a, b=1):
     return GaussianRational(rational(a, b))
 
 
-def scalar_coeffs(model, k_max, threads=None):
-    hc = heat_coefficients(HeatRequest(model, scalar_rep(model), k_max), threads=threads)
+def scalar_coeffs(model, k_max):
+    hc = heat_coefficients(HeatRequest(model, scalar_rep(model), k_max))
     return [a[0, 0] for a in hc.a]
 
 
@@ -124,13 +133,9 @@ class TestStructuralProperties:
         m = flat(2)
         rep = catalog_rep(m, "u1_twist", twist=[rational(3, 2)])
         hc = heat_coefficients(HeatRequest(m, rep, 4))
-        series = det_sinhc_numeric(rep.B, rational(-1, 2), SeriesLimits(8, 8))
+        series = det_sinhc_numeric(rep.B, rational(-1, 2), 8)
         for k in range(5):
             assert hc.a[k][0, 0] == series.coeff(2 * k)
-
-    def test_thread_count_does_not_change_results(self):
-        m = sphere(3, 1)
-        assert scalar_coeffs(m, 3, threads=1) == scalar_coeffs(m, 3, threads=4)
 
 
 class TestHeatTrace:
@@ -211,3 +216,25 @@ class TestReport:
         hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 0))
         with pytest.raises(ValueError):
             coefficient_report(hc, mode="fancy")
+
+
+class TestGoldenReports:
+    """Radius-1 reports, byte for byte, against the benchmark's stored refs."""
+
+    JOBS = {
+        "s4_scalar_k4": (4, {"catalog": "scalar"}, 4),
+        "s5_scalar_k2": (5, {"catalog": "scalar"}, 2),
+        "s2_spinor_k6": (2, {"catalog": "spinor"}, 6),
+        "s3_vecspin_k3": (3, {"catalog": "tensor_product", "factors": ["vector", "spinor"]}, 3),
+        "s4_spinor_k3": (4, {"catalog": "spinor"}, 3),
+    }
+
+    @pytest.mark.parametrize("sign", ["sphere", "hyperbolic"])
+    @pytest.mark.parametrize("name", list(JOBS))
+    def test_report_matches_ref(self, name, sign):
+        n, bundle, k_max = self.JOBS[name]
+        model = space_from_descriptor({"catalog": sign, "params": {"n": n, "radius": "1"}})
+        rep = rep_from_descriptor(model, bundle, None)
+        hc = heat_coefficients(HeatRequest(model, rep, k_max))
+        text = json.dumps(coefficient_report(hc, mode="exact"), indent=2, sort_keys=True)
+        assert text + "\n" == (REFS / f"{name}.{sign}.json").read_text(encoding="utf-8")

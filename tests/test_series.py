@@ -5,20 +5,18 @@ import random
 import pytest
 import sympy
 
+from symheat.bundles import catalog_rep
 from symheat.exact import GaussianRational, Matrix, rational
 from symheat.series import (
-    MatrixSeries,
-    SeriesLimits,
     SeriesPoly,
     TruncSeries,
     cosh_pencil,
     det_sinhc_numeric,
     det_sinhc_pencil,
-    limits_for_order,
     log_sinhc_coeffs,
     matrix_exp_series,
-    omega_pencil,
 )
+from symheat.spaces import sphere
 
 EPS = Matrix.from_rows([[0, 1], [-1, 0]])
 HALF = rational(1, 2)
@@ -82,29 +80,26 @@ class TestTruncSeries:
 class TestDetSinhcPencil:
     def test_s2_tangent_factor(self):
         # det(sinhc(s*omega*(-eps)/2))^(-1/2) = z/sin(z) at z = s*omega/2
-        lim = SeriesLimits(4, 4)
-        poly = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), lim)
-        mono0, mono2, mono4 = (0,), (2,), (4,)
-        assert poly.terms[mono2].trace().coeff(2) == GaussianRational(rational(1, 24))
-        assert poly.terms[mono4].trace().coeff(4) == GaussianRational(rational(7, 5760))
-        assert poly.terms[mono0].trace().coeff(0) == GaussianRational(1)
+        poly = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 4)
+        assert poly.terms[(2,)] == rational(1, 24)
+        assert poly.terms[(4,)] == rational(7, 5760)
+        assert poly.terms[(0,)] == 1
 
-    @pytest.mark.parametrize("mats, exponent, expr, lim", [
+    @pytest.mark.parametrize("mats, exponent, expr, top", [
         # eigenvalues of -eps are +-i, so the determinant is (sin z / z)^2
-        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(8, 8)),
+        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), 8),
         ([Matrix.diag([GaussianRational(0, 1), GaussianRational(0, 2)])], rational(1),
-         sympy.sin(Z) / Z * sympy.sin(2 * Z) / (2 * Z), SeriesLimits(8, 8)),
-        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(7, 9)),
-        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(9, 6)),
-        ([-EPS, Matrix.zeros(2)], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(8, 8)),
-        ([-EPS, -EPS], rational(-1, 2), Z / sympy.sin(Z), SeriesLimits(6, 6)),
-    ], ids=["eps", "imaginary_diag", "odd_omega_degree", "odd_s_order", "zero_generator",
+         sympy.sin(Z) / Z * sympy.sin(2 * Z) / (2 * Z), 8),
+        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), 7),
+        ([-EPS], rational(-1, 2), Z / sympy.sin(Z), 6),
+        ([-EPS, Matrix.zeros(2)], rational(-1, 2), Z / sympy.sin(Z), 8),
+        ([-EPS, -EPS], rational(-1, 2), Z / sympy.sin(Z), 6),
+    ], ids=["eps", "imaginary_diag", "odd_omega_degree", "degree_6", "zero_generator",
             "equal_generators"])
-    def test_s2_tangent_factor_against_sympy(self, mats, exponent, expr, lim):
+    def test_s2_tangent_factor_against_sympy(self, mats, exponent, expr, top):
         # The nonzero generators are all one matrix G, so A(omega) is
         # (sum of their omegas) * G and the factor is expr(z) at
         # z = s * (sum of their omegas) / 2, expanded multinomially.
-        top = min(lim.omega_degree, lim.s_order)
         expected = sympy_series_coeffs(expr, Z, top)
         ranges = [[0] if m.is_zero() else range(top + 1) for m in mats]
         want = {}
@@ -114,76 +109,86 @@ class TestDetSinhcPencil:
                 continue
             count = math.factorial(deg) // math.prod(math.factorial(e) for e in mono)
             want[mono] = expected[deg] * GaussianRational(rational(count, 2**deg))
-        poly = det_sinhc_pencil(mats, HALF, exponent, lim)
-        assert {mono: ms.trace().coeff(sum(mono)) for mono, ms in poly.terms.items()} == want
+        assert det_sinhc_pencil(mats, HALF, exponent, top).terms == want
 
     def test_zero_pencil(self):
-        lim = SeriesLimits(4, 4)
-        poly = det_sinhc_pencil([Matrix.zeros(3)], HALF, rational(-1, 2), lim)
-        assert poly == SeriesPoly.one(1, 1, lim)
+        poly = det_sinhc_pencil([Matrix.zeros(3)], HALF, rational(-1, 2), 4)
+        assert poly == SeriesPoly(1, 1, 4, {(0,): 1})
 
     def test_empty_pencil(self):
-        lim = SeriesLimits(4, 4)
-        assert det_sinhc_pencil([], HALF, rational(-1, 2), lim) == SeriesPoly.one(0, 1, lim)
+        assert det_sinhc_pencil([], HALF, rational(-1, 2), 4) == SeriesPoly(0, 1, 4, {(): 1})
 
     def test_inverse_exponents_multiply_to_one(self):
         rng = random.Random(21)
-        lim = SeriesLimits(6, 6)
         mats = []
         for _ in range(2):
             a = rng.randint(-3, 3)
             b = rng.randint(-3, 3)
             c = rng.randint(-3, 3)
             mats.append(Matrix.from_rows([[0, a, b], [-a, 0, c], [-b, -c, 0]]))
-        plus = det_sinhc_pencil(mats, HALF, rational(1, 2), lim)
-        minus = det_sinhc_pencil(mats, HALF, rational(-1, 2), lim)
-        assert plus * minus == SeriesPoly.one(2, 1, lim)
+        plus = det_sinhc_pencil(mats, HALF, rational(1, 2), 6)
+        minus = det_sinhc_pencil(mats, HALF, rational(-1, 2), 6)
+        assert plus * minus == SeriesPoly(2, 1, 6, {(0, 0): 1})
 
 
 class TestCoshPencil:
     def test_scalar_rep_is_identity(self):
-        lim = SeriesLimits(4, 4)
-        poly = cosh_pencil([Matrix.zeros(1)], 1, lim)
-        assert poly == SeriesPoly.one(1, 1, lim)
+        poly = cosh_pencil([Matrix.zeros(1)], 1, 4)
+        assert poly == SeriesPoly.one(1, 1, 4)
 
     def test_spinor_s2(self):
         # R_1^2 = -(1/4) I: cosh gives I + s^2 w^2 (-1/8) I + ...
-        lim = SeriesLimits(4, 4)
         r1 = Matrix.from_rows([
             [GaussianRational(0, rational(-1, 2)), 0],
             [0, GaussianRational(0, rational(1, 2))],
         ])
-        poly = cosh_pencil([r1], 2, lim)
-        got = poly.terms[(2,)].coeff(2)
-        assert got == Matrix.identity(2).scale(rational(-1, 8))
+        poly = cosh_pencil([r1], 2, 4)
+        assert poly.terms[(2,)] == Matrix.identity(2).scale(rational(-1, 8))
 
     def test_vector_s2(self):
-        lim = SeriesLimits(4, 4)
-        poly = cosh_pencil([-EPS], 2, lim)
-        assert poly.terms[(2,)].coeff(2) == Matrix.identity(2).scale(rational(-1, 2))
+        poly = cosh_pencil([-EPS], 2, 4)
+        assert poly.terms[(2,)] == Matrix.identity(2).scale(rational(-1, 2))
         # only even omega-degrees appear
         assert all(sum(m) % 2 == 0 for m in poly.terms)
 
 
+class TestMixedProduct:
+    def test_matrix_times_scalar_pencil(self):
+        # an S2 spinor cosh pencil (Matrix values) times the scalar tangent
+        # det(sinhc) pencil, in both orders, against the termwise product
+        model = sphere(2, 1)
+        rep = catalog_rep(model, "spinor")
+        f_cosh = cosh_pencil(rep.R, rep.dimV, 6)
+        f_tan = det_sinhc_pencil(model.D, HALF, rational(-1, 2), 6)
+        want = {}
+        for m1, a in f_cosh.terms.items():
+            for m2, x in f_tan.terms.items():
+                mono = tuple(u + v for u, v in zip(m1, m2))
+                if sum(mono) <= 6:
+                    want[mono] = want[mono] + a.scale(x) if mono in want else a.scale(x)
+        assert len(want) == 4
+        assert f_cosh * f_tan == f_tan * f_cosh == SeriesPoly(1, 2, 6, want)
+
+
 class TestMatrixExpSeries:
     def test_zero_matrix(self):
-        ms = matrix_exp_series(Matrix.zeros(2), SeriesLimits(4, 4))
-        assert ms == MatrixSeries.identity(2, 4)
+        ms = matrix_exp_series(Matrix.zeros(2), 4)
+        assert ms == [Matrix.identity(2), Matrix.zeros(2), Matrix.zeros(2)]
 
     def test_scalar_multiple_of_identity(self):
         c = rational(3, 2)
-        ms = matrix_exp_series(Matrix.identity(2).scale(c), SeriesLimits(4, 4))
-        assert ms.coeff(4) == Matrix.identity(2).scale(c * c / 2)
+        ms = matrix_exp_series(Matrix.identity(2).scale(c), 4)
+        assert ms[2] == Matrix.identity(2).scale(c * c / 2)
 
     def test_s2_scalar_prefactor(self):
-        ms = matrix_exp_series(Matrix.identity(1).scale(rational(1, 4)), SeriesLimits(6, 6))
-        assert ms.coeff(2)[0, 0] == GaussianRational(rational(1, 4))
-        assert ms.coeff(4)[0, 0] == GaussianRational(rational(1, 32))
+        ms = matrix_exp_series(Matrix.identity(1).scale(rational(1, 4)), 6)
+        assert ms[1][0, 0] == GaussianRational(rational(1, 4))
+        assert ms[2][0, 0] == GaussianRational(rational(1, 32))
 
 
 class TestDetSinhcNumeric:
     def test_zero_twist(self):
-        ts = det_sinhc_numeric(Matrix.zeros(2), rational(-1, 2), SeriesLimits(8, 8))
+        ts = det_sinhc_numeric(Matrix.zeros(2), rational(-1, 2), 8)
         assert ts == TruncSeries.one(8)
 
     def test_imaginary_block(self):
@@ -194,7 +199,7 @@ class TestDetSinhcNumeric:
             [GaussianRational(0), GaussianRational(0, b)],
             [GaussianRational(0, -b), GaussianRational(0)],
         ])
-        ts = det_sinhc_numeric(bm, rational(-1, 2), SeriesLimits(8, 8))
+        ts = det_sinhc_numeric(bm, rational(-1, 2), 8)
         assert ts.coeff(4) == GaussianRational(-b * b / 6)
         assert ts.coeff(8) == GaussianRational(b * b * b * b * 7 / 360)
 
@@ -205,7 +210,7 @@ class TestDetSinhcNumeric:
             [GaussianRational(0), GaussianRational(0, 1)],
             [GaussianRational(0, -1), GaussianRational(0)],
         ])
-        ts = det_sinhc_numeric(bm, rational(-1, 2), SeriesLimits(16, 16))
+        ts = det_sinhc_numeric(bm, rational(-1, 2), 16)
         # x = t*b with b = 1 and t = s^2: the t^(2m) coefficient sits at s^(4m)
         for m in range(3):
             assert ts.coeff(4 * m) == expected[2 * m]
@@ -225,7 +230,7 @@ class TestDetSinhcNumeric:
                 rows[i][j] = blk1[i][j]
                 rows[2 + i][2 + j] = blk2[i][j]
         full = Matrix.from_rows(rows)
-        lim = SeriesLimits(12, 12)
+        lim = 12
         combined = det_sinhc_numeric(full, rational(-1, 2), lim)
         part1 = det_sinhc_numeric(Matrix.from_rows(blk1), rational(-1, 2), lim)
         part2 = det_sinhc_numeric(Matrix.from_rows(blk2), rational(-1, 2), lim)
@@ -233,29 +238,13 @@ class TestDetSinhcNumeric:
 
 
 class TestPolyInvariants:
-    def test_parity_s_order_equals_omega_degree(self):
-        lim = SeriesLimits(6, 6)
-        f = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), lim)
-        g = cosh_pencil([-EPS], 2, lim)
-        for poly in (f, g, f * g):
-            for mono, ms in poly.terms.items():
-                assert set(ms.terms) == {sum(mono)} or not ms.terms
-
     def test_truncation_stability(self):
-        small = SeriesLimits(4, 4)
-        large = SeriesLimits(8, 8)
-        f_small = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), small)
-        f_large = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), large)
-        assert f_large.truncated(small) == f_small
+        f_small = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 4)
+        f_large = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 8)
+        assert f_large.truncated(4) == f_small
 
     def test_mismatched_limits_rejected(self):
-        a = SeriesPoly.one(1, 1, SeriesLimits(2, 2))
-        b = SeriesPoly.one(1, 1, SeriesLimits(4, 4))
+        a = SeriesPoly.one(1, 1, 2)
+        b = SeriesPoly.one(1, 1, 4)
         with pytest.raises(ValueError):
             a * b
-
-    def test_pencil_carries_one_s_per_omega(self):
-        lim = SeriesLimits(3, 3)
-        pen = omega_pencil([EPS, -EPS], lim)
-        for mono, ms in pen.terms.items():
-            assert sum(mono) == 1 and list(ms.terms) == [1]

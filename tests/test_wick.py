@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from symheat import wick
 from symheat.exact import GaussianRational, Matrix, rational
-from symheat.series import SeriesLimits, SeriesPoly, MatrixSeries, det_sinhc_pencil
+from symheat.series import SeriesPoly, det_sinhc_pencil
 from symheat.wick import (
     GaussianWeight,
     average_monomial,
@@ -92,12 +93,13 @@ class TestMoments:
 
 class TestProperties:
     def test_linearity(self):
-        lim = SeriesLimits(4, 4)
+        # the scalar pencils get 1x1 Matrix values from SeriesPoly.one
+        one = SeriesPoly.one(1, 1, 4)
         w = GaussianWeight.from_beta(Matrix.identity(1))
-        f = det_sinhc_pencil([-EPS], rational(1, 2), rational(-1, 2), lim)
-        g = det_sinhc_pencil([-EPS], rational(1, 2), rational(1, 2), lim)
+        f = one * det_sinhc_pencil([-EPS], rational(1, 2), rational(-1, 2), 4)
+        g = one * det_sinhc_pencil([-EPS], rational(1, 2), rational(1, 2), 4)
         left = average_poly(f + g, w)
-        right = average_poly(f, w) + average_poly(g, w)
+        right = [a + b for a, b in zip(average_poly(f, w), average_poly(g, w))]
         assert left == right
 
     def test_sign_covariance(self):
@@ -115,33 +117,36 @@ class TestProperties:
 
 class TestAveragePoly:
     def test_constant_unchanged(self):
-        lim = SeriesLimits(4, 4)
         w = GaussianWeight.from_beta(Matrix.identity(2))
-        poly = SeriesPoly.one(2, 3, lim)
-        assert average_poly(poly, w) == MatrixSeries.identity(3, 4)
+        poly = SeriesPoly.one(2, 3, 4)
+        assert average_poly(poly, w) == [Matrix.identity(3), Matrix.zeros(3), Matrix.zeros(3)]
 
     def test_s2_tangent_factor_average(self):
         # <z/sin z> with z = s w / 2 gives 1 + t/12 + 7 t^2/480
-        lim = SeriesLimits(4, 4)
         w = GaussianWeight.from_beta(Matrix.identity(1))
-        poly = det_sinhc_pencil([-EPS], rational(1, 2), rational(-1, 2), lim)
-        avg = average_poly(poly, w)
-        assert avg.coeff(0)[0, 0] == GaussianRational(1)
-        assert avg.coeff(2)[0, 0] == GaussianRational(rational(1, 12))
-        assert avg.coeff(4)[0, 0] == GaussianRational(rational(7, 480))
-        assert avg.coeff(1).is_zero() and avg.coeff(3).is_zero()
+        poly = det_sinhc_pencil([-EPS], rational(1, 2), rational(-1, 2), 4)
+        avg = average_poly(SeriesPoly.one(1, 1, 4) * poly, w)
+        assert [a[0, 0] for a in avg] == [
+            GaussianRational(1), GaussianRational(rational(1, 12)),
+            GaussianRational(rational(7, 480)),
+        ]
 
     def test_odd_poly_averages_to_zero(self):
-        lim = SeriesLimits(3, 3)
         w = GaussianWeight.from_beta(Matrix.identity(1))
-        ms = MatrixSeries(1, 3, {1: Matrix.identity(1)})
-        poly = SeriesPoly(1, 1, lim, {(1,): ms, (3,): ms})
-        assert average_poly(poly, w).is_zero()
+        poly = SeriesPoly(1, 1, 3, {(1,): Matrix.identity(1), (3,): Matrix.identity(1)})
+        assert average_poly(poly, w) == [Matrix.zeros(1), Matrix.zeros(1)]
+
+    def test_odd_moment_is_an_error(self, monkeypatch):
+        # a nonzero odd moment would leave an odd power of sqrt(t) behind
+        monkeypatch.setattr(wick, "average_monomial", lambda indices, w: GaussianRational(1))
+        w = GaussianWeight.from_beta(Matrix.identity(1))
+        poly = SeriesPoly(1, 1, 2, {(1,): Matrix.identity(1)})
+        with pytest.raises(AssertionError, match="odd power"):
+            average_poly(poly, w)
 
     def test_variable_count_mismatch(self):
-        lim = SeriesLimits(2, 2)
         w = GaussianWeight.from_beta(Matrix.identity(2))
-        poly = SeriesPoly.one(1, 1, lim)
+        poly = SeriesPoly.one(1, 1, 2)
         with pytest.raises(ValueError):
             average_poly(poly, w)
 
