@@ -352,8 +352,12 @@ def spinor_rep(model: SymmetricSpaceModel, twist=None) -> FiberRep:
     return build_rep(model, spin_generator_table(model.n), B, dimV=dimV)
 
 
-def tensor_product_rep(rep1: FiberRep, rep2: FiberRep) -> FiberRep:
-    """Fiber tensor product: G_ab = G1_ab (x) I + I (x) G2_ab, twists add."""
+def tensor_product_rep(rep1: FiberRep, rep2: FiberRep,
+                       B: Matrix | None = None) -> FiberRep:
+    """Fiber tensor product: G_ab = G1_ab (x) I + I (x) G2_ab, twists add.
+
+    A further twist matrix B, if given, is added to the factors' twists.
+    """
     if rep1.model is not rep2.model and rep1.model.data != rep2.model.data:
         raise BundleError("tensor factors live over different models")
     model = rep1.model
@@ -364,7 +368,10 @@ def tensor_product_rep(rep1: FiberRep, rep2: FiberRep) -> FiberRep:
     for a in range(n):
         for b in range(a + 1, n):
             table[(a, b)] = rep1.G[a][b].kron(e2) + e1.kron(rep2.G[a][b])
-    return build_rep(model, table, rep1.B + rep2.B, dimV=rep1.dimV * rep2.dimV)
+    twist = rep1.B + rep2.B
+    if B is not None:
+        twist = twist + B
+    return build_rep(model, table, twist, dimV=rep1.dimV * rep2.dimV)
 
 
 def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,
@@ -386,15 +393,11 @@ def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,
         if not factors or len(factors) < 2:
             raise BundleError("tensor_product needs at least two factor names")
         reps = [catalog_rep(model, f) for f in factors]
+        B = twist_matrix(model, twist) if twist else None
         out = reps[0]
-        for r in reps[1:]:
+        for r in reps[1:-1]:
             out = tensor_product_rep(out, r)
-        if twist:
-            out = build_rep(model, {
-                (a, b): out.G[a][b] for a in range(model.n)
-                for b in range(a + 1, model.n)
-            }, twist_matrix(model, twist), dimV=out.dimV)
-        return out
+        return tensor_product_rep(out, reps[-1], B)
     raise BundleError(f"unknown catalog bundle {name!r}")
 
 

@@ -66,7 +66,9 @@ def _parse_volume(obj):
     if obj is None:
         return None, 0
     if isinstance(obj, dict):
-        coeff, power = rational(obj.get("coeff", 1)), int(obj.get("pi_power", 0))
+        coeff, power = rational(obj.get("coeff", 1)), obj.get("pi_power", 0)
+        if isinstance(power, bool) or not isinstance(power, int):
+            raise ValueError(f"pi_power must be an integer, got {power!r}")
     else:
         coeff, power = rational(obj), 0
     if coeff <= 0:

@@ -32,6 +32,9 @@ _R_ONE = rational(1)
 
 
 def _coerce_rational(x):
+    # the backend type is immutable, so an instance can be shared as is
+    if type(x) is _rational_backend:
+        return x
     if isinstance(x, numbers.Rational):
         return _rational_backend(x)
     if isinstance(x, str):

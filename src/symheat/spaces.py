@@ -534,14 +534,21 @@ def product(models) -> SymmetricSpaceModel:
     return build_model(data)
 
 
+def _catalog_dim(params: dict) -> int:
+    n = int(params["n"])
+    if n < 1:
+        raise ModelBuildError(f"catalog spaces need n >= 1, got {n}")
+    return n
+
+
 def catalog_space(name: str, params: dict) -> SymmetricSpaceModel:
     """Build a catalog model from a descriptor name and parameter dict."""
     if name == "sphere":
-        return sphere(int(params["n"]), rational(params.get("radius", 1)))
+        return sphere(_catalog_dim(params), rational(params.get("radius", 1)))
     if name == "hyperbolic":
-        return hyperbolic(int(params["n"]), rational(params.get("radius", 1)))
+        return hyperbolic(_catalog_dim(params), rational(params.get("radius", 1)))
     if name == "flat":
-        return flat(int(params["n"]))
+        return flat(_catalog_dim(params))
     if name == "product":
         factors = params.get("factors", [])
         if not factors:

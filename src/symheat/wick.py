@@ -8,8 +8,10 @@ compact/noncompact cases unnecessary: the resulting coefficients are the
 same polynomials either way.
 
 Two independent evaluation routes are provided: average_monomial
-enumerates perfect matchings; symmetrized_moment evaluates the closed
-form (2k)!/k! beta^((i1 i2 ... i2k-1 i2k)) through coefficient extraction
+sums over perfect matchings by the recursion that pairs the first index
+with each partner value in turn, memoized per weight on every sorted
+sub-multiset it reaches; symmetrized_moment evaluates the closed form
+(2k)!/k! beta^((i1 i2 ... i2k-1 i2k)) through coefficient extraction
 from powers of the quadratic form (never touching the matching
 recursion).  Their exact agreement is an acceptance criterion.
 """
@@ -38,7 +40,7 @@ class GaussianWeight:
         self.p = beta.rows
         self.beta = beta
         self.beta_inv = beta_inv
-        self._pairing_cache = {}
+        self._pairing_cache = {(): GaussianRational(1)}
         self._q_powers = {}
 
     @classmethod
@@ -49,36 +51,40 @@ class GaussianWeight:
 
 
 def average_monomial(indices, w: GaussianWeight) -> GaussianRational:
-    """<w^{i1} ... w^{im}> by summing 2 beta^{ij} over perfect matchings.
+    """<w^{i1} ... w^{im}> as the sum of products of 2 beta^{ij} over
+    perfect matchings.
 
-    Odd-length monomials average to zero.  Results are cached per weight
-    on the sorted index multiset.
+    Odd-length monomials average to zero.  The sum is computed by
+    _pairing_sum, whose per-weight cache also serves later monomials that
+    share sub-multisets with this one.
     """
-    m = len(indices)
-    if m % 2 == 1:
+    if len(indices) % 2 == 1:
         return ZERO
-    if m == 0:
-        return GaussianRational(1)
-    key = tuple(sorted(indices))
-    cached = w._pairing_cache.get(key)
-    if cached is None:
-        cached = _pairing_sum(key, w)
-        w._pairing_cache[key] = cached
-    return cached
+    return _pairing_sum(tuple(sorted(indices)), w)
 
 
 def _pairing_sum(idx: tuple, w: GaussianWeight) -> GaussianRational:
-    if not idx:
-        return GaussianRational(1)
+    """Matching sum of the sorted, even-length multiset idx.
+
+    Pairing the first index with any of the c_v copies of a value v leaves
+    the same sorted sub-multiset, so the sum runs over distinct partner
+    values: sum_v c_v * 2 beta^{first v} * S(rest - v).  Every sub-multiset
+    is looked up and stored in w._pairing_cache, which starts as {(): 1}.
+    """
+    out = w._pairing_cache.get(idx)
+    if out is not None:
+        return out
     first, rest = idx[0], idx[1:]
-    acc = ZERO
-    for j in range(len(rest)):
-        pair = w.beta_inv[first, rest[j]]
+    out = ZERO
+    for v in dict.fromkeys(rest):
+        pair = w.beta_inv[first, v]
         if pair.is_zero():
             continue
-        sub = rest[:j] + rest[j + 1 :]
-        acc = acc + _GR(2) * pair * _pairing_sum(sub, w)
-    return acc
+        j = rest.index(v)
+        sub = _pairing_sum(rest[:j] + rest[j + 1 :], w)
+        out = out + _GR(2 * rest.count(v)) * pair * sub
+    w._pairing_cache[idx] = out
+    return out
 
 
 def symmetrized_moment(indices, w: GaussianWeight) -> GaussianRational:

@@ -1,5 +1,6 @@
 import pytest
 
+from symheat import bundles
 from symheat.bundles import (
     BundleError,
     build_rep,
@@ -185,6 +186,24 @@ class TestTensorProduct:
         m = sphere(2, 1)
         rep = catalog_rep(m, "tensor_product", factors=["spinor", "spinor"])
         assert rep.dimV == 4
+
+    def test_twisted_catalog_tensor_product_built_once(self, monkeypatch):
+        m = product([flat(2), sphere(2, 1)])
+        twist = [rational(1, 3)]
+        plain = catalog_rep(m, "tensor_product", factors=["scalar", "spinor"])
+        # reference: the untwisted product's generators rebuilt with the twist
+        want = build_rep(m, plain.G, twist_matrix(m, twist), dimV=plain.dimV)
+        calls = []
+        monkeypatch.setattr(bundles, "build_rep",
+                            lambda *a, **k: calls.append(a) or build_rep(*a, **k))
+        rep = catalog_rep(m, "tensor_product", factors=["scalar", "spinor"], twist=twist)
+        assert len(calls) == 3  # two factors and one product
+        assert rep == want
+
+    def test_twisted_catalog_tensor_product_needs_flat_room(self):
+        m = product([flat(2), sphere(2, 1)])
+        with pytest.raises(BundleError, match="twist needs 4 flat directions"):
+            catalog_rep(m, "tensor_product", factors=["scalar", "spinor"], twist=[1, 1])
 
 
 class TestRepInvariants:

@@ -82,6 +82,25 @@ class TestCompute:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("pi_power", [1.5, True, "x"])
+    def test_trace_non_integer_pi_power(self, tmp_path, capsys, pi_power):
+        job = json.loads((JOBS / "s2_scalar.json").read_text(encoding="utf-8"))
+        job["volume"] = {"coeff": "4", "pi_power": pi_power}
+        rc = main(["compute", write_job(tmp_path, job), "--trace"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:")
+        assert "pi_power must be an integer" in err
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    @pytest.mark.parametrize("space", ["sphere", "hyperbolic", "flat"])
+    def test_catalog_dimension_zero_rejected(self, tmp_path, capsys, space, command):
+        job = {"space": {"catalog": space, "params": {"n": 0}},
+               "bundle": {"catalog": "scalar"}}
+        rc = main([command, write_job(tmp_path, job)])
+        assert rc == 3
+        assert "n >= 1" in capsys.readouterr().err
+
     def test_text_format(self, capsys):
         rc = main(["compute", str(JOBS / "s2_scalar.json"), "--format", "text"])
         assert rc == 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -47,6 +48,11 @@ def brute_force_pairings(indices, w):
     return total
 
 
+def all_monomials(p, degrees):
+    for deg in degrees:
+        yield from itertools.combinations_with_replacement(range(p), deg)
+
+
 class TestMoments:
     def test_odd_vanishes(self):
         w = GaussianWeight.from_beta(Matrix.identity(1))
@@ -89,6 +95,48 @@ class TestMoments:
             for deg in (2, 4, 6):
                 for combo in itertools.combinations_with_replacement(range(p), deg):
                     assert average_monomial(combo, w) == symmetrized_moment(combo, w)
+
+
+class TestMemoizedPairingSum:
+    # the pairing sum caches every sub-multiset it meets, so a wrong count
+    # or key would show up on a monomial other than the one computed first
+    @pytest.mark.parametrize("rows", [
+        pytest.param(None, id="random"),
+        # diagonal and block-diagonal beta: beta^-1 has zero off-diagonal entries
+        pytest.param([[2, 0, 0], [0, -1, 0], [0, 0, rational(1, 3)]], id="diagonal"),
+        pytest.param([[2, 1, 0], [1, 1, 0], [0, 0, -3]], id="block"),
+    ])
+    def test_degree8_against_brute_force(self, rows):
+        if rows is None:
+            rng = random.Random(36)
+            weights = [random_spd_ish_beta(rng, p) for p in (1, 2, 3)]
+        else:
+            weights = [GaussianWeight.from_beta(Matrix.from_rows(rows))]
+        for w in weights:
+            for combo in all_monomials(w.p, (8,)):
+                assert average_monomial(combo, w) == brute_force_pairings(combo, w)
+
+    @pytest.mark.parametrize("b", [rational(3, 2), rational(-2, 5)])
+    def test_single_variable_closed_form(self, b):
+        # <w^(2k)> = (2k-1)!! (2 beta^-1)^k
+        w = GaussianWeight.from_beta(Matrix.from_rows([[b]]))
+        for k in range(7):
+            double_factorial = math.prod(range(1, 2 * k, 2))
+            expected = GaussianRational(double_factorial * (2 / b) ** k)
+            assert average_monomial((0,) * (2 * k), w) == expected
+
+    def test_warm_cache_matches_fresh_weight(self):
+        beta = random_spd_ish_beta(random.Random(37), 3).beta
+        warm = GaussianWeight.from_beta(beta)
+        # warm the cache from the top down, so lower monomials are hits
+        for combo in all_monomials(3, (8,)):
+            average_monomial(combo, warm)
+        combos = list(all_monomials(3, range(7)))
+        random.Random(38).shuffle(combos)
+        for combo in combos:
+            fresh = GaussianWeight.from_beta(beta)
+            # unsorted indices must find the sorted cache entries
+            assert average_monomial(combo[::-1], warm) == average_monomial(combo, fresh)
 
 
 class TestProperties:
