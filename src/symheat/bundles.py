@@ -404,11 +404,17 @@ def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,
 def rep_from_descriptor(model: SymmetricSpaceModel, bundle: dict | None,
                         twist: dict | None = None) -> FiberRep:
     """Parse the JSON bundle + twist descriptors."""
+    if twist is not None and not isinstance(twist, dict):
+        raise TypeError(f"twist must be a JSON object, got {twist!r}")
     blocks = (twist or {}).get("blocks")
+    if blocks is not None and not isinstance(blocks, list):
+        raise TypeError(f"twist blocks must be a JSON array, got {blocks!r}")
     bundle = bundle or {"catalog": "scalar"}
     if "catalog" in bundle:
         name = bundle["catalog"]
         factors = bundle.get("factors")
+        if factors is not None and not isinstance(factors, list):
+            raise TypeError(f"bundle factors must be a JSON array, got {factors!r}")
         return catalog_rep(model, name, twist=blocks, factors=factors)
     if "explicit" in bundle:
         body = bundle["explicit"]

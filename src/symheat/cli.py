@@ -165,6 +165,9 @@ def cmd_validate(args) -> int:
         for c in checks:
             print(f"{c.name}: {'pass' if c.passed else 'FAIL'}")
         return EXIT_VALIDATION
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: bad job file: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     ok = True
     for c in checks:
         line = f"{c.name}: {'pass' if c.passed else 'FAIL'}"

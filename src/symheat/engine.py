@@ -14,9 +14,10 @@ and the averaged bracket commute because [R^2, R_i] = 0 (checked at rep
 build time), so the factor order above is the one used verbatim.
 
 The bracket is an omega-polynomial with one exact value per monomial
-(series.SeriesPoly); the average turns it into a list of t-coefficients,
-the prefactor is the list [M^k / k!], and a_k is the t^k coefficient of
-their product times the twist factor.
+(series.SeriesPoly): the cosh pencil times the exp of the summed
+exponents of the two determinant factors.  The average turns it into a
+list of t-coefficients, the prefactor is the list [M^k / k!], and a_k is
+the t^k coefficient of their product times the twist factor.
 
 pi never appears: coefficients and traced invariants are exact rationals.
 """
@@ -91,9 +92,10 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     dimV = rep.dimV
 
     f_cosh = cosh_pencil(rep.R, dimV, degree)
-    f_hol = det_sinhc_pencil(model.F, _HALF, rational(1, 2), degree)
-    f_tan = det_sinhc_pencil(model.D, _HALF, rational(-1, 2), degree)
-    bracket = f_cosh * f_hol * f_tan
+    # the two det(sinhc) factors as exponents, added and exponentiated once
+    f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree)
+    f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree)
+    bracket = f_cosh * (f_hol + f_tan).exp()
     averaged = average_poly(bracket, GaussianWeight.from_beta(model.beta))
 
     exponent_matrix = Matrix.identity(dimV).scale(

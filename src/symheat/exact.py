@@ -81,11 +81,12 @@ class GaussianRational:
 
     # -- predicates -----------------------------------------------------
 
+    # truthiness is cheaper than == 0, which calls the backend's __eq__ with an int
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -120,7 +121,7 @@ class GaussianRational:
         if o is NotImplemented:
             return NotImplemented
         # real-by-real fast path: the bulk of the pipeline never leaves Q
-        if self.im == 0 and o.im == 0:
+        if not self.im and not o.im:
             return GaussianRational(self.re * o.re)
         return GaussianRational(
             self.re * o.re - self.im * o.im,

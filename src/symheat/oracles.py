@@ -10,13 +10,15 @@ invariants exactly.  Both exist solely to validate heat-engine output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING
 
 from .bundles import FiberRep
 from .exact import GaussianRational, Matrix, rational
 from .spaces import SymmetricSpaceModel
+
+# mpmath is imported where it is used, so `import symheat` does not load it
+if TYPE_CHECKING:
+    import mpmath
 
 ORACLE_DPS = 60
 EXTRACT_K_MAX = 4
@@ -41,17 +43,23 @@ class SpectralModel:
             raise ValueError("radius must be positive")
 
     def eigenvalue(self, l: int) -> mpmath.mpf:
+        from mpmath import mp
+
         a = mp.mpf(str(rational(self.radius)))
         return mp.mpf(l * (l + self.n - 1)) / (a * a)
 
     def multiplicity(self, l: int) -> int:
+        from mpmath import mp
+
         n = self.n
-        num = (2 * l + n - 1) * mpmath.factorial(l + n - 2)
-        den = mpmath.factorial(l) * mpmath.factorial(n - 1)
+        num = (2 * l + n - 1) * mp.factorial(l + n - 2)
+        den = mp.factorial(l) * mp.factorial(n - 1)
         m = int(mp.nint(num / den))
         return m
 
     def volume(self) -> mpmath.mpf:
+        from mpmath import mp
+
         n = self.n
         a = mp.mpf(str(rational(self.radius)))
         return 2 * mp.pi ** (mp.mpf(n + 1) / 2) / mp.gamma(mp.mpf(n + 1) / 2) * a**n
@@ -59,6 +67,8 @@ class SpectralModel:
 
 def sphere_trace(sm: SpectralModel, t) -> mpmath.mpf:
     """Sum of m_l exp(-t lambda_l) with the tail bounded below 1e-30."""
+    from mpmath import mp
+
     if t <= 0:
         raise ValueError("the spectral sum needs t > 0")
     with mp.workdps(ORACLE_DPS):
@@ -82,6 +92,8 @@ def sphere_trace(sm: SpectralModel, t) -> mpmath.mpf:
 
 def _fit_grid(sm: SpectralModel, k_max: int, t0, ratio, points):
     """Least-squares polynomial fit of (4 pi t)^(n/2) trace / volume."""
+    from mpmath import mp
+
     n = sm.n
     vol = sm.volume()
     degree = k_max + 2
@@ -95,7 +107,7 @@ def _fit_grid(sm: SpectralModel, k_max: int, t0, ratio, points):
         u = t / tmax
         rows.append([u**k for k in range(degree + 1)])
         rhs.append(f)
-    x, _ = mpmath.qr_solve(mp.matrix(rows), mp.matrix(rhs))
+    x, _ = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))
     return [x[k] / tmax**k for k in range(degree + 1)]
 
 
@@ -107,6 +119,8 @@ def extract_coefficients(sm: SpectralModel, k_max: int, t0=None, ratio=None,
     repeats on the halved grid; the per-coefficient discrepancy is both
     the returned error estimate and the conditioning monitor.
     """
+    from mpmath import mp
+
     if not 0 <= k_max <= EXTRACT_K_MAX:
         raise ValueError(f"extraction supports k_max <= {EXTRACT_K_MAX}")
     with mp.workdps(ORACLE_DPS):

@@ -1,10 +1,10 @@
 """Truncated power series in s (s^2 = t) and omega-polynomial engine.
 
-Everything the generating function needs — determinant factors via
-exp(trace(log(.))) on pencil powers, cosh of a matrix pencil, matrix
-exponentials — expanded to a requested order with exact coefficients.
-Determinants of series-valued matrices are never computed by cofactor
-expansion; only traces of matrix powers enter.
+Everything the generating function needs — determinant factors as
+exponents tr(log(.)) from power sums of pencil powers, cosh of a matrix
+pencil, matrix exponentials — expanded to a requested order with exact
+coefficients.  Determinants of series-valued matrices are never computed
+by cofactor expansion; only traces of matrix powers enter.
 
 In every polynomial built here each omega variable carries exactly one
 factor of s, so a term's s-power is its omega-degree until the Gaussian
@@ -16,7 +16,7 @@ computation and every operation truncates against it.
 from __future__ import annotations
 
 import math
-from .exact import GaussianRational, Matrix, ONE, ZERO
+from .exact import GaussianRational, Matrix, ONE, ZERO, rational
 
 _GR = GaussianRational.of
 
@@ -209,6 +209,33 @@ class SeriesPoly:
     def truncated(self, degree: int) -> "SeriesPoly":
         return SeriesPoly(self.p, self.dim, degree, self.terms)
 
+    def exp(self) -> "SeriesPoly":
+        """exp of a scalar-valued polynomial with a zero constant term.
+
+        Runs n g_n = sum_k k f_k g_(n-k), g_0 = 1, over the parts f_k of
+        omega-degree k, on plain dicts.
+        """
+        zero_mono = (0,) * self.p
+        if self.dim != 1:
+            raise ValueError("polynomial exp needs scalar values")
+        if zero_mono in self.terms:
+            raise ValueError("polynomial exp needs a zero constant term")
+        f = {}
+        for mono, v in self.terms.items():
+            f.setdefault(sum(mono), {})[mono] = v
+        # an exact 1, so that int-valued terms still divide exactly
+        g = {0: {zero_mono: rational(1)}}
+        for n in range(1, self.degree + 1):
+            gn = {}
+            for k, fk in f.items():
+                if k <= n and n - k in g:
+                    _add_products(gn, fk, g[n - k], k)
+            gn = {mono: v / n for mono, v in gn.items() if v}
+            if gn:
+                g[n] = gn
+        return SeriesPoly(self.p, 1, self.degree,
+                          {mono: v for gn in g.values() for mono, v in gn.items()})
+
 
 def omega_pencil(mats, degree: int) -> SeriesPoly:
     """Degree-one polynomial sum_i omega^i * (s * A_i)."""
@@ -295,70 +322,101 @@ def _trace_product(x, y):
     return acc
 
 
-def det_sinhc_pencil(mats, scale, exponent, degree: int) -> SeriesPoly:
-    """det(sinhc(s*scale*A(omega)))^exponent as a scalar-valued polynomial.
+def _add_products(dst: dict, x: dict, y: dict, c):
+    """dst += c * x * y for {monomial: scalar} polynomials, untruncated."""
+    for m1, v1 in x.items():
+        cv1 = c * v1
+        for m2, v2 in y.items():
+            _add_into(dst, tuple(u + v for u, v in zip(m1, m2)), cv1 * v2)
 
-    With A(omega) = sum_i omega^i A_i and M = degree, the determinant is
-    exp(exponent * sum_m c_2m tr[(scale*A(omega))^(2m)]) truncated at
-    degree M, c_2m the log-sinhc coefficients; cofactor expansion never
-    appears.  The work is done on plain {monomial: value} dicts, and their
-    values become the polynomial's scalar values:
+
+def _power_sum(pa, pb):
+    """tr(P_a P_b) as {monomial: value}: tr(P_a[mu] P_b[nu]) summed at mu + nu.
+
+    When P_a is P_b, each unordered pair of monomials is traced once and
+    doubled, since tr(XY) = tr(YX).
+    """
+    out = {}
+    items = list(pa.items())
+    for i, (mu, x) in enumerate(items):
+        for nu, y in (items[i:] if pa is pb else pb.items()):
+            tr = _trace_product(x, y)
+            if not tr:
+                continue
+            if pa is pb and nu != mu:
+                tr = tr + tr
+            _add_into(out, tuple(u + v for u, v in zip(mu, nu)), tr)
+    return {mono: v for mono, v in out.items() if v}
+
+
+def _cayley_hamilton_power_sums(psums: dict, dim: int, top: int, zero_mono):
+    """Add p_k for dim < k <= top to psums, which holds p_1 .. p_dim.
+
+    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i give the
+    characteristic coefficients e_1 .. e_dim of the dim x dim pencil, and
+    Cayley-Hamilton gives p_k = sum_{j=1..dim} (-1)^(j-1) e_j p_(k-j).
+    """
+    e = [{zero_mono: 1}]
+    for k in range(1, dim + 1):
+        acc = {}
+        for i in range(1, k + 1):
+            _add_products(acc, e[k - i], psums[i], (-1) ** (i - 1))
+        e.append({mono: v / k for mono, v in acc.items() if v})
+    for k in range(dim + 1, top + 1):
+        acc = {}
+        for j in range(1, dim + 1):
+            _add_products(acc, e[j], psums[k - j], (-1) ** (j - 1))
+        psums[k] = {mono: v for mono, v in acc.items() if v}
+
+
+def det_sinhc_pencil(mats, scale, exponent, degree: int) -> SeriesPoly:
+    """The exponent f with det(sinhc(s*scale*A(omega)))^exponent = f.exp().
+
+    With A(omega) = sum_i omega^i A_i and M = degree, f is the scalar-valued
+    polynomial exponent * sum_m c_2m p_2m truncated at degree M, where
+    p_j = tr[(scale*A(omega))^j] and c_2m are the log-sinhc coefficients;
+    cofactor expansion never appears.  Exponents of several factors add,
+    so their product costs one exp.  The work is done on plain
+    {monomial: value} dicts:
 
     - each scale*A_i is stored sparsely as {row: {col: value}}, over plain
       rationals when every scaled entry and the exponent are real (every
       catalog space) and over GaussianRational otherwise, with one code
       path for both;
-    - P_m = A(omega)^m is built only for m <= M/2, and each power sum
-      tr A^(2m) is the sum over monomial pairs (mu, nu) of
-      tr(P_m[mu] P_m[nu]) at mu + nu;
-    - the graded exponent f = sum_n f_n is exponentiated with the
-      recurrence n g_n = sum_k k f_k g_(n-k), g_0 = 1.
+    - with P_m = A(omega)^m and dim the matrix size, p_j for
+      j <= min(dim, M) is the sum over monomial pairs (mu, nu) of
+      tr(P_a[mu] P_b[nu]) at mu + nu, a = floor(j/2), b = ceil(j/2);
+    - when dim < M, the power sums past dim come from p_1 .. p_dim by
+      Newton's identities and Cayley-Hamilton, so their cost stops growing
+      with M.  Odd p_j are needed only there; they vanish for
+      antisymmetric generators.
     """
     p = len(mats)
     if p == 0:
-        return SeriesPoly(0, 1, degree, {(): 1})
+        return SeriesPoly(0, 1, degree)
     gens, exponent = _sparse_generators(mats, scale, exponent)
+    dim, zero_mono = mats[0].rows, (0,) * p
+    top = degree - degree % 2
+    recur = dim < top
+    direct = min(dim, top)
+
+    powers = [{zero_mono: {r: {r: 1} for r in range(dim)}}]
+    for _ in range((direct + 1) // 2):
+        powers.append(_pencil_step(powers[-1], gens))
+    psums = {
+        j: _power_sum(powers[j // 2], powers[(j + 1) // 2])
+        for j in range(1, direct + 1) if recur or j % 2 == 0
+    }
+    if recur:
+        _cayley_hamilton_power_sums(psums, dim, top, zero_mono)
+
     logc = log_sinhc_coeffs(degree)
-    zero_mono = (0,) * p
-
-    # f[n]: degree-n part of exponent * log det(sinhc), only even n occur
     f = {}
-    power = {zero_mono: {r: {r: 1} for r in range(mats[0].rows)}}
-    for m in range(1, degree // 2 + 1):
-        power = _pencil_step(power, gens)
-        if not power:
-            break
+    for m in range(1, top // 2 + 1):
         cm = logc.coeff(2 * m).re * exponent
-        items = list(power.items())
-        fn = {}
-        for a, (mu, x) in enumerate(items):
-            for nu, y in items[a:]:
-                tr = _trace_product(x, y)
-                if not tr:
-                    continue
-                if nu != mu:
-                    tr = tr + tr
-                _add_into(fn, tuple(u + v for u, v in zip(mu, nu)), cm * tr)
-        fn = {mono: v for mono, v in fn.items() if v}
-        if fn:
-            f[2 * m] = fn
-
-    g = {0: {zero_mono: 1}}
-    for n in range(1, degree + 1):
-        gn = {}
-        for k, fk in f.items():
-            if k > n or n - k not in g:
-                continue
-            for m1, v1 in fk.items():
-                kv1 = v1 * k
-                for m2, v2 in g[n - k].items():
-                    _add_into(gn, tuple(u + v for u, v in zip(m1, m2)), kv1 * v2)
-        gn = {mono: v / n for mono, v in gn.items() if v}
-        if gn:
-            g[n] = gn
-
-    terms = {mono: v for gn in g.values() for mono, v in gn.items()}
-    return SeriesPoly(p, 1, degree, terms)
+        for mono, v in psums[2 * m].items():
+            f[mono] = cm * v
+    return SeriesPoly(p, 1, degree, f)
 
 
 def cosh_pencil(mats, dim: int, degree: int) -> SeriesPoly:

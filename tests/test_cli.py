@@ -101,6 +101,23 @@ class TestCompute:
         assert rc == 3
         assert "n >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    @pytest.mark.parametrize("job", [
+        {"bundle": {"explicit": {"dimV": 1, "G": {"1,2": [["x"]]}}}},
+        {"bundle": {"explicit": {"dimV": "x"}}},
+        {"bundle": {"catalog": "tensor_product", "factors": "vector"}},
+        {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": "1/2"}},
+        {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": "1"}},
+        {"twist": "x"},
+    ], ids=["bad_rational", "bad_dimV", "factors_string", "blocks_fraction_string",
+            "blocks_string", "twist_string"])
+    def test_bad_bundle_rejected(self, tmp_path, capsys, job, command):
+        # blocks and factors must be JSON arrays, not strings read by character
+        job = {"space": {"catalog": "sphere", "params": {"n": 2}}, **job}
+        rc = main([command, write_job(tmp_path, job)])
+        assert rc == 2
+        assert "error: bad job file" in capsys.readouterr().err
+
     def test_text_format(self, capsys):
         rc = main(["compute", str(JOBS / "s2_scalar.json"), "--format", "text"])
         assert rc == 0

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import sympy
 from mpmath import mp
 
+import symheat
 from symheat.bundles import catalog_rep, scalar_rep, spinor_rep, vector_rep
 from symheat.engine import HeatRequest, heat_coefficients
 from symheat.exact import GaussianRational, Matrix, rational
@@ -13,6 +19,14 @@ from symheat.oracles import (
     sphere_trace,
 )
 from symheat.spaces import flat, hyperbolic, product, sphere
+
+
+def test_import_does_not_load_mpmath():
+    # the oracles import mpmath only when they run
+    src = str(Path(symheat.__file__).resolve().parents[1])
+    code = "import symheat, sys; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class TestSpectralModel:

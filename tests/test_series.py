@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from symheat.series import (
     det_sinhc_pencil,
     log_sinhc_coeffs,
     matrix_exp_series,
+    omega_pencil,
 )
 from symheat.spaces import sphere
 
@@ -80,7 +82,7 @@ class TestTruncSeries:
 class TestDetSinhcPencil:
     def test_s2_tangent_factor(self):
         # det(sinhc(s*omega*(-eps)/2))^(-1/2) = z/sin(z) at z = s*omega/2
-        poly = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 4)
+        poly = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 4).exp()
         assert poly.terms[(2,)] == rational(1, 24)
         assert poly.terms[(4,)] == rational(7, 5760)
         assert poly.terms[(0,)] == 1
@@ -109,14 +111,14 @@ class TestDetSinhcPencil:
                 continue
             count = math.factorial(deg) // math.prod(math.factorial(e) for e in mono)
             want[mono] = expected[deg] * GaussianRational(rational(count, 2**deg))
-        assert det_sinhc_pencil(mats, HALF, exponent, top).terms == want
+        assert det_sinhc_pencil(mats, HALF, exponent, top).exp().terms == want
 
     def test_zero_pencil(self):
-        poly = det_sinhc_pencil([Matrix.zeros(3)], HALF, rational(-1, 2), 4)
+        poly = det_sinhc_pencil([Matrix.zeros(3)], HALF, rational(-1, 2), 4).exp()
         assert poly == SeriesPoly(1, 1, 4, {(0,): 1})
 
     def test_empty_pencil(self):
-        assert det_sinhc_pencil([], HALF, rational(-1, 2), 4) == SeriesPoly(0, 1, 4, {(): 1})
+        assert det_sinhc_pencil([], HALF, rational(-1, 2), 4).exp() == SeriesPoly(0, 1, 4, {(): 1})
 
     def test_inverse_exponents_multiply_to_one(self):
         rng = random.Random(21)
@@ -126,9 +128,93 @@ class TestDetSinhcPencil:
             b = rng.randint(-3, 3)
             c = rng.randint(-3, 3)
             mats.append(Matrix.from_rows([[0, a, b], [-a, 0, c], [-b, -c, 0]]))
-        plus = det_sinhc_pencil(mats, HALF, rational(1, 2), 6)
-        minus = det_sinhc_pencil(mats, HALF, rational(-1, 2), 6)
+        plus = det_sinhc_pencil(mats, HALF, rational(1, 2), 6).exp()
+        minus = det_sinhc_pencil(mats, HALF, rational(-1, 2), 6).exp()
         assert plus * minus == SeriesPoly(2, 1, 6, {(0, 0): 1})
+
+
+def _random_pencil(rng, kind, p, dim):
+    def entry():
+        return rational(rng.randint(-3, 3), rng.randint(1, 3))
+
+    mats = []
+    for _ in range(p):
+        rows = [[entry() for _ in range(dim)] for _ in range(dim)]
+        if kind == "antisymmetric":
+            rows = [[rows[i][j] - rows[j][i] for j in range(dim)] for i in range(dim)]
+        elif kind == "complex":
+            rows = [[GaussianRational(x, entry()) for x in row] for row in rows]
+        mats.append(Matrix.from_rows(rows))
+    return mats
+
+
+@functools.cache
+def _sympy_log_sinhc(degree):
+    return sympy_series_coeffs(sympy.log(sympy.sinh(Z) / Z), Z, degree)
+
+
+def _reference_det_sinhc(mats, exponent, degree):
+    """det(sinhc(s*A(omega)/2))^exponent from matrix pencil powers, traced.
+
+    The log is sum_m c_2m tr A^(2m) with c_2m from sympy, and its exp is
+    the power series sum_j f^j / j!, both through SeriesPoly products.
+    """
+    p = len(mats)
+    logc = _sympy_log_sinhc(degree)
+    pen = omega_pencil([a.scale(HALF) for a in mats], degree)
+    power = SeriesPoly.one(p, mats[0].rows, degree)
+    f = SeriesPoly(p, 1, degree)
+    for j in range(1, degree + 1):
+        power = power * pen
+        traces = {mono: v.trace() * logc[j] * exponent for mono, v in power.terms.items()}
+        f = f + SeriesPoly(p, 1, degree, traces)
+    out = term = SeriesPoly(p, 1, degree, {(0,) * p: 1})
+    for j in range(1, degree + 1):
+        term = (term * f).scale(rational(1, j))
+        out = out + term
+    return out
+
+
+class TestDetSinhcExponent:
+    @pytest.mark.parametrize("degree", [6, 7, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["antisymmetric", "real", "complex"])
+    def test_exp_matches_traced_pencil_powers(self, kind, p, dim, degree):
+        # dim < degree here, so the power sums past dim come from the
+        # Cayley-Hamilton recurrence, odd ones included for non-antisymmetric
+        # and complex pencils
+        rng = random.Random(f"{kind}-{p}-{dim}-{degree}")
+        mats = _random_pencil(rng, kind, p, dim)
+        exponent = rational(1, 2) if (p + dim + degree) % 2 else rational(-1, 2)
+        want = _reference_det_sinhc(mats, exponent, degree)
+        assert det_sinhc_pencil(mats, HALF, exponent, degree).exp() == want
+
+    def test_zero_generator_matches_traced_pencil_powers(self):
+        mats = _random_pencil(random.Random(22), "real", 1, 3) + [Matrix.zeros(3)]
+        want = _reference_det_sinhc(mats, rational(-1, 2), 8)
+        got = det_sinhc_pencil(mats, HALF, rational(-1, 2), 8).exp()
+        assert got == want
+        assert all(mono[1] == 0 for mono in got.terms)
+
+    def test_exponents_of_two_factors_add(self):
+        model = sphere(3, 1)
+        f_hol = det_sinhc_pencil(model.F, HALF, HALF, 6)
+        f_tan = det_sinhc_pencil(model.D, HALF, -HALF, 6)
+        assert (f_hol + f_tan).exp() == f_hol.exp() * f_tan.exp()
+
+    def test_exp_of_int_values_stays_exact(self):
+        got = SeriesPoly(1, 1, 4, {(2,): 1}).exp().terms
+        assert got == {(0,): 1, (2,): 1, (4,): rational(1, 2)}
+        assert not any(isinstance(v, float) for v in got.values())
+
+    def test_exp_needs_zero_constant_term(self):
+        with pytest.raises(ValueError, match="constant term"):
+            SeriesPoly(1, 1, 4, {(0,): 1, (2,): rational(1, 6)}).exp()
+
+    def test_exp_needs_scalar_values(self):
+        with pytest.raises(ValueError, match="scalar"):
+            SeriesPoly(1, 2, 4, {(2,): Matrix.identity(2)}).exp()
 
 
 class TestCoshPencil:
@@ -159,7 +245,7 @@ class TestMixedProduct:
         model = sphere(2, 1)
         rep = catalog_rep(model, "spinor")
         f_cosh = cosh_pencil(rep.R, rep.dimV, 6)
-        f_tan = det_sinhc_pencil(model.D, HALF, rational(-1, 2), 6)
+        f_tan = det_sinhc_pencil(model.D, HALF, rational(-1, 2), 6).exp()
         want = {}
         for m1, a in f_cosh.terms.items():
             for m2, x in f_tan.terms.items():
@@ -239,8 +325,8 @@ class TestDetSinhcNumeric:
 
 class TestPolyInvariants:
     def test_truncation_stability(self):
-        f_small = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 4)
-        f_large = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 8)
+        f_small = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 4).exp()
+        f_large = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 8).exp()
         assert f_large.truncated(4) == f_small
 
     def test_mismatched_limits_rejected(self):
