@@ -93,7 +93,6 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     add("fiber-g-antisymmetry", ok, detail)
 
     ok, detail = True, ""
-    eye = Matrix.identity(rep.dimV)
     for a in range(n):
         for b in range(n):
             for c in range(n):
@@ -409,6 +408,8 @@ def rep_from_descriptor(model: SymmetricSpaceModel, bundle: dict | None,
     blocks = (twist or {}).get("blocks")
     if blocks is not None and not isinstance(blocks, list):
         raise TypeError(f"twist blocks must be a JSON array, got {blocks!r}")
+    if bundle is not None and not isinstance(bundle, dict):
+        raise TypeError(f"bundle must be a JSON object, got {bundle!r}")
     bundle = bundle or {"catalog": "scalar"}
     if "catalog" in bundle:
         name = bundle["catalog"]
@@ -419,8 +420,11 @@ def rep_from_descriptor(model: SymmetricSpaceModel, bundle: dict | None,
     if "explicit" in bundle:
         body = bundle["explicit"]
         dimV = int(body["dimV"])
+        gens = body.get("G", {})
+        if not isinstance(gens, dict):
+            raise TypeError(f"bundle G must be a JSON object, got {gens!r}")
         table = {}
-        for key, mat in body.get("G", {}).items():
+        for key, mat in gens.items():
             a, b = (int(x) for x in key.split(","))
             table[(a - 1, b - 1)] = Matrix.from_json(mat)
         B = twist_matrix(model, blocks) if blocks else None

@@ -15,9 +15,12 @@ build time), so the factor order above is the one used verbatim.
 
 The bracket is an omega-polynomial with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
-exponents of the two determinant factors.  The average turns it into a
-list of t-coefficients, the prefactor is the list [M^k / k!], and a_k is
-the t^k coefficient of their product times the twist factor.
+exponents of the two determinant factors; cosh and the determinant
+factors take their pencil powers from the same sparse routine.  The
+average turns the bracket into a list of t-coefficients, the prefactor
+is the list [M^k / k!], the twist factor is the list of its
+t-coefficients, and a_k is the t^k coefficient of the three lists'
+product.
 
 pi never appears: coefficients and traced invariants are exact rationals.
 """
@@ -104,13 +107,13 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     prefactor = matrix_exp_series(exponent_matrix, degree)
     twist = det_sinhc_numeric(rep.B, rational(-1, 2), degree)
 
-    # a_k = sum over i + j + l = k of prefactor[i] averaged[j] (twist at t^l)
+    # a_k = sum over i + j + l = k of prefactor[i] averaged[j] twist[l]
     coeffs = [Matrix.zeros(dimV)] * (k_max + 1)
     for i, pre in enumerate(prefactor):
         for j, avg in enumerate(averaged[: k_max + 1 - i]):
             prod = pre * avg
             for k in range(i + j, k_max + 1):
-                tw = twist.coeff(2 * (k - i - j))
+                tw = twist[k - i - j]
                 if tw:
                     coeffs[k] = coeffs[k] + prod.scale(tw)
     if coeffs[0] != Matrix.identity(dimV):
@@ -136,10 +139,6 @@ def heat_trace(coeffs: HeatCoefficients, volume) -> HeatTraceResult:
 # reporting
 
 
-def _matrix_exact_json(m: Matrix):
-    return m.to_json()
-
-
 def _matrix_decimal_json(m: Matrix):
     out = []
     for i in range(m.rows):
@@ -162,7 +161,7 @@ def coefficient_report(coeffs: HeatCoefficients, trace: HeatTraceResult | None =
     for k, a in enumerate(coeffs.a):
         entry = {"k": k}
         if mode in ("exact", "both"):
-            entry["matrix"] = _matrix_exact_json(a)
+            entry["matrix"] = a.to_json()
         if mode in ("decimal", "both"):
             entry["matrix_decimal"] = _matrix_decimal_json(a)
         entries.append(entry)

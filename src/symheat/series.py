@@ -1,10 +1,14 @@
-"""Truncated power series in s (s^2 = t) and omega-polynomial engine.
+"""Omega-polynomials in s (s^2 = t) for the generating function.
 
-Everything the generating function needs — determinant factors as
-exponents tr(log(.)) from power sums of pencil powers, cosh of a matrix
-pencil, matrix exponentials — expanded to a requested order with exact
-coefficients.  Determinants of series-valued matrices are never computed
-by cofactor expansion; only traces of matrix powers enter.
+Everything the generating function needs is expanded to a requested order
+with exact coefficients: the determinant factors as exponents tr(log(.))
+from power sums of pencil powers, the cosh of a matrix pencil, matrix
+exponentials, and the twist factor.  Determinants of series-valued
+matrices are never computed by cofactor expansion; only traces of matrix
+powers enter.  There is one routine for pencil powers (_pencil_step,
+sparse, shared by cosh and the det factors) and one exp recurrence
+(SeriesPoly.exp, which also gives the twist factor as a list of
+t-coefficients).
 
 In every polynomial built here each omega variable carries exactly one
 factor of s, so a term's s-power is its omega-degree until the Gaussian
@@ -16,124 +20,7 @@ computation and every operation truncates against it.
 from __future__ import annotations
 
 import math
-from .exact import GaussianRational, Matrix, ONE, ZERO, rational
-
-_GR = GaussianRational.of
-
-
-class TruncSeries:
-    """Truncated series sum_k c[k] s^k; coefficients beyond `order` dropped."""
-
-    __slots__ = ("order", "c")
-
-    def __init__(self, order: int, coeffs=()):
-        c = [ZERO] * (order + 1)
-        for k, x in enumerate(coeffs):
-            if k > order:
-                break
-            c[k] = _GR(x)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "c", tuple(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls(order, [ONE])
-
-    @classmethod
-    def monomial(cls, order: int, k: int, coeff=1) -> "TruncSeries":
-        c = [ZERO] * (order + 1)
-        if k <= order:
-            c[k] = _GR(coeff)
-        return cls(order, c)
-
-    def coeff(self, k: int) -> GaussianRational:
-        return self.c[k] if k <= self.order else ZERO
-
-    def truncate(self, order: int) -> "TruncSeries":
-        return TruncSeries(order, self.c[: order + 1])
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.c)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self.order == other.order and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.order, self.c))
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries(n, [self.c[k] + other.c[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        n = min(self.order, other.order)
-        return TruncSeries(n, [self.c[k] - other.c[k] for k in range(n + 1)])
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-x for x in self.c])
-
-    def scale(self, v) -> "TruncSeries":
-        v = _GR(v)
-        return TruncSeries(self.order, [v * x for x in self.c])
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return self.scale(other)
-        n = min(self.order, other.order)
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.c):
-            if i > n or a.is_zero():
-                continue
-            for j in range(0, n - i + 1):
-                b = other.c[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(n, out)
-
-    __rmul__ = __mul__
-
-    def exp(self) -> "TruncSeries":
-        """exp of a series with zero constant term."""
-        if not self.c[0].is_zero():
-            raise ValueError("series exp needs a zero constant term")
-        out = TruncSeries.one(self.order)
-        power = TruncSeries.one(self.order)
-        fact = 1
-        for j in range(1, self.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            fact *= j
-            out = out + power.scale(GaussianRational(1) / GaussianRational(fact))
-        return out
-
-    def log(self) -> "TruncSeries":
-        """log of a series with unit constant term."""
-        if self.c[0] != ONE:
-            raise ValueError("series log needs a unit constant term")
-        u = self - TruncSeries.one(self.order)
-        out = TruncSeries.zero(self.order)
-        power = TruncSeries.one(self.order)
-        for j in range(1, self.order + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            sign = 1 if j % 2 == 1 else -1
-            out = out + power.scale(GaussianRational(sign) / GaussianRational(j))
-        return out
-
-    def __repr__(self):
-        parts = [f"{x!r}*s^{k}" for k, x in enumerate(self.c) if not x.is_zero()]
-        return " + ".join(parts) if parts else "0"
+from .exact import GaussianRational, Matrix, ZERO, rational
 
 
 class SeriesPoly:
@@ -162,9 +49,6 @@ class SeriesPoly:
     @classmethod
     def one(cls, p: int, dim: int, degree: int) -> "SeriesPoly":
         return cls(p, dim, degree, {(0,) * p: Matrix.identity(dim)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, SeriesPoly):
@@ -237,33 +121,24 @@ class SeriesPoly:
                           {mono: v for gn in g.values() for mono, v in gn.items()})
 
 
-def omega_pencil(mats, degree: int) -> SeriesPoly:
-    """Degree-one polynomial sum_i omega^i * (s * A_i)."""
-    p = len(mats)
-    dim = mats[0].rows if p else 1
-    terms = {}
-    for i, a in enumerate(mats):
-        if a.rows != a.cols or a.rows != dim:
-            raise ValueError("pencil matrices must be square of a common size")
-        terms[tuple(1 if j == i else 0 for j in range(p))] = a
-    return SeriesPoly(p, dim, degree, terms)
+def log_sinhc_coeffs(order: int) -> list:
+    """[c_0 .. c_order] of log(sinh(x)/x) = x^2/6 - x^4/180 + x^6/2835 - ...
 
-
-def log_sinhc_coeffs(order: int) -> TruncSeries:
-    """Series of log(sinh(x)/x): x^2/6 - x^4/180 + x^6/2835 - ...
-
-    Only even powers appear; computed by exact series log of sinh(x)/x.
+    Only even powers appear: c_2m = 2^(2m) B_2m / (2m (2m)!), with the
+    Bernoulli numbers from sum_{j<=n} C(n+1, j) B_j = 0, B_0 = 1.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    coeffs = []
-    for k in range(order + 1):
-        coeffs.append(GaussianRational(1) / GaussianRational(math.factorial(k + 1))
-                      if k % 2 == 0 else ZERO)
-    return TruncSeries(order, coeffs).log()
+    bern = [rational(1)]
+    for n in range(1, order + 1):
+        bern.append(-sum(math.comb(n + 1, j) * bern[j] for j in range(n)) / (n + 1))
+    coeffs = [rational(0)] * (order + 1)
+    for k in range(2, order + 1, 2):
+        coeffs[k] = 2**k * bern[k] / (k * math.factorial(k))
+    return coeffs
 
 
-def _sparse_generators(mats, scale, exponent):
+def _sparse_generators(mats, scale, exponent=1):
     """The generators scale*A_i as {row: {col: value}}, and the exponent.
 
     Values are plain rationals when every one of them and the exponent is
@@ -274,7 +149,7 @@ def _sparse_generators(mats, scale, exponent):
     for a in mats:
         if a.rows != a.cols or a.rows != dim:
             raise ValueError("pencil matrices must be square of a common size")
-    scale, exponent = _GR(scale), _GR(exponent)
+    scale, exponent = GaussianRational.of(scale), GaussianRational.of(exponent)
     gens = []
     for a in mats:
         rows = {r: {c: x * scale for c, x in enumerate(a.row(r)) if x} for r in range(dim)}
@@ -413,29 +288,39 @@ def det_sinhc_pencil(mats, scale, exponent, degree: int) -> SeriesPoly:
     logc = log_sinhc_coeffs(degree)
     f = {}
     for m in range(1, top // 2 + 1):
-        cm = logc.coeff(2 * m).re * exponent
+        cm = logc[2 * m] * exponent
         for mono, v in psums[2 * m].items():
             f[mono] = cm * v
     return SeriesPoly(p, 1, degree, f)
 
 
 def cosh_pencil(mats, dim: int, degree: int) -> SeriesPoly:
-    """cosh(s*R(omega)) = sum_m s^(2m) R(omega)^(2m) / (2m)!, matrix-valued."""
+    """cosh(s*R(omega)) = sum_m s^(2m) R(omega)^(2m) / (2m)!, matrix-valued.
+
+    The powers R(omega)^j come from the sparse _pencil_step, as for the
+    det(sinhc) factors; the even ones, scaled by 1/j!, become Matrix values.
+    """
     p = len(mats)
-    out = SeriesPoly.one(p, dim, degree)
+    terms = {(0,) * p: Matrix.identity(dim)}
     if p == 0:
-        return out
-    pen = omega_pencil(mats, degree)
-    power = out
-    fact = 1
+        return SeriesPoly(p, dim, degree, terms)
+    if mats[0].rows != dim:
+        raise ValueError("pencil matrices must match the fiber dimension")
+    gens, _ = _sparse_generators(mats, 1)
+    power = {(0,) * p: {r: {r: 1} for r in range(dim)}}
     for j in range(1, degree + 1):
-        power = power * pen
-        if power.is_zero():
+        power = _pencil_step(power, gens)
+        if not power:
             break
-        fact *= j
         if j % 2 == 0:
-            out = out + power.scale(GaussianRational(1) / GaussianRational(fact))
-    return out
+            inv = rational(1, math.factorial(j))
+            for mono, x in power.items():
+                entries = [ZERO] * (dim * dim)
+                for r, row in x.items():
+                    for c, v in row.items():
+                        entries[r * dim + c] = v * inv
+                terms[mono] = Matrix(dim, dim, entries)
+    return SeriesPoly(p, dim, degree, terms)
 
 
 def matrix_exp_series(m: Matrix, degree: int) -> list:
@@ -448,22 +333,23 @@ def matrix_exp_series(m: Matrix, degree: int) -> list:
     return out
 
 
-def det_sinhc_numeric(b: Matrix, exponent, degree: int) -> TruncSeries:
-    """det(sinh(t*B)/(t*B))^exponent as a series in s (t = s^2), via tr-log.
+def det_sinhc_numeric(b: Matrix, exponent, degree: int) -> list:
+    """The t-coefficients [g_0 .. g_(degree/2)] of det(sinh(t*B)/(t*B))^exponent.
 
-    B is the antisymmetric purely-imaginary twist matrix; only whole even
-    powers of t appear and all coefficients are real rationals.
+    B is the antisymmetric purely-imaginary twist matrix, so only even
+    powers of t appear.  The exponent exponent * sum_m c_2m t^(2m) tr B^(2m)
+    is a one-variable SeriesPoly in t, and SeriesPoly.exp gives the factor.
     """
     if not b.is_square:
         raise ValueError("twist matrix must be square")
-    mmax = degree // 4
-    logc = log_sinhc_coeffs(2 * mmax) if mmax else None
-    acc = TruncSeries.zero(degree)
+    order = degree // 2
+    logc = log_sinhc_coeffs(order)
+    f = {}
     power = Matrix.identity(b.rows)
-    for m in range(1, mmax + 1):
+    for m in range(1, order // 2 + 1):
         power = power * b * b
         if power.is_zero():
             break
-        cm = logc.coeff(2 * m)
-        acc = acc + TruncSeries.monomial(degree, 4 * m, cm * power.trace())
-    return acc.scale(exponent).exp()
+        f[(2 * m,)] = logc[2 * m] * exponent * power.trace()
+    g = SeriesPoly(1, 1, order, f).exp().terms
+    return [g.get((n,), ZERO) for n in range(order + 1)]

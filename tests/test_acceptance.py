@@ -116,7 +116,7 @@ def test_criterion_04_a2_local_invariant(grid):
     hc_twist = heat_coefficients(HeatRequest(mflat, twist_rep, 2))
     series = det_sinhc_numeric(twist_rep.B, rational(-1, 2), 4)
     anchor_ok = (
-        hc_twist.a[2][0, 0] == series.coeff(4)
+        hc_twist.a[2][0, 0] == series[2]
         and hc_twist.a[2] == gilkey_a2(mflat, twist_rep)
     )
     bad = []

@@ -109,8 +109,13 @@ class TestCompute:
         {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": "1/2"}},
         {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": "1"}},
         {"twist": "x"},
+        {"bundle": {"explicit": {"dimV": 1, "G": []}}},
+        {"bundle": {"explicit": {"dimV": 1, "G": "x"}}},
+        {"bundle": []},
+        {"bundle": 0},
     ], ids=["bad_rational", "bad_dimV", "factors_string", "blocks_fraction_string",
-            "blocks_string", "twist_string"])
+            "blocks_string", "twist_string", "G_array", "G_string", "bundle_array",
+            "bundle_zero"])
     def test_bad_bundle_rejected(self, tmp_path, capsys, job, command):
         # blocks and factors must be JSON arrays, not strings read by character
         job = {"space": {"catalog": "sphere", "params": {"n": 2}}, **job}

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from symheat import engine
 from symheat.bundles import (
     catalog_rep,
     rep_from_descriptor,
@@ -21,7 +22,7 @@ from symheat.engine import (
     render_report_text,
 )
 from symheat.exact import GaussianRational, Matrix, rational
-from symheat.series import det_sinhc_numeric
+from symheat.series import SeriesPoly, det_sinhc_numeric
 from symheat.spaces import flat, hyperbolic, product, space_from_descriptor, sphere
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -134,8 +135,9 @@ class TestStructuralProperties:
         rep = catalog_rep(m, "u1_twist", twist=[rational(3, 2)])
         hc = heat_coefficients(HeatRequest(m, rep, 4))
         series = det_sinhc_numeric(rep.B, rational(-1, 2), 8)
+        assert len(series) == 5
         for k in range(5):
-            assert hc.a[k][0, 0] == series.coeff(2 * k)
+            assert hc.a[k][0, 0] == series[k]
 
 
 class TestHeatTrace:
@@ -216,6 +218,38 @@ class TestReport:
         hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 0))
         with pytest.raises(ValueError):
             coefficient_report(hc, mode="fancy")
+
+
+class TestTracedNames:
+    """perfbench/spans.py wraps these engine-level names, looked up at call time."""
+
+    NAMES = ("cosh_pencil", "det_sinhc_pencil", "det_sinhc_numeric",
+             "matrix_exp_series", "average_poly")
+
+    def test_engine_calls_each_traced_name(self, monkeypatch):
+        model = product([flat(2), sphere(2, 1)])
+        rep = catalog_rep(model, "spinor", twist=[rational(1, 2)])
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                calls.append((name, args[0], out))
+                return out
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+        heat_coefficients(HeatRequest(model, rep, 2))
+        assert sorted(name for name, _, _ in calls) == sorted(
+            self.NAMES + ("det_sinhc_pencil",))
+        # the tracer tells the two det pencils apart by identity, F first
+        dets = [first for name, first, _ in calls if name == "det_sinhc_pencil"]
+        assert dets[0] is model.F and dets[1] is model.D
+        # and reads the terms of the cosh and det pencils
+        for name, _, out in calls:
+            if name in ("cosh_pencil", "det_sinhc_pencil"):
+                assert isinstance(out, SeriesPoly)
 
 
 class TestGoldenReports:

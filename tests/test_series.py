@@ -10,13 +10,11 @@ from symheat.bundles import catalog_rep
 from symheat.exact import GaussianRational, Matrix, rational
 from symheat.series import (
     SeriesPoly,
-    TruncSeries,
     cosh_pencil,
     det_sinhc_numeric,
     det_sinhc_pencil,
     log_sinhc_coeffs,
     matrix_exp_series,
-    omega_pencil,
 )
 from symheat.spaces import sphere
 
@@ -36,47 +34,30 @@ def sympy_series_coeffs(expr, x, order):
 
 class TestLogSinhc:
     def test_first_orders(self):
-        ts = log_sinhc_coeffs(2)
-        assert [ts.coeff(k) for k in range(3)] == [
-            GaussianRational(0), GaussianRational(0), GaussianRational(rational(1, 6)),
-        ]
+        assert log_sinhc_coeffs(2) == [0, 0, rational(1, 6)]
 
     def test_order_four(self):
-        assert log_sinhc_coeffs(4).coeff(4) == GaussianRational(rational(-1, 180))
+        assert log_sinhc_coeffs(4)[4] == rational(-1, 180)
 
     def test_order_zero(self):
-        assert log_sinhc_coeffs(0).is_zero()
+        assert log_sinhc_coeffs(0) == [0]
 
     def test_against_sympy(self):
         x = sympy.symbols("x")
-        expected = sympy_series_coeffs(sympy.log(sympy.sinh(x) / x), x, 10)
-        ts = log_sinhc_coeffs(10)
-        assert [ts.coeff(k) for k in range(11)] == expected
+        for order in (10, 16):
+            expected = sympy_series_coeffs(sympy.log(sympy.sinh(x) / x), x, order)
+            assert log_sinhc_coeffs(order) == expected
 
 
-class TestTruncSeries:
-    def test_exp_log_round_trip(self):
-        rng = random.Random(20)
-        for _ in range(10):
-            coeffs = [GaussianRational(1)] + [
-                GaussianRational(rational(rng.randint(-4, 4), rng.randint(1, 5)))
-                for _ in range(6)
-            ]
-            f = TruncSeries(6, coeffs)
-            assert f.log().exp() == f
+def omega_pencil(mats, degree: int) -> SeriesPoly:
+    """Degree-one polynomial sum_i omega^i * (s * A_i), with dense Matrix values.
 
-    def test_exp_needs_zero_constant(self):
-        with pytest.raises(ValueError):
-            TruncSeries(3, [1]).exp()
-
-    def test_log_needs_unit_constant(self):
-        with pytest.raises(ValueError):
-            TruncSeries(3, [2]).log()
-
-    def test_mul_truncates(self):
-        f = TruncSeries.monomial(3, 2)
-        g = TruncSeries.monomial(3, 2)
-        assert (f * g).is_zero()
+    The dense reference for the sparse pencil powers: its powers come from
+    SeriesPoly products, that is from Matrix.matmul.
+    """
+    p = len(mats)
+    terms = {tuple(1 if j == i else 0 for j in range(p)): a for i, a in enumerate(mats)}
+    return SeriesPoly(p, mats[0].rows, degree, terms)
 
 
 class TestDetSinhcPencil:
@@ -238,6 +219,42 @@ class TestCoshPencil:
         assert all(sum(m) % 2 == 0 for m in poly.terms)
 
 
+def _reference_cosh(mats, degree):
+    """cosh(s*R(omega)) from dense omega_pencil powers through SeriesPoly products."""
+    p, dim = len(mats), mats[0].rows
+    pen = omega_pencil(mats, degree)
+    out = power = SeriesPoly.one(p, dim, degree)
+    for j in range(1, degree + 1):
+        power = power * pen
+        if j % 2 == 0:
+            out = out + power.scale(rational(1, math.factorial(j)))
+    return out
+
+
+# the largest pencils (three generators of size 4, and of size 3 at
+# degree 8) take most of the time of the full grid and are left out
+_COSH_GRID = [
+    (kind, p, dim, degree)
+    for kind in ("antisymmetric", "real", "complex")
+    for p in (1, 2, 3)
+    for dim in (1, 2, 3, 4)
+    for degree in (6, 8)
+    if p * dim <= (9 if degree == 6 else 8)
+]
+
+
+class TestCoshAgainstDensePowers:
+    @pytest.mark.parametrize("kind, p, dim, degree", _COSH_GRID)
+    def test_cosh_matches_dense_powers(self, kind, p, dim, degree):
+        rng = random.Random(f"cosh-{kind}-{p}-{dim}-{degree}")
+        mats = _random_pencil(rng, kind, p, dim)
+        assert cosh_pencil(mats, dim, degree) == _reference_cosh(mats, degree)
+
+    def test_fiber_dimension_must_match(self):
+        with pytest.raises(ValueError, match="fiber dimension"):
+            cosh_pencil([EPS], 3, 4)
+
+
 class TestMixedProduct:
     def test_matrix_times_scalar_pencil(self):
         # an S2 spinor cosh pencil (Matrix values) times the scalar tangent
@@ -272,55 +289,46 @@ class TestMatrixExpSeries:
         assert ms[2][0, 0] == GaussianRational(rational(1, 32))
 
 
+def _twist_block(b):
+    return [[GaussianRational(0), GaussianRational(0, b)],
+            [GaussianRational(0, -b), GaussianRational(0)]]
+
+
 class TestDetSinhcNumeric:
     def test_zero_twist(self):
-        ts = det_sinhc_numeric(Matrix.zeros(2), rational(-1, 2), 8)
-        assert ts == TruncSeries.one(8)
+        assert det_sinhc_numeric(Matrix.zeros(2), rational(-1, 2), 8) == [1, 0, 0, 0, 0]
 
     def test_imaginary_block(self):
         # B = [[0, i b], [-i b, 0]] has real eigenvalues +-b, so the factor is
         # t b / sinh(t b) = 1 - (tb)^2/6 + 7 (tb)^4/360 - ...
         b = rational(2, 3)
-        bm = Matrix.from_rows([
-            [GaussianRational(0), GaussianRational(0, b)],
-            [GaussianRational(0, -b), GaussianRational(0)],
-        ])
-        ts = det_sinhc_numeric(bm, rational(-1, 2), 8)
-        assert ts.coeff(4) == GaussianRational(-b * b / 6)
-        assert ts.coeff(8) == GaussianRational(b * b * b * b * 7 / 360)
+        ts = det_sinhc_numeric(Matrix.from_rows(_twist_block(b)), rational(-1, 2), 8)
+        assert ts == [1, 0, -b * b / 6, 0, b * b * b * b * 7 / 360]
 
     def test_imaginary_block_against_sympy(self):
         x = sympy.symbols("x")
-        expected = sympy_series_coeffs(x / sympy.sinh(x), x, 4)
-        bm = Matrix.from_rows([
-            [GaussianRational(0), GaussianRational(0, 1)],
-            [GaussianRational(0, -1), GaussianRational(0)],
-        ])
-        ts = det_sinhc_numeric(bm, rational(-1, 2), 16)
-        # x = t*b with b = 1 and t = s^2: the t^(2m) coefficient sits at s^(4m)
-        for m in range(3):
-            assert ts.coeff(4 * m) == expected[2 * m]
+        expected = sympy_series_coeffs(x / sympy.sinh(x), x, 8)
+        # x = t*b with b = 1: the t-coefficients are those of x/sinh(x)
+        ts = det_sinhc_numeric(Matrix.from_rows(_twist_block(1)), rational(-1, 2), 16)
+        assert ts == expected
 
     def test_block_diagonal_multiplies(self):
-        b1 = rational(1, 2)
-        b2 = rational(1, 3)
-
-        def block(b):
-            return [[GaussianRational(0), GaussianRational(0, b)],
-                    [GaussianRational(0, -b), GaussianRational(0)]]
-
         rows = [[GaussianRational(0)] * 4 for _ in range(4)]
-        blk1, blk2 = block(b1), block(b2)
+        blk1, blk2 = _twist_block(rational(1, 2)), _twist_block(rational(1, 3))
         for i in range(2):
             for j in range(2):
                 rows[i][j] = blk1[i][j]
                 rows[2 + i][2 + j] = blk2[i][j]
-        full = Matrix.from_rows(rows)
         lim = 12
-        combined = det_sinhc_numeric(full, rational(-1, 2), lim)
+        combined = det_sinhc_numeric(Matrix.from_rows(rows), rational(-1, 2), lim)
         part1 = det_sinhc_numeric(Matrix.from_rows(blk1), rational(-1, 2), lim)
         part2 = det_sinhc_numeric(Matrix.from_rows(blk2), rational(-1, 2), lim)
-        assert combined == part1 * part2
+        # the product of two t-series, as a list convolution
+        product = [sum((part1[i] * part2[n - i] for i in range(n + 1)), GaussianRational(0))
+                   for n in range(lim // 2 + 1)]
+        assert len(combined) == lim // 2 + 1
+        assert combined == product
+        assert combined[4] != 0
 
 
 class TestPolyInvariants:
