@@ -9,7 +9,7 @@ from .engine import (
     heat_coefficients,
     heat_trace,
 )
-from .exact import GaussianRational, Matrix, commutator, rational, solve_exact
+from .exact import GaussianRational, Matrix, commutator, rational
 from .oracles import SpectralModel, extract_coefficients, gilkey_a1, gilkey_a2, sphere_trace
 from .spaces import (
     CurvatureData,
@@ -54,7 +54,6 @@ __all__ = [
     "hyperbolic",
     "product",
     "rational",
-    "solve_exact",
     "sphere",
     "sphere_trace",
     "symmetrized_moment",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import GaussianRational, I_UNIT, Matrix, ZERO, commutator, rational
-from .spaces import CheckResult, SymmetricSpaceModel, ValidationReport
+from .spaces import CheckResult, SymmetricSpaceModel, ValidationReport, json_int
 
 PAULI_X = Matrix.from_rows([[0, 1], [1, 0]])
 PAULI_Y = Matrix.from_rows([[ZERO, -I_UNIT], [I_UNIT, ZERO]])
@@ -92,29 +92,27 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
                 ok, detail = False, f"pair ({a},{b})"
     add("fiber-g-antisymmetry", ok, detail)
 
-    ok, detail = True, ""
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    want = Matrix.zeros(rep.dimV)
-                    if b == c:
-                        want = want + G[a][d]
-                    if a == c:
-                        want = want - G[b][d]
-                    if b == d:
-                        want = want - G[a][c]
-                    if a == d:
-                        want = want + G[b][c]
-                    if commutator(G[a][b], G[c][d]) != want:
-                        ok, detail = False, f"indices {(a, b, c, d)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+    # Both fiber relations flip sign under a <-> b and under c <-> d, and
+    # the so(n) one also under (ab) <-> (cd); with G antisymmetric, the
+    # lexicographically first failure is therefore among the pairs below.
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+    def so_n_holds(a, b, c, d):
+        want = Matrix.zeros(rep.dimV)
+        if b == c:
+            want = want + G[a][d]
+        if a == c:
+            want = want - G[b][d]
+        if b == d:
+            want = want - G[a][c]
+        if a == d:
+            want = want + G[b][c]
+        return commutator(G[a][b], G[c][d]) == want
+
+    ok, detail = _first_failure(
+        ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:]),
+        so_n_holds,
+    )
     add("fiber-so-n-relations", ok, detail)
 
     ok, detail = True, ""
@@ -154,7 +152,6 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     # parallel-curvature integrability of the holonomy part of Omega:
     # with curlyE_ab = -E^i_ab R_i,
     # [curlyE_cd, curlyE_ab] = R^f_acd curlyE_fb + R^f_bcd curlyE_af
-    ok, detail = True, ""
     curly = [
         [
             sum((R[i].scale(-model.data.E[i][a, b]) for i in range(p)),
@@ -164,30 +161,30 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
         for a in range(n)
     ]
     riem = model.riemann
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    want = Matrix.zeros(rep.dimV)
-                    for f in range(n):
-                        rf = riem[f][a][c][d]
-                        if not rf.is_zero():
-                            want = want + curly[f][b].scale(rf)
-                        rf = riem[f][b][c][d]
-                        if not rf.is_zero():
-                            want = want + curly[a][f].scale(rf)
-                    if commutator(curly[c][d], curly[a][b]) != want:
-                        ok, detail = False, f"indices {(a, b, c, d)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
+
+    def integrable(a, b, c, d):
+        want = Matrix.zeros(rep.dimV)
+        for f in range(n):
+            rf = riem[f][a][c][d]
+            if not rf.is_zero():
+                want = want + curly[f][b].scale(rf)
+            rf = riem[f][b][c][d]
+            if not rf.is_zero():
+                want = want + curly[a][f].scale(rf)
+        return commutator(curly[c][d], curly[a][b]) == want
+
+    ok, detail = _first_failure(
+        ((a, b, c, d) for a, b in pairs for c, d in pairs), integrable
+    )
     add("fiber-curvature-integrability", ok, detail)
 
     return ValidationReport(tuple(checks))
+
+
+def _first_failure(indices, holds) -> tuple[bool, str]:
+    """(passed, detail) for the first index tuple at which holds(*t) is false."""
+    bad = next((t for t in indices if not holds(*t)), None)
+    return bad is None, "" if bad is None else f"indices {bad}"
 
 
 def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
@@ -419,7 +416,7 @@ def rep_from_descriptor(model: SymmetricSpaceModel, bundle: dict | None,
         return catalog_rep(model, name, twist=blocks, factors=factors)
     if "explicit" in bundle:
         body = bundle["explicit"]
-        dimV = int(body["dimV"])
+        dimV = json_int(body["dimV"], "dimV")
         gens = body.get("G", {})
         if not isinstance(gens, dict):
             raise TypeError(f"bundle G must be a JSON object, got {gens!r}")

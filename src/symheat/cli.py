@@ -31,7 +31,7 @@ from .groupcheck import (
     sample_points,
 )
 from .oracles import IllConditionedFitError, SpectralModel, extract_coefficients
-from .spaces import ModelBuildError, space_from_descriptor, validate_model
+from .spaces import ModelBuildError, json_int, space_from_descriptor, validate_model
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,9 +66,8 @@ def _parse_volume(obj):
     if obj is None:
         return None, 0
     if isinstance(obj, dict):
-        coeff, power = rational(obj.get("coeff", 1)), obj.get("pi_power", 0)
-        if isinstance(power, bool) or not isinstance(power, int):
-            raise ValueError(f"pi_power must be an integer, got {power!r}")
+        coeff = rational(obj.get("coeff", 1))
+        power = json_int(obj.get("pi_power", 0), "pi_power")
     else:
         coeff, power = rational(obj), 0
     if coeff <= 0:

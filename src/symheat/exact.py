@@ -3,6 +3,9 @@
 Scalars are a + b*i with arbitrary-precision rational a, b, so every
 operation in the pipeline (spinor generators need +-i, all coefficients
 stay rational) closes inside one field.  No floating point lives here.
+The only linear-algebra routine is `invert`, a Gauss-Jordan inverse for
+the small p x p matrices of the models (beta and the Gram matrix of the
+holonomy generators).
 
 Uses gmpy2.mpq for the rational backend when available, falling back to
 fractions.Fraction; both print as "p/q" and sit in the numbers.Rational
@@ -10,9 +13,7 @@ tower, so the choice is invisible above this module.
 """
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass
 
 try:
     from gmpy2 import mpq as _rational_backend
@@ -45,10 +46,6 @@ def _coerce_rational(x):
 def rational_to_str(x) -> str:
     """Render a rational as 'p/q' with the denominator always explicit."""
     return f"{int(x.numerator)}/{int(x.denominator)}"
-
-
-def _bit_size(x) -> int:
-    return int(x.numerator).bit_length() + int(x.denominator).bit_length()
 
 
 class GaussianRational:
@@ -191,9 +188,6 @@ class GaussianRational:
         if isinstance(obj, (str, int)):
             return cls(rational(obj))
         raise ValueError(f"cannot parse scalar from {obj!r}")
-
-    def bit_size(self) -> int:
-        return _bit_size(self.re) + _bit_size(self.im)
 
 
 def _as_gr(x):
@@ -400,158 +394,21 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a.matmul(b) - b.matmul(a)
 
 
-@dataclass(frozen=True)
-class LinearSolve:
-    """Outcome of an exact linear solve.
-
-    status is one of "unique", "inconsistent", "nonunique"; inconsistency
-    and non-uniqueness are results, not exceptions.
-    """
-
-    status: str
-    solution: tuple | None = None
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "unique"
-
-
-def _clear_denominators(row):
-    """Scale a row by the lcm of all denominators; entries become Gaussian integers."""
-    dens = []
-    for x in row:
-        dens.append(int(x.re.denominator))
-        dens.append(int(x.im.denominator))
-    m = math.lcm(*dens) if dens else 1
-    if m == 1:
-        return list(row)
-    c = GaussianRational(m)
-    return [c * x for x in row]
-
-
-def _eliminate(aug_rows, ncols_a):
-    """Fraction-free (Bareiss) forward elimination on an augmented system.
-
-    aug_rows: list of rows of GaussianRational covering [A | B].  Rows are
-    first scaled to Gaussian-integer entries so the Bareiss division stays
-    exact; pivots are chosen by minimal bit-size to control growth.
-    Returns (rows, pivot_cols) with pivot columns restricted to A's columns.
-    """
-    rows = [_clear_denominators(r) for r in aug_rows]
-    nrows = len(rows)
-    width = len(rows[0]) if nrows else 0
-    pivot_cols = []
-    prev = ONE
-    r = 0
-    for c in range(ncols_a):
-        best = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                sz = rows[i][c].bit_size()
-                if best is None or sz < best[1]:
-                    best = (i, sz)
-        if best is None:
-            continue
-        i = best[0]
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        # One-step Bareiss update below the pivot row; division by the
-        # previous pivot is exact over the Gaussian integers.
-        for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            rows[i] = [
-                (piv * rows[i][j] - fi * rows[r][j]) / prev for j in range(width)
-            ]
-        prev = piv
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivot_cols
-
-
-def solve_exact(a: Matrix, b) -> LinearSolve:
-    """Solve a*x = b exactly; b is a column (sequence or rows x 1 Matrix).
-
-    Reports inconsistency (no solution) or non-uniqueness (rank-deficient
-    in the unknowns) as structured results with the offending rows/columns.
-    """
-    if isinstance(b, Matrix):
-        if b.cols != 1:
-            raise ValueError("right-hand side must be a single column")
-        bvec = [b[i, 0] for i in range(b.rows)]
-    else:
-        bvec = [GaussianRational.of(x) for x in b]
-    if len(bvec) != a.rows:
-        raise ValueError(f"rhs length {len(bvec)} does not match {a.rows} rows")
-    res = solve_columns(a, [bvec])[0]
-    return res
-
-
-def solve_columns(a: Matrix, columns) -> list[LinearSolve]:
-    """Solve a*x = b for several right-hand sides with one elimination."""
-    ncols = a.cols
-    nrhs = len(columns)
-    aug = []
-    for i in range(a.rows):
-        row = list(a.row(i))
-        for col in columns:
-            row.append(GaussianRational.of(col[i]))
-        aug.append(row)
-    if not aug:
-        # 0-row system: any x works only if there are no unknowns
-        if ncols == 0:
-            return [LinearSolve("unique", tuple()) for _ in range(nrhs)]
-        return [
-            LinearSolve("nonunique", None, "no equations for nonzero unknown count")
-            for _ in range(nrhs)
-        ]
-    rows, pivot_cols = _eliminate(aug, ncols)
-    rank = len(pivot_cols)
-    results = []
-    for k in range(nrhs):
-        bcol = ncols + k
-        bad_row = None
-        for i in range(rank, len(rows)):
-            if not rows[i][bcol].is_zero():
-                bad_row = i
-                break
-        if bad_row is not None:
-            results.append(
-                LinearSolve("inconsistent", None, f"residual in eliminated row {bad_row}")
-            )
-            continue
-        if rank < ncols:
-            free = [c for c in range(ncols) if c not in pivot_cols]
-            results.append(
-                LinearSolve("nonunique", None, f"free columns {free}")
-            )
-            continue
-        x = [ZERO] * ncols
-        for r in range(rank - 1, -1, -1):
-            c = pivot_cols[r]
-            acc = rows[r][bcol]
-            for j in range(c + 1, ncols):
-                if not rows[r][j].is_zero():
-                    acc = acc - rows[r][j] * x[j]
-            x[c] = acc / rows[r][c]
-        results.append(LinearSolve("unique", tuple(x)))
-    return results
-
-
 def invert(a: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
+    """Exact inverse by Gauss-Jordan elimination; raises ValueError when singular."""
     if not a.is_square:
         raise ValueError("only square matrices can be inverted")
     n = a.rows
-    cols = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
-    sols = solve_columns(a, cols)
-    out = Matrix.zeros(n, n).to_rows()
-    for j, s in enumerate(sols):
-        if not s.ok:
-            raise ValueError(f"matrix is singular ({s.status}: {s.detail})")
-        for i in range(n):
-            out[i][j] = s.solution[i]
-    return Matrix.from_rows(out)
+    rows = [list(a.row(i)) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            raise ValueError(f"matrix is singular (no pivot in column {c})")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        scale = ONE / rows[c][c]
+        pivot_row = rows[c] = [scale * x for x in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], pivot_row)]
+    return Matrix.from_rows([row[n:] for row in rows])

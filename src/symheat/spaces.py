@@ -21,7 +21,6 @@ from .exact import (
     commutator,
     invert,
     rational,
-    solve_columns,
 )
 
 _GR = GaussianRational.of
@@ -76,7 +75,6 @@ class SymmetricSpaceModel:
     scalar_R: GaussianRational
     R_G: GaussianRational
     R_H: GaussianRational
-    h: Matrix
     q: Matrix
 
     @property
@@ -143,9 +141,10 @@ def _structure_constant(model_parts, upper: int, lo1: int, lo2: int) -> Gaussian
 def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     """Derive the full model from (E, beta); exact throughout.
 
-    The structure constants F^j_ik are obtained by solving the holonomy
-    bracket [D_i, D_k] = F^j_ik D_j; the D_i must be linearly independent
-    for the solution to be unique, and any residual is an error.
+    The structure constants F^j_ik of [D_i, D_k] = F^j_ik D_j are the
+    projections of each bracket onto the D_j through the inverse of their
+    Gram matrix.  Dependent D_j (a singular Gram matrix) and a bracket that
+    does not close on the D_j both raise ModelBuildError, in that order.
     """
     n, p, E, beta = data.n, data.p, data.E, data.beta
     _check_data(data)
@@ -192,16 +191,16 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
             gamma_inv_rows[n + i][n + k] = beta_inv[i, k]
     gamma_inv = Matrix.from_rows(gamma_inv_rows)
 
+    beta_nz = [(i, k, beta[i, k]) for i in range(p) for k in range(p) if beta[i, k]]
     riemann = tuple(
         tuple(
             tuple(
                 tuple(
                     sum(
                         (
-                            beta[i, k] * E[i][a, b] * E[k][c, d]
-                            for i in range(p)
-                            for k in range(p)
-                            if not beta[i, k].is_zero()
+                            bik * E[i][a, b] * E[k][c, d]
+                            for i, k, bik in beta_nz
+                            if E[i][a, b] and E[k][c, d]
                         ),
                         ZERO,
                     )
@@ -238,12 +237,11 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     R_H = _QUARTER * R_H
 
     q = Matrix.diag([1 if a < data.flat_dim else 0 for a in range(n)])
-    h = Matrix.identity(n) - q
 
     return SymmetricSpaceModel(
         data=data, D=D, F=F, C=C, gamma=gamma, gamma_inv=gamma_inv,
         riemann=riemann, ricci=ricci, scalar_R=scalar_R, R_G=R_G, R_H=R_H,
-        h=h, q=q,
+        q=q,
     )
 
 
@@ -262,39 +260,42 @@ def _check_data(data: CurvatureData):
 
 
 def _solve_structure_constants(n: int, p: int, D) -> tuple:
-    """Solve [D_i, D_k] = F^j_ik D_j exactly for all pairs at once."""
+    """F^j_ik = g^jl tr(D_l^+ [D_i, D_k]) with the Gram matrix g_jl = tr(D_j^+ D_l).
+
+    g is singular exactly when the D_j are dependent; a bracket outside
+    their span leaves a residual, which the exact closure check reports.
+    """
     if p == 0:
         return tuple()
-    basis = Matrix.from_rows(
-        [[D[j][a, b] for j in range(p)] for a in range(n) for b in range(n)]
+    vecs = [[d[a, b] for a in range(n) for b in range(n)] for d in D]
+    # the nonzero entries of each D_j, conjugated for the projection
+    support = [[(e, x.conjugate()) for e, x in enumerate(v) if x] for v in vecs]
+    gram = Matrix.from_rows(
+        [[sum((c * vecs[l][e] for e, c in support[j]), ZERO) for l in range(p)]
+         for j in range(p)]
     )
-    pairs = [(i, k) for i in range(p) for k in range(i + 1, p)]
-    columns = []
-    for i, k in pairs:
-        com = commutator(D[i], D[k])
-        columns.append([com[a, b] for a in range(n) for b in range(n)])
+    try:
+        gram_inv = invert(gram)
+    except ValueError as exc:
+        raise ModelBuildError("holonomy generators D_i are linearly dependent") from exc
     F = [[[ZERO] * p for _ in range(p)] for _ in range(p)]  # F[i][j][k] = F^j_ik
-    if columns:
-        sols = solve_columns(basis, columns)
-    else:
-        sols = []
-        # p == 1: the only bracket is [D_1, D_1] = 0, but D_1 itself must be
-        # independent (nonzero) for the holonomy basis to be usable
-        test = solve_columns(basis, [[ZERO] * (n * n)])
-        if test[0].status == "nonunique":
-            raise ModelBuildError("holonomy generators D_i are linearly dependent")
-    for (i, k), sol in zip(pairs, sols):
-        if sol.status == "nonunique":
-            raise ModelBuildError(
-                f"holonomy generators D_i are linearly dependent (pair {(i + 1, k + 1)})"
-            )
-        if sol.status == "inconsistent":
-            raise ModelBuildError(
-                f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j"
-            )
-        for j in range(p):
-            F[i][j][k] = sol.solution[j]
-            F[k][j][i] = -sol.solution[j]
+    for i in range(p):
+        for k in range(i + 1, p):
+            com = commutator(D[i], D[k])
+            residual = [com[a, b] for a in range(n) for b in range(n)]
+            proj = [sum((c * residual[e] for e, c in sup if residual[e]), ZERO)
+                    for sup in support]
+            for j in range(p):
+                f = sum((gram_inv[j, l] * x for l, x in enumerate(proj) if x), ZERO)
+                if not f:
+                    continue
+                F[i][j][k], F[k][j][i] = f, -f
+                for e, _ in support[j]:
+                    residual[e] = residual[e] - f * vecs[j][e]
+            if any(residual):
+                raise ModelBuildError(
+                    f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j"
+                )
     return tuple(Matrix.from_rows(F[i]) for i in range(p))
 
 
@@ -534,8 +535,15 @@ def product(models) -> SymmetricSpaceModel:
     return build_model(data)
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer field; floats, bools and strings raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _catalog_dim(params: dict) -> int:
-    n = int(params["n"])
+    n = json_int(params["n"], "n")
     if n < 1:
         raise ModelBuildError(f"catalog spaces need n >= 1, got {n}")
     return n
@@ -563,12 +571,13 @@ def space_from_descriptor(obj: dict) -> SymmetricSpaceModel:
         return catalog_space(obj["catalog"], obj.get("params", {}))
     if "explicit" in obj:
         body = obj["explicit"]
+        p = json_int(body["p"], "p")
         data = CurvatureData(
-            n=int(body["n"]),
-            p=int(body["p"]),
+            n=json_int(body["n"], "n"),
+            p=p,
             E=tuple(Matrix.from_json(e) for e in body["E"]),
-            beta=Matrix.from_json(body["beta"]) if int(body["p"]) else Matrix.zeros(0, 0),
-            flat_dim=int(body.get("flat_dim", 0)),
+            beta=Matrix.from_json(body["beta"]) if p else Matrix.zeros(0, 0),
+            flat_dim=json_int(body.get("flat_dim", 0), "flat_dim"),
         )
         return build_model(data)
     raise ModelBuildError("space descriptor needs 'catalog' or 'explicit'")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from symheat import bundles
@@ -234,3 +236,57 @@ class TestRepInvariants:
         rep = scalar_rep(m)
         assert all(r.is_zero() for r in rep.R)
         assert rep.casimir.is_zero()
+
+
+def first_failure(n, holds):
+    # reference: the lexicographically first failing tuple over all n^4
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    if not holds(a, b, c, d):
+                        return f"indices {(a, b, c, d)}"
+    return ""
+
+
+def failed_detail(report, name):
+    (check,) = [c for c in report.checks if c.name == name]
+    assert not check.passed
+    return check.detail
+
+
+class TestFirstFailure:
+    def test_so_n_violation_named(self):
+        m = sphere(4, 1)
+        rep = vector_rep(m)
+        G = [list(row) for row in rep.G]
+        G[2][3], G[3][2] = G[2][3].scale(2), G[3][2].scale(2)
+        bad = dataclasses.replace(rep, G=tuple(tuple(row) for row in G))
+
+        def holds(a, b, c, d):
+            want = (G[a][d].scale(int(b == c)) - G[b][d].scale(int(a == c))
+                    - G[a][c].scale(int(b == d)) + G[b][c].scale(int(a == d)))
+            return commutator(G[a][b], G[c][d]) == want
+
+        want = first_failure(4, holds)
+        assert want == "indices (0, 2, 0, 3)"
+        assert failed_detail(validate_rep(m, bad), "fiber-so-n-relations") == want
+
+    def test_integrability_violation_named(self):
+        m = sphere(4, 1)
+        rep = vector_rep(m)
+        R = (rep.R[0].scale(2),) + rep.R[1:]
+        bad = dataclasses.replace(rep, R=R)
+        E, riem = m.data.E, m.riemann
+        curly = [[sum((R[i].scale(-E[i][a, b]) for i in range(m.p)), Matrix.zeros(4))
+                  for b in range(4)] for a in range(4)]
+
+        def holds(a, b, c, d):
+            want = sum((curly[f][b].scale(riem[f][a][c][d])
+                        + curly[a][f].scale(riem[f][b][c][d]) for f in range(4)),
+                       Matrix.zeros(4))
+            return commutator(curly[c][d], curly[a][b]) == want
+
+        want = first_failure(4, holds)
+        assert want == "indices (0, 1, 0, 2)"
+        assert failed_detail(validate_rep(m, bad), "fiber-curvature-integrability") == want

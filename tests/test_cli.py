@@ -113,13 +113,32 @@ class TestCompute:
         {"bundle": {"explicit": {"dimV": 1, "G": "x"}}},
         {"bundle": []},
         {"bundle": 0},
+        {"bundle": {"explicit": {"dimV": 1.5}}},
+        {"bundle": {"explicit": {"dimV": True}}},
+        {"bundle": {"explicit": {"dimV": "2"}}},
     ], ids=["bad_rational", "bad_dimV", "factors_string", "blocks_fraction_string",
             "blocks_string", "twist_string", "G_array", "G_string", "bundle_array",
-            "bundle_zero"])
+            "bundle_zero", "dimV_float", "dimV_bool", "dimV_string"])
     def test_bad_bundle_rejected(self, tmp_path, capsys, job, command):
         # blocks and factors must be JSON arrays, not strings read by character
         job = {"space": {"catalog": "sphere", "params": {"n": 2}}, **job}
         rc = main([command, write_job(tmp_path, job)])
+        assert rc == 2
+        assert "error: bad job file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    @pytest.mark.parametrize("value", [1.5, True, "2"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["catalog_n", "n", "p", "flat_dim"])
+    def test_non_integer_space_field_rejected(self, tmp_path, capsys, field, value,
+                                              command):
+        # int() would truncate 1.5 to 1 and read True as 1
+        if field == "catalog_n":
+            space = {"catalog": "sphere", "params": {"n": value}}
+        else:
+            s2 = {"n": 2, "p": 1, "flat_dim": 0,
+                  "E": [[["0/1", "1/1"], ["-1/1", "0/1"]]], "beta": [["1/1"]]}
+            space = {"explicit": {**s2, field: value}}
+        rc = main([command, write_job(tmp_path, {"space": space})])
         assert rc == 2
         assert "error: bad job file" in capsys.readouterr().err
 
@@ -143,8 +162,9 @@ class TestCompute:
 
 
 class TestValidate:
-    def test_catalog_s3_spinor_passes(self, capsys):
-        rc = main(["validate", str(JOBS / "s3_spinor.json")])
+    @pytest.mark.parametrize("job", sorted(JOBS.glob("*.json")), ids=lambda p: p.stem)
+    def test_catalog_s3_spinor_passes(self, capsys, job):
+        rc = main(["validate", str(job)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in out

@@ -66,6 +66,37 @@ class TestBuildModel:
         with pytest.raises(ModelBuildError, match="dependent"):
             build_model(data)
 
+    def test_open_bracket_rejected(self):
+        # [e12, e13] = -e23 lies outside span{e12, e13}
+        e12 = Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+        e13 = Matrix.from_rows([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+        data = CurvatureData(n=3, p=2, E=(e12, e13), beta=Matrix.identity(2))
+        with pytest.raises(ModelBuildError, match="does not close"):
+            build_model(data)
+
+    def test_single_zero_generator_rejected(self):
+        data = CurvatureData(n=2, p=1, E=(Matrix.zeros(2),), beta=Matrix.identity(1))
+        with pytest.raises(ModelBuildError, match="dependent"):
+            build_model(data)
+
+    def test_gaussian_complex_frame(self):
+        # E -> M.E with a complex M, beta -> M^-T beta M^-1: same curvature,
+        # complex D_j
+        base = sphere(3, 1)
+        i = GaussianRational(0, 1)
+        m = Matrix.from_rows([[1, i, 0], [0, 1, rational(1, 2)], [i, 0, 1]])
+        E = tuple(
+            sum((base.data.E[j].scale(m[k, j]) for j in range(3)), Matrix.zeros(3))
+            for k in range(3)
+        )
+        m_inv = invert(m)
+        model = build_model(CurvatureData(
+            n=3, p=3, E=E, beta=m_inv.transpose() * base.beta * m_inv))
+        assert not all(x.is_real() for d in model.D for row in d.to_rows() for x in row)
+        assert validate_model(model).ok
+        assert model.riemann == base.riemann
+        assert (model.R_G, model.R_H) == (base.R_G, base.R_H)
+
     def test_ricci_of_unit_sphere(self):
         m = sphere(3, 1)
         assert m.ricci == Matrix.identity(3).scale(2)
