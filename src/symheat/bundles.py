@@ -16,10 +16,16 @@ rationals; the explicit catalog covers n <= 6.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .exact import GaussianRational, I_UNIT, Matrix, ZERO, commutator, rational
-from .spaces import CheckResult, SymmetricSpaceModel, ValidationReport, json_int
+from .exact import (
+    GaussianRational, I_UNIT, Matrix, ZERO, combination, commutator, rational,
+)
+from .spaces import (
+    CheckResult, SymmetricSpaceModel, ValidationReport, first_failure, index_pairs,
+    json_int,
+)
 
 PAULI_X = Matrix.from_rows([[0, 1], [1, 0]])
 PAULI_Y = Matrix.from_rows([[ZERO, -I_UNIT], [I_UNIT, ZERO]])
@@ -95,25 +101,18 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     # Both fiber relations flip sign under a <-> b and under c <-> d, and
     # the so(n) one also under (ab) <-> (cd); with G antisymmetric, the
     # lexicographically first failure is therefore among the pairs below.
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = index_pairs(n)
 
-    def so_n_holds(a, b, c, d):
-        want = Matrix.zeros(rep.dimV)
-        if b == c:
-            want = want + G[a][d]
-        if a == c:
-            want = want - G[b][d]
-        if b == d:
-            want = want - G[a][c]
-        if a == d:
-            want = want + G[b][c]
+    def so_n_holds(abcd):
+        a, b, c, d = abcd
+        want = combination(((int(b == c), G[a][d]), (-int(a == c), G[b][d]),
+                            (-int(b == d), G[a][c]), (int(a == d), G[b][c])), rep.dimV)
         return commutator(G[a][b], G[c][d]) == want
 
-    ok, detail = _first_failure(
+    checks.append(first_failure(
+        "fiber-so-n-relations",
         ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:]),
-        so_n_holds,
-    )
-    add("fiber-so-n-relations", ok, detail)
+        so_n_holds))
 
     ok, detail = True, ""
     if B.transpose() != -B:
@@ -128,63 +127,36 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
                     ok, detail = False, f"B({a},{b}) on a curved direction"
     add("twist-flat-support", ok, detail)
 
-    ok, detail = True, ""
-    for i in range(p):
-        for k in range(i + 1, p):
-            want = sum(
-                (R[j].scale(model.F[i][j, k]) for j in range(p)),
-                Matrix.zeros(rep.dimV),
-            )
-            if commutator(R[i], R[k]) != want:
-                ok, detail = False, f"pair {(i, k)}"
-                break
-        if not ok:
-            break
-    add("fiber-holonomy-bracket", ok, detail)
+    def bracket_holds(ik):  # [R_i, R_k] = F^j_ik R_j
+        i, k = ik
+        want = combination(((model.F[i][j, k], R[j]) for j in range(p)), rep.dimV)
+        return commutator(R[i], R[k]) == want
 
-    ok, detail = True, ""
-    for i in range(p):
-        if not commutator(rep.casimir, R[i]).is_zero():
-            ok, detail = False, f"index {i}"
-            break
-    add("casimir-centrality", ok, detail)
+    checks += [
+        first_failure("fiber-holonomy-bracket", index_pairs(p), bracket_holds, "pair"),
+        first_failure("casimir-centrality", range(p),
+                      lambda i: commutator(rep.casimir, R[i]).is_zero(), "index"),
+    ]
 
     # parallel-curvature integrability of the holonomy part of Omega:
     # with curlyE_ab = -E^i_ab R_i,
     # [curlyE_cd, curlyE_ab] = R^f_acd curlyE_fb + R^f_bcd curlyE_af
-    curly = [
-        [
-            sum((R[i].scale(-model.data.E[i][a, b]) for i in range(p)),
-                Matrix.zeros(rep.dimV))
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    riem = model.riemann
+    E, riem = model.data.E, model.riemann
+    curly = [[combination(((-E[i][a, b], R[i]) for i in range(p)), rep.dimV)
+              for b in range(n)] for a in range(n)]
 
-    def integrable(a, b, c, d):
-        want = Matrix.zeros(rep.dimV)
-        for f in range(n):
-            rf = riem[f][a][c][d]
-            if not rf.is_zero():
-                want = want + curly[f][b].scale(rf)
-            rf = riem[f][b][c][d]
-            if not rf.is_zero():
-                want = want + curly[a][f].scale(rf)
+    def integrable(abcd):
+        a, b, c, d = abcd
+        want = combination(
+            [(riem[f][a][c][d], curly[f][b]) for f in range(n)]
+            + [(riem[f][b][c][d], curly[a][f]) for f in range(n)], rep.dimV)
         return commutator(curly[c][d], curly[a][b]) == want
 
-    ok, detail = _first_failure(
-        ((a, b, c, d) for a, b in pairs for c, d in pairs), integrable
-    )
-    add("fiber-curvature-integrability", ok, detail)
+    checks.append(first_failure(
+        "fiber-curvature-integrability",
+        ((a, b, c, d) for a, b in pairs for c, d in pairs), integrable))
 
     return ValidationReport(tuple(checks))
-
-
-def _first_failure(indices, holds) -> tuple[bool, str]:
-    """(passed, detail) for the first index tuple at which holds(*t) is false."""
-    bad = next((t for t in indices if not holds(*t)), None)
-    return bad is None, "" if bad is None else f"indices {bad}"
 
 
 def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
@@ -210,36 +182,23 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
         raise BundleError("twist matrix must be n x n")
 
     # R_i = -(1/2) D^a_ib G^b_a
-    R = []
-    for i in range(p):
-        acc = Matrix.zeros(dimV)
-        d = model.D[i]
-        for a in range(n):
-            for b in range(n):
-                x = d[a, b]
-                if not x.is_zero():
-                    acc = acc + table[b][a].scale(x)
-        R.append(acc.scale(rational(-1, 2)))
-    R = tuple(R)
+    R = tuple(
+        combination(((d[a, b], table[b][a]) for a in range(n) for b in range(n)),
+                    dimV).scale(rational(-1, 2))
+        for d in model.D
+    )
 
     # Casimir R^2 = (1/4) R^abcd G_ab G_cd
-    casimir = Matrix.zeros(dimV)
     riem = model.riemann
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    x = riem[a][b][c][d]
-                    if not x.is_zero():
-                        casimir = casimir + (table[a][b] * table[c][d]).scale(x)
-    casimir = casimir.scale(rational(1, 4))
+    casimir = combination(
+        ((riem[a][b][c][d], table[a][b] * table[c][d])
+         for a, b, c, d in itertools.product(range(n), repeat=4) if riem[a][b][c][d]),
+        dimV).scale(rational(1, 4))
 
+    E, eye = model.data.E, Matrix.identity(dimV)
     omega = tuple(
-        tuple(
-            sum((R[i].scale(-model.data.E[i][a, b]) for i in range(p)),
-                Matrix.zeros(dimV)) + Matrix.identity(dimV).scale(B[a, b])
-            for b in range(n)
-        )
+        tuple(combination([(-E[i][a, b], R[i]) for i in range(p)] + [(B[a, b], eye)], dimV)
+              for b in range(n))
         for a in range(n)
     )
 

@@ -22,7 +22,14 @@ except ImportError:  # pragma: no cover
 
 
 def rational(a=0, b=None):
-    """Exact rational from ints, a 'p/q' string, or another rational."""
+    """Exact rational from ints, a 'p/q' string, or another rational.
+
+    Floats and bools raise TypeError: a float carries its binary expansion,
+    not the decimal it was written as, and JSON true is not a number.
+    """
+    for x in (a, b):
+        if isinstance(x, (float, bool)):
+            raise TypeError(f"cannot read {x!r} as an exact rational; use a 'p/q' string")
     if b is None:
         return _rational_backend(a)
     return _rational_backend(a, b)
@@ -86,7 +93,7 @@ class GaussianRational:
         return not self.im
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -185,7 +192,7 @@ class GaussianRational:
     def from_json(cls, obj) -> "GaussianRational":
         if isinstance(obj, dict):
             return cls(rational(obj.get("re", 0)), rational(obj.get("im", 0)))
-        if isinstance(obj, (str, int)):
+        if isinstance(obj, (str, int)) and not isinstance(obj, bool):
             return cls(rational(obj))
         raise ValueError(f"cannot parse scalar from {obj!r}")
 
@@ -305,21 +312,16 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, m, k = self.rows, other.cols, self.cols
-        a, b = self._e, other._e
+        # walk only the nonzero entries of each row of both factors
+        b_rows = [[(j, y) for j, y in enumerate(other.row(l)) if y] for l in range(k)]
         out = []
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = ZERO
-                for l in range(k):
-                    x = arow[l]
-                    if x.is_zero():
-                        continue
-                    y = b[l * m + j]
-                    if y.is_zero():
-                        continue
-                    acc = acc + x * y
-                out.append(acc)
+            acc = [ZERO] * m
+            for l, x in enumerate(self.row(i)):
+                if x:
+                    for j, y in b_rows[l]:
+                        acc[j] = acc[j] + x * y
+            out.extend(acc)
         return Matrix(n, m, out)
 
     def trace(self) -> GaussianRational:
@@ -385,6 +387,20 @@ class Matrix:
     def to_float_array(self):
         """Nested list of complex floats (for the numeric check modules)."""
         return [[complex(x) for x in self.row(i)] for i in range(self.rows)]
+
+
+def combination(terms, rows: int, cols: int | None = None) -> Matrix:
+    """sum c*M over the (c, M) pairs, skipping zero c and zero entries of M."""
+    cols = rows if cols is None else cols
+    acc = [ZERO] * (rows * cols)
+    for c, m in terms:
+        if not c:
+            continue
+        if m.rows != rows or m.cols != cols:
+            raise ValueError(f"{m.rows}x{m.cols} term in a {rows}x{cols} combination")
+        c = GaussianRational.of(c)
+        acc = [s + c * x if x else s for s, x in zip(acc, m._e)]
+    return Matrix(rows, cols, acc)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

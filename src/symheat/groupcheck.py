@@ -212,29 +212,13 @@ def frame_at(model: SymmetricSpaceModel, rep: FiberRep | None, k, t: float,
 
 
 def _grad(f, k: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order central gradient."""
-    n = len(k)
-    out = np.zeros(n, dtype=complex)
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = 1.0
-        out[m] = (
-            -f(k + 2 * h * e) + 8 * f(k + h * e) - 8 * f(k - h * e) + f(k - 2 * h * e)
-        ) / (12 * h)
-    return out
-
-
-def _grad_vector(f, k: np.ndarray, h: float, width: int) -> np.ndarray:
-    """Fourth-order central gradient of a vector function; out[M, B] = d_M f_B."""
-    n = len(k)
-    out = np.zeros((n, width), dtype=complex)
-    for m in range(n):
-        e = np.zeros(n)
-        e[m] = 1.0
-        out[m] = (
-            -f(k + 2 * h * e) + 8 * f(k + h * e) - 8 * f(k - h * e) + f(k - 2 * h * e)
-        ) / (12 * h)
-    return out
+    """Fourth-order central gradient of a scalar or array function; out[M] = d_M f."""
+    eye = np.eye(len(k))
+    return np.array([
+        (-f(k + 2 * h * e) + 8 * f(k + h * e) - 8 * f(k - h * e) + f(k - 2 * h * e))
+        / (12 * h)
+        for e in eye
+    ], dtype=complex)
 
 
 def _x_field(fm: _FloatModel, k: np.ndarray) -> np.ndarray:
@@ -280,7 +264,7 @@ def laplace_identity_residual(model: SymmetricSpaceModel, samples, h: float = 5e
             # all components (X_B f)(kk) at once
             return _x_field(fm, kk) @ _grad(half_det, kk, step)
 
-        dg = _grad_vector(g_vec, k, step, fm.N)  # dg[M, B] = d_M g_B
+        dg = _grad(g_vec, k, step)  # dg[M, B] = d_M g_B
         xf = _x_field(fm, k)
         # gamma^{AB} X_A^M d_M g_B
         return np.einsum("ab,am,mb->", fm.gamma_inv, xf, dg) / half_det(k)
@@ -329,7 +313,7 @@ def heat_equation_residual(model: SymmetricSpaceModel, rep: FiberRep | None,
                     - 0.5 * (fm.B_lower @ kk) * phi(kk, t)
 
             # J^2 Phi = gamma^{AB} J_A (J_B Phi)
-            dg = _grad_vector(j_vec, k, h, fm.N)  # dg[M, B] = d_M (J_B Phi)
+            dg = _grad(j_vec, k, h)  # dg[M, B] = d_M (J_B Phi)
             xf = _x_field(fm, k)
             jk = j_vec(k)
             first = np.einsum("ab,am,mb->", fm.gamma_inv, xf, dg)
@@ -353,14 +337,7 @@ def maurer_cartan_residual(model: SymmetricSpaceModel, k, h: float = 5e-3) -> fl
     def y_at(kk):
         return _phi1(fm.c_of_k(kk))
 
-    dy = np.zeros((n, n, n), dtype=complex)  # dy[L, A, M] = d_L Y^A_M
-    for l_idx in range(n):
-        e = np.zeros(n)
-        e[l_idx] = 1.0
-        dy[l_idx] = (
-            -y_at(k + 2 * h * e) + 8 * y_at(k + h * e)
-            - 8 * y_at(k - h * e) + y_at(k - 2 * h * e)
-        ) / (12 * h)
+    dy = _grad(y_at, k, h)  # dy[L, A, M] = d_L Y^A_M
     y = y_at(k)
     worst = 0.0
     for a_idx in range(n):

@@ -12,18 +12,20 @@ Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .exact import (
     GaussianRational,
     Matrix,
+    ONE,
     ZERO,
+    combination,
     commutator,
     invert,
     rational,
 )
 
-_GR = GaussianRational.of
 _QUARTER = GaussianRational(rational(-1, 4))
 
 
@@ -43,6 +45,8 @@ class CurvatureData:
 
     def __post_init__(self):
         object.__setattr__(self, "E", tuple(self.E))
+        if self.n < 1:
+            raise ModelBuildError(f"spaces need n >= 1, got {self.n}")
         if len(self.E) != self.p:
             raise ModelBuildError(f"expected {self.p} E matrices, got {len(self.E)}")
         if self.p > self.n * (self.n - 1) // 2:
@@ -150,15 +154,7 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     _check_data(data)
 
     # D_i = -sum_k beta_ik E^k (the delta metric raises the first index)
-    D = []
-    for i in range(p):
-        acc = Matrix.zeros(n)
-        for k in range(p):
-            b = beta[i, k]
-            if not b.is_zero():
-                acc = acc + E[k].scale(-b)
-        D.append(acc)
-    D = tuple(D)
+    D = tuple(combination(((-beta[i, k], E[k]) for k in range(p)), n) for i in range(p))
 
     F = _solve_structure_constants(n, p, D)
 
@@ -172,42 +168,16 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
         for a in range(n + p)
     )
 
-    gamma_rows = [[ZERO] * (n + p) for _ in range(n + p)]
-    for a in range(n):
-        gamma_rows[a][a] = GaussianRational(1)
-    for i in range(p):
-        for k in range(p):
-            gamma_rows[n + i][n + k] = beta[i, k]
-    gamma = Matrix.from_rows(gamma_rows)
     try:
         beta_inv = invert(beta) if p else Matrix.zeros(0, 0)
     except ValueError as exc:
         raise ModelBuildError(f"beta is singular: {exc}") from exc
-    gamma_inv_rows = [[ZERO] * (n + p) for _ in range(n + p)]
-    for a in range(n):
-        gamma_inv_rows[a][a] = GaussianRational(1)
-    for i in range(p):
-        for k in range(p):
-            gamma_inv_rows[n + i][n + k] = beta_inv[i, k]
-    gamma_inv = Matrix.from_rows(gamma_inv_rows)
+    gamma, gamma_inv = _frame_block(n, beta), _frame_block(n, beta_inv)
 
-    beta_nz = [(i, k, beta[i, k]) for i in range(p) for k in range(p) if beta[i, k]]
+    entries = _riemann_entries(E, beta)
     riemann = tuple(
         tuple(
-            tuple(
-                tuple(
-                    sum(
-                        (
-                            bik * E[i][a, b] * E[k][c, d]
-                            for i, k, bik in beta_nz
-                            if E[i][a, b] and E[k][c, d]
-                        ),
-                        ZERO,
-                    )
-                    for d in range(n)
-                )
-                for c in range(n)
-            )
+            tuple(tuple(entries.get((a, b, c, d), ZERO) for d in range(n)) for c in range(n))
             for b in range(n)
         )
         for a in range(n)
@@ -221,20 +191,7 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     scalar_R = ricci.trace()
 
     # R_G = -(1/4) gamma^{AB} tr(C_A C_B); R_H likewise over the holonomy block
-    R_G = ZERO
-    for a in range(n + p):
-        for b in range(n + p):
-            g = gamma_inv[a, b]
-            if not g.is_zero():
-                R_G = R_G + g * (C[a] * C[b]).trace()
-    R_G = _QUARTER * R_G
-    R_H = ZERO
-    for i in range(p):
-        for k in range(p):
-            g = beta_inv[i, k]
-            if not g.is_zero():
-                R_H = R_H + g * (F[i] * F[k]).trace()
-    R_H = _QUARTER * R_H
+    R_G, R_H = _quarter_contraction(gamma_inv, C), _quarter_contraction(beta_inv, F)
 
     q = Matrix.diag([1 if a < data.flat_dim else 0 for a in range(n)])
 
@@ -243,6 +200,21 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
         riemann=riemann, ricci=ricci, scalar_R=scalar_R, R_G=R_G, R_H=R_H,
         q=q,
     )
+
+
+def _frame_block(n: int, block: Matrix) -> Matrix:
+    """diag(1_n, block): the identity on tangent indices, block on holonomy ones."""
+    p = block.rows
+    return Matrix.from_rows([[ONE if b == a else ZERO for b in range(n)] + [ZERO] * p
+                             for a in range(n)]
+                            + [[ZERO] * n + list(block.row(i)) for i in range(p)])
+
+
+def _quarter_contraction(metric: Matrix, mats) -> GaussianRational:
+    """-(1/4) metric^{ab} tr(M_a M_b), summed over the nonzero metric entries."""
+    return _QUARTER * sum((g * (mats[a] * mats[b]).trace()
+                           for a, b in itertools.product(range(metric.rows), repeat=2)
+                           if (g := metric[a, b])), ZERO)
 
 
 def _check_data(data: CurvatureData):
@@ -303,153 +275,140 @@ def _solve_structure_constants(n: int, p: int, D) -> tuple:
 # validation
 
 
+def first_failure(name: str, items, holds, label: str = "indices") -> CheckResult:
+    """Check `name` over items in order; the detail names the first item where holds fails."""
+    bad = next((t for t in items if not holds(t)), None)
+    return CheckResult(name, bad is None, "" if bad is None else f"{label} {bad}")
+
+
+def index_pairs(n: int) -> list:
+    """The index pairs (a, b) with a < b < n, in lexicographic order."""
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def _antisymmetric(m: Matrix) -> bool:
+    return m.transpose() == -m
+
+
 def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
     """Run every exact structural check; failures are report entries."""
     checks = []
     n, p, N = m.n, m.p, m.N
-    E, D, F, C, R = m.data.E, m.D, m.F, m.C, m.riemann
+    E, D, F, C, R, beta = m.data.E, m.D, m.F, m.C, m.riemann, m.beta
 
     def add(name, passed, detail=""):
         checks.append(CheckResult(name, passed, detail if not passed else ""))
 
-    bad = [i for i, e in enumerate(E) if e.transpose() != -e]
+    bad = [i for i, e in enumerate(E) if not _antisymmetric(e)]
     add("e-antisymmetry", not bad, f"E indices {bad}")
 
-    add("beta-symmetric", m.beta.transpose() == m.beta)
+    add("beta-symmetric", beta.transpose() == beta)
     try:
-        invert(m.beta) if p else None
+        invert(beta) if p else None
         add("beta-invertible", True)
     except ValueError:
         add("beta-invertible", False, "beta is singular")
 
-    bad = [
-        i
-        for i, d in enumerate(D)
-        if d != -sum((E[k].scale(m.beta[i, k]) for k in range(p)), Matrix.zeros(n))
-    ]
+    bad = [i for i, d in enumerate(D)
+           if d != -combination(((beta[i, k], E[k]) for k in range(p)), n)]
     add("d-from-e-beta", not bad, f"D indices {bad}")
     bad = [i for i, d in enumerate(D) if not d.trace().is_zero()]
     add("d-traceless", not bad, f"D indices {bad}")
 
-    ok = True
-    detail = ""
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    want = sum(
-                        (m.beta[i, k] * E[i][a, b] * E[k][c, d]
-                         for i in range(p) for k in range(p)),
-                        ZERO,
-                    )
-                    if R[a][b][c][d] != want:
-                        ok, detail = False, f"entry {(a, b, c, d)}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    add("riemann-from-e-beta", ok, detail)
+    want = _riemann_entries(E, beta)
+    checks += [
+        first_failure("riemann-from-e-beta", itertools.product(range(n), repeat=4),
+                      lambda t: R[t[0]][t[1]][t[2]][t[3]] == want.get(t, ZERO), "entry"),
+        _riemann_integrability(n, R),
+    ]
 
-    ok, detail = _riemann_integrability(n, R)
-    add("riemann-integrability", ok, detail)
+    def bracket_holds(ik):  # [D_i, D_k] = F^j_ik D_j
+        i, k = ik
+        return commutator(D[i], D[k]) == combination(((F[i][j, k], D[j]) for j in range(p)), n)
 
-    ok, detail = True, ""
-    for i in range(p):
-        for k in range(i + 1, p):
-            want = sum((D[j].scale(F[i][j, k]) for j in range(p)), Matrix.zeros(n))
-            if commutator(D[i], D[k]) != want:
-                ok, detail = False, f"pair {(i, k)}"
-                break
-        if not ok:
-            break
-    add("holonomy-bracket", ok, detail)
+    def e_d_f_holds(ik):
+        i, k = ik
+        lhs = E[i] * D[k]
+        return lhs - lhs.transpose() == combination(((F[k][i, j], E[j]) for j in range(p)), n)
+
+    def adjoint_holds(ab):  # C^c_ab = (C_a)[c, b]
+        a, b = ab
+        return commutator(C[a], C[b]) == combination(((C[a][c, b], C[c]) for c in range(N)), N)
+
+    checks += [
+        first_failure("holonomy-bracket", index_pairs(p), bracket_holds, "pair"),
+        first_failure("e-d-f-compatibility", itertools.product(range(p), repeat=2),
+                      e_d_f_holds, "pair"),
+        first_failure("beta-f-invariance", range(p),
+                      lambda j: _antisymmetric(beta * F[j]), "index"),
+        first_failure("adjoint-closure", index_pairs(N), adjoint_holds, "pair"),
+        first_failure("gamma-invariance", range(N),
+                      lambda c: _antisymmetric(m.gamma * C[c]), "index"),
+    ]
 
     ok, detail = True, ""
-    for i in range(p):
-        for k in range(p):
-            lhs = E[i] * D[k]
-            lhs = lhs - lhs.transpose()
-            rhs = sum((E[j].scale(F[k][i, j]) for j in range(p)), Matrix.zeros(n))
-            if lhs != rhs:
-                ok, detail = False, f"pair {(i, k)}"
-                break
-        if not ok:
-            break
-    add("e-d-f-compatibility", ok, detail)
-
-    ok, detail = True, ""
-    for j in range(p):
-        bf = m.beta * F[j]
-        if bf.transpose() != -bf:
-            ok, detail = False, f"index {j}"
-            break
-    add("beta-f-invariance", ok, detail)
-
-    ok, detail = True, ""
-    for a in range(N):
-        for b in range(a + 1, N):
-            # C^c_ab = (C_a)[c, b]
-            want = sum(
-                (C[c].scale(C[a][c, b]) for c in range(N)), Matrix.zeros(N)
-            )
-            if commutator(C[a], C[b]) != want:
-                ok, detail = False, f"pair {(a, b)}"
-                break
-        if not ok:
-            break
-    add("adjoint-closure", ok, detail)
-
-    ok, detail = True, ""
-    for c in range(N):
-        gc = m.gamma * C[c]
-        if gc.transpose() != -gc:
-            ok, detail = False, f"index {c}"
-            break
-    add("gamma-invariance", ok, detail)
-
-    ok, detail = True, ""
-    nflat = m.flat_dim
-    for e in range(nflat):
+    for e in range(m.flat_dim):
         for i, Ei in enumerate(E):
-            if any(not Ei[e, b].is_zero() for b in range(n)):
+            if any(Ei.row(e)):
                 ok, detail = False, f"E^{i} row {e}"
         for i, Di in enumerate(D):
-            if any(not Di[e, b].is_zero() for b in range(n)) or any(
-                not Di[a, e].is_zero() for a in range(n)
-            ):
+            if any(Di.row(e)) or any(Di[a, e] for a in range(n)):
                 ok, detail = False, f"D_{i} direction {e}"
-        for a in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if not R[e][a][c][d].is_zero():
-                        ok, detail = False, f"R row {e}"
+        if any(R[e][a][c][d] for a, c, d in itertools.product(range(n), repeat=3)):
+            ok, detail = False, f"R row {e}"
     add("flat-projector-annihilation", ok, detail)
 
     return ValidationReport(tuple(checks))
 
 
-def _riemann_integrability(n: int, R) -> tuple[bool, str]:
-    """R^{fg}_{ea} R^e_{bcd} antisymmetrized combination must vanish."""
-    for f in range(n):
-        for g in range(n):
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        for d in range(n):
-                            acc = ZERO
-                            for e in range(n):
-                                acc = acc + (
-                                    R[f][g][e][a] * R[e][b][c][d]
-                                    - R[f][g][e][b] * R[e][a][c][d]
-                                    + R[f][g][e][c] * R[e][d][a][b]
-                                    - R[f][g][e][d] * R[e][c][a][b]
-                                )
-                            if not acc.is_zero():
-                                return False, f"indices {(f, g, a, b, c, d)}"
-    return True, ""
+def _riemann_entries(E, beta) -> dict:
+    """R_abcd = beta_ik E^i_ab E^k_cd summed over nonzero beta and E entries only."""
+    support = [[(a, b, x) for a, b in itertools.product(range(e.rows), repeat=2)
+                if (x := e[a, b])] for e in E]
+    out = {}
+    for i, k in itertools.product(range(len(E)), repeat=2):
+        bik = beta[i, k]
+        if not bik:
+            continue
+        for a, b, x in support[i]:
+            bx = bik * x
+            for c, d, y in support[k]:
+                key = (a, b, c, d)
+                out[key] = out.get(key, ZERO) + bx * y
+    return out
+
+
+def _riemann_integrability(n: int, R) -> CheckResult:
+    """R^{fg}_{ea} R^e_{bcd} antisymmetrized combination must vanish.
+
+    With T_xyuv = R_fgex R_eyuv, the residual at (a, b, c, d) is
+    T_abcd - T_bacd + T_cdab - T_dcab.  For each (f, g), T is summed over
+    nonzero entries only and the residual's keys are visited in order, so
+    the first failure is the lexicographically first (f, g, a, b, c, d).
+    """
+    triples = list(itertools.product(range(n), repeat=3))
+    rows = [[(y, u, v, s) for y, u, v in triples if (s := R[e][y][u][v])] for e in range(n)]
+    residual = {}  # the current (f, g)'s residual; candidates() refills it before yielding
+
+    def candidates():
+        for f, g in itertools.product(range(n), repeat=2):
+            t = {}
+            for e, x in itertools.product(range(n), repeat=2):
+                r = R[f][g][e][x]
+                if r:
+                    for y, u, v, s in rows[e]:
+                        key = (x, y, u, v)
+                        t[key] = t.get(key, ZERO) + r * s
+            residual.clear()
+            for (x, y, u, v), val in t.items():
+                for key, term in (((x, y, u, v), val), ((y, x, u, v), -val),
+                                  ((u, v, x, y), val), ((u, v, y, x), -val)):
+                    residual[key] = residual.get(key, ZERO) + term
+            for key in sorted(residual):
+                yield (f, g) + key
+
+    return first_failure("riemann-integrability", candidates(),
+                         lambda t: not residual[t[2:]])
 
 
 # ---------------------------------------------------------------------------

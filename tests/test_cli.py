@@ -73,6 +73,8 @@ class TestCompute:
 
     @pytest.mark.parametrize("volume", [
         "abc", {"coeff": "4", "pi_power": "x"}, "-1",
+        # rationals are "p/q" strings: floats and bools are not read as numbers
+        {"coeff": 12.5, "pi_power": 1}, {"coeff": True, "pi_power": 1}, 4.0,
     ])
     def test_trace_bad_volume(self, tmp_path, capsys, volume):
         job = json.loads((JOBS / "s2_scalar.json").read_text(encoding="utf-8"))
@@ -80,7 +82,7 @@ class TestCompute:
         rc = main(["compute", write_job(tmp_path, job), "--trace"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error:")
+        assert err.startswith("error: bad volume")
 
     @pytest.mark.parametrize("pi_power", [1.5, True, "x"])
     def test_trace_non_integer_pi_power(self, tmp_path, capsys, pi_power):
@@ -93,10 +95,13 @@ class TestCompute:
         assert "pi_power must be an integer" in err
 
     @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
-    @pytest.mark.parametrize("space", ["sphere", "hyperbolic", "flat"])
+    @pytest.mark.parametrize("space", ["sphere", "hyperbolic", "flat", "explicit"])
     def test_catalog_dimension_zero_rejected(self, tmp_path, capsys, space, command):
-        job = {"space": {"catalog": space, "params": {"n": 0}},
-               "bundle": {"catalog": "scalar"}}
+        if space == "explicit":
+            descriptor = {"explicit": {"n": 0, "p": 0, "E": [], "beta": []}}
+        else:
+            descriptor = {"catalog": space, "params": {"n": 0}}
+        job = {"space": descriptor, "bundle": {"catalog": "scalar"}}
         rc = main([command, write_job(tmp_path, job)])
         assert rc == 3
         assert "n >= 1" in capsys.readouterr().err
@@ -116,9 +121,16 @@ class TestCompute:
         {"bundle": {"explicit": {"dimV": 1.5}}},
         {"bundle": {"explicit": {"dimV": True}}},
         {"bundle": {"explicit": {"dimV": "2"}}},
+        {"space": {"catalog": "sphere", "params": {"n": 2, "radius": 0.1}}},
+        {"space": {"catalog": "sphere", "params": {"n": 2, "radius": True}}},
+        {"space": {"explicit": {"n": 2, "p": 1, "E": [[[0, True], [-1, 0]]],
+                                "beta": [[1]]}}},
+        {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": [0.5]}},
+        {"bundle": {"explicit": {"dimV": 1, "G": {"1,2": [[True]]}}}},
     ], ids=["bad_rational", "bad_dimV", "factors_string", "blocks_fraction_string",
             "blocks_string", "twist_string", "G_array", "G_string", "bundle_array",
-            "bundle_zero", "dimV_float", "dimV_bool", "dimV_string"])
+            "bundle_zero", "dimV_float", "dimV_bool", "dimV_string", "radius_float",
+            "radius_bool", "E_entry_bool", "block_float", "G_entry_bool"])
     def test_bad_bundle_rejected(self, tmp_path, capsys, job, command):
         # blocks and factors must be JSON arrays, not strings read by character
         job = {"space": {"catalog": "sphere", "params": {"n": 2}}, **job}
@@ -227,7 +239,8 @@ class TestCheckGroup:
         assert rc == 2
         assert "N <= 6" in err
 
-    @pytest.mark.parametrize("params", [{"radius": "1"}, {"n": 2, "radius": "x"}])
+    @pytest.mark.parametrize("params", [{"radius": "1"}, {"n": 2, "radius": "x"},
+                                        {"n": 2, "radius": 0.1}, {"n": 2, "radius": True}])
     def test_bad_sphere_params(self, tmp_path, capsys, params):
         job = {"space": {"catalog": "sphere", "params": params},
                "bundle": {"catalog": "scalar"}}

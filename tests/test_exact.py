@@ -23,6 +23,12 @@ def rand_matrix(rng, n, m=None, complex_ok=True):
     return Matrix(n, m, [rand_scalar(rng, complex_ok=complex_ok) for _ in range(n * m)])
 
 
+def sparse_matrix(rng, n, m=None, zero_share=0.7):
+    m = n if m is None else m
+    return Matrix(n, m, [GaussianRational(0) if rng.random() < zero_share
+                         else rand_scalar(rng) for _ in range(n * m)])
+
+
 def naive_matmul(a: Matrix, b: Matrix) -> Matrix:
     # independent triple-loop reference
     out = [[GaussianRational(0) for _ in range(b.cols)] for _ in range(a.rows)]
@@ -66,6 +72,17 @@ class TestScalar:
         assert r.to_json() == "5/3"
         assert GaussianRational.from_json("5/3") == r
 
+    @pytest.mark.parametrize("args", [(0.1,), (True,), (1, 2.0), (3, False)])
+    def test_float_and_bool_are_not_rationals(self, args):
+        # 0.1 would carry its binary expansion, and True would read as 1
+        with pytest.raises(TypeError):
+            rational(*args)
+
+    @pytest.mark.parametrize("obj", [True, 0.5, {"re": False}, {"im": 0.5}])
+    def test_json_scalar_rejects_float_and_bool(self, obj):
+        with pytest.raises((TypeError, ValueError)):
+            GaussianRational.from_json(obj)
+
 
 class TestMatMul:
     def test_identity(self):
@@ -83,6 +100,18 @@ class TestMatMul:
             a = rand_matrix(rng, 3)
             b = rand_matrix(rng, 3)
             assert a * b == naive_matmul(a, b)
+        # sparse Gaussian-complex factors: about 70% zeros
+        for _ in range(20):
+            a = sparse_matrix(rng, 5)
+            b = sparse_matrix(rng, 5)
+            assert a * b == naive_matmul(a, b)
+        for n, k, m in [(1, 4, 1), (3, 5, 2)]:
+            a = sparse_matrix(rng, n, k)
+            b = sparse_matrix(rng, k, m)
+            assert a * b == naive_matmul(a, b)
+        # zero-sized factors: the product has the outer shape, and an empty sum is zero
+        for n, k, m in [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)]:
+            assert sparse_matrix(rng, n, k) * sparse_matrix(rng, k, m) == Matrix.zeros(n, m)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

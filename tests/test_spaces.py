@@ -140,6 +140,38 @@ class TestCatalog:
             assert sphere(n, 1).scalar_R == GaussianRational(n * (n - 1))
 
 
+def with_entry(mat, i, j, value):
+    rows = mat.to_rows()
+    rows[i][j] = GaussianRational.of(value)
+    return Matrix.from_rows(rows)
+
+
+def with_riemann_entry(m, idx, value):
+    riem = [[[list(c) for c in b] for b in a] for a in m.riemann]
+    a, b, c, d = idx
+    riem[a][b][c][d] = GaussianRational.of(value)
+    return replace(m, riemann=tuple(tuple(tuple(tuple(d) for d in c) for c in b) for b in riem))
+
+
+S2, S3, FLAT2_S2 = sphere(2, 1), sphere(3, 1), product([flat(2), sphere(2, 1)])
+
+CORRUPTED = {
+    "e_symmetric": lambda: replace(
+        S2, data=replace(S2.data, E=(Matrix.from_rows([[0, 1], [1, 0]]),))),
+    "beta_asymmetric": lambda: replace(
+        S3, data=replace(S3.data, beta=with_entry(S3.beta, 0, 1, rational(1, 2)))),
+    "f_entry": lambda: replace(
+        S3, F=(with_entry(S3.F[0], 0, 1, S3.F[0][0, 1] + 1),) + S3.F[1:]),
+    "riemann_entry": lambda: with_riemann_entry(
+        S3, (0, 1, 0, 1), S3.riemann[0][1][0][1] + 1),
+    "adjoint_entry": lambda: replace(
+        S3, C=S3.C[:4] + (with_entry(S3.C[4], 0, 2, S3.C[4][0, 2] + 1),) + S3.C[5:]),
+    "d_on_flat": lambda: replace(
+        FLAT2_S2, D=(with_entry(with_entry(FLAT2_S2.D[0], 0, 2, 1), 1, 3, 2),)
+        + FLAT2_S2.D[1:]),
+}
+
+
 class TestValidateModel:
     @pytest.mark.parametrize("maker", [
         lambda: sphere(2, 1),
@@ -150,6 +182,8 @@ class TestValidateModel:
         lambda: flat(3),
         lambda: product([flat(2), sphere(2, 1)]),
         lambda: product([sphere(2, 1), sphere(2, 1)]),
+        lambda: sphere(5, 1),
+        lambda: product([flat(2), sphere(2, 1), hyperbolic(3, 1)]),
     ])
     def test_catalog_models_pass(self, maker):
         report = validate_model(maker())
@@ -198,6 +232,28 @@ class TestValidateModel:
         report = validate_model(corrupted)
         assert not report.ok
         assert "riemann-from-e-beta" in report.failed()
+
+    @pytest.mark.parametrize("name,want", [
+        ("e_symmetric", [("e-antisymmetry", "E indices [0]"),
+                         ("d-from-e-beta", "D indices [0]"),
+                         ("riemann-from-e-beta", "entry (0, 1, 1, 0)")]),
+        ("beta_asymmetric", [("beta-symmetric", ""),
+                             ("d-from-e-beta", "D indices [0]"),
+                             ("riemann-from-e-beta", "entry (0, 1, 0, 2)"),
+                             ("beta-f-invariance", "index 0")]),
+        ("f_entry", [("holonomy-bracket", "pair (0, 1)"),
+                     ("e-d-f-compatibility", "pair (0, 0)"),
+                     ("beta-f-invariance", "index 0")]),
+        ("riemann_entry", [("riemann-from-e-beta", "entry (0, 1, 0, 1)"),
+                           ("riemann-integrability", "indices (0, 1, 0, 2, 1, 2)")]),
+        ("adjoint_entry", [("adjoint-closure", "pair (0, 2)"),
+                           ("gamma-invariance", "index 4")]),
+        ("d_on_flat", [("d-from-e-beta", "D indices [0]"),
+                       ("flat-projector-annihilation", "D_0 direction 1")]),
+    ])
+    def test_failure_details(self, name, want):
+        report = validate_model(CORRUPTED[name]())
+        assert [(c.name, c.detail) for c in report.checks if not c.passed] == want
 
 
 class TestInvariants:
