@@ -252,20 +252,18 @@ def spin_generator_table(n: int) -> dict:
     gammas = gamma_matrices(n)
     return {
         (a, b): commutator(gammas[a], gammas[b]).scale(rational(1, 4))
-        for a in range(n)
-        for b in range(a + 1, n)
+        for a, b in index_pairs(n)
     }
 
 
 def vector_generator_table(n: int) -> dict:
     """(X_ab)^c_d = delta^c_a delta_bd - delta^c_b delta_ad for a < b."""
     out = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            rows = [[ZERO] * n for _ in range(n)]
-            rows[a][b] = GaussianRational(1)
-            rows[b][a] = GaussianRational(-1)
-            out[(a, b)] = Matrix.from_rows(rows)
+    for a, b in index_pairs(n):
+        rows = [[ZERO] * n for _ in range(n)]
+        rows[a][b] = GaussianRational(1)
+        rows[b][a] = GaussianRational(-1)
+        out[(a, b)] = Matrix.from_rows(rows)
     return out
 
 
@@ -316,13 +314,10 @@ def tensor_product_rep(rep1: FiberRep, rep2: FiberRep,
     if rep1.model is not rep2.model and rep1.model.data != rep2.model.data:
         raise BundleError("tensor factors live over different models")
     model = rep1.model
-    n = model.n
     e1 = Matrix.identity(rep1.dimV)
     e2 = Matrix.identity(rep2.dimV)
-    table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            table[(a, b)] = rep1.G[a][b].kron(e2) + e1.kron(rep2.G[a][b])
+    table = {(a, b): rep1.G[a][b].kron(e2) + e1.kron(rep2.G[a][b])
+             for a, b in index_pairs(model.n)}
     twist = rep1.B + rep2.B
     if B is not None:
         twist = twist + B

@@ -389,18 +389,17 @@ class Matrix:
         return [[complex(x) for x in self.row(i)] for i in range(self.rows)]
 
 
-def combination(terms, rows: int, cols: int | None = None) -> Matrix:
-    """sum c*M over the (c, M) pairs, skipping zero c and zero entries of M."""
-    cols = rows if cols is None else cols
-    acc = [ZERO] * (rows * cols)
+def combination(terms, n: int) -> Matrix:
+    """The n x n sum c*M over the (c, M) pairs, skipping zero c and zero entries of M."""
+    acc = [ZERO] * (n * n)
     for c, m in terms:
         if not c:
             continue
-        if m.rows != rows or m.cols != cols:
-            raise ValueError(f"{m.rows}x{m.cols} term in a {rows}x{cols} combination")
+        if m.rows != n or m.cols != n:
+            raise ValueError(f"{m.rows}x{m.cols} term in a {n}x{n} combination")
         c = GaussianRational.of(c)
         acc = [s + c * x if x else s for s, x in zip(acc, m._e)]
-    return Matrix(rows, cols, acc)
+    return Matrix(n, n, acc)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

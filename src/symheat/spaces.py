@@ -231,6 +231,11 @@ def _check_data(data: CurvatureData):
         raise ModelBuildError("beta is not symmetric")
 
 
+def index_pairs(n: int) -> list:
+    """The index pairs (a, b) with a < b < n, in lexicographic order."""
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
 def _solve_structure_constants(n: int, p: int, D) -> tuple:
     """F^j_ik = g^jl tr(D_l^+ [D_i, D_k]) with the Gram matrix g_jl = tr(D_j^+ D_l).
 
@@ -251,23 +256,22 @@ def _solve_structure_constants(n: int, p: int, D) -> tuple:
     except ValueError as exc:
         raise ModelBuildError("holonomy generators D_i are linearly dependent") from exc
     F = [[[ZERO] * p for _ in range(p)] for _ in range(p)]  # F[i][j][k] = F^j_ik
-    for i in range(p):
-        for k in range(i + 1, p):
-            com = commutator(D[i], D[k])
-            residual = [com[a, b] for a in range(n) for b in range(n)]
-            proj = [sum((c * residual[e] for e, c in sup if residual[e]), ZERO)
-                    for sup in support]
-            for j in range(p):
-                f = sum((gram_inv[j, l] * x for l, x in enumerate(proj) if x), ZERO)
-                if not f:
-                    continue
-                F[i][j][k], F[k][j][i] = f, -f
-                for e, _ in support[j]:
-                    residual[e] = residual[e] - f * vecs[j][e]
-            if any(residual):
-                raise ModelBuildError(
-                    f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j"
-                )
+    for i, k in index_pairs(p):
+        com = commutator(D[i], D[k])
+        residual = [com[a, b] for a in range(n) for b in range(n)]
+        proj = [sum((c * residual[e] for e, c in sup if residual[e]), ZERO)
+                for sup in support]
+        for j in range(p):
+            f = sum((gram_inv[j, l] * x for l, x in enumerate(proj) if x), ZERO)
+            if not f:
+                continue
+            F[i][j][k], F[k][j][i] = f, -f
+            for e, _ in support[j]:
+                residual[e] = residual[e] - f * vecs[j][e]
+        if any(residual):
+            raise ModelBuildError(
+                f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j"
+            )
     return tuple(Matrix.from_rows(F[i]) for i in range(p))
 
 
@@ -281,15 +285,6 @@ def first_failure(name: str, items, holds, label: str = "indices") -> CheckResul
     return CheckResult(name, bad is None, "" if bad is None else f"{label} {bad}")
 
 
-def index_pairs(n: int) -> list:
-    """The index pairs (a, b) with a < b < n, in lexicographic order."""
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
-
-
-def _antisymmetric(m: Matrix) -> bool:
-    return m.transpose() == -m
-
-
 def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
     """Run every exact structural check; failures are report entries."""
     checks = []
@@ -299,7 +294,7 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
     def add(name, passed, detail=""):
         checks.append(CheckResult(name, passed, detail if not passed else ""))
 
-    bad = [i for i, e in enumerate(E) if not _antisymmetric(e)]
+    bad = [i for i, e in enumerate(E) if e.transpose() != -e]
     add("e-antisymmetry", not bad, f"E indices {bad}")
 
     add("beta-symmetric", beta.transpose() == beta)
@@ -340,10 +335,10 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
         first_failure("e-d-f-compatibility", itertools.product(range(p), repeat=2),
                       e_d_f_holds, "pair"),
         first_failure("beta-f-invariance", range(p),
-                      lambda j: _antisymmetric(beta * F[j]), "index"),
+                      lambda j: (bf := beta * F[j]).transpose() == -bf, "index"),
         first_failure("adjoint-closure", index_pairs(N), adjoint_holds, "pair"),
         first_failure("gamma-invariance", range(N),
-                      lambda c: _antisymmetric(m.gamma * C[c]), "index"),
+                      lambda c: (gc := m.gamma * C[c]).transpose() == -gc, "index"),
     ]
 
     ok, detail = True, ""
