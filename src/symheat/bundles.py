@@ -20,11 +20,10 @@ import itertools
 from dataclasses import dataclass
 
 from .exact import (
-    GaussianRational, I_UNIT, Matrix, ZERO, combination, commutator, rational,
+    GaussianRational, I_UNIT, Matrix, ZERO, combination, commutator, json_kind, rational,
 )
 from .spaces import (
     CheckResult, SymmetricSpaceModel, ValidationReport, first_failure, index_pairs,
-    json_int,
 )
 
 PAULI_X = Matrix.from_rows([[0, 1], [1, 0]])
@@ -175,6 +174,8 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
             dimV = next(iter(G.values())).rows
         else:
             dimV = G[0][0].rows
+    if dimV < 1:
+        raise BundleError(f"fibers need dimV >= 1, got {dimV}")
     table = _normalize_generators(n, dimV, G)
     if B is None:
         B = Matrix.zeros(n)
@@ -351,35 +352,27 @@ def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,
     raise BundleError(f"unknown catalog bundle {name!r}")
 
 
+def _optional(value, kind: type, name: str):
+    """An optional JSON field: None (absent or null) or a value of one kind."""
+    return value if value is None else json_kind(value, kind, name)
+
+
 def rep_from_descriptor(model: SymmetricSpaceModel, bundle: dict | None,
                         twist: dict | None = None) -> FiberRep:
     """Parse the JSON bundle + twist descriptors."""
-    if twist is not None and not isinstance(twist, dict):
-        raise TypeError(f"twist must be a JSON object, got {twist!r}")
-    blocks = (twist or {}).get("blocks")
-    if blocks is not None and not isinstance(blocks, list):
-        raise TypeError(f"twist blocks must be a JSON array, got {blocks!r}")
-    if bundle is not None and not isinstance(bundle, dict):
-        raise TypeError(f"bundle must be a JSON object, got {bundle!r}")
-    bundle = bundle or {"catalog": "scalar"}
+    twist = _optional(twist, dict, "twist") or {}
+    blocks = _optional(twist.get("blocks"), list, "twist blocks")
+    bundle = _optional(bundle, dict, "bundle") or {"catalog": "scalar"}
     if "catalog" in bundle:
-        name = bundle["catalog"]
-        factors = bundle.get("factors")
-        if factors is not None and not isinstance(factors, list):
-            raise TypeError(f"bundle factors must be a JSON array, got {factors!r}")
-        return catalog_rep(model, name, twist=blocks, factors=factors)
+        factors = _optional(bundle.get("factors"), list, "bundle factors")
+        return catalog_rep(model, bundle["catalog"], twist=blocks, factors=factors)
     if "explicit" in bundle:
-        body = bundle["explicit"]
-        dimV = json_int(body["dimV"], "dimV")
-        gens = body.get("G", {})
-        if not isinstance(gens, dict):
-            raise TypeError(f"bundle G must be a JSON object, got {gens!r}")
+        body = json_kind(bundle["explicit"], dict, "explicit bundle")
+        dimV = json_kind(body["dimV"], int, "dimV")
         table = {}
-        for key, mat in gens.items():
+        for key, mat in json_kind(body.get("G", {}), dict, "bundle G").items():
             a, b = (int(x) for x in key.split(","))
             table[(a - 1, b - 1)] = Matrix.from_json(mat)
         B = twist_matrix(model, blocks) if blocks else None
-        return build_rep(model, table if table else
-                         [[Matrix.zeros(dimV)] * model.n for _ in range(model.n)],
-                         B, dimV=dimV)
+        return build_rep(model, table, B, dimV=dimV)
     raise BundleError("bundle descriptor needs 'catalog' or 'explicit'")

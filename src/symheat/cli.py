@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .bundles import BundleError, rep_from_descriptor, validate_rep
 from .engine import (
@@ -23,7 +24,7 @@ from .engine import (
     heat_trace,
     render_report_text,
 )
-from .exact import rational
+from .exact import json_kind, rational
 from .groupcheck import (
     GroupCheckError,
     heat_equation_residual,
@@ -31,7 +32,7 @@ from .groupcheck import (
     sample_points,
 )
 from .oracles import IllConditionedFitError, SpectralModel, extract_coefficients
-from .spaces import ModelBuildError, json_int, space_from_descriptor, validate_model
+from .spaces import ModelBuildError, space_from_descriptor, validate_model
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -42,22 +43,42 @@ LAPLACE_TOLERANCE = 1e-5
 HEAT_EQ_TOLERANCE = 1e-4
 
 
-class JobError(ValueError):
-    pass
+class JobError(Exception):
+    """A job that cannot run: main() prints the message and returns the exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _exits(code: int, prefix: str, *errors):
+    """Re-raise any of the given exceptions as a JobError with this exit code."""
+    try:
+        yield
+    except errors as exc:
+        raise JobError(code, f"{prefix}{exc}") from exc
+
+
+def _parsed(build, *args, failed: str = "validation error"):
+    """build(*args): structural faults exit 3, malformed job fields exit 2."""
+    with _exits(EXIT_PARSE, "error: bad job file: ", KeyError, TypeError, ValueError), \
+            _exits(EXIT_VALIDATION, f"{failed}: ", ModelBuildError, BundleError):
+        return build(*args)
 
 
 def _load_job(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             job = json.load(fh)
-    except OSError as exc:
-        raise JobError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise JobError(
-            f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise JobError(EXIT_PARSE, f"error: malformed JSON in {path} at line {exc.lineno} "
+                                   f"column {exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:
+        raise JobError(EXIT_PARSE, f"error: cannot read {path}: {exc}") from exc
     if not isinstance(job, dict):
-        raise JobError(f"{path} must hold a JSON object, not {type(job).__name__}")
+        raise JobError(EXIT_PARSE,
+                       f"error: {path} must hold a JSON object, not {type(job).__name__}")
     return job
 
 
@@ -67,7 +88,7 @@ def _parse_volume(obj):
         return None, 0
     if isinstance(obj, dict):
         coeff = rational(obj.get("coeff", 1))
-        power = json_int(obj.get("pi_power", 0), "pi_power")
+        power = json_kind(obj.get("pi_power", 0), int, "pi_power")
     else:
         coeff, power = rational(obj), 0
     if coeff <= 0:
@@ -77,8 +98,7 @@ def _parse_volume(obj):
 
 def _build_pair(job: dict):
     model = space_from_descriptor(job.get("space", {}))
-    rep = rep_from_descriptor(model, job.get("bundle"), job.get("twist"))
-    return model, rep
+    return model, rep_from_descriptor(model, job.get("bundle"), job.get("twist"))
 
 
 def _emit(text: str, out_path: str | None):
@@ -94,41 +114,20 @@ def _json_dumps(obj) -> str:
 
 
 def cmd_compute(args) -> int:
-    try:
-        job = _load_job(args.job)
-    except JobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        model, rep = _build_pair(job)
-    except (ModelBuildError, BundleError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad job file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    job = _load_job(args.job)
+    model, rep = _parsed(_build_pair, job)
     k_max = args.kmax if args.kmax is not None else job.get("k_max", 2)
-    if isinstance(k_max, bool) or not isinstance(k_max, int):
-        print(f"error: k_max must be an integer, got {k_max!r}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+    with _exits(EXIT_PARSE, "error: ", TypeError):
+        json_kind(k_max, int, "k_max")
+    with _exits(EXIT_TRUNCATION, "error: ", TruncationOverflowError):
         req = HeatRequest(model, rep, k_max)
-    except TruncationOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
 
     vol, pi_power = None, 0
     if args.trace:
-        try:
+        with _exits(EXIT_PARSE, "error: bad volume: ", TypeError, ValueError):
             vol, pi_power = _parse_volume(job.get("volume"))
-        except (TypeError, ValueError) as exc:
-            print(f"error: bad volume: {exc}", file=sys.stderr)
-            return EXIT_PARSE
         if vol is None:
-            print("error: --trace needs a 'volume' entry in the job file",
-                  file=sys.stderr)
-            return EXIT_PARSE
+            raise JobError(EXIT_PARSE, "error: --trace needs a 'volume' entry in the job file")
     coeffs = heat_coefficients(req)
     trace = heat_trace(coeffs, vol) if args.trace else None
     report = coefficient_report(coeffs, trace=trace, mode=args.output,
@@ -141,95 +140,46 @@ def cmd_compute(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    job = _load_job(args.job)
+    model = _parsed(space_from_descriptor, job.get("space", {}), failed="model build failed")
+    checks = list(validate_model(model).checks)
     try:
-        job = _load_job(args.job)
+        rep = _parsed(rep_from_descriptor, model, job.get("bundle"), job.get("twist"),
+                      failed="bundle build failed")
     except JobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        model = space_from_descriptor(job.get("space", {}))
-    except ModelBuildError as exc:
-        print(f"model build failed: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad job file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    report = validate_model(model)
-    checks = list(report.checks)
-    try:
-        rep = rep_from_descriptor(model, job.get("bundle"), job.get("twist"))
-        checks.extend(validate_rep(model, rep).checks)
-    except BundleError as exc:
-        print(f"bundle build failed: {exc}", file=sys.stderr)
-        for c in checks:
-            print(f"{c.name}: {'pass' if c.passed else 'FAIL'}")
-        return EXIT_VALIDATION
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad job file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    ok = True
+        if exc.code == EXIT_VALIDATION:  # the model checks ran: list their verdicts
+            for c in checks:
+                print(f"{c.name}: {'pass' if c.passed else 'FAIL'}")
+        raise
+    checks.extend(validate_rep(model, rep).checks)
     for c in checks:
-        line = f"{c.name}: {'pass' if c.passed else 'FAIL'}"
-        if c.detail:
-            line += f" ({c.detail})"
-        print(line)
-        ok = ok and c.passed
-    return EXIT_OK if ok else EXIT_VALIDATION
+        detail = f" ({c.detail})" if c.detail else ""
+        print(f"{c.name}: {'pass' if c.passed else 'FAIL'}{detail}")
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_VALIDATION
 
 
 def cmd_check_group(args) -> int:
-    try:
-        job = _load_job(args.job)
-        model, rep = _build_pair(job)
-    except JobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ModelBuildError, BundleError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad job file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    results = []
-    try:
-        samples = sample_points(model, args.samples, radius=args.radius,
-                                seed=args.seed)
-        lap_tol = args.tolerance if args.tolerance else LAPLACE_TOLERANCE
+    model, rep = _parsed(_build_pair, _load_job(args.job))
+    with _exits(EXIT_PARSE, "refused: ", GroupCheckError):
+        samples = sample_points(model, args.samples, radius=args.radius, seed=args.seed)
         lap = float(laplace_identity_residual(model, samples, h=args.step))
-        results.append({
-            "check": "laplace-identity",
-            "samples": args.samples,
-            "max_residual": lap,
-            "tolerance": lap_tol,
-            "pass": bool(lap < lap_tol),
-        })
-        heq_tol = args.tolerance if args.tolerance else HEAT_EQ_TOLERANCE
         heq = float(heat_equation_residual(model, rep, samples, [args.time]))
-        results.append({
-            "check": "heat-equation",
-            "samples": args.samples,
-            "max_residual": heq,
-            "tolerance": heq_tol,
-            "pass": bool(heq < heq_tol),
-        })
-    except GroupCheckError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    results = [
+        {"check": name, "samples": args.samples, "max_residual": residual,
+         "tolerance": tol, "pass": bool(residual < tol)}
+        for name, residual, tol in (
+            ("laplace-identity", lap, args.tolerance or LAPLACE_TOLERANCE),
+            ("heat-equation", heq, args.tolerance or HEAT_EQ_TOLERANCE),
+        )
+    ]
     _emit(_json_dumps({"checks": results}), args.out)
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_VALIDATION
 
 
 def cmd_oracle(args) -> int:
-    if args.target != "sphere":
-        print(f"error: unknown oracle target {args.target!r}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+    with _exits(EXIT_PARSE, "error: ", ValueError, IllConditionedFitError):
         sm = SpectralModel(args.n, rational(args.radius))
         values, errors = extract_coefficients(sm, args.kmax)
-    except (ValueError, IllConditionedFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     _emit(_json_dumps({
         "n": args.n,
         "kmax": args.kmax,
@@ -288,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except JobError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -26,13 +26,29 @@ def rational(a=0, b=None):
 
     Floats and bools raise TypeError: a float carries its binary expansion,
     not the decimal it was written as, and JSON true is not a number.
+    Exponent strings ("1e5") and zero denominators raise ValueError; the
+    backend would expand "1e999999999" digit by digit.
     """
     for x in (a, b):
         if isinstance(x, (float, bool)):
             raise TypeError(f"cannot read {x!r} as an exact rational; use a 'p/q' string")
-    if b is None:
-        return _rational_backend(a)
-    return _rational_backend(a, b)
+        if isinstance(x, str) and ("e" in x or "E" in x):
+            raise ValueError(f"cannot read {x!r} as an exact rational; no exponents")
+    try:
+        return _rational_backend(a) if b is None else _rational_backend(a, b)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"cannot read {a!r} as an exact rational: zero denominator") from exc
+
+
+_JSON_KINDS = {int: "an integer", dict: "a JSON object", list: "a JSON array"}
+
+
+def json_kind(value, kind: type, name: str):
+    """A JSON field of one kind (int, dict or list); anything else raises
+    TypeError, so a string is never iterated by character and true is not 1."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 _R_ZERO = rational(0)
@@ -381,8 +397,8 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":
-        rows = [[GaussianRational.from_json(x) for x in row] for row in obj]
-        return cls.from_rows(rows)
+        rows = [json_kind(r, list, "matrix row") for r in json_kind(obj, list, "matrix")]
+        return cls.from_rows([[GaussianRational.from_json(x) for x in r] for r in rows])
 
     def to_float_array(self):
         """Nested list of complex floats (for the numeric check modules)."""

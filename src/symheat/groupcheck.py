@@ -229,6 +229,8 @@ def _x_field(fm: _FloatModel, k: np.ndarray) -> np.ndarray:
 def sample_points(model: SymmetricSpaceModel, count: int, radius: float = 0.5,
                   seed: int = 12345) -> list[np.ndarray]:
     """Deterministic sample points in the ball of the given radius."""
+    if count < 1:
+        raise GroupCheckError(f"need at least one sample point, got {count}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

@@ -23,6 +23,7 @@ from .exact import (
     combination,
     commutator,
     invert,
+    json_kind,
     rational,
 )
 
@@ -489,15 +490,8 @@ def product(models) -> SymmetricSpaceModel:
     return build_model(data)
 
 
-def json_int(value, name: str) -> int:
-    """A JSON integer field; floats, bools and strings raise TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _catalog_dim(params: dict) -> int:
-    n = json_int(params["n"], "n")
+    n = json_kind(params["n"], int, "n")
     if n < 1:
         raise ModelBuildError(f"catalog spaces need n >= 1, got {n}")
     return n
@@ -512,7 +506,7 @@ def catalog_space(name: str, params: dict) -> SymmetricSpaceModel:
     if name == "flat":
         return flat(_catalog_dim(params))
     if name == "product":
-        factors = params.get("factors", [])
+        factors = json_kind(params.get("factors", []), list, "factors")
         if not factors:
             raise ModelBuildError("product needs a 'factors' list")
         return product([space_from_descriptor(f) for f in factors])
@@ -521,17 +515,17 @@ def catalog_space(name: str, params: dict) -> SymmetricSpaceModel:
 
 def space_from_descriptor(obj: dict) -> SymmetricSpaceModel:
     """Parse the JSON space descriptor (catalog or explicit form)."""
-    if "catalog" in obj:
-        return catalog_space(obj["catalog"], obj.get("params", {}))
+    if "catalog" in json_kind(obj, dict, "space"):
+        return catalog_space(obj["catalog"], json_kind(obj.get("params", {}), dict, "params"))
     if "explicit" in obj:
-        body = obj["explicit"]
-        p = json_int(body["p"], "p")
+        body = json_kind(obj["explicit"], dict, "explicit space")
+        p = json_kind(body["p"], int, "p")
         data = CurvatureData(
-            n=json_int(body["n"], "n"),
+            n=json_kind(body["n"], int, "n"),
             p=p,
-            E=tuple(Matrix.from_json(e) for e in body["E"]),
+            E=tuple(Matrix.from_json(e) for e in json_kind(body["E"], list, "E")),
             beta=Matrix.from_json(body["beta"]) if p else Matrix.zeros(0, 0),
-            flat_dim=json_int(body.get("flat_dim", 0), "flat_dim"),
+            flat_dim=json_kind(body.get("flat_dim", 0), int, "flat_dim"),
         )
         return build_model(data)
     raise ModelBuildError("space descriptor needs 'catalog' or 'explicit'")

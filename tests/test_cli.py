@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symheat.cli import main
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
+S2_EXPLICIT = {"n": 2, "p": 1, "flat_dim": 0,
+               "E": [[["0/1", "1/1"], ["-1/1", "0/1"]]], "beta": [["1/1"]]}
 
 
 def write_job(tmp_path, payload, name="job.json"):
@@ -75,6 +80,8 @@ class TestCompute:
         "abc", {"coeff": "4", "pi_power": "x"}, "-1",
         # rationals are "p/q" strings: floats and bools are not read as numbers
         {"coeff": 12.5, "pi_power": 1}, {"coeff": True, "pi_power": 1}, 4.0,
+        # a zero denominator is not a number; exponents are refused before expansion
+        "1/0", {"coeff": "1/0", "pi_power": 1}, "1e5", {"coeff": "1e999999999"},
     ])
     def test_trace_bad_volume(self, tmp_path, capsys, volume):
         job = json.loads((JOBS / "s2_scalar.json").read_text(encoding="utf-8"))
@@ -127,12 +134,33 @@ class TestCompute:
                                 "beta": [[1]]}}},
         {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": [0.5]}},
         {"bundle": {"explicit": {"dimV": 1, "G": {"1,2": [[True]]}}}},
+        {"space": {"catalog": "sphere", "params": {"n": 2, "radius": "1/0"}}},
+        {"space": {"catalog": "sphere", "params": {"n": 2, "radius": "1e999999999"}}},
+        {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": ["1/0"]}},
+        {"space": {"catalog": "flat", "params": {"n": 2}}, "twist": {"blocks": ["1e5"]}},
+        {"bundle": {"explicit": {"dimV": 1, "G": {"1,2": [["1/0"]]}}}},
+        {"space": {"explicit": {**S2_EXPLICIT, "beta": [["1e999999999"]]}}},
+        {"space": {"explicit": {**S2_EXPLICIT, "E": [[["0/1", "1/0"], ["-1/1", "0/1"]]]}}},
+        {"space": {"explicit": {**S2_EXPLICIT, "beta": "1"}}},
+        {"space": {"explicit": {"n": 2, "p": 0, "E": "", "beta": []}}},
+        {"space": {"explicit": {**S2_EXPLICIT, "E": ["0"]}}},
+        {"bundle": {"explicit": {"dimV": 1, "G": {"1,2": "0"}}}},
+        {"bundle": {"explicit": []}},
+        {"space": []},
+        {"space": {"explicit": "x"}},
+        {"space": {"catalog": "product", "params": []}},
+        {"space": {"catalog": "product", "params": {"factors": "ab"}}},
     ], ids=["bad_rational", "bad_dimV", "factors_string", "blocks_fraction_string",
             "blocks_string", "twist_string", "G_array", "G_string", "bundle_array",
             "bundle_zero", "dimV_float", "dimV_bool", "dimV_string", "radius_float",
-            "radius_bool", "E_entry_bool", "block_float", "G_entry_bool"])
+            "radius_bool", "E_entry_bool", "block_float", "G_entry_bool",
+            "radius_zero_denominator", "radius_exponent", "block_zero_denominator",
+            "block_exponent", "G_entry_zero_denominator", "beta_entry_exponent",
+            "E_entry_zero_denominator", "beta_string", "E_string", "E_matrix_string",
+            "G_matrix_string", "bundle_body_array", "space_array", "space_body_string",
+            "product_params_array", "product_factors_string"])
     def test_bad_bundle_rejected(self, tmp_path, capsys, job, command):
-        # blocks and factors must be JSON arrays, not strings read by character
+        # arrays and objects must have their JSON kind, not be strings read by character
         job = {"space": {"catalog": "sphere", "params": {"n": 2}}, **job}
         rc = main([command, write_job(tmp_path, job)])
         assert rc == 2
@@ -147,12 +175,27 @@ class TestCompute:
         if field == "catalog_n":
             space = {"catalog": "sphere", "params": {"n": value}}
         else:
-            s2 = {"n": 2, "p": 1, "flat_dim": 0,
-                  "E": [[["0/1", "1/1"], ["-1/1", "0/1"]]], "beta": [["1/1"]]}
-            space = {"explicit": {**s2, field: value}}
+            space = {"explicit": {**S2_EXPLICIT, field: value}}
         rc = main([command, write_job(tmp_path, {"space": space})])
         assert rc == 2
         assert "error: bad job file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    @pytest.mark.parametrize("dimV", [0, -1])
+    def test_fiber_dimension_below_one_rejected(self, tmp_path, capsys, dimV, command):
+        job = {"space": {"catalog": "sphere", "params": {"n": 2}},
+               "bundle": {"explicit": {"dimV": dimV}}}
+        rc = main([command, write_job(tmp_path, job)])
+        assert rc == 3
+        assert f"dimV >= 1, got {dimV}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"k_max": "\xff"}', b'{"k_max": ' + b"1" * 5000 + b"}"],
+                             ids=["not_utf8", "integer_too_long"])
+    def test_undecodable_job_file(self, tmp_path, capsys, content):
+        path = tmp_path / "job.json"
+        path.write_bytes(content)
+        assert main(["compute", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
 
     def test_text_format(self, capsys):
         rc = main(["compute", str(JOBS / "s2_scalar.json"), "--format", "text"])
@@ -240,7 +283,9 @@ class TestCheckGroup:
         assert "N <= 6" in err
 
     @pytest.mark.parametrize("params", [{"radius": "1"}, {"n": 2, "radius": "x"},
-                                        {"n": 2, "radius": 0.1}, {"n": 2, "radius": True}])
+                                        {"n": 2, "radius": 0.1}, {"n": 2, "radius": True},
+                                        {"n": 2, "radius": "1/0"}, {"n": 2, "radius": "1e5"},
+                                        {"n": 2, "radius": "1e999999999"}])
     def test_bad_sphere_params(self, tmp_path, capsys, params):
         job = {"space": {"catalog": "sphere", "params": params},
                "bundle": {"catalog": "scalar"}}
@@ -248,6 +293,12 @@ class TestCheckGroup:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_refused(self, capsys, samples):
+        rc = main(["check-group", str(JOBS / "s2_scalar.json"), "--samples", samples])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("refused:")
 
     def test_tolerance_override(self, capsys):
         rc = main(["check-group", str(JOBS / "s2_scalar.json"), "--samples", "2",
@@ -283,3 +334,65 @@ class TestDeterminism:
             assert main(args) == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root first, as a tuple of keys."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+_LEAVES = st.sampled_from([
+    -1, 0, 1, 2, 3, 4, None, True, 0.5, "1/0", "1e999999999", "x", "1/2", "", "1,2",
+    "sphere", "product", "explicit", "spinor", "vector",
+])
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["catalog", "explicit", "params", "n", "p", "E",
+                                     "beta", "dimV", "G", "factors", "blocks", "radius"]),
+                    inner, max_size=3),
+), max_leaves=6)
+
+
+@st.composite
+def mutated_jobs(draw):
+    """A jobs/*.json job with one to three leaves or subtrees replaced,
+    deleted or wrapped in an array."""
+    job = json.loads(draw(st.sampled_from(sorted(JOBS.glob("*.json")))).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["leaf", "subtree", "delete", "wrap"]))
+        paths = list(_paths(job))
+        if op == "leaf":
+            paths = [q for q in paths if not isinstance(_at(job, q), (dict, list))] or paths
+        path = draw(st.sampled_from(paths))
+        if not path:  # the root itself: wrap or replace the whole job
+            job = [job] if op == "wrap" else draw(_VALUES)
+            continue
+        parent = _at(job, path[:-1])
+        if op == "delete":
+            del parent[path[-1]]
+        elif op == "wrap":
+            parent[path[-1]] = [parent[path[-1]]]
+        else:
+            parent[path[-1]] = draw(_LEAVES if op == "leaf" else _VALUES)
+    return job
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(job=mutated_jobs())
+def test_mutated_jobs_end_in_documented_exit_codes(tmp_path_factory, job):
+    # any malformed job must end in a documented exit code, never a traceback
+    path = tmp_path_factory.getbasetemp() / "mutated_job.json"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    for argv in (["compute", str(path), "-k", "2"], ["validate", str(path)]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3, 4), (argv, job)
