@@ -43,7 +43,8 @@ class FiberRep:
 
     G is the full antisymmetric table G[a][b] (dimV x dimV matrices with
     G[b][a] = -G[a][b]); B is the n x n fiber-scalar twist; R holds the
-    p holonomy generators; Omega the total curvature table.
+    p holonomy generators; Omega the total curvature table.  report is the
+    validate_rep verdict build_rep reached on it.
     """
 
     model: SymmetricSpaceModel
@@ -53,6 +54,7 @@ class FiberRep:
     R: tuple
     casimir: Matrix
     Omega: tuple
+    report: ValidationReport | None = None
 
 
 def _normalize_generators(n: int, dimV: int, G) -> tuple:
@@ -164,7 +166,8 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
 
     G may be a dict {(a, b): matrix} for a < b or a full n x n table; B
     defaults to zero.  Raises BundleError when the so(n) relations, the
-    twist support constraint, or the holonomy bracket fail.
+    twist support constraint, or the holonomy bracket fail; the passing
+    report is kept as rep.report.
     """
     n, p = model.n, model.p
     if dimV is None:
@@ -205,9 +208,9 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
 
     rep = FiberRep(model=model, dimV=dimV, G=table, B=B, R=R,
                    casimir=casimir, Omega=omega)
-    report = validate_rep(model, rep)
-    if not report.ok:
-        raise BundleError(f"fiber checks failed: {', '.join(report.failed())}")
+    rep.report = validate_rep(model, rep)
+    if not rep.report.ok:
+        raise BundleError(f"fiber checks failed: {', '.join(rep.report.failed())}")
     return rep
 
 

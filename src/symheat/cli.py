@@ -6,7 +6,8 @@ as a rational coefficient together with a pi power, and traced invariants
 are reported the same way.
 
 Exit codes: 0 success, 2 unreadable/invalid input, 3 validation or check
-failure, 4 truncation overflow.
+failure (a weight not invariant under the holonomy algebra included),
+4 truncation overflow.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .bundles import BundleError, rep_from_descriptor, validate_rep
+from .bundles import BundleError, rep_from_descriptor
 from .engine import (
     HeatRequest,
+    HolonomyAverageError,
     TruncationOverflowError,
     coefficient_report,
     heat_coefficients,
@@ -119,7 +121,8 @@ def cmd_compute(args) -> int:
     k_max = args.kmax if args.kmax is not None else job.get("k_max", 2)
     with _exits(EXIT_PARSE, "error: ", TypeError):
         json_kind(k_max, int, "k_max")
-    with _exits(EXIT_TRUNCATION, "error: ", TruncationOverflowError):
+    with _exits(EXIT_TRUNCATION, "error: ", TruncationOverflowError), \
+            _exits(EXIT_VALIDATION, "error: ", HolonomyAverageError):
         req = HeatRequest(model, rep, k_max)
 
     vol, pi_power = None, 0
@@ -128,7 +131,8 @@ def cmd_compute(args) -> int:
             vol, pi_power = _parse_volume(job.get("volume"))
         if vol is None:
             raise JobError(EXIT_PARSE, "error: --trace needs a 'volume' entry in the job file")
-    coeffs = heat_coefficients(req)
+    with _exits(EXIT_VALIDATION, "error: ", HolonomyAverageError):
+        coeffs = heat_coefficients(req)
     trace = heat_trace(coeffs, vol) if args.trace else None
     report = coefficient_report(coeffs, trace=trace, mode=args.output,
                                 pi_power=pi_power)
@@ -151,7 +155,7 @@ def cmd_validate(args) -> int:
             for c in checks:
                 print(f"{c.name}: {'pass' if c.passed else 'FAIL'}")
         raise
-    checks.extend(validate_rep(model, rep).checks)
+    checks.extend(rep.report.checks)
     for c in checks:
         detail = f" ({c.detail})" if c.detail else ""
         print(f"{c.name}: {'pass' if c.passed else 'FAIL'}{detail}")

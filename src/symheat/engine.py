@@ -13,13 +13,24 @@ where <.> is the Gaussian holonomy average.  The exponential prefactor
 and the averaged bracket commute because [R^2, R_i] = 0 (checked at rep
 build time), so the factor order above is the one used verbatim.
 
-The bracket is an omega-polynomial with one exact value per monomial
+The bracket is Ad-equivariant in w and the weight exp(-<w, beta w>/4) is
+Ad-invariant (beta F_j antisymmetric, checked by HeatRequest), so the
+Weyl integration formula for the compact algebra h turns the average
+over its p variables into one over the r = rank h variables y of a
+Cartan subalgebra t:  <phi>_h = <phi W>_t / <W>_t  for invariant phi,
+with the Weyl density W(y) = prod_{alpha>0} alpha(y)^2 = e_(p-r)(F(y)).
+For a matrix fiber and r < p, the t-average is projected onto the
+commutant of the R_i, where the h-average lies; the trace pairing with a
+commutant basis is invariant, so it fixes that projection.  For an
+abelian h, t = h, W = 1 and there is no projection.
+
+The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
 exponents of the two determinant factors; cosh and the determinant
-factors take their pencil powers from the same sparse routine.  The
-average turns the bracket into a list of t-coefficients, the prefactor
-is the list [M^k / k!], the twist factor is the list of its
-t-coefficients, and a_k is the t^k coefficient of the three lists'
+factors take their pencil powers, restricted to t, from the same sparse
+routine.  The average turns the bracket into a list of t-coefficients,
+the prefactor is the list [M^k / k!], the twist factor is the list of
+its t-coefficients, and a_k is the t^k coefficient of the three lists'
 product.
 
 pi never appears: coefficients and traced invariants are exact rationals.
@@ -29,9 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import FiberRep
-from .exact import GaussianRational, Matrix, rational, rational_to_str
-from .series import cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series
-from .spaces import SymmetricSpaceModel
+from .exact import (
+    GaussianRational, Matrix, ZERO, combination, invert, kernel, rational, rational_to_str,
+)
+from .series import (
+    cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series, weyl_density,
+)
+from .spaces import SymmetricSpaceModel, index_pairs, weight_invariance
 from .wick import GaussianWeight, average_poly
 
 K_MAX_LIMIT = 6
@@ -45,6 +60,12 @@ class TruncationOverflowError(ValueError):
 
 class RepModelMismatchError(ValueError):
     """The fiber representation was built against a different model."""
+
+
+class HolonomyAverageError(ValueError):
+    """The holonomy average cannot be taken over a Cartan subalgebra: the
+    weight is not invariant under h (beta-f-invariance fails), or no
+    candidate subalgebra is abelian with a nonzero Weyl density."""
 
 
 @dataclass(frozen=True)
@@ -61,6 +82,12 @@ class HeatRequest:
         rep_model = self.rep.model
         if rep_model is not self.model and rep_model.data != self.model.data:
             raise RepModelMismatchError("rep was built for a different model")
+        check = weight_invariance(self.model)
+        if not check.passed:
+            raise HolonomyAverageError(
+                f"{check.name} fails ({check.detail}): the weight exp(-<w, beta w>/4) "
+                "is not invariant under the holonomy algebra"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,12 +121,19 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     degree = 2 * k_max
     dimV = rep.dimV
 
-    f_cosh = cosh_pencil(rep.R, dimV, degree)
+    # the bracket on a Cartan subalgebra t, averaged with the Weyl density
+    basis, density = cartan_subalgebra(model.F)
+    f_cosh = cosh_pencil(rep.R, dimV, degree, basis)
     # the two det(sinhc) factors as exponents, added and exponentiated once
-    f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree)
-    f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree)
+    f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree, basis)
+    f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree, basis)
     bracket = f_cosh * (f_hol + f_tan).exp()
-    averaged = average_poly(bracket, GaussianWeight.from_beta(model.beta))
+    embed = Matrix.from_rows([[v[i] for v in basis] for i in range(model.p)])
+    weight = GaussianWeight.from_beta(embed.transpose() * model.beta * embed, density)
+    averaged = average_poly(bracket, weight)
+    if len(basis) < model.p and dimV > 1:
+        project = _commutant_projection(rep.R, basis)
+        averaged = [project(a) for a in averaged]
 
     exponent_matrix = Matrix.identity(dimV).scale(
         model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)
@@ -119,6 +153,86 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     if coeffs[0] != Matrix.identity(dimV):
         raise AssertionError("a_0 is not the identity")
     return HeatCoefficients(n=model.n, dimV=dimV, a=tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Cartan subalgebra and commutant
+
+
+def cartan_subalgebra(F) -> tuple:
+    """A Cartan subalgebra t of h and its Weyl density, as (basis, W).
+
+    basis holds r coefficient vectors over the D_i, and W = e_(p-r)(F(y))
+    on t (series.weyl_density) is nonzero exactly when an abelian span is
+    a Cartan subalgebra.  The first candidate that is abelian with W != 0
+    is taken: the pairwise-commuting basis generators picked greedily, then
+    the centralizer ker F(x) of a few fixed integer points x.  For an
+    abelian h the greedy pick is every generator, t = h and W = 1.
+    """
+    p = len(F)
+    for basis in _cartan_candidates(F):
+        ads = [combination(zip(v, F), p) for v in basis]
+        if any(ads[a] * Matrix(p, 1, basis[b]) for a, b in index_pairs(len(basis))):
+            continue
+        density = weyl_density(F, basis)
+        if density:
+            return basis, density
+    raise HolonomyAverageError("no Cartan subalgebra with a nonzero Weyl density found")
+
+
+def _cartan_candidates(F):
+    """Greedy pairwise-commuting generators (D_i and D_k commute iff column
+    k of F_i vanishes), then ker F(x) for x = (1^m, 2^m, .., p^m), m = 1, 2, 3."""
+    p = len(F)
+    picked = []
+    for i in range(p):
+        if all(not F[i][j, k] for k in picked for j in range(p)):
+            picked.append(i)
+    yield [tuple(int(i == j) for j in range(p)) for i in picked]
+    for m in (1, 2, 3):
+        fx = combination(((x**m, f) for x, f in enumerate(F, 1)), p)
+        rows = [{k: v for k, v in enumerate(fx.row(j)) if v} for j in range(p)]
+        yield [tuple(vec.get(i, ZERO) for i in range(p)) for vec in kernel(rows, p)]
+
+
+def _commutant_projection(R, basis):
+    """The projection onto the commutant of the R_i, as a function of a matrix A.
+
+    The commutant basis Gamma_b solves [R_i, X] = 0 (exact.kernel, with the
+    Cartan generators sum_i v[i] R_i first, since they settle most
+    unknowns).  The projection P(A) is the commutant element with
+    tr(Gamma_b P(A)) = tr(Gamma_b A) for every b.  This pairing vanishes on
+    every [R_i, Y], so P is the average over the holonomy group for any
+    fiber generators, anti-Hermitian or not.
+    """
+    dim = R[0].rows
+    eqs = []
+    for g in [combination(zip(v, R), dim) for v in basis] + list(R):
+        rows = {}
+        # [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c], X[k,c] is unknown k*dim + c
+        for a in range(dim):
+            for b, v in enumerate(g.row(a)):
+                if v:
+                    for c in range(dim):
+                        row = rows.setdefault((a, c), {})
+                        row[b * dim + c] = row.get(b * dim + c, ZERO) + v
+                        row = rows.setdefault((c, b), {})
+                        row[c * dim + a] = row.get(c * dim + a, ZERO) - v
+        eqs.extend(rows.values())
+    gammas = [Matrix(dim, dim, [vec.get(u, ZERO) for u in range(dim * dim)])
+              for vec in kernel(eqs, dim * dim)]
+    # the dual basis under the trace pairing: tr(Gamma_b dual_c) = delta_bc
+    gram_inv = invert(Matrix.from_rows([[_trace_pairing(a, b) for b in gammas]
+                                        for a in gammas]))
+    duals = [combination(zip(gram_inv.row(b), gammas), dim) for b in range(len(gammas))]
+    return lambda a: combination(((_trace_pairing(g, a), d) for g, d in zip(gammas, duals)),
+                                 dim)
+
+
+def _trace_pairing(a: Matrix, b: Matrix):
+    """tr(A B) over the nonzero entries of A."""
+    n = a.rows
+    return sum((x * b[c, r] for r in range(n) for c, x in enumerate(a.row(r)) if x), ZERO)
 
 
 def heat_trace(coeffs: HeatCoefficients, volume) -> HeatTraceResult:

@@ -3,9 +3,9 @@
 Scalars are a + b*i with arbitrary-precision rational a, b, so every
 operation in the pipeline (spinor generators need +-i, all coefficients
 stay rational) closes inside one field.  No floating point lives here.
-The only linear-algebra routine is `invert`, a Gauss-Jordan inverse for
-the small p x p matrices of the models (beta and the Gram matrix of the
-holonomy generators).
+The linear-algebra routines are `invert`, a Gauss-Jordan inverse for
+the small matrices of the models (beta and Gram matrices), and `kernel`,
+a sparse Gauss-Jordan null space (Cartan subalgebras and commutants).
 
 Uses gmpy2.mpq for the rational backend when available, falling back to
 fractions.Fraction; both print as "p/q" and sit in the numbers.Rational
@@ -443,3 +443,50 @@ def invert(a: Matrix) -> Matrix:
             if r != c and f:
                 rows[r] = [x - f * y if y else x for x, y in zip(rows[r], pivot_row)]
     return Matrix.from_rows([row[n:] for row in rows])
+
+
+def kernel(rows, ncols: int) -> list:
+    """A basis of the null space of the sparse rows {column: value} in ncols unknowns.
+
+    Gauss-Jordan on dicts: each row is reduced by the pivot rows kept so
+    far, and its new pivot is eliminated from them, so every kept row has
+    a 1 at its pivot and no other pivot column; only nonzeros are touched.
+    Rows that settle many unknowns should come first.  The basis holds one
+    {column: value} vector per free column f, with 1 at f, in order of f.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: GaussianRational.of(v) for c, v in row.items() if v}
+        for c in [c for c in row if c in pivots]:
+            f = row.pop(c)
+            for k, v in pivots[c].items():
+                if k != c:
+                    x = row.get(k, ZERO) - f * v
+                    if x:
+                        row[k] = x
+                    else:
+                        row.pop(k, None)
+        if not row:
+            continue
+        pc = min(row)
+        inv = ONE / row[pc]
+        row = {k: v * inv for k, v in row.items()}
+        for prow in pivots.values():
+            g = prow.pop(pc, None)
+            if g is None:
+                continue
+            for k, v in row.items():
+                if k != pc:
+                    x = prow.get(k, ZERO) - g * v
+                    if x:
+                        prow[k] = x
+                    else:
+                        prow.pop(k, None)
+        pivots[pc] = row
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {f: ONE}
+            vec.update((pc, -prow[f]) for pc, prow in pivots.items() if f in prow)
+            basis.append(vec)
+    return basis

@@ -6,9 +6,10 @@ from power sums of pencil powers, the cosh of a matrix pencil, matrix
 exponentials, and the twist factor.  Determinants of series-valued
 matrices are never computed by cofactor expansion; only traces of matrix
 powers enter.  There is one routine for pencil powers (_pencil_step,
-sparse, shared by cosh and the det factors) and one exp recurrence
-(SeriesPoly.exp, which also gives the twist factor as a list of
-t-coefficients).
+sparse, shared by cosh, the det factors and the Weyl density) and one
+exp recurrence (SeriesPoly.exp, which also gives the twist factor as a
+list of t-coefficients).  A pencil may be restricted to the span of a
+few coefficient vectors (a Cartan subalgebra), one omega per vector.
 
 In every polynomial built here each omega variable carries exactly one
 factor of s, so a term's s-power is its omega-degree until the Gaussian
@@ -20,7 +21,7 @@ computation and every operation truncates against it.
 from __future__ import annotations
 
 import math
-from .exact import GaussianRational, Matrix, ZERO, rational
+from .exact import GaussianRational, Matrix, ZERO, combination, rational
 
 
 class SeriesPoly:
@@ -138,17 +139,21 @@ def log_sinhc_coeffs(order: int) -> list:
     return coeffs
 
 
-def _sparse_generators(mats, scale, exponent=1):
+def _sparse_generators(mats, scale, exponent=1, basis=None):
     """The generators scale*A_i as {row: {col: value}}, and the exponent.
 
-    Values are plain rationals when every one of them and the exponent is
-    real, and GaussianRational otherwise.  Later steps only add, multiply
-    and test for zero, so both kinds share one code path.
+    With a basis (coefficient vectors T_a over the A_i) the generators are
+    scale*B_a with B_a = sum_i T_a[i] A_i, the pencil restricted to the
+    span of the T_a.  Values are plain rationals when every one of them
+    and the exponent is real, and GaussianRational otherwise.  Later steps
+    only add, multiply and test for zero, so both kinds share one code path.
     """
-    dim = mats[0].rows
+    dim = mats[0].rows if mats else 0
     for a in mats:
         if a.rows != a.cols or a.rows != dim:
             raise ValueError("pencil matrices must be square of a common size")
+    if basis is not None:
+        mats = [combination(zip(t, mats), dim) for t in basis]
     scale, exponent = GaussianRational.of(scale), GaussianRational.of(exponent)
     gens = []
     for a in mats:
@@ -224,19 +229,26 @@ def _power_sum(pa, pb):
     return {mono: v for mono, v in out.items() if v}
 
 
-def _cayley_hamilton_power_sums(psums: dict, dim: int, top: int, zero_mono):
-    """Add p_k for dim < k <= top to psums, which holds p_1 .. p_dim.
-
-    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i give the
-    characteristic coefficients e_1 .. e_dim of the dim x dim pencil, and
-    Cayley-Hamilton gives p_k = sum_{j=1..dim} (-1)^(j-1) e_j p_(k-j).
-    """
+def _elementary_symmetric(psums: dict, top: int, zero_mono) -> list:
+    """[e_0 .. e_top] from the power sums p_1 .. p_top by Newton's identities,
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i."""
     e = [{zero_mono: 1}]
-    for k in range(1, dim + 1):
+    for k in range(1, top + 1):
         acc = {}
         for i in range(1, k + 1):
             _add_products(acc, e[k - i], psums[i], (-1) ** (i - 1))
         e.append({mono: v / k for mono, v in acc.items() if v})
+    return e
+
+
+def _cayley_hamilton_power_sums(psums: dict, dim: int, top: int, zero_mono):
+    """Add p_k for dim < k <= top to psums, which holds p_1 .. p_dim.
+
+    The characteristic coefficients e_1 .. e_dim of the dim x dim pencil
+    come from Newton's identities, and Cayley-Hamilton gives
+    p_k = sum_{j=1..dim} (-1)^(j-1) e_j p_(k-j).
+    """
+    e = _elementary_symmetric(psums, dim, zero_mono)
     for k in range(dim + 1, top + 1):
         acc = {}
         for j in range(1, dim + 1):
@@ -244,44 +256,48 @@ def _cayley_hamilton_power_sums(psums: dict, dim: int, top: int, zero_mono):
         psums[k] = {mono: v for mono, v in acc.items() if v}
 
 
-def det_sinhc_pencil(mats, scale, exponent, degree: int) -> SeriesPoly:
+def _direct_power_sums(gens, dim: int, top: int, zero_mono, odd: bool = True) -> dict:
+    """p_j = tr[A(omega)^j] for 1 <= j <= top (even j only unless odd) as
+    {j: {monomial: value}}: the sum over monomial pairs (mu, nu) of
+    tr(P_a[mu] P_b[nu]) at mu + nu, with P_m = A(omega)^m, a = floor(j/2)
+    and b = ceil(j/2)."""
+    powers = [{zero_mono: {r: {r: 1} for r in range(dim)}}]
+    for _ in range((top + 1) // 2):
+        powers.append(_pencil_step(powers[-1], gens))
+    return {j: _power_sum(powers[j // 2], powers[(j + 1) // 2])
+            for j in range(1, top + 1) if odd or j % 2 == 0}
+
+
+def det_sinhc_pencil(mats, scale, exponent, degree: int, basis=None) -> SeriesPoly:
     """The exponent f with det(sinhc(s*scale*A(omega)))^exponent = f.exp().
 
     With A(omega) = sum_i omega^i A_i and M = degree, f is the scalar-valued
     polynomial exponent * sum_m c_2m p_2m truncated at degree M, where
     p_j = tr[(scale*A(omega))^j] and c_2m are the log-sinhc coefficients;
-    cofactor expansion never appears.  Exponents of several factors add,
-    so their product costs one exp.  The work is done on plain
-    {monomial: value} dicts:
+    cofactor expansion never appears.  With a basis the pencil is
+    restricted to its span (see _sparse_generators), one omega per basis
+    vector.  Exponents of several factors add, so their product costs one
+    exp.  The work is done on plain {monomial: value} dicts:
 
     - each scale*A_i is stored sparsely as {row: {col: value}}, over plain
       rationals when every scaled entry and the exponent are real (every
       catalog space) and over GaussianRational otherwise, with one code
       path for both;
-    - with P_m = A(omega)^m and dim the matrix size, p_j for
-      j <= min(dim, M) is the sum over monomial pairs (mu, nu) of
-      tr(P_a[mu] P_b[nu]) at mu + nu, a = floor(j/2), b = ceil(j/2);
+    - with dim the matrix size, p_j for j <= min(dim, M) comes from the
+      pencil powers (_direct_power_sums);
     - when dim < M, the power sums past dim come from p_1 .. p_dim by
       Newton's identities and Cayley-Hamilton, so their cost stops growing
       with M.  Odd p_j are needed only there; they vanish for
       antisymmetric generators.
     """
-    p = len(mats)
+    gens, exponent = _sparse_generators(mats, scale, exponent, basis)
+    p = len(gens)
     if p == 0:
         return SeriesPoly(0, 1, degree)
-    gens, exponent = _sparse_generators(mats, scale, exponent)
     dim, zero_mono = mats[0].rows, (0,) * p
     top = degree - degree % 2
     recur = dim < top
-    direct = min(dim, top)
-
-    powers = [{zero_mono: {r: {r: 1} for r in range(dim)}}]
-    for _ in range((direct + 1) // 2):
-        powers.append(_pencil_step(powers[-1], gens))
-    psums = {
-        j: _power_sum(powers[j // 2], powers[(j + 1) // 2])
-        for j in range(1, direct + 1) if recur or j % 2 == 0
-    }
+    psums = _direct_power_sums(gens, dim, min(dim, top), zero_mono, odd=recur)
     if recur:
         _cayley_hamilton_power_sums(psums, dim, top, zero_mono)
 
@@ -294,19 +310,36 @@ def det_sinhc_pencil(mats, scale, exponent, degree: int) -> SeriesPoly:
     return SeriesPoly(p, 1, degree, f)
 
 
-def cosh_pencil(mats, dim: int, degree: int) -> SeriesPoly:
+def weyl_density(mats, basis) -> dict:
+    """W(y) = e_(p-r)(A(y)) on the span of r basis vectors, as {monomial: value}.
+
+    For the adjoint pencil A_i = F_i of h and a Cartan subalgebra t, A(y)
+    has r zero eigenvalues and the pairs +-i alpha(y), one per positive
+    root, so e_(p-r) = prod_{alpha>0} alpha(y)^2, the Weyl density; it is
+    the zero polynomial when the span is not a Cartan subalgebra.  The
+    coefficients e_k come from the pencil power sums by Newton's identities.
+    """
+    p, r = len(mats), len(basis)
+    zero_mono = (0,) * r
+    gens, _ = _sparse_generators(mats, 1, 1, basis)
+    psums = _direct_power_sums(gens, p, p - r, zero_mono)
+    return _elementary_symmetric(psums, p - r, zero_mono)[p - r]
+
+
+def cosh_pencil(mats, dim: int, degree: int, basis=None) -> SeriesPoly:
     """cosh(s*R(omega)) = sum_m s^(2m) R(omega)^(2m) / (2m)!, matrix-valued.
 
     The powers R(omega)^j come from the sparse _pencil_step, as for the
     det(sinhc) factors; the even ones, scaled by 1/j!, become Matrix values.
+    With a basis the pencil is restricted to its span, as there.
     """
-    p = len(mats)
+    if mats and mats[0].rows != dim:
+        raise ValueError("pencil matrices must match the fiber dimension")
+    gens, _ = _sparse_generators(mats, 1, 1, basis)
+    p = len(gens)
     terms = {(0,) * p: Matrix.identity(dim)}
     if p == 0:
         return SeriesPoly(p, dim, degree, terms)
-    if mats[0].rows != dim:
-        raise ValueError("pencil matrices must match the fiber dimension")
-    gens, _ = _sparse_generators(mats, 1)
     power = {(0,) * p: {r: {r: 1} for r in range(dim)}}
     for j in range(1, degree + 1):
         power = _pencil_step(power, gens)

@@ -286,6 +286,13 @@ def first_failure(name: str, items, holds, label: str = "indices") -> CheckResul
     return CheckResult(name, bad is None, "" if bad is None else f"{label} {bad}")
 
 
+def weight_invariance(m: SymmetricSpaceModel) -> CheckResult:
+    """beta F_j is antisymmetric for every j: the weight exp(-<w, beta w>/4)
+    is invariant under the holonomy algebra."""
+    return first_failure("beta-f-invariance", range(m.p),
+                         lambda j: (bf := m.beta * m.F[j]).transpose() == -bf, "index")
+
+
 def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
     """Run every exact structural check; failures are report entries."""
     checks = []
@@ -335,8 +342,7 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
         first_failure("holonomy-bracket", index_pairs(p), bracket_holds, "pair"),
         first_failure("e-d-f-compatibility", itertools.product(range(p), repeat=2),
                       e_d_f_holds, "pair"),
-        first_failure("beta-f-invariance", range(p),
-                      lambda j: (bf := beta * F[j]).transpose() == -bf, "index"),
+        weight_invariance(m),
         first_failure("adjoint-closure", index_pairs(N), adjoint_holds, "pair"),
         first_failure("gamma-invariance", range(N),
                       lambda c: (gc := m.gamma * C[c]).transpose() == -gc, "index"),

@@ -2,7 +2,8 @@
 
 The average <.> carries weight exp(-<w, beta w>/4) normalized to <1> = 1,
 for ANY invertible symmetric rational beta — indefinite and negative
-definite included.  Realizing the average through the Wick pairing rules
+definite included — optionally times a polynomial density (the Weyl
+density when the average runs over a Cartan subalgebra).  Realizing the average through the Wick pairing rules
 (each pair contributes 2 beta^{ij}) makes the contour bookkeeping of the
 compact/noncompact cases unnecessary: the resulting coefficients are the
 same polynomials either way.
@@ -26,28 +27,33 @@ _GR = GaussianRational.of
 
 
 class GaussianWeight:
-    """Inverse covariance data beta^{ik} for the holonomy average."""
+    """Inverse covariance data beta^{ik} for the holonomy average, and an
+    optional polynomial density {monomial: value} that multiplies the
+    Gaussian weight (None stands for 1)."""
 
-    __slots__ = ("p", "beta", "beta_inv", "_pairing_cache", "_q_powers")
+    __slots__ = ("p", "beta", "beta_inv", "density", "_pairing_cache", "_q_powers")
 
-    def __init__(self, beta: Matrix, beta_inv: Matrix):
+    def __init__(self, beta: Matrix, beta_inv: Matrix, density: dict | None = None):
         if beta.rows != beta.cols or beta_inv.rows != beta.rows:
             raise ValueError("beta and its inverse must be square of equal size")
         if beta.transpose() != beta:
             raise ValueError("beta must be symmetric")
         if beta * beta_inv != Matrix.identity(beta.rows):
             raise ValueError("beta_inv is not the exact inverse of beta")
+        if density is not None and any(len(mono) != beta.rows for mono in density):
+            raise ValueError("density monomials must have one exponent per variable")
         self.p = beta.rows
         self.beta = beta
         self.beta_inv = beta_inv
+        self.density = density
         self._pairing_cache = {(): GaussianRational(1)}
         self._q_powers = {}
 
     @classmethod
-    def from_beta(cls, beta: Matrix) -> "GaussianWeight":
+    def from_beta(cls, beta: Matrix, density: dict | None = None) -> "GaussianWeight":
         if beta.rows == 0:
-            return cls(Matrix.zeros(0, 0), Matrix.zeros(0, 0))
-        return cls(beta, invert(beta))
+            return cls(Matrix.zeros(0, 0), Matrix.zeros(0, 0), density)
+        return cls(beta, invert(beta), density)
 
 
 def average_monomial(indices, w: GaussianWeight) -> GaussianRational:
@@ -157,17 +163,27 @@ def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
     """The t-coefficients of the average of a Matrix-valued polynomial.
 
     A degree-d monomial carries s^d, so its average lands at t^(d/2);
-    odd-degree monomials must average to zero.
+    odd-degree monomials must average to zero.  With a density W the
+    average is <. W> / <W>: W multiplies every moment but adds no s-power.
     """
     if poly.p != w.p:
         raise ValueError("polynomial and weight have different variable counts")
+    density = {(0,) * w.p: 1} if w.density is None else w.density
+
+    def moment(mono):
+        return sum((c * average_monomial(mono_to_indices(tuple(a + b for a, b in zip(mono, nu))), w)
+                    for nu, c in density.items()), ZERO)
+
+    norm = moment((0,) * w.p)
+    if norm.is_zero():
+        raise ValueError("the density averages to zero")
     out = [Matrix.zeros(poly.dim)] * (poly.degree // 2 + 1)
     for mono, v in poly.terms.items():
-        mom = average_monomial(mono_to_indices(mono), w)
+        mom = moment(mono)
         if mom.is_zero():
             continue
         d = sum(mono)
         if d % 2 == 1:
             raise AssertionError("odd power of sqrt(t) survived the average")
-        out[d // 2] = out[d // 2] + v.scale(mom)
+        out[d // 2] = out[d // 2] + v.scale(mom / norm)
     return out

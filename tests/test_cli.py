@@ -19,6 +19,15 @@ def write_job(tmp_path, payload, name="job.json"):
     return str(path)
 
 
+def s3_explicit(beta_diag):
+    """Explicit S3 on the frame E_12, E_13, E_23 with a diagonal beta."""
+    def e(a, b):
+        return [["1/1" if (i, j) == (a, b) else "-1/1" if (j, i) == (a, b) else "0/1"
+                 for j in range(3)] for i in range(3)]
+    beta = [[x if i == j else "0/1" for j in range(3)] for i, x in enumerate(beta_diag)]
+    return {"n": 3, "p": 3, "flat_dim": 0, "E": [e(0, 1), e(0, 2), e(1, 2)], "beta": beta}
+
+
 def scalar_entries(report):
     return [entry["matrix"][0][0] for entry in report["a"]]
 
@@ -197,6 +206,16 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read")
 
+    def test_non_invariant_weight_refused(self, tmp_path, capsys):
+        # beta = diag(1, 2, 3) on the so(3) frame of S3: the model builds, but
+        # beta F_j is not antisymmetric, so the holonomy average is undefined
+        job = {"space": {"explicit": s3_explicit(["1/1", "2/1", "3/1"])},
+               "bundle": {"catalog": "scalar"}}
+        rc = main(["compute", write_job(tmp_path, job)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "beta-f-invariance" in err
+
     def test_text_format(self, capsys):
         rc = main(["compute", str(JOBS / "s2_scalar.json"), "--format", "text"])
         assert rc == 0
@@ -224,6 +243,24 @@ class TestValidate:
         assert rc == 0
         assert "FAIL" not in out
         assert "fiber-so-n-relations: pass" in out
+
+    def test_rep_checks_run_once(self, capsys, monkeypatch):
+        # the verdict build_rep reached is listed; validate_rep does not run again
+        from symheat import bundles, cli
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return validate_rep(*args)
+
+        validate_rep = bundles.validate_rep
+        monkeypatch.setattr(bundles, "validate_rep", counting)
+        # also catch a name imported into the CLI module
+        monkeypatch.setattr(cli, "validate_rep", counting, raising=False)
+        assert main(["validate", str(JOBS / "s2_spinor.json")]) == 0
+        assert "fiber-holonomy-bracket: pass" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_bad_beta_named_in_output(self, tmp_path, capsys):
         # beta not proportional to the invariant form: the model builds but

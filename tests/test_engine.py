@@ -5,27 +5,50 @@ import pytest
 
 from symheat import engine
 from symheat.bundles import (
+    build_rep,
     catalog_rep,
     rep_from_descriptor,
     scalar_rep,
+    spin_generator_table,
     spinor_rep,
     vector_rep,
 )
 from symheat.engine import (
     HeatCoefficients,
     HeatRequest,
+    HolonomyAverageError,
     RepModelMismatchError,
     TruncationOverflowError,
+    _cartan_candidates,
+    cartan_subalgebra,
     coefficient_report,
     heat_coefficients,
     heat_trace,
     render_report_text,
 )
-from symheat.exact import GaussianRational, Matrix, rational
-from symheat.series import SeriesPoly, det_sinhc_numeric
-from symheat.spaces import flat, hyperbolic, product, space_from_descriptor, sphere
+from symheat.exact import GaussianRational, Matrix, combination, invert, rational
+from symheat.series import (
+    SeriesPoly,
+    cosh_pencil,
+    det_sinhc_numeric,
+    det_sinhc_pencil,
+    matrix_exp_series,
+    weyl_density,
+)
+from symheat.spaces import (
+    CurvatureData,
+    build_model,
+    flat,
+    hyperbolic,
+    product,
+    space_from_descriptor,
+    sphere,
+)
+from symheat.wick import GaussianWeight, average_poly
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+HALF = rational(1, 2)
 
 
 def q(a, b=1):
@@ -182,6 +205,130 @@ class TestRequestValidation:
     def test_equal_data_accepted(self):
         rep = scalar_rep(sphere(2, 1))
         HeatRequest(sphere(2, 1), rep, 1)  # same data, different object
+
+
+    def test_non_invariant_weight_refused(self):
+        # beta = diag(1, 2, 3) on the so(3) frame of S3: beta F_j is not antisymmetric
+        base = sphere(3, 1)
+        data = CurvatureData(n=3, p=3, E=base.data.E, beta=Matrix.diag([1, 2, 3]))
+        m = build_model(data)
+        with pytest.raises(HolonomyAverageError, match="beta-f-invariance"):
+            HeatRequest(m, scalar_rep(m), 1)
+
+
+def _reference_heat_coefficients(req):
+    """heat_coefficients with the bracket over all of h: the pencils with no
+    basis, average_poly on the full beta, no density and no projection."""
+    model, rep, k_max = req.model, req.rep, req.k_max
+    degree, dimV = 2 * k_max, rep.dimV
+    exponent = (det_sinhc_pencil(model.F, HALF, HALF, degree)
+                + det_sinhc_pencil(model.D, HALF, -HALF, degree))
+    bracket = cosh_pencil(rep.R, dimV, degree) * exponent.exp()
+    averaged = average_poly(bracket, GaussianWeight.from_beta(model.beta))
+    prefactor = matrix_exp_series(Matrix.identity(dimV).scale(
+        model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)) - rep.casimir, degree)
+    twist = det_sinhc_numeric(rep.B, -HALF, degree)
+    return tuple(
+        combination(((twist[k - i - j], prefactor[i] * averaged[j])
+                     for i in range(k + 1) for j in range(k + 1 - i)), dimV)
+        for k in range(k_max + 1)
+    )
+
+
+def _rotated(base):
+    """base in the frame E'^i = M_ij E^j with beta' = M^-T beta M^-1 (same curvature),
+    M the upper-triangular matrix of ones."""
+    p = base.p
+    m = Matrix.from_rows([[int(j >= i) for j in range(p)] for i in range(p)])
+    m_inv = invert(m)
+    E = tuple(combination(zip(m.row(i), base.data.E), base.n) for i in range(p))
+    beta = m_inv.transpose() * base.beta * m_inv
+    return build_model(CurvatureData(n=base.n, p=p, E=E, beta=beta))
+
+
+def _conjugated_spinor(model):
+    """The spinor fiber in a non-unitary frame, G'_ab = S G_ab S^-1."""
+    dim = 2 ** (model.n // 2)
+    s = Matrix.from_rows([[int(j in (i, i + 1)) for j in range(dim)] for i in range(dim)])
+    s_inv = invert(s)
+    table = {ab: s * g * s_inv for ab, g in spin_generator_table(model.n).items()}
+    return build_rep(model, table, dimV=dim)
+
+
+def _job_request(path, k_max):
+    job = json.loads(path.read_text(encoding="utf-8"))
+    model = space_from_descriptor(job["space"])
+    return HeatRequest(model, rep_from_descriptor(model, job.get("bundle"), job.get("twist")),
+                       k_max)
+
+
+def _catalog_request(space, bundle, k_max, factors=None):
+    model = space()
+    return HeatRequest(model, catalog_rep(model, bundle, factors=factors), k_max)
+
+
+_VS = ["vector", "spinor"]
+
+
+class TestCartanRoute:
+    """The Cartan-subalgebra average against the average over all of h."""
+
+    CASES = {
+        **{f"{p.stem}_k4": (lambda p=p: _job_request(p, 4)) for p in sorted(JOBS.glob("*.json"))},
+        "s4_spinor_k3": lambda: _catalog_request(lambda: sphere(4, 1), "spinor", 3),
+        "h4_spinor_k3": lambda: _catalog_request(lambda: hyperbolic(4, 1), "spinor", 3),
+        "s3_vecspin_k3": lambda: _catalog_request(
+            lambda: sphere(3, 1), "tensor_product", 3, _VS),
+        "h3_vecspin_k3": lambda: _catalog_request(
+            lambda: hyperbolic(3, 1), "tensor_product", 3, _VS),
+        "s3_spinor_k6": lambda: _catalog_request(lambda: sphere(3, 1), "spinor", 6),
+        "flat2_s2_h3_scalar_k3": lambda: _catalog_request(
+            lambda: product([flat(2), sphere(2, 1), hyperbolic(3, 1)]), "scalar", 3),
+        "s4_nonunitary_spinor_k3": lambda: (
+            lambda m: HeatRequest(m, _conjugated_spinor(m), 3))(sphere(4, 1)),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_dense_reference(self, name):
+        req = self.CASES[name]()
+        assert heat_coefficients(req).a == _reference_heat_coefficients(req)
+
+    def test_catalog_sphere_takes_the_greedy_torus(self):
+        m = sphere(5, 1)
+        basis, density = cartan_subalgebra(m.F)
+        # E_01 and E_23, the first two generators that commute
+        assert [[i for i, x in enumerate(v) if x] for v in basis] == [[0], [7]]
+        # so(5): W = y1^2 y2^2 (y1^2 - y2^2)^2
+        assert density == {(6, 2): 1, (4, 4): -2, (2, 6): 1}
+        assert weyl_density(m.F, basis) == density
+
+    def test_abelian_holonomy_keeps_every_generator(self):
+        m = product([flat(2), sphere(2, 1), sphere(2, 1)])
+        basis, density = cartan_subalgebra(m.F)
+        assert basis == [(1, 0), (0, 1)]
+        assert density == {(0, 0): 1}
+
+    def test_nilpotent_algebra_has_no_cartan_subalgebra(self):
+        # Heisenberg [D_0, D_1] = D_2: every ad is nilpotent, so W = 0 on every candidate
+        F = [Matrix.zeros(3) for _ in range(3)]
+        F[0] = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+        F[1] = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [-1, 0, 0]])
+        with pytest.raises(HolonomyAverageError, match="no Cartan subalgebra"):
+            cartan_subalgebra(F)
+
+    @pytest.mark.parametrize("space", [sphere, hyperbolic])
+    def test_rotated_frame_falls_back_to_a_centralizer(self, space):
+        base = space(4, 1)
+        m = _rotated(base)
+        greedy = next(_cartan_candidates(m.F))
+        assert not weyl_density(m.F, greedy)
+        basis, density = cartan_subalgebra(m.F)
+        assert len(basis) == 2 and density
+        ad0 = combination(zip(basis[0], m.F), m.p)
+        assert (ad0 * Matrix(m.p, 1, basis[1])).is_zero()
+        for bundle in ("scalar", "spinor"):
+            got = heat_coefficients(HeatRequest(m, catalog_rep(m, bundle), 4)).a
+            assert got == heat_coefficients(HeatRequest(base, catalog_rep(base, bundle), 4)).a
 
 
 class TestReport:

@@ -8,6 +8,7 @@ from symheat.exact import (
     Matrix,
     commutator,
     invert,
+    kernel,
     rational,
 )
 
@@ -162,6 +163,30 @@ class TestSolve:
     def test_invert_singular_raises(self):
         with pytest.raises(ValueError):
             invert(Matrix.from_rows([[1, 2], [2, 4]]))
+
+
+class TestKernel:
+    def test_rank_two_rows(self):
+        # x + 2y + 3z = 0 twice over and y + z = 0: the line (-1, -1, 1)
+        rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
+        assert kernel(rows, 3) == [{0: -1, 1: -1, 2: 1}]
+
+    def test_full_rank_and_empty(self):
+        assert kernel([{0: 1}, {0: 1, 1: I_UNIT}], 2) == []
+        assert kernel([], 2) == [{0: 1}, {1: 1}]
+
+    def test_random_sparse_null_space(self):
+        rng = random.Random(12)
+        for n in range(2, 7):
+            m = sparse_matrix(rng, n - 1, n)
+            rows = [{c: x for c, x in enumerate(m.row(r)) if x} for r in range(m.rows)]
+            basis = kernel(rows, n)
+            for vec in basis:
+                col = Matrix(n, 1, [vec.get(c, 0) for c in range(n)])
+                assert (m * col).is_zero()
+            # rank plus nullity is n: the basis vectors are independent by their free 1s
+            rank = n - len(basis)
+            assert len(basis) >= 1 and rank <= n - 1
 
 
 class TestAlgebraProperties:

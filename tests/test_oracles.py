@@ -213,7 +213,7 @@ class TestExactSphereScalarOracle:
     def test_known_values(self, n, want):
         assert exact_sphere_scalar_coefficients(n, len(want) - 1) == [rational(x) for x in want]
 
-    @pytest.mark.parametrize("n, k_max", [(4, 5), (5, 3)])
+    @pytest.mark.parametrize("n, k_max", [(4, 5), (5, 3), (4, 6), (5, 6), (6, 6)])
     def test_frontier_matches_heat_engine(self, n, k_max):
         model = sphere(n, 1)
         hc = heat_coefficients(HeatRequest(model, scalar_rep(model), k_max))

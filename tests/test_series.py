@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from symheat.bundles import catalog_rep
-from symheat.exact import GaussianRational, Matrix, rational
+from symheat.exact import GaussianRational, Matrix, combination, rational
 from symheat.series import (
     SeriesPoly,
     cosh_pencil,
@@ -15,6 +15,7 @@ from symheat.series import (
     det_sinhc_pencil,
     log_sinhc_coeffs,
     matrix_exp_series,
+    weyl_density,
 )
 from symheat.spaces import sphere
 
@@ -217,6 +218,33 @@ class TestCoshPencil:
         assert poly.terms[(2,)] == Matrix.identity(2).scale(rational(-1, 2))
         # only even omega-degrees appear
         assert all(sum(m) % 2 == 0 for m in poly.terms)
+
+
+class TestRestrictedPencils:
+    """A basis restricts a pencil to the span of its vectors, one omega each."""
+
+    BASIS = [(1, 0, rational(1, 2)), (0, -2, 1)]
+
+    @pytest.mark.parametrize("kind", ["antisymmetric", "complex"])
+    def test_pencils_on_a_span(self, kind):
+        mats = _random_pencil(random.Random(31), kind, 3, 3)
+        spanned = [combination(zip(v, mats), 3) for v in self.BASIS]
+        assert (det_sinhc_pencil(mats, HALF, -HALF, 6, self.BASIS)
+                == det_sinhc_pencil(spanned, HALF, -HALF, 6))
+        assert cosh_pencil(mats, 3, 6, self.BASIS) == cosh_pencil(spanned, 3, 6)
+
+    def test_empty_basis_has_no_variables(self):
+        mats = _random_pencil(random.Random(32), "antisymmetric", 2, 3)
+        assert det_sinhc_pencil(mats, HALF, HALF, 4, []) == SeriesPoly(0, 1, 4)
+        assert cosh_pencil(mats, 3, 4, []) == SeriesPoly.one(0, 3, 4)
+
+    def test_weyl_density_of_so4(self):
+        # roots y1 +- y2 of so(4) on the torus E_01, E_23: W = (y1^2 - y2^2)^2
+        m = sphere(4, 1)
+        basis = [tuple(int(i == j) for j in range(6)) for i in (0, 5)]
+        assert weyl_density(m.F, basis) == {(4, 0): 1, (2, 2): -2, (0, 4): 1}
+        # a span that is not a Cartan subalgebra has W = 0
+        assert weyl_density(m.F, basis[:1]) == {}
 
 
 def _reference_cosh(mats, degree):

@@ -199,6 +199,27 @@ class TestAveragePoly:
             average_poly(poly, w)
 
 
+    def test_density_weights_every_moment(self):
+        # <(1 + y^2) y^2> / <y^2> with <y^2> = 2, <y^4> = 12: 1 + 6 t
+        w = GaussianWeight.from_beta(Matrix.identity(1), {(2,): 1})
+        poly = SeriesPoly(1, 1, 2, {(0,): Matrix.identity(1), (2,): Matrix.identity(1)})
+        assert [a[0, 0] for a in average_poly(poly, w)] == [GaussianRational(1),
+                                                           GaussianRational(6)]
+
+    def test_unit_density_changes_nothing(self):
+        beta = Matrix.from_rows([[2, 1], [1, 3]])
+        poly = SeriesPoly.one(2, 1, 4) * det_sinhc_pencil(
+            [EPS, EPS.scale(2)], rational(1, 2), rational(-1, 2), 4).exp()
+        plain = average_poly(poly, GaussianWeight.from_beta(beta))
+        assert average_poly(poly, GaussianWeight.from_beta(beta, {(0, 0): 1})) == plain
+
+    def test_zero_mean_density_rejected(self):
+        # <y1^2 - y2^2> = 0 under the identity weight
+        w = GaussianWeight.from_beta(Matrix.identity(2), {(2, 0): 1, (0, 2): -1})
+        with pytest.raises(ValueError, match="averages to zero"):
+            average_poly(SeriesPoly.one(2, 1, 2), w)
+
+
 class TestWeightValidation:
     def test_bad_inverse_rejected(self):
         with pytest.raises(ValueError):
@@ -208,6 +229,10 @@ class TestWeightValidation:
         bad = Matrix.from_rows([[1, 1], [0, 1]])
         with pytest.raises(ValueError):
             GaussianWeight.from_beta(bad)
+
+    def test_density_variable_count_checked(self):
+        with pytest.raises(ValueError, match="one exponent per variable"):
+            GaussianWeight.from_beta(Matrix.identity(2), {(2,): 1})
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
