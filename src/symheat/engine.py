@@ -128,10 +128,12 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree, basis)
     f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree, basis)
     bracket = f_cosh * (f_hol + f_tan).exp()
-    embed = Matrix.from_rows([[v[i] for v in basis] for i in range(model.p)])
-    weight = GaussianWeight.from_beta(embed.transpose() * model.beta * embed, density)
-    averaged = average_poly(bracket, weight)
-    if len(basis) < model.p and dimV > 1:
+    beta = model.beta
+    if basis is not None:
+        embed = Matrix.from_rows([[v[i] for v in basis] for i in range(model.p)])
+        beta = embed.transpose() * beta * embed
+    averaged = average_poly(bracket, GaussianWeight.from_beta(beta, density))
+    if basis is not None and dimV > 1:
         project = _commutant_projection(rep.R, basis)
         averaged = [project(a) for a in averaged]
 
@@ -166,11 +168,15 @@ def cartan_subalgebra(F) -> tuple:
     on t (series.weyl_density) is nonzero exactly when an abelian span is
     a Cartan subalgebra.  The first candidate that is abelian with W != 0
     is taken: the pairwise-commuting basis generators picked greedily, then
-    the centralizer ker F(x) of a few fixed integer points x.  For an
-    abelian h the greedy pick is every generator, t = h and W = 1.
+    the centralizer ker F(x) of a few fixed integer points x.  When the
+    greedy pick is every generator, h is abelian, t = h and W = 1, given
+    as (None, None): the pencils, the weight and the average then run on
+    h itself.
     """
     p = len(F)
     for basis in _cartan_candidates(F):
+        if len(basis) == p:
+            return None, None
         ads = [combination(zip(v, F), p) for v in basis]
         if any(ads[a] * Matrix(p, 1, basis[b]) for a, b in index_pairs(len(basis))):
             continue
