@@ -3,10 +3,11 @@
 The average <.> carries weight exp(-<w, beta w>/4) normalized to <1> = 1,
 for ANY invertible symmetric rational beta — indefinite and negative
 definite included — optionally times a polynomial density (the Weyl
-density when the average runs over a Cartan subalgebra).  Realizing the average through the Wick pairing rules
-(each pair contributes 2 beta^{ij}) makes the contour bookkeeping of the
-compact/noncompact cases unnecessary: the resulting coefficients are the
-same polynomials either way.
+density when the average runs over a Cartan subalgebra).  Realizing the
+average through the Wick pairing rules (each pair contributes
+2 beta^{ij}) makes the contour bookkeeping of the compact/noncompact
+cases unnecessary: the resulting coefficients are the same polynomials
+either way.
 
 Two independent evaluation routes are provided: average_monomial
 sums over perfect matchings by the recursion that pairs the first index
@@ -171,7 +172,7 @@ def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
     density = {(0,) * w.p: 1} if w.density is None else w.density
 
     def moment(mono):
-        return sum((c * average_monomial(mono_to_indices(tuple(a + b for a, b in zip(mono, nu))), w)
+        return sum((c * average_monomial(mono_to_indices([a + b for a, b in zip(mono, nu)]), w)
                     for nu, c in density.items()), ZERO)
 
     norm = moment((0,) * w.p)
