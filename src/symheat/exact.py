@@ -51,6 +51,14 @@ def json_kind(value, kind: type, name: str):
     return value
 
 
+def at_most(value: int, bound: int, name: str) -> int:
+    """An integer job field within its documented upper bound; above it raises
+    ValueError before anything of that size is built."""
+    if value > bound:
+        raise ValueError(f"{name} = {value} exceeds the bound {bound}")
+    return value
+
+
 _R_ZERO = rational(0)
 _R_ONE = rational(1)
 

@@ -3,10 +3,11 @@
 The primary datum is the factorized curvature (E, beta): a list of p
 antisymmetric n x n matrices E^i and a symmetric invertible p x p matrix
 beta with R_abcd = beta_ik E^i_ab E^k_cd.  Everything else — holonomy
-generators D_i, structure constants F^j_ik, the combined (n+p)-dimensional
-algebra with its invariant metric, curvature contractions — is derived
-exactly.  Frame indices of the flat factor come first by convention, so
-the flat/curved projectors are diagonal 0/1 matrices.
+generators D_i, structure constants F^j_ik, curvature contractions — is
+derived exactly when the model is built.  The combined (n+p)-dimensional
+algebra and its invariant metric are derived on first read: only
+validation and the group checks read them.  Frame indices of the flat
+factor come first by convention.
 
 Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
@@ -14,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import (
     GaussianRational,
     Matrix,
-    ONE,
     ZERO,
+    at_most,
     combination,
     commutator,
     invert,
@@ -28,6 +30,11 @@ from .exact import (
 )
 
 _QUARTER = GaussianRational(rational(-1, 4))
+
+# Largest model dimension n a job may ask for, catalog, explicit or a product's
+# total: on a 2-core x86 VM (Python 3.11, Fraction backend) S10 builds in
+# 2.3 s and S12 in 6.5 s, and build time grows faster than n^5.
+MAX_N = 10
 
 
 class ModelBuildError(ValueError):
@@ -63,24 +70,42 @@ class CurvatureData:
 
 @dataclass
 class SymmetricSpaceModel:
-    """Curvature data with all derived exact structure.
+    """Curvature data with the derived exact structure the engine reads.
 
-    F is stored as p matrices F_i with (F_i)[j, k] = F^j_ik, C as N
-    adjoint matrices with (C_A)[B, C] = C^B_AC, N = n + p.
+    F is stored as p matrices F_i with (F_i)[j, k] = F^j_ik.  The combined
+    algebra C (N adjoint matrices with (C_A)[B, C] = C^B_AC, N = n + p),
+    its metric gamma, gamma's inverse and R_G are computed on first read.
     """
 
     data: CurvatureData
     D: tuple
     F: tuple
-    C: tuple
-    gamma: Matrix
-    gamma_inv: Matrix
     riemann: tuple
     ricci: Matrix
     scalar_R: GaussianRational
-    R_G: GaussianRational
     R_H: GaussianRational
-    q: Matrix
+
+    @cached_property
+    def C(self) -> tuple:
+        parts, N = (self.n, self.data.E, self.D, self.F), self.N
+        return tuple(
+            Matrix.from_rows([[_structure_constant(parts, b, a, c) for c in range(N)]
+                              for b in range(N)])
+            for a in range(N)
+        )
+
+    @cached_property
+    def gamma(self) -> Matrix:
+        return _block_diag([Matrix.identity(self.n), self.beta])
+
+    @cached_property
+    def gamma_inv(self) -> Matrix:
+        return _block_diag([Matrix.identity(self.n), invert(self.beta) if self.p else self.beta])
+
+    @cached_property
+    def R_G(self) -> GaussianRational:
+        """-(1/4) gamma^{AB} tr(C_A C_B)."""
+        return _quarter_contraction(self.gamma_inv, self.C)
 
     @property
     def n(self) -> int:
@@ -159,21 +184,10 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
 
     F = _solve_structure_constants(n, p, D)
 
-    C = tuple(
-        Matrix.from_rows(
-            [
-                [_structure_constant((n, E, D, F), b, a, c) for c in range(n + p)]
-                for b in range(n + p)
-            ]
-        )
-        for a in range(n + p)
-    )
-
     try:
-        beta_inv = invert(beta) if p else Matrix.zeros(0, 0)
+        beta_inv = invert(beta) if p else beta
     except ValueError as exc:
         raise ModelBuildError(f"beta is singular: {exc}") from exc
-    gamma, gamma_inv = _frame_block(n, beta), _frame_block(n, beta_inv)
 
     entries = _riemann_entries(E, beta)
     riemann = tuple(
@@ -191,24 +205,21 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     )
     scalar_R = ricci.trace()
 
-    # R_G = -(1/4) gamma^{AB} tr(C_A C_B); R_H likewise over the holonomy block
-    R_G, R_H = _quarter_contraction(gamma_inv, C), _quarter_contraction(beta_inv, F)
+    # R_H = -(1/4) beta^{ik} tr(F_i F_k), as R_G over the combined algebra
+    R_H = _quarter_contraction(beta_inv, F)
 
-    q = Matrix.diag([1 if a < data.flat_dim else 0 for a in range(n)])
-
-    return SymmetricSpaceModel(
-        data=data, D=D, F=F, C=C, gamma=gamma, gamma_inv=gamma_inv,
-        riemann=riemann, ricci=ricci, scalar_R=scalar_R, R_G=R_G, R_H=R_H,
-        q=q,
-    )
+    return SymmetricSpaceModel(data=data, D=D, F=F, riemann=riemann, ricci=ricci,
+                               scalar_R=scalar_R, R_H=R_H)
 
 
-def _frame_block(n: int, block: Matrix) -> Matrix:
-    """diag(1_n, block): the identity on tangent indices, block on holonomy ones."""
-    p = block.rows
-    return Matrix.from_rows([[ONE if b == a else ZERO for b in range(n)] + [ZERO] * p
-                             for a in range(n)]
-                            + [[ZERO] * n + list(block.row(i)) for i in range(p)])
+def _block_diag(blocks) -> Matrix:
+    """The block-diagonal matrix of the given square blocks, in order."""
+    size, off, rows = sum(b.rows for b in blocks), 0, []
+    for b in blocks:
+        rows += [[ZERO] * off + list(b.row(i)) + [ZERO] * (size - off - b.rows)
+                 for i in range(b.rows)]
+        off += b.rows
+    return Matrix.from_rows(rows)
 
 
 def _quarter_contraction(metric: Matrix, mats) -> GaussianRational:
@@ -457,47 +468,24 @@ def product(models) -> SymmetricSpaceModel:
     n_total = sum(m.n for m in models)
     flat_total = sum(m.flat_dim for m in models)
     # global index of each factor coordinate, flat coordinates first
-    index_map = []
-    flat_seen = 0
-    curved_seen = 0
-    for m in models:
-        local = []
-        for a in range(m.n):
-            if a < m.flat_dim:
-                local.append(flat_seen)
-                flat_seen += 1
-            else:
-                local.append(flat_total + curved_seen)
-                curved_seen += 1
-        index_map.append(local)
+    flat_ids, curved_ids = iter(range(flat_total)), iter(range(flat_total, n_total))
+    index_map = [[next(flat_ids if a < m.flat_dim else curved_ids) for a in range(m.n)]
+                 for m in models]
 
-    E = []
-    for fi, m in enumerate(models):
-        for e in m.data.E:
-            rows = [[ZERO] * n_total for _ in range(n_total)]
-            for a in range(m.n):
-                for b in range(m.n):
-                    if not e[a, b].is_zero():
-                        rows[index_map[fi][a]][index_map[fi][b]] = e[a, b]
-            E.append(Matrix.from_rows(rows))
-    p_total = len(E)
-    beta_rows = [[ZERO] * p_total for _ in range(p_total)]
-    off = 0
-    for m in models:
-        for i in range(m.p):
-            for k in range(m.p):
-                beta_rows[off + i][off + k] = m.beta[i, k]
-        off += m.p
-    data = CurvatureData(
-        n=n_total, p=p_total, E=tuple(E),
-        beta=Matrix.from_rows(beta_rows) if p_total else Matrix.zeros(0, 0),
-        flat_dim=flat_total,
-    )
-    return build_model(data)
+    def embed(e, local):
+        rows = [[ZERO] * n_total for _ in range(n_total)]
+        for (a, x), (b, y) in itertools.product(enumerate(local), repeat=2):
+            rows[x][y] = e[a, b]
+        return Matrix.from_rows(rows)
+
+    return build_model(CurvatureData(
+        n=n_total, p=sum(m.p for m in models),
+        E=tuple(embed(e, local) for m, local in zip(models, index_map) for e in m.data.E),
+        beta=_block_diag([m.beta for m in models]), flat_dim=flat_total))
 
 
 def _catalog_dim(params: dict) -> int:
-    n = json_kind(params["n"], int, "n")
+    n = at_most(json_kind(params["n"], int, "n"), MAX_N, "n")
     if n < 1:
         raise ModelBuildError(f"catalog spaces need n >= 1, got {n}")
     return n
@@ -515,7 +503,9 @@ def catalog_space(name: str, params: dict) -> SymmetricSpaceModel:
         factors = json_kind(params.get("factors", []), list, "factors")
         if not factors:
             raise ModelBuildError("product needs a 'factors' list")
-        return product([space_from_descriptor(f) for f in factors])
+        models = [space_from_descriptor(f) for f in factors]
+        at_most(sum(m.n for m in models), MAX_N, "product n")
+        return product(models)
     raise ModelBuildError(f"unknown catalog space {name!r}")
 
 
@@ -527,7 +517,7 @@ def space_from_descriptor(obj: dict) -> SymmetricSpaceModel:
         body = json_kind(obj["explicit"], dict, "explicit space")
         p = json_kind(body["p"], int, "p")
         data = CurvatureData(
-            n=json_kind(body["n"], int, "n"),
+            n=at_most(json_kind(body["n"], int, "n"), MAX_N, "n"),
             p=p,
             E=tuple(Matrix.from_json(e) for e in json_kind(body["E"], list, "E")),
             beta=Matrix.from_json(body["beta"]) if p else Matrix.zeros(0, 0),

@@ -227,8 +227,9 @@ def test_criterion_09_validator(grid):
 
     bad_gamma = m3.gamma.to_rows()
     bad_gamma[0][1] = q(1, 3)
-    detections.append(not validate_model(
-        replace(m3, gamma=Matrix.from_rows(bad_gamma))).ok)
+    m3_bad = replace(m3)  # gamma is derived on first read; set a corrupted one
+    m3_bad.gamma = Matrix.from_rows(bad_gamma)
+    detections.append(not validate_model(m3_bad).ok)
 
     riem = [[[[x for x in c] for c in b] for b in a] for a in m.riemann]
     riem[0][0][0][0] = q(1)

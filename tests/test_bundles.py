@@ -199,8 +199,41 @@ class TestTensorProduct:
         monkeypatch.setattr(bundles, "build_rep",
                             lambda *a, **k: calls.append(a) or build_rep(*a, **k))
         rep = catalog_rep(m, "tensor_product", factors=["scalar", "spinor"], twist=twist)
-        assert len(calls) == 3  # two factors and one product
+        assert len(calls) == 1  # the product fiber alone
         assert rep == want
+
+    @pytest.mark.parametrize("maker,factors,twist", [
+        (lambda: sphere(3, 1), ["spinor", "vector"], None),
+        (lambda: sphere(3, 1), ["spinor", "spinor", "vector"], None),
+        (lambda: product([flat(2), sphere(2, 1)]), ["vector", "spinor"], [rational(1, 3)]),
+    ])
+    def test_catalog_product_matches_product_of_factor_reps(self, maker, factors, twist):
+        m = maker()
+        reps = [catalog_rep(m, f) for f in factors]
+        want = reps[0]
+        for r in reps[1:-1]:
+            want = tensor_product_rep(want, r)
+        want = tensor_product_rep(want, reps[-1], twist_matrix(m, twist) if twist else None)
+        rep = catalog_rep(m, "tensor_product", factors=factors, twist=twist)
+        assert (rep.dimV, rep.G, rep.B, rep.R, rep.casimir, rep.Omega) == \
+            (want.dimV, want.G, want.B, want.R, want.casimir, want.Omega)
+
+    @pytest.mark.parametrize("name,factors,twist", [
+        ("scalar", None, None),
+        ("vector", None, None),
+        ("spinor", None, [1]),
+        ("u1_twist", None, [1]),
+        ("tensor_product", ["vector", "spinor", "scalar"], [1]),
+    ])
+    def test_catalog_bundle_built_and_checked_once(self, monkeypatch, name, factors, twist):
+        m = product([flat(2), sphere(2, 1)])
+        calls = []
+        for fn in ("build_rep", "validate_rep"):
+            original = getattr(bundles, fn)
+            monkeypatch.setattr(bundles, fn, lambda *a, fn=fn, original=original, **k:
+                                calls.append(fn) or original(*a, **k))
+        catalog_rep(m, name, factors=factors, twist=twist)
+        assert calls == ["build_rep", "validate_rep"]
 
     def test_twisted_catalog_tensor_product_needs_flat_room(self):
         m = product([flat(2), sphere(2, 1)])

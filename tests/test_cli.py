@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,37 @@ class TestCompute:
         assert rc == 3
         assert f"dimV >= 1, got {dimV}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compute", "validate"])
+    @pytest.mark.parametrize("job", [
+        {"space": {"catalog": "sphere", "params": {"n": 41}}},
+        {"space": {"catalog": "flat", "params": {"n": 100000}}},
+        {"space": {"explicit": {**S2_EXPLICIT, "n": 41}}},
+        {"space": {"catalog": "product", "params": {"factors": [
+            {"catalog": "flat", "params": {"n": 9}},
+            {"catalog": "sphere", "params": {"n": 2}}]}}},
+        {"bundle": {"explicit": {"dimV": 100000}}},
+    ], ids=["catalog_n", "flat_n", "explicit_n", "product_total_n", "explicit_dimV"])
+    def test_dimension_above_bound_rejected(self, tmp_path, capsys, job, command):
+        # refused at parse time, before a model or fiber of that size is built
+        job = {"space": {"catalog": "sphere", "params": {"n": 2}}, **job}
+        start = time.perf_counter()
+        rc = main([command, write_job(tmp_path, job)])
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad job file: ") and "exceeds the bound" in err
+
+    def test_tensor_factor_failure_names_product_checks(self, tmp_path, capsys):
+        # the catalog product fiber is checked once, as a whole, so its failed
+        # checks are named rather than those of the first factor
+        job = {"space": {"explicit": s3_explicit(["1/1", "2/1", "3/1"])},
+               "bundle": {"catalog": "tensor_product", "factors": ["spinor", "vector"]}}
+        rc = main(["compute", write_job(tmp_path, job)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "validation error: fiber checks failed: "
+            "casimir-centrality, fiber-curvature-integrability\n")
+
     @pytest.mark.parametrize("content", [b'{"k_max": "\xff"}', b'{"k_max": ' + b"1" * 5000 + b"}"],
                              ids=["not_utf8", "integer_too_long"])
     def test_undecodable_job_file(self, tmp_path, capsys, content):
@@ -388,7 +420,7 @@ def _at(node, path):
 
 
 _LEAVES = st.sampled_from([
-    -1, 0, 1, 2, 3, 4, None, True, 0.5, "1/0", "1e999999999", "x", "1/2", "", "1,2",
+    -1, 0, 1, 2, 3, 4, 41, 100000, None, True, 0.5, "1/0", "1e999999999", "x", "1/2", "", "1,2",
     "sphere", "product", "explicit", "spinor", "vector",
 ])
 _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(

@@ -43,7 +43,9 @@ from symheat.spaces import (
     product,
     space_from_descriptor,
     sphere,
+    validate_model,
 )
+from symheat.oracles import gilkey_a2
 from symheat.wick import GaussianWeight, average_poly
 
 REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
@@ -161,6 +163,25 @@ class TestStructuralProperties:
         assert len(series) == 5
         for k in range(5):
             assert hc.a[k][0, 0] == series[k]
+
+
+    @pytest.mark.parametrize("space,bundle,factors", [
+        (lambda: sphere(4, 1), "spinor", None),
+        (lambda: sphere(3, 1), "tensor_product", ["vector", "spinor"]),
+    ])
+    def test_compute_path_derives_no_combined_algebra(self, space, bundle, factors):
+        # the combined algebra and Omega are derived only where they are read
+        model = space()
+        rep = catalog_rep(model, bundle, factors=factors)
+        heat_coefficients(HeatRequest(model, rep, 3))
+        combined = {"C", "gamma", "gamma_inv", "R_G"}
+        assert not combined & set(vars(model))
+        assert "Omega" not in vars(rep)
+        assert validate_model(model).ok
+        assert {"C", "gamma"} <= set(vars(model))
+        gilkey_a2(model, rep)
+        assert "Omega" in vars(rep)
+        assert model.R_G.is_real() and combined <= set(vars(model))
 
 
 class TestHeatTrace:

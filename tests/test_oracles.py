@@ -22,9 +22,10 @@ from symheat.spaces import flat, hyperbolic, product, sphere
 
 
 def test_import_does_not_load_mpmath():
-    # the oracles import mpmath only when they run
+    # the oracles import mpmath only when they run; numpy and sympy stay out too
     src = str(Path(symheat.__file__).resolve().parents[1])
-    code = "import symheat, sys; assert 'mpmath' not in sys.modules"
+    code = ("import symheat, sys; "
+            "loaded = {'mpmath', 'numpy', 'sympy'} & set(sys.modules); assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
 

@@ -114,7 +114,6 @@ class TestCatalog:
         assert m.n == 3
         assert m.flat_dim == 1
         assert m.scalar_R == GaussianRational(2)
-        assert m.q == Matrix.diag([1, 0, 0])
 
     def test_product_of_spheres(self):
         m = product([sphere(2, 1), sphere(2, 1)])
@@ -124,7 +123,6 @@ class TestCatalog:
     def test_flat_factor_hoisted_to_front(self):
         m = product([sphere(2, 1), flat(2)])
         assert m.flat_dim == 2
-        assert m.q == Matrix.diag([1, 1, 0, 0])
         assert validate_model(m).ok
 
     def test_invalid_radius(self):
@@ -146,6 +144,13 @@ def with_entry(mat, i, j, value):
     return Matrix.from_rows(rows)
 
 
+def with_adjoint_entry(m, c, i, j, value):
+    # C is derived from (E, D, F) on first read; a corrupted C is set on a copy
+    bad = replace(m)
+    bad.C = m.C[:c] + (with_entry(m.C[c], i, j, value),) + m.C[c + 1:]
+    return bad
+
+
 def with_riemann_entry(m, idx, value):
     riem = [[[list(c) for c in b] for b in a] for a in m.riemann]
     a, b, c, d = idx
@@ -164,8 +169,7 @@ CORRUPTED = {
         S3, F=(with_entry(S3.F[0], 0, 1, S3.F[0][0, 1] + 1),) + S3.F[1:]),
     "riemann_entry": lambda: with_riemann_entry(
         S3, (0, 1, 0, 1), S3.riemann[0][1][0][1] + 1),
-    "adjoint_entry": lambda: replace(
-        S3, C=S3.C[:4] + (with_entry(S3.C[4], 0, 2, S3.C[4][0, 2] + 1),) + S3.C[5:]),
+    "adjoint_entry": lambda: with_adjoint_entry(S3, 4, 0, 2, S3.C[4][0, 2] + 1),
     "d_on_flat": lambda: replace(
         FLAT2_S2, D=(with_entry(with_entry(FLAT2_S2.D[0], 0, 2, 1), 1, 3, 2),)
         + FLAT2_S2.D[1:]),
@@ -234,21 +238,29 @@ class TestValidateModel:
         assert "riemann-from-e-beta" in report.failed()
 
     @pytest.mark.parametrize("name,want", [
+        # C and gamma are derived from the corrupted data, so the combined
+        # algebra's checks fail along with the checks on the data itself
         ("e_symmetric", [("e-antisymmetry", "E indices [0]"),
                          ("d-from-e-beta", "D indices [0]"),
-                         ("riemann-from-e-beta", "entry (0, 1, 1, 0)")]),
+                         ("riemann-from-e-beta", "entry (0, 1, 1, 0)"),
+                         ("adjoint-closure", "pair (0, 1)"),
+                         ("gamma-invariance", "index 1")]),
         ("beta_asymmetric", [("beta-symmetric", ""),
                              ("d-from-e-beta", "D indices [0]"),
                              ("riemann-from-e-beta", "entry (0, 1, 0, 2)"),
-                             ("beta-f-invariance", "index 0")]),
+                             ("beta-f-invariance", "index 0"),
+                             ("gamma-invariance", "index 0")]),
         ("f_entry", [("holonomy-bracket", "pair (0, 1)"),
                      ("e-d-f-compatibility", "pair (0, 0)"),
-                     ("beta-f-invariance", "index 0")]),
+                     ("beta-f-invariance", "index 0"),
+                     ("adjoint-closure", "pair (0, 1)"),
+                     ("gamma-invariance", "index 3")]),
         ("riemann_entry", [("riemann-from-e-beta", "entry (0, 1, 0, 1)"),
                            ("riemann-integrability", "indices (0, 1, 0, 2, 1, 2)")]),
         ("adjoint_entry", [("adjoint-closure", "pair (0, 2)"),
                            ("gamma-invariance", "index 4")]),
         ("d_on_flat", [("d-from-e-beta", "D indices [0]"),
+                       ("gamma-invariance", "index 2"),
                        ("flat-projector-annihilation", "D_0 direction 1")]),
     ])
     def test_failure_details(self, name, want):
@@ -300,9 +312,10 @@ class TestInvariants:
 
     def test_d_annihilates_flat_directions(self):
         m = product([flat(2), sphere(2, 1)])
+        q = Matrix.diag([1, 1, 0, 0])
         for d in m.D:
-            assert (d * m.q).is_zero()
-            assert (m.q * d).is_zero()
+            assert (d * q).is_zero()
+            assert (q * d).is_zero()
 
 
 class TestDescriptors:
