@@ -20,9 +20,10 @@ over its p variables into one over the r = rank h variables y of a
 Cartan subalgebra t:  <phi>_h = <phi W>_t / <W>_t  for invariant phi,
 with the Weyl density W(y) = prod_{alpha>0} alpha(y)^2 = e_(p-r)(F(y)).
 For a matrix fiber and r < p, the t-average is projected onto the
-commutant of the R_i, where the h-average lies; the trace pairing with a
-commutant basis is invariant, so it fixes that projection.  For an
-abelian h, t = h, W = 1 and there is no projection.
+commutant of the R_i, where the h-average lies; the trace pairing with
+a commutant basis is invariant, so it fixes that projection.  An abelian
+h takes the same route with t = h (the p unit vectors), W = 1 and no
+projection.
 
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
@@ -30,8 +31,8 @@ exponents of the two determinant factors; cosh and the determinant
 factors take their pencil powers, restricted to t, from the same sparse
 routine.  The average turns the bracket into a list of t-coefficients,
 the prefactor is the list [M^k / k!], the twist factor is the list of
-its t-coefficients, and a_k is the t^k coefficient of the three lists'
-product.
+its t-coefficients (the same det(sinhc) expansion on the pencil t*B),
+and a_k is the t^k coefficient of the three lists' product.
 
 pi never appears: coefficients and traced invariants are exact rationals.
 """
@@ -128,12 +129,10 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree, basis)
     f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree, basis)
     bracket = f_cosh * (f_hol + f_tan).exp()
-    beta = model.beta
-    if basis is not None:
-        embed = Matrix.from_rows([[v[i] for v in basis] for i in range(model.p)])
-        beta = embed.transpose() * beta * embed
+    embed = Matrix.from_rows([[v[i] for v in basis] for i in range(model.p)])
+    beta = embed.transpose() * model.beta * embed
     averaged = average_poly(bracket, GaussianWeight.from_beta(beta, density))
-    if basis is not None and dimV > 1:
+    if len(basis) < model.p and dimV > 1:
         project = _commutant_projection(rep.R, basis)
         averaged = [project(a) for a in averaged]
 
@@ -169,14 +168,12 @@ def cartan_subalgebra(F) -> tuple:
     a Cartan subalgebra.  The first candidate that is abelian with W != 0
     is taken: the pairwise-commuting basis generators picked greedily, then
     the centralizer ker F(x) of a few fixed integer points x.  When the
-    greedy pick is every generator, h is abelian, t = h and W = 1, given
-    as (None, None): the pencils, the weight and the average then run on
-    h itself.
+    greedy pick is every generator, h is abelian and is its own torus:
+    basis holds the p unit vectors and W = e_0 = 1 (for flat space,
+    p = 0, that is ([], {(): 1})).
     """
     p = len(F)
     for basis in _cartan_candidates(F):
-        if len(basis) == p:
-            return None, None
         ads = [combination(zip(v, F), p) for v in basis]
         if any(ads[a] * Matrix(p, 1, basis[b]) for a, b in index_pairs(len(basis))):
             continue
@@ -204,12 +201,15 @@ def _cartan_candidates(F):
 def _commutant_projection(R, basis):
     """The projection onto the commutant of the R_i, as a function of a matrix A.
 
-    The commutant basis Gamma_b solves [R_i, X] = 0 (exact.kernel, with the
-    Cartan generators sum_i v[i] R_i first, since they settle most
-    unknowns).  The projection P(A) is the commutant element with
-    tr(Gamma_b P(A)) = tr(Gamma_b A) for every b.  This pairing vanishes on
-    every [R_i, Y], so P is the average over the holonomy group for any
-    fiber generators, anti-Hermitian or not.
+    Called only when t is smaller than h: for an abelian h the t-average
+    is the h-average already.  The commutant basis Gamma_b solves
+    [R_i, X] = 0 (exact.kernel, with the Cartan generators sum_i v[i] R_i
+    first, since they settle most unknowns).  The projection P(A) is the
+    commutant element with tr(Gamma_b P(A)) = tr(Gamma_b A) for every b.
+    This pairing vanishes on every [R_i, Y], so P is the average over the
+    holonomy group for any fiber generators, anti-Hermitian or not.  The
+    pairing walks the sparse kernel vectors, whose unknown u = k*dim + c is
+    X[k, c]: tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim].
     """
     dim = R[0].rows
     eqs = []
@@ -225,20 +225,16 @@ def _commutant_projection(R, basis):
                         row = rows.setdefault((c, b), {})
                         row[c * dim + a] = row.get(c * dim + a, ZERO) - v
         eqs.extend(rows.values())
-    gammas = [Matrix(dim, dim, [vec.get(u, ZERO) for u in range(dim * dim)])
-              for vec in kernel(eqs, dim * dim)]
+    vecs = kernel(eqs, dim * dim)
+    gammas = [Matrix(dim, dim, [vec.get(u, ZERO) for u in range(dim * dim)]) for vec in vecs]
+
+    def pair(vec, a):
+        return sum((x * y for u, x in vec.items() if (y := a[u % dim, u // dim])), ZERO)
+
     # the dual basis under the trace pairing: tr(Gamma_b dual_c) = delta_bc
-    gram_inv = invert(Matrix.from_rows([[_trace_pairing(a, b) for b in gammas]
-                                        for a in gammas]))
+    gram_inv = invert(Matrix.from_rows([[pair(a, b) for b in gammas] for a in vecs]))
     duals = [combination(zip(gram_inv.row(b), gammas), dim) for b in range(len(gammas))]
-    return lambda a: combination(((_trace_pairing(g, a), d) for g, d in zip(gammas, duals)),
-                                 dim)
-
-
-def _trace_pairing(a: Matrix, b: Matrix):
-    """tr(A B) over the nonzero entries of A."""
-    n = a.rows
-    return sum((x * b[c, r] for r in range(n) for c, x in enumerate(a.row(r)) if x), ZERO)
+    return lambda a: combination(((pair(v, a), d) for v, d in zip(vecs, duals)), dim)
 
 
 def heat_trace(coeffs: HeatCoefficients, volume) -> HeatTraceResult:

@@ -3,9 +3,9 @@
 Scalars are a + b*i with arbitrary-precision rational a, b, so every
 operation in the pipeline (spinor generators need +-i, all coefficients
 stay rational) closes inside one field.  No floating point lives here.
-The linear-algebra routines are `invert`, a Gauss-Jordan inverse for
-the small matrices of the models (beta and Gram matrices), and `kernel`,
-a sparse Gauss-Jordan null space (Cartan subalgebras and commutants).
+There is one elimination, `kernel`, a sparse Gauss-Jordan null space
+(Cartan subalgebras and commutants); `invert` reads an inverse (beta and
+Gram matrices) off the null space of [A | -I].
 
 Uses gmpy2.mpq for the rational backend when available, falling back to
 fractions.Fraction; both print as "p/q" and sit in the numbers.Rational
@@ -434,23 +434,23 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def invert(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination; raises ValueError when singular."""
+    """Exact inverse read off the null space of [A | -I]; raises ValueError
+    when singular.
+
+    The null space of the sparse rows [A | -I] in the unknowns x, then y,
+    is y = A x (kernel).  When A is invertible its free columns are exactly
+    n .. 2n-1, and the basis vector of free column n + j holds column j of
+    the inverse in x.  Otherwise the first basis vector's free column, its
+    largest key, is below n: the first column of A without a pivot.
+    """
     if not a.is_square:
         raise ValueError("only square matrices can be inverted")
     n = a.rows
-    rows = [list(a.row(i)) + [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            raise ValueError(f"matrix is singular (no pivot in column {c})")
-        rows[c], rows[piv] = rows[piv], rows[c]
-        scale = ONE / rows[c][c]
-        pivot_row = rows[c] = [scale * x for x in rows[c]]
-        for r in range(n):
-            f = rows[r][c]
-            if r != c and f:
-                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], pivot_row)]
-    return Matrix.from_rows([row[n:] for row in rows])
+    basis = kernel([{c: x for c, x in enumerate(a.row(i)) if x} | {n + i: -ONE}
+                    for i in range(n)], 2 * n)
+    if basis and max(basis[0]) < n:
+        raise ValueError(f"matrix is singular (no pivot in column {max(basis[0])})")
+    return Matrix(n, n, [vec.get(i, ZERO) for i in range(n) for vec in basis])
 
 
 def kernel(rows, ncols: int) -> list:

@@ -6,10 +6,11 @@ from power sums of pencil powers, the cosh of a matrix pencil, matrix
 exponentials, and the twist factor.  Determinants of series-valued
 matrices are never computed by cofactor expansion; only traces of matrix
 powers enter.  There is one routine for pencil powers (_pencil_step,
-sparse, shared by cosh, the det factors and the Weyl density) and one
-exp recurrence (SeriesPoly.exp, which also gives the twist factor as a
-list of t-coefficients).  A pencil may be restricted to the span of a
-few coefficient vectors (a Cartan subalgebra), one omega per vector.
+sparse, shared by cosh, the det factors and the Weyl density), one
+det(sinhc) expansion (det_sinhc_pencil, which also gives the twist
+factor as a one-variable pencil in t) and one exp recurrence
+(SeriesPoly.exp).  A pencil may be restricted to the span of a few
+coefficient vectors (a Cartan subalgebra), one omega per vector.
 
 In every polynomial built here each omega variable carries exactly one
 factor of s, so a term's s-power is its omega-degree until the Gaussian
@@ -241,21 +242,6 @@ def _elementary_symmetric(psums: dict, top: int, zero_mono) -> list:
     return e
 
 
-def _cayley_hamilton_power_sums(psums: dict, dim: int, top: int, zero_mono):
-    """Add p_k for dim < k <= top to psums, which holds p_1 .. p_dim.
-
-    The characteristic coefficients e_1 .. e_dim of the dim x dim pencil
-    come from Newton's identities, and Cayley-Hamilton gives
-    p_k = sum_{j=1..dim} (-1)^(j-1) e_j p_(k-j).
-    """
-    e = _elementary_symmetric(psums, dim, zero_mono)
-    for k in range(dim + 1, top + 1):
-        acc = {}
-        for j in range(1, dim + 1):
-            _add_products(acc, e[j], psums[k - j], (-1) ** (j - 1))
-        psums[k] = {mono: v for mono, v in acc.items() if v}
-
-
 def _direct_power_sums(gens, dim: int, top: int, zero_mono, odd: bool = True) -> dict:
     """p_j = tr[A(omega)^j] for 1 <= j <= top (even j only unless odd) as
     {j: {monomial: value}}: the sum over monomial pairs (mu, nu) of
@@ -283,23 +269,15 @@ def det_sinhc_pencil(mats, scale, exponent, degree: int, basis=None) -> SeriesPo
       rationals when every scaled entry and the exponent are real (every
       catalog space) and over GaussianRational otherwise, with one code
       path for both;
-    - with dim the matrix size, p_j for j <= min(dim, M) comes from the
-      pencil powers (_direct_power_sums);
-    - when dim < M, the power sums past dim come from p_1 .. p_dim by
-      Newton's identities and Cayley-Hamilton, so their cost stops growing
-      with M.  Odd p_j are needed only there; they vanish for
-      antisymmetric generators.
+    - p_2m for 2m <= M comes from the pencil powers (_direct_power_sums);
+      odd p_j never enter.
     """
     gens, exponent = _sparse_generators(mats, scale, exponent, basis)
     p = len(gens)
     if p == 0:
         return SeriesPoly(0, 1, degree)
-    dim, zero_mono = mats[0].rows, (0,) * p
     top = degree - degree % 2
-    recur = dim < top
-    psums = _direct_power_sums(gens, dim, min(dim, top), zero_mono, odd=recur)
-    if recur:
-        _cayley_hamilton_power_sums(psums, dim, top, zero_mono)
+    psums = _direct_power_sums(gens, mats[0].rows, top, (0,) * p, odd=False)
 
     logc = log_sinhc_coeffs(degree)
     f = {}
@@ -369,20 +347,10 @@ def matrix_exp_series(m: Matrix, degree: int) -> list:
 def det_sinhc_numeric(b: Matrix, exponent, degree: int) -> list:
     """The t-coefficients [g_0 .. g_(degree/2)] of det(sinh(t*B)/(t*B))^exponent.
 
-    B is the antisymmetric purely-imaginary twist matrix, so only even
-    powers of t appear.  The exponent exponent * sum_m c_2m t^(2m) tr B^(2m)
-    is a one-variable SeriesPoly in t, and SeriesPoly.exp gives the factor.
+    B is the antisymmetric purely-imaginary twist matrix.  The factor is
+    det_sinhc_pencil on the one-matrix pencil t*B, with the truncation
+    degree counted in t, so the twist shares the det(sinhc) expansion.
     """
-    if not b.is_square:
-        raise ValueError("twist matrix must be square")
     order = degree // 2
-    logc = log_sinhc_coeffs(order)
-    f = {}
-    power = Matrix.identity(b.rows)
-    for m in range(1, order // 2 + 1):
-        power = power * b * b
-        if power.is_zero():
-            break
-        f[(2 * m,)] = logc[2 * m] * exponent * power.trace()
-    g = SeriesPoly(1, 1, order, f).exp().terms
+    g = det_sinhc_pencil([b], 1, exponent, order).exp().terms
     return [g.get((n,), ZERO) for n in range(order + 1)]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symheat.cli import main
+from symheat.engine import K_MAX_LIMIT
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 S2_EXPLICIT = {"n": 2, "p": 1, "flat_dim": 0,
@@ -72,7 +73,7 @@ class TestCompute:
         assert main(["compute", "/nonexistent/job.json"]) == 2
 
     def test_kmax_overflow_exit_code(self, capsys):
-        rc = main(["compute", str(JOBS / "s2_scalar.json"), "-k", "9"])
+        rc = main(["compute", str(JOBS / "s2_scalar.json"), "-k", str(K_MAX_LIMIT + 1)])
         assert rc == 4
 
     def test_trace_output(self, capsys):
@@ -208,7 +209,9 @@ class TestCompute:
             {"catalog": "flat", "params": {"n": 9}},
             {"catalog": "sphere", "params": {"n": 2}}]}}},
         {"bundle": {"explicit": {"dimV": 100000}}},
-    ], ids=["catalog_n", "flat_n", "explicit_n", "product_total_n", "explicit_dimV"])
+        {"bundle": {"catalog": "tensor_product", "factors": ["spinor"] * 12}},
+    ], ids=["catalog_n", "flat_n", "explicit_n", "product_total_n", "explicit_dimV",
+            "catalog_tensor_dimV"])
     def test_dimension_above_bound_rejected(self, tmp_path, capsys, job, command):
         # refused at parse time, before a model or fiber of that size is built
         job = {"space": {"catalog": "sphere", "params": {"n": 2}}, **job}

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from symheat.engine import (
     HeatCoefficients,
     HeatRequest,
     HolonomyAverageError,
+    K_MAX_LIMIT,
     RepModelMismatchError,
     TruncationOverflowError,
     _cartan_candidates,
@@ -214,7 +216,7 @@ class TestRequestValidation:
     def test_kmax_overflow(self):
         m = sphere(2, 1)
         with pytest.raises(TruncationOverflowError):
-            HeatRequest(m, scalar_rep(m), 7)
+            HeatRequest(m, scalar_rep(m), K_MAX_LIMIT + 1)
         with pytest.raises(TruncationOverflowError):
             HeatRequest(m, scalar_rep(m), -1)
 
@@ -325,7 +327,31 @@ class TestCartanRoute:
 
     def test_abelian_holonomy_is_its_own_torus(self):
         for m in (flat(2), sphere(2, 1), product([flat(2), sphere(2, 1), sphere(2, 1)])):
-            assert cartan_subalgebra(m.F) == (None, None)
+            basis, density = cartan_subalgebra(m.F)
+            assert basis == [tuple(int(i == j) for j in range(m.p)) for i in range(m.p)]
+            assert density == {(0,) * m.p: 1}
+        assert cartan_subalgebra(flat(2).F) == ([], {(): 1})
+
+    def test_abelian_holonomy_needs_no_commutant_projection(self, monkeypatch):
+        model = product([flat(2), sphere(2, 1)])
+        rep = catalog_rep(model, "tensor_product", factors=_VS, twist=[rational(1, 3)])
+
+        def refuse(*args):
+            raise AssertionError("an abelian h needs no commutant projection")
+
+        monkeypatch.setattr(engine, "_commutant_projection", refuse)
+        req = HeatRequest(model, rep, 4)
+        assert heat_coefficients(req).a == _reference_heat_coefficients(req)
+
+    def test_zero_generator_fiber_projects_in_time(self):
+        # R = 0 commutes with every X, so the commutant is all 256 matrix units
+        model = sphere(3, 1)
+        rep = rep_from_descriptor(model, {"explicit": {"dimV": 16}})
+        start = time.perf_counter()
+        got = heat_coefficients(HeatRequest(model, rep, 3)).a
+        assert time.perf_counter() - start < 3
+        scalar = heat_coefficients(HeatRequest(model, scalar_rep(model), 3)).a
+        assert got == tuple(Matrix.identity(16).scale(a[0, 0]) for a in scalar)
 
     def test_nilpotent_algebra_has_no_cartan_subalgebra(self):
         # Heisenberg [D_0, D_1] = D_2: every ad is nilpotent, so W = 0 on every candidate
@@ -421,20 +447,30 @@ class TestTracedNames:
 class TestGoldenReports:
     """Radius-1 reports, byte for byte, against the benchmark's stored refs."""
 
+    VS = {"catalog": "tensor_product", "factors": ["vector", "spinor"]}
+    # name: (n, bundle, k_max, twist block on a flat(2) factor or None)
     JOBS = {
-        "s4_scalar_k4": (4, {"catalog": "scalar"}, 4),
-        "s5_scalar_k2": (5, {"catalog": "scalar"}, 2),
-        "s2_spinor_k6": (2, {"catalog": "spinor"}, 6),
-        "s3_vecspin_k3": (3, {"catalog": "tensor_product", "factors": ["vector", "spinor"]}, 3),
-        "s4_spinor_k3": (4, {"catalog": "spinor"}, 3),
+        "s4_scalar_k4": (4, {"catalog": "scalar"}, 4, None),
+        "s5_scalar_k2": (5, {"catalog": "scalar"}, 2, None),
+        "s4_scalar_k3": (4, {"catalog": "scalar"}, 3, None),
+        "s2_scalar_k6": (2, {"catalog": "scalar"}, 6, None),
+        "s2_spinor_k6": (2, {"catalog": "spinor"}, 6, None),
+        "s3_spinor_k6": (3, {"catalog": "spinor"}, 6, None),
+        "flat2xs2_vecspin_twist_k4": (2, VS, 4, "1/3"),
+        "s4_spinor_k3": (4, {"catalog": "spinor"}, 3, None),
+        "s3_vecspin_k3": (3, VS, 3, None),
     }
 
     @pytest.mark.parametrize("sign", ["sphere", "hyperbolic"])
     @pytest.mark.parametrize("name", list(JOBS))
     def test_report_matches_ref(self, name, sign):
-        n, bundle, k_max = self.JOBS[name]
-        model = space_from_descriptor({"catalog": sign, "params": {"n": n, "radius": "1"}})
-        rep = rep_from_descriptor(model, bundle, None)
+        n, bundle, k_max, block = self.JOBS[name]
+        space = {"catalog": sign, "params": {"n": n, "radius": "1"}}
+        if block is not None:
+            space = {"catalog": "product", "params": {"factors": [
+                {"catalog": "flat", "params": {"n": 2}}, space]}}
+        model = space_from_descriptor(space)
+        rep = rep_from_descriptor(model, bundle, block and {"blocks": [block]})
         hc = heat_coefficients(HeatRequest(model, rep, k_max))
         text = json.dumps(coefficient_report(hc, mode="exact"), indent=2, sort_keys=True)
         assert text + "\n" == (REFS / f"{name}.{sign}.json").read_text(encoding="utf-8")

@@ -164,6 +164,22 @@ class TestSolve:
         with pytest.raises(ValueError):
             invert(Matrix.from_rows([[1, 2], [2, 4]]))
 
+    @pytest.mark.parametrize("rows,column", [
+        ([[1, 2], [2, 4]], 1),
+        ([[0, 0], [0, 1]], 0),
+        ([[1, 1, 0], [0, 0, 1], [1, 1, 1]], 1),
+    ])
+    def test_singular_message_names_first_column_without_pivot(self, rows, column):
+        with pytest.raises(ValueError, match=rf"^matrix is singular \(no pivot in column {column}\)$"):
+            invert(Matrix.from_rows(rows))
+
+    def test_invert_large_permutation(self):
+        n = 256
+        perm = list(range(n))
+        random.Random(256).shuffle(perm)
+        m = Matrix.from_rows([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+        assert invert(m) == m.transpose()
+
 
 class TestKernel:
     def test_rank_two_rows(self):

@@ -163,9 +163,9 @@ class TestDetSinhcExponent:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["antisymmetric", "real", "complex"])
     def test_exp_matches_traced_pencil_powers(self, kind, p, dim, degree):
-        # dim < degree here, so the power sums past dim come from the
-        # Cayley-Hamilton recurrence, odd ones included for non-antisymmetric
-        # and complex pencils
+        # dim < degree here: every even power sum up to the degree comes
+        # straight from the pencil powers, for non-antisymmetric and complex
+        # pencils too, whose odd power sums never enter
         rng = random.Random(f"{kind}-{p}-{dim}-{degree}")
         mats = _random_pencil(rng, kind, p, dim)
         exponent = rational(1, 2) if (p + dim + degree) % 2 else rational(-1, 2)
