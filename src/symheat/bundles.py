@@ -205,7 +205,7 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
 
     # R_i = -(1/2) D^a_ib G^b_a
     R = tuple(
-        combination(((d[a, b], table[b][a]) for a in range(n) for b in range(n)),
+        combination(((x, table[b][a]) for a, row in enumerate(d.nonzeros) for b, x in row.items()),
                     dimV).scale(rational(-1, 2))
         for d in model.D
     )

@@ -194,8 +194,7 @@ def _cartan_candidates(F):
     yield [tuple(int(i == j) for j in range(p)) for i in picked]
     for m in (1, 2, 3):
         fx = combination(((x**m, f) for x, f in enumerate(F, 1)), p)
-        rows = [{k: v for k, v in enumerate(fx.row(j)) if v} for j in range(p)]
-        yield [tuple(vec.get(i, ZERO) for i in range(p)) for vec in kernel(rows, p)]
+        yield [tuple(vec.get(i, ZERO) for i in range(p)) for vec in kernel(fx.nonzeros, p)]
 
 
 def _commutant_projection(R, basis):
@@ -209,31 +208,46 @@ def _commutant_projection(R, basis):
     This pairing vanishes on every [R_i, Y], so P is the average over the
     holonomy group for any fiber generators, anti-Hermitian or not.  The
     pairing walks the sparse kernel vectors, whose unknown u = k*dim + c is
-    X[k, c]: tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim].
+    X[k, c]: tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim].  In the
+    Gram matrix tr(Gamma_a Gamma_b), each nonzero Gamma_a[u] meets only the
+    Gamma_b that are nonzero at the transposed unknown (u % dim)*dim + u // dim.
     """
     dim = R[0].rows
     eqs = []
     for g in [combination(zip(v, R), dim) for v in basis] + list(R):
         rows = {}
         # [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c], X[k,c] is unknown k*dim + c
-        for a in range(dim):
-            for b, v in enumerate(g.row(a)):
-                if v:
-                    for c in range(dim):
-                        row = rows.setdefault((a, c), {})
-                        row[b * dim + c] = row.get(b * dim + c, ZERO) + v
-                        row = rows.setdefault((c, b), {})
-                        row[c * dim + a] = row.get(c * dim + a, ZERO) - v
+        for a, grow in enumerate(g.nonzeros):
+            for b, v in grow.items():
+                for c in range(dim):
+                    row = rows.setdefault((a, c), {})
+                    row[b * dim + c] = row.get(b * dim + c, ZERO) + v
+                    row = rows.setdefault((c, b), {})
+                    row[c * dim + a] = row.get(c * dim + a, ZERO) - v
         eqs.extend(rows.values())
     vecs = kernel(eqs, dim * dim)
-    gammas = [Matrix(dim, dim, [vec.get(u, ZERO) for u in range(dim * dim)]) for vec in vecs]
+    gammas, at = [], {}  # at[u] lists (b, Gamma_b[u]) over the b with Gamma_b[u] != 0
+    for b, vec in enumerate(vecs):
+        rows = [{} for _ in range(dim)]
+        for u, x in vec.items():
+            rows[u // dim][u % dim] = x
+            at.setdefault(u, []).append((b, x))
+        gammas.append(Matrix.from_nonzeros(dim, rows))
+    gram = []
+    for vec in vecs:
+        row = {}
+        for u, x in vec.items():
+            for b, y in at.get((u % dim) * dim + u // dim, ()):
+                row[b] = row[b] + x * y if b in row else x * y
+        gram.append(row)
 
     def pair(vec, a):
-        return sum((x * y for u, x in vec.items() if (y := a[u % dim, u // dim])), ZERO)
+        return sum((x * y for u, x in vec.items()
+                    if (y := a.nonzeros[u % dim].get(u // dim))), ZERO)
 
     # the dual basis under the trace pairing: tr(Gamma_b dual_c) = delta_bc
-    gram_inv = invert(Matrix.from_rows([[pair(a, b) for b in gammas] for a in vecs]))
-    duals = [combination(zip(gram_inv.row(b), gammas), dim) for b in range(len(gammas))]
+    gram_inv = invert(Matrix.from_nonzeros(len(vecs), gram))
+    duals = [combination(((x, gammas[c]) for c, x in r.items()), dim) for r in gram_inv.nonzeros]
     return lambda a: combination(((pair(v, a), d) for v, d in zip(vecs, duals)), dim)
 
 

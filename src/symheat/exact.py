@@ -1,8 +1,10 @@
-"""Exact scalar and dense matrix arithmetic over the Gaussian rationals.
+"""Exact scalar and sparse matrix arithmetic over the Gaussian rationals.
 
 Scalars are a + b*i with arbitrary-precision rational a, b, so every
 operation in the pipeline (spinor generators need +-i, all coefficients
 stay rational) closes inside one field.  No floating point lives here.
+A Matrix is held as its nonzero entries, one {column: value} dict per
+row, and every matrix operation costs O(nonzeros), not O(rows * cols).
 There is one elimination, `kernel`, a sparse Gauss-Jordan null space
 (Cartan subalgebras and commutants); `invert` reads an inverse (beta and
 Gram matrices) off the null space of [A | -I].
@@ -235,22 +237,46 @@ I_UNIT = GaussianRational(0, 1)
 
 
 class Matrix:
-    """Immutable dense matrix of GaussianRational entries, row-major."""
+    """Immutable matrix of GaussianRational entries, stored as its nonzeros.
 
-    __slots__ = ("rows", "cols", "_e")
+    nonzeros holds one {column: value} dict per row with the nonzero
+    entries only.  That form is canonical, so equal matrices compare and
+    hash equal however they were built, and every operation walks the
+    nonzeros alone.  Row dicts may be shared between matrices and are
+    never mutated; callers read them and must not write to them.
+    """
+
+    __slots__ = ("rows", "cols", "nonzeros")
 
     def __init__(self, rows: int, cols: int, entries):
-        e = tuple(GaussianRational.of(x) for x in entries)
+        e = [GaussianRational.of(x) for x in entries]
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
-        object.__setattr__(self, "rows", rows)
+        self._fill(cols, [{j: x for j, x in enumerate(e[i * cols:(i + 1) * cols]) if x}
+                          for i in range(rows)])
+
+    def _fill(self, cols: int, nonzeros) -> "Matrix":
+        object.__setattr__(self, "rows", len(nonzeros))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_e", e)
+        object.__setattr__(self, "nonzeros", tuple(nonzeros))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def _of(cls, cols: int, nonzeros) -> "Matrix":
+        # rows already canonical: nonzero GaussianRational values only
+        return cls.__new__(cls)._fill(cols, nonzeros)
+
+    @classmethod
+    def from_nonzeros(cls, cols: int, rows) -> "Matrix":
+        """The matrix whose rows are the given {column: value} dicts; zero
+        values are dropped and the rest read as GaussianRational."""
+        return cls._of(cols, [{j: v for j, x in r.items() if (v := GaussianRational.of(x))}
+                              for r in rows])
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -263,28 +289,28 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "Matrix":
-        if cols is None:
-            cols = rows
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls._of(rows if cols is None else cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls._of(n, [{i: ONE} for i in range(n)])
 
     @classmethod
     def diag(cls, values) -> "Matrix":
-        vals = [GaussianRational.of(v) for v in values]
-        n = len(vals)
-        return cls(n, n, [vals[i] if i == j else ZERO for i in range(n) for j in range(n)])
+        values = list(values)
+        return cls.from_nonzeros(len(values), [{i: v} for i, v in enumerate(values)])
 
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
-        return self._e[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {ij} out of range for a {self.rows}x{self.cols} matrix")
+        return self.nonzeros[i].get(j, ZERO)
 
     def row(self, i):
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        r = self.nonzeros[i]
+        return tuple(r.get(j, ZERO) for j in range(self.cols))
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -294,10 +320,10 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self._e)
+        return not any(self.nonzeros)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nonzeros)
 
     # -- algebra -----------------------------------------------------------
 
@@ -309,18 +335,19 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
+        return Matrix._of(self.cols, [_row_sum(a, b) for a, b in zip(self.nonzeros, other.nonzeros)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
+        return Matrix._of(self.cols, [{j: -x for j, x in r.items()} for r in self.nonzeros])
 
     def scale(self, c) -> "Matrix":
         c = GaussianRational.of(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self._e])
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix._of(self.cols, [{j: c * x for j, x in r.items()} for r in self.nonzeros])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -335,64 +362,55 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, m, k = self.rows, other.cols, self.cols
-        # walk only the nonzero entries of each row of both factors
-        b_rows = [[(j, y) for j, y in enumerate(other.row(l)) if y] for l in range(k)]
+        b = other.nonzeros
         out = []
-        for i in range(n):
-            acc = [ZERO] * m
-            for l, x in enumerate(self.row(i)):
-                if x:
-                    for j, y in b_rows[l]:
-                        acc[j] = acc[j] + x * y
-            out.extend(acc)
-        return Matrix(n, m, out)
+        for r in self.nonzeros:
+            acc = {}
+            for l, x in r.items():
+                for j, y in b[l].items():
+                    s = acc.get(j)
+                    acc[j] = x * y if s is None else s + x * y
+            out.append({j: v for j, v in acc.items() if v})
+        return Matrix._of(other.cols, out)
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
         acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self._e[i * self.cols + i]
+        for i, r in enumerate(self.nonzeros):
+            if i in r:
+                acc = acc + r[i]
         return acc
 
+    def _transposed(self, f) -> "Matrix":
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzeros):
+            for j, x in r.items():
+                out[j][i] = f(x)
+        return Matrix._of(self.rows, out)
+
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        return self._transposed(lambda x: x)
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [
-                self._e[i * self.cols + j].conjugate()
-                for j in range(self.cols)
-                for i in range(self.rows)
-            ],
-        )
+        return self._transposed(GaussianRational.conjugate)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product self (x) other."""
-        r1, c1, r2, c2 = self.rows, self.cols, other.rows, other.cols
-        out = []
-        for i1 in range(r1):
-            for i2 in range(r2):
-                for j1 in range(c1):
-                    x = self._e[i1 * c1 + j1]
-                    for j2 in range(c2):
-                        out.append(x * other._e[i2 * c2 + j2])
-        return Matrix(r1 * r2, c1 * c2, out)
+        c2 = other.cols
+        return Matrix._of(self.cols * c2, [
+            {j1 * c2 + j2: x * y for j1, x in r1.items() for j2, y in r2.items()}
+            for r1 in self.nonzeros for r2 in other.nonzeros
+        ])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._e == other._e
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.nonzeros)))
 
     def __repr__(self):
         body = "; ".join(
@@ -413,17 +431,36 @@ class Matrix:
         return [[complex(x) for x in self.row(i)] for i in range(self.rows)]
 
 
+def _row_sum(a: dict, b: dict) -> dict:
+    """a + b for {column: value} rows without zeros; shares an operand when the other is empty."""
+    if not b or not a:
+        return b or a
+    out = dict(a)
+    for j, y in b.items():
+        if j not in out:
+            out[j] = y
+        elif s := out[j] + y:
+            out[j] = s
+        else:
+            del out[j]
+    return out
+
+
 def combination(terms, n: int) -> Matrix:
-    """The n x n sum c*M over the (c, M) pairs, skipping zero c and zero entries of M."""
-    acc = [ZERO] * (n * n)
+    """The n x n sum c*M over the (c, M) pairs, walking the nonzeros of each M
+    whose c is nonzero."""
+    acc = [{} for _ in range(n)]
     for c, m in terms:
         if not c:
             continue
         if m.rows != n or m.cols != n:
             raise ValueError(f"{m.rows}x{m.cols} term in a {n}x{n} combination")
         c = GaussianRational.of(c)
-        acc = [s + c * x if x else s for s, x in zip(acc, m._e)]
-    return Matrix(n, n, acc)
+        for dst, src in zip(acc, m.nonzeros):
+            for j, x in src.items():
+                s = dst.get(j)
+                dst[j] = c * x if s is None else s + c * x
+    return Matrix._of(n, [{j: v for j, v in r.items() if v} for r in acc])
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -446,11 +483,15 @@ def invert(a: Matrix) -> Matrix:
     if not a.is_square:
         raise ValueError("only square matrices can be inverted")
     n = a.rows
-    basis = kernel([{c: x for c, x in enumerate(a.row(i)) if x} | {n + i: -ONE}
-                    for i in range(n)], 2 * n)
+    basis = kernel([r | {n + i: -ONE} for i, r in enumerate(a.nonzeros)], 2 * n)
     if basis and max(basis[0]) < n:
         raise ValueError(f"matrix is singular (no pivot in column {max(basis[0])})")
-    return Matrix(n, n, [vec.get(i, ZERO) for i in range(n) for vec in basis])
+    out = [{} for _ in range(n)]
+    for j, vec in enumerate(basis):
+        for i, x in vec.items():
+            if i < n:
+                out[i][j] = x
+    return Matrix._of(n, out)
 
 
 def kernel(rows, ncols: int) -> list:

@@ -143,11 +143,13 @@ def log_sinhc_coeffs(order: int) -> list:
 def _sparse_generators(mats, scale, exponent=1, basis=None):
     """The generators scale*A_i as {row: {col: value}}, and the exponent.
 
-    With a basis (coefficient vectors T_a over the A_i) the generators are
-    scale*B_a with B_a = sum_i T_a[i] A_i, the pencil restricted to the
-    span of the T_a.  Values are plain rationals when every one of them
-    and the exponent is real, and GaussianRational otherwise.  Later steps
-    only add, multiply and test for zero, so both kinds share one code path.
+    Each generator is read off the nonzero rows of its Matrix.  With a
+    basis (coefficient vectors T_a over the A_i) the generators are
+    scale*B_a with B_a = sum_i T_a[i] A_i (one exact.combination each), the
+    pencil restricted to the span of the T_a.  Values are plain rationals
+    when every one of them and the exponent is real, and GaussianRational
+    otherwise.  Later steps only add, multiply and test for zero, so both
+    kinds share one code path.
     """
     dim = mats[0].rows if mats else 0
     for a in mats:
@@ -158,8 +160,8 @@ def _sparse_generators(mats, scale, exponent=1, basis=None):
     scale, exponent = GaussianRational.of(scale), GaussianRational.of(exponent)
     gens = []
     for a in mats:
-        rows = {r: {c: x * scale for c, x in enumerate(a.row(r)) if x} for r in range(dim)}
-        gens.append({r: row for r, row in rows.items() if row})
+        gens.append({r: {c: x * scale for c, x in row.items()}
+                     for r, row in enumerate(a.nonzeros) if row})
     if exponent.is_real() and all(
         v.is_real() for g in gens for row in g.values() for v in row.values()
     ):
@@ -308,7 +310,8 @@ def cosh_pencil(mats, dim: int, degree: int, basis=None) -> SeriesPoly:
     """cosh(s*R(omega)) = sum_m s^(2m) R(omega)^(2m) / (2m)!, matrix-valued.
 
     The powers R(omega)^j come from the sparse _pencil_step, as for the
-    det(sinhc) factors; the even ones, scaled by 1/j!, become Matrix values.
+    det(sinhc) factors; the even ones, scaled by 1/j!, become Matrix values
+    built from their rows of nonzeros.
     With a basis the pencil is restricted to its span, as there.
     """
     if mats and mats[0].rows != dim:
@@ -326,11 +329,8 @@ def cosh_pencil(mats, dim: int, degree: int, basis=None) -> SeriesPoly:
         if j % 2 == 0:
             inv = rational(1, math.factorial(j))
             for mono, x in power.items():
-                entries = [ZERO] * (dim * dim)
-                for r, row in x.items():
-                    for c, v in row.items():
-                        entries[r * dim + c] = v * inv
-                terms[mono] = Matrix(dim, dim, entries)
+                terms[mono] = Matrix.from_nonzeros(dim, [
+                    {c: v * inv for c, v in x.get(r, {}).items()} for r in range(dim)])
     return SeriesPoly(p, dim, degree, terms)
 
 

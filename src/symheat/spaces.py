@@ -173,21 +173,21 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
 
     The structure constants F^j_ik of [D_i, D_k] = F^j_ik D_j are the
     projections of each bracket onto the D_j through the inverse of their
-    Gram matrix.  Dependent D_j (a singular Gram matrix) and a bracket that
-    does not close on the D_j both raise ModelBuildError, in that order.
+    Gram matrix.  A singular beta, dependent D_j (a singular Gram matrix)
+    and a bracket that does not close on the D_j raise ModelBuildError, in
+    that order: a singular beta would make the D_j dependent too.
     """
     n, p, E, beta = data.n, data.p, data.E, data.beta
     _check_data(data)
-
-    # D_i = -sum_k beta_ik E^k (the delta metric raises the first index)
-    D = tuple(combination(((-beta[i, k], E[k]) for k in range(p)), n) for i in range(p))
-
-    F = _solve_structure_constants(n, p, D)
-
     try:
         beta_inv = invert(beta) if p else beta
     except ValueError as exc:
         raise ModelBuildError(f"beta is singular: {exc}") from exc
+
+    # D_i = -sum_k beta_ik E^k (the delta metric raises the first index)
+    D = tuple(combination(((-x, E[k]) for k, x in row.items()), n) for row in beta.nonzeros)
+
+    F = _solve_structure_constants(n, p, D)
 
     entries = _riemann_entries(E, beta)
     riemann = tuple(
@@ -214,19 +214,17 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
 
 def _block_diag(blocks) -> Matrix:
     """The block-diagonal matrix of the given square blocks, in order."""
-    size, off, rows = sum(b.rows for b in blocks), 0, []
+    off, rows = 0, []
     for b in blocks:
-        rows += [[ZERO] * off + list(b.row(i)) + [ZERO] * (size - off - b.rows)
-                 for i in range(b.rows)]
+        rows += [{off + j: x for j, x in r.items()} for r in b.nonzeros]
         off += b.rows
-    return Matrix.from_rows(rows)
+    return Matrix.from_nonzeros(off, rows)
 
 
 def _quarter_contraction(metric: Matrix, mats) -> GaussianRational:
     """-(1/4) metric^{ab} tr(M_a M_b), summed over the nonzero metric entries."""
     return _QUARTER * sum((g * (mats[a] * mats[b]).trace()
-                           for a, b in itertools.product(range(metric.rows), repeat=2)
-                           if (g := metric[a, b])), ZERO)
+                           for a, row in enumerate(metric.nonzeros) for b, g in row.items()), ZERO)
 
 
 def _check_data(data: CurvatureData):
@@ -256,35 +254,32 @@ def _solve_structure_constants(n: int, p: int, D) -> tuple:
     """
     if p == 0:
         return tuple()
-    vecs = [[d[a, b] for a in range(n) for b in range(n)] for d in D]
     # the nonzero entries of each D_j, conjugated for the projection
-    support = [[(e, x.conjugate()) for e, x in enumerate(v) if x] for v in vecs]
-    gram = Matrix.from_rows(
-        [[sum((c * vecs[l][e] for e, c in support[j]), ZERO) for l in range(p)]
-         for j in range(p)]
-    )
+    support = [[(a, b, x.conjugate()) for a, row in enumerate(d.nonzeros) for b, x in row.items()]
+               for d in D]
+
+    def project(sup, m):  # tr(D_j^+ m) over the nonzero entries of D_j
+        return sum((c * y for a, b, c in sup if (y := m.nonzeros[a].get(b))), ZERO)
+
     try:
-        gram_inv = invert(gram)
+        gram_inv = invert(Matrix.from_nonzeros(p, [{l: project(sup, d) for l, d in enumerate(D)}
+                                                   for sup in support]))
     except ValueError as exc:
         raise ModelBuildError("holonomy generators D_i are linearly dependent") from exc
-    F = [[[ZERO] * p for _ in range(p)] for _ in range(p)]  # F[i][j][k] = F^j_ik
+    F = [[{} for _ in range(p)] for _ in range(p)]  # F[i][j][k] = F^j_ik
     for i, k in index_pairs(p):
         com = commutator(D[i], D[k])
-        residual = [com[a, b] for a in range(n) for b in range(n)]
-        proj = [sum((c * residual[e] for e, c in sup if residual[e]), ZERO)
-                for sup in support]
-        for j in range(p):
-            f = sum((gram_inv[j, l] * x for l, x in enumerate(proj) if x), ZERO)
-            if not f:
-                continue
-            F[i][j][k], F[k][j][i] = f, -f
-            for e, _ in support[j]:
-                residual[e] = residual[e] - f * vecs[j][e]
-        if any(residual):
+        proj = [project(sup, com) for sup in support]
+        fs = [sum((g * proj[l] for l, g in row.items() if proj[l]), ZERO)
+              for row in gram_inv.nonzeros]
+        for j, f in enumerate(fs):
+            if f:
+                F[i][j][k], F[k][j][i] = f, -f
+        if com != combination(zip(fs, D), n):
             raise ModelBuildError(
                 f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j"
             )
-    return tuple(Matrix.from_rows(F[i]) for i in range(p))
+    return tuple(Matrix.from_nonzeros(p, F[i]) for i in range(p))
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +357,10 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
     ok, detail = True, ""
     for e in range(m.flat_dim):
         for i, Ei in enumerate(E):
-            if any(Ei.row(e)):
+            if Ei.nonzeros[e]:
                 ok, detail = False, f"E^{i} row {e}"
         for i, Di in enumerate(D):
-            if any(Di.row(e)) or any(Di[a, e] for a in range(n)):
+            if Di.nonzeros[e] or any(e in row for row in Di.nonzeros):
                 ok, detail = False, f"D_{i} direction {e}"
         if any(R[e][a][c][d] for a, c, d in itertools.product(range(n), repeat=3)):
             ok, detail = False, f"R row {e}"
@@ -376,18 +371,16 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
 
 def _riemann_entries(E, beta) -> dict:
     """R_abcd = beta_ik E^i_ab E^k_cd summed over nonzero beta and E entries only."""
-    support = [[(a, b, x) for a, b in itertools.product(range(e.rows), repeat=2)
-                if (x := e[a, b])] for e in E]
+    support = [[(a, b, x) for a, row in enumerate(e.nonzeros) for b, x in row.items()]
+               for e in E]
     out = {}
-    for i, k in itertools.product(range(len(E)), repeat=2):
-        bik = beta[i, k]
-        if not bik:
-            continue
-        for a, b, x in support[i]:
-            bx = bik * x
-            for c, d, y in support[k]:
-                key = (a, b, c, d)
-                out[key] = out.get(key, ZERO) + bx * y
+    for i, row in enumerate(beta.nonzeros):
+        for k, bik in row.items():
+            for a, b, x in support[i]:
+                bx = bik * x
+                for c, d, y in support[k]:
+                    key = (a, b, c, d)
+                    out[key] = out.get(key, ZERO) + bx * y
     return out
 
 

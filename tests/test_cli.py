@@ -222,6 +222,15 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: bad job file: ") and "exceeds the bound" in err
 
+    @pytest.mark.parametrize("command", ["compute", "validate"])
+    def test_singular_beta_named(self, tmp_path, capsys, command):
+        # a singular beta makes the D_i dependent too; the beta message comes first
+        job = {"space": {"explicit": {**S2_EXPLICIT, "beta": [["0/1"]]}}}
+        rc = main([command, write_job(tmp_path, job)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "beta is singular: " in err and "linearly dependent" not in err
+
     def test_tensor_factor_failure_names_product_checks(self, tmp_path, capsys):
         # the catalog product fiber is checked once, as a whole, so its failed
         # checks are named rather than those of the first factor

@@ -344,14 +344,16 @@ class TestCartanRoute:
         assert heat_coefficients(req).a == _reference_heat_coefficients(req)
 
     def test_zero_generator_fiber_projects_in_time(self):
-        # R = 0 commutes with every X, so the commutant is all 256 matrix units
+        # R = 0 commutes with every X, so the commutant is all dimV^2 matrix units,
+        # up to 1024 at the fiber bound MAX_EXPLICIT_DIMV = 32
         model = sphere(3, 1)
-        rep = rep_from_descriptor(model, {"explicit": {"dimV": 16}})
-        start = time.perf_counter()
-        got = heat_coefficients(HeatRequest(model, rep, 3)).a
-        assert time.perf_counter() - start < 3
         scalar = heat_coefficients(HeatRequest(model, scalar_rep(model), 3)).a
-        assert got == tuple(Matrix.identity(16).scale(a[0, 0]) for a in scalar)
+        for dimV in (16, 32):
+            rep = rep_from_descriptor(model, {"explicit": {"dimV": dimV}})
+            start = time.perf_counter()
+            got = heat_coefficients(HeatRequest(model, rep, 3)).a
+            assert time.perf_counter() - start < 3
+            assert got == tuple(Matrix.identity(dimV).scale(a[0, 0]) for a in scalar)
 
     def test_nilpotent_algebra_has_no_cartan_subalgebra(self):
         # Heisenberg [D_0, D_1] = D_2: every ad is nilpotent, so W = 0 on every candidate

@@ -6,6 +6,8 @@ from symheat.exact import (
     GaussianRational,
     I_UNIT,
     Matrix,
+    ZERO,
+    combination,
     commutator,
     invert,
     kernel,
@@ -227,3 +229,132 @@ class TestAlgebraProperties:
         rng = random.Random(11)
         a, b, c, d = (rand_matrix(rng, 2) for _ in range(4))
         assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
+
+
+# ---------------------------------------------------------------------------
+# the nonzero storage against a dense list-of-lists oracle
+
+
+def dense_rows(rng, n, m, zero_share, complex_ok):
+    return [[GaussianRational(0) if rng.random() < zero_share
+             else rand_scalar(rng, complex_ok=complex_ok) for _ in range(m)] for _ in range(n)]
+
+
+def as_matrix(rows, cols):
+    return Matrix(len(rows), cols, [x for r in rows for x in r])
+
+
+def dense_matmul(a, b, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), GaussianRational(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def dense_inverse(a):
+    """Gauss-Jordan with row swaps on [A | I]; None when singular."""
+    n = len(a)
+    aug = [list(r) + [GaussianRational(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = GaussianRational(1) / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for r in range(n):
+            if r != c and not aug[r][c].is_zero():
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [r[n:] for r in aug]
+
+
+def canonical(m: Matrix) -> bool:
+    return (len(m.nonzeros) == m.rows
+            and all(0 <= j < m.cols and v for r in m.nonzeros for j, v in r.items()))
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 5)]
+ZERO_SHARES = [0.0, 0.3, 0.6, 0.9]
+
+
+class TestNonzeroStorage:
+    @pytest.mark.parametrize("complex_ok", [False, True], ids=["real", "gaussian"])
+    @pytest.mark.parametrize("zero_share", ZERO_SHARES)
+    @pytest.mark.parametrize("shape", SHAPES, ids=[f"{n}x{m}" for n, m in SHAPES])
+    def test_operations_match_dense_oracle(self, shape, zero_share, complex_ok):
+        rng = random.Random(hash((shape, zero_share, complex_ok)) % 2**32)
+        n, m = shape
+        for _ in range(4):
+            a, b = (dense_rows(rng, n, m, zero_share, complex_ok) for _ in range(2))
+            c = dense_rows(rng, m, rng.randint(0, 3), zero_share, complex_ok)
+            k = len(c[0]) if c else 0
+            ma, mb, mc = as_matrix(a, m), as_matrix(b, m), as_matrix(c, k)
+            results = {
+                "+": (ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                "-": (ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+                "neg": (-ma, [[-x for x in r] for r in a]),
+                "matmul": (ma * mc, dense_matmul(a, c, k)),
+                "transpose": (ma.transpose(), [[a[i][j] for i in range(n)] for j in range(m)]),
+                "conj_transpose": (ma.conj_transpose(),
+                                   [[a[i][j].conjugate() for i in range(n)] for j in range(m)]),
+                "kron": (ma.kron(mc), [[x * y for x in ra for y in rc] for ra in a for rc in c]),
+            }
+            for z in (GaussianRational(0), rand_scalar(rng, complex_ok=complex_ok)):
+                results[f"scale {z}"] = (ma.scale(z), [[z * x for x in r] for r in a])
+            for name, (got, want) in results.items():
+                assert canonical(got), name
+                assert (got.rows, got.cols) == (len(want), len(want[0]) if want else got.cols)
+                assert got.to_rows() == want, name
+                assert got == as_matrix(want, got.cols) and hash(got) == hash(as_matrix(want, got.cols))
+            if n == m:
+                assert ma.trace() == sum((a[i][i] for i in range(n)), GaussianRational(0))
+                coeffs = [rand_scalar(rng, complex_ok=complex_ok) if rng.random() < 0.7
+                          else GaussianRational(0) for _ in range(3)]
+                mats = [ma, mb, -ma]
+                want = [[sum((cf * x[i][j] for cf, x in zip(coeffs, (a, b, [[-y for y in r] for r in a]))),
+                             GaussianRational(0)) for j in range(n)] for i in range(n)]
+                got = combination(zip(coeffs, mats), n)
+                assert canonical(got) and got.to_rows() == want
+                inv = dense_inverse(a)
+                if inv is None:
+                    with pytest.raises(ValueError):
+                        invert(ma)
+                else:
+                    got = invert(ma)
+                    assert canonical(got) and got.to_rows() == inv
+
+    def test_sum_with_negative_is_canonical_zero(self):
+        rng = random.Random(21)
+        for n in range(5):
+            a = sparse_matrix(rng, n, zero_share=0.4)
+            total = a + (-a)
+            assert total == Matrix.zeros(n) and hash(total) == hash(Matrix.zeros(n))
+            assert total.nonzeros == tuple({} for _ in range(n))
+            assert total.is_zero() and not total
+
+    def test_combination_and_dense_build_agree(self):
+        rng = random.Random(22)
+        n = 4
+        dense = [rand_scalar(rng) if rng.random() < 0.5 else GaussianRational(0)
+                 for _ in range(n * n)]
+        built = Matrix(n, n, dense)
+        units = [(x, Matrix(n, n, [int(u == v) for v in range(n * n)]))
+                 for u, x in enumerate(dense)]
+        other = sparse_matrix(rng, n)
+        # the same matrix, reached in another order with a cancelling term
+        reached = combination(units[::-1] + [(2, other), (-2, other)], n)
+        assert reached == built and hash(reached) == hash(built)
+        assert Matrix.from_rows(built.to_rows()) == built
+        assert Matrix.from_json(built.to_json()) == built
+
+    def test_row_fills_empty_positions_with_zero(self):
+        m = Matrix.from_rows([[0, 1, 0], [0, 0, 0]])
+        assert m.row(0) == (ZERO, GaussianRational(1), ZERO)
+        assert m.row(1) == (ZERO, ZERO, ZERO)
+        assert all(isinstance(x, GaussianRational) for x in m.row(1))
+        assert m[1, 2] == ZERO
+        assert m.nonzeros == ({1: GaussianRational(1)}, {})
+
+    @pytest.mark.parametrize("ij", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_index_out_of_range_raises(self, ij):
+        with pytest.raises(IndexError):
+            Matrix.identity(3)[ij]

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -191,6 +192,14 @@ class TestValidateModel:
     ])
     def test_catalog_models_pass(self, maker):
         report = validate_model(maker())
+        assert report.ok, report.failed()
+
+    def test_seven_sphere_validates_in_time(self):
+        # 378 adjoint-closure brackets of 28x28 C_a, each summed over nonzeros only
+        model = sphere(7, 1)
+        start = time.perf_counter()
+        report = validate_model(model)
+        assert time.perf_counter() - start < 2
         assert report.ok, report.failed()
 
     def test_sign_flip_still_passes(self):
