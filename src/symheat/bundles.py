@@ -3,8 +3,9 @@
 A fiber representation consists of so(n) generators G_ab acting on the
 fiber, an optional abelian twist B_ab (fiber-scalar, purely imaginary,
 supported on the flat directions only), and the derived objects: holonomy
-generators R_i = -(1/2) D^a_ib G^b_a and the Casimir R^2; the total
-curvature Omega_ab = -E^i_ab R_i + B_ab is derived on first read.
+generators R_i = -(1/2) beta_ik S_k and the Casimir R^2 = -(1/2) S_i R_i,
+both from S_k = E^k_ab G_ab; the total curvature Omega_ab = -E^i_ab R_i + B_ab
+is derived on first read.
 
 The purely imaginary convention for B encodes a real magnetic-type field
 strength: the twist matrix then has real eigenvalues, so its sinh-type
@@ -17,7 +18,6 @@ is assembled as one generator table and built once.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +28,7 @@ from .exact import (
 )
 from .spaces import (
     CheckResult, SymmetricSpaceModel, ValidationReport, first_failure, index_pairs,
+    unit_bivectors,
 )
 
 PAULI_X = Matrix.from_rows([[0, 1], [1, 0]])
@@ -167,8 +168,8 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     def integrable(abcd):
         a, b, c, d = abcd
         want = combination(
-            [(riem[f][a][c][d], curly[f][b]) for f in range(n)]
-            + [(riem[f][b][c][d], curly[a][f]) for f in range(n)], rep.dimV)
+            [(riem.get((f, a, c, d), ZERO), curly[f][b]) for f in range(n)]
+            + [(riem.get((f, b, c, d), ZERO), curly[a][f]) for f in range(n)], rep.dimV)
         return commutator(curly[c][d], curly[a][b]) == want
 
     checks.append(first_failure(
@@ -203,19 +204,17 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     if B.rows != n or B.cols != n:
         raise BundleError("twist matrix must be n x n")
 
-    # R_i = -(1/2) D^a_ib G^b_a
-    R = tuple(
-        combination(((x, table[b][a]) for a, row in enumerate(d.nonzeros) for b, x in row.items()),
-                    dimV).scale(rational(-1, 2))
-        for d in model.D
-    )
-
-    # Casimir R^2 = (1/4) R^abcd G_ab G_cd
-    riem = model.riemann
-    casimir = combination(
-        ((riem[a][b][c][d], table[a][b] * table[c][d])
-         for a, b, c, d in itertools.product(range(n), repeat=4) if riem[a][b][c][d]),
-        dimV).scale(rational(1, 4))
+    # With S_k = E^k_ab G_ab, R_i = -(1/2) D^a_ib G^b_a = -(1/2) beta_ik S_k and
+    # R^2 = (1/4) R^abcd G_ab G_cd = (1/4) beta_ik S_i S_k = -(1/2) S_i R_i.  Both
+    # hold exactly for any generator table: D_i = -beta_ik E^k, and build_model
+    # enforces that each E^k is antisymmetric, so E^k_ab G_ba = -S_k.  (beta is
+    # symmetric as well, so which index of beta is summed does not matter.)
+    minus_half = rational(-1, 2)
+    S = [combination(((x, table[a][b]) for a, row in enumerate(e.nonzeros) for b, x in row.items()),
+                     dimV) for e in model.data.E]
+    R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items()), dimV)
+              for row in model.beta.nonzeros)
+    casimir = combination(((minus_half, s * r) for s, r in zip(S, R)), dimV)
 
     rep = FiberRep(model=model, dimV=dimV, G=table, B=B, R=R, casimir=casimir)
     rep.report = validate_rep(model, rep)
@@ -270,17 +269,6 @@ def spin_generator_table(n: int) -> dict:
     }
 
 
-def vector_generator_table(n: int) -> dict:
-    """(X_ab)^c_d = delta^c_a delta_bd - delta^c_b delta_ad for a < b."""
-    out = {}
-    for a, b in index_pairs(n):
-        rows = [[ZERO] * n for _ in range(n)]
-        rows[a][b] = GaussianRational(1)
-        rows[b][a] = GaussianRational(-1)
-        out[(a, b)] = Matrix.from_rows(rows)
-    return out
-
-
 def twist_matrix(model: SymmetricSpaceModel, blocks) -> Matrix:
     """Abelian twist from 2x2 block strengths on the leading flat directions.
 
@@ -293,11 +281,11 @@ def twist_matrix(model: SymmetricSpaceModel, blocks) -> Matrix:
             f"twist needs {2 * len(blocks)} flat directions, "
             f"model has {model.flat_dim}"
         )
-    rows = [[ZERO] * model.n for _ in range(model.n)]
+    rows = [{} for _ in range(model.n)]
     for j, b in enumerate(blocks):
-        rows[2 * j][2 * j + 1] = GaussianRational(0, b)
-        rows[2 * j + 1][2 * j] = GaussianRational(0, -b)
-    return Matrix.from_rows(rows)
+        rows[2 * j] = {2 * j + 1: GaussianRational(0, b)}
+        rows[2 * j + 1] = {2 * j: GaussianRational(0, -b)}
+    return Matrix.from_nonzeros(model.n, rows)
 
 
 def _kron_sum(G1: dict, dim1: int, G2: dict, dim2: int) -> dict:
@@ -320,7 +308,7 @@ def _catalog_generators(model: SymmetricSpaceModel, name: str, twist, factors):
     if name in ("scalar", "u1_twist"):
         return {ab: Matrix.zeros(1) for ab in index_pairs(model.n)}, 1
     if name == "vector":
-        return vector_generator_table(model.n), model.n
+        return unit_bivectors(model.n), model.n
     if name == "spinor":
         if model.n > SPINOR_MAX_DIM:
             raise BundleError(f"spinor catalog covers n <= {SPINOR_MAX_DIM}")

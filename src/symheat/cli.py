@@ -27,12 +27,6 @@ from .engine import (
     render_report_text,
 )
 from .exact import json_kind, rational
-from .groupcheck import (
-    GroupCheckError,
-    heat_equation_residual,
-    laplace_identity_residual,
-    sample_points,
-)
 from .oracles import IllConditionedFitError, SpectralModel, extract_coefficients
 from .spaces import ModelBuildError, space_from_descriptor, validate_model
 
@@ -163,6 +157,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check_group(args) -> int:
+    # numpy, which groupcheck needs, loads only for this command
+    from .groupcheck import (
+        GroupCheckError, heat_equation_residual, laplace_identity_residual, sample_points,
+    )
+
     model, rep = _parsed(_build_pair, _load_job(args.job))
     with _exits(EXIT_PARSE, "refused: ", GroupCheckError):
         samples = sample_points(model, args.samples, radius=args.radius, seed=args.seed)

@@ -154,14 +154,7 @@ def gilkey_a1(model: SymmetricSpaceModel, rep: FiberRep) -> Matrix:
 def gilkey_a2(model: SymmetricSpaceModel, rep: FiberRep) -> Matrix:
     """a_2 = [(|Riem|^2 - |Ric|^2)/180 + R^2/72] I + (1/12) Omega_ab Omega^ab."""
     n = model.n
-    riem2 = GaussianRational(0)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    x = model.riemann[a][b][c][d]
-                    if not x.is_zero():
-                        riem2 = riem2 + x * x
+    riem2 = sum((x * x for x in model.riemann.values()), GaussianRational(0))
     ric2 = GaussianRational(0)
     for a in range(n):
         for b in range(n):

@@ -4,10 +4,12 @@ The primary datum is the factorized curvature (E, beta): a list of p
 antisymmetric n x n matrices E^i and a symmetric invertible p x p matrix
 beta with R_abcd = beta_ik E^i_ab E^k_cd.  Everything else — holonomy
 generators D_i, structure constants F^j_ik, curvature contractions — is
-derived exactly when the model is built.  The combined (n+p)-dimensional
-algebra and its invariant metric are derived on first read: only
-validation and the group checks read them.  Frame indices of the flat
-factor come first by convention.
+derived exactly when the model is built.  The Riemann tensor is held as
+its nonzero entries, a {(a, b, c, d): value} dict, and Ricci and every
+check walk those entries.  The combined (n+p)-dimensional algebra and its
+invariant metric are derived on first read: only validation and the group
+checks read them.  Frame indices of the flat factor come first by
+convention.
 
 Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
@@ -72,15 +74,17 @@ class CurvatureData:
 class SymmetricSpaceModel:
     """Curvature data with the derived exact structure the engine reads.
 
-    F is stored as p matrices F_i with (F_i)[j, k] = F^j_ik.  The combined
-    algebra C (N adjoint matrices with (C_A)[B, C] = C^B_AC, N = n + p),
-    its metric gamma, gamma's inverse and R_G are computed on first read.
+    F is stored as p matrices F_i with (F_i)[j, k] = F^j_ik.  riemann is
+    the dict {(a, b, c, d): R_abcd} of the nonzero entries only; an absent
+    key is a zero entry.  The combined algebra C (N adjoint matrices with
+    (C_A)[B, C] = C^B_AC, N = n + p), its metric gamma, gamma's inverse and
+    R_G are computed on first read.
     """
 
     data: CurvatureData
     D: tuple
     F: tuple
-    riemann: tuple
+    riemann: dict
     ricci: Matrix
     scalar_R: GaussianRational
     R_H: GaussianRational
@@ -189,20 +193,12 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
 
     F = _solve_structure_constants(n, p, D)
 
-    entries = _riemann_entries(E, beta)
-    riemann = tuple(
-        tuple(
-            tuple(tuple(entries.get((a, b, c, d), ZERO) for d in range(n)) for c in range(n))
-            for b in range(n)
-        )
-        for a in range(n)
-    )
-    ricci = Matrix.from_rows(
-        [
-            [sum((riemann[a][b][a][d] for a in range(n)), ZERO) for d in range(n)]
-            for b in range(n)
-        ]
-    )
+    riemann = _riemann_entries(E, beta)
+    rows = [{} for _ in range(n)]  # Ric_bd = R_abad
+    for (a, b, c, d), x in riemann.items():
+        if a == c:
+            rows[b][d] = rows[b].get(d, ZERO) + x
+    ricci = Matrix.from_nonzeros(n, rows)
     scalar_R = ricci.trace()
 
     # R_H = -(1/4) beta^{ik} tr(F_i F_k), as R_G over the combined algebra
@@ -244,6 +240,14 @@ def _check_data(data: CurvatureData):
 def index_pairs(n: int) -> list:
     """The index pairs (a, b) with a < b < n, in lexicographic order."""
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def unit_bivectors(n: int) -> dict:
+    """{(a, b): e_a e_b^T - e_b e_a^T} over index_pairs(n), in that order: the
+    frame of a constant-curvature space and the vector fiber's generators."""
+    return {(a, b): Matrix.from_nonzeros(n, [{b: 1} if r == a else {a: -1} if r == b else {}
+                                             for r in range(n)])
+            for a, b in index_pairs(n)}
 
 
 def _solve_structure_constants(n: int, p: int, D) -> tuple:
@@ -326,9 +330,9 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
 
     want = _riemann_entries(E, beta)
     checks += [
-        first_failure("riemann-from-e-beta", itertools.product(range(n), repeat=4),
-                      lambda t: R[t[0]][t[1]][t[2]][t[3]] == want.get(t, ZERO), "entry"),
-        _riemann_integrability(n, R),
+        first_failure("riemann-from-e-beta", sorted(R.keys() | want.keys()),
+                      lambda t: R.get(t, ZERO) == want.get(t, ZERO), "entry"),
+        _riemann_integrability(R),
     ]
 
     def bracket_holds(ik):  # [D_i, D_k] = F^j_ik D_j
@@ -362,7 +366,7 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
         for i, Di in enumerate(D):
             if Di.nonzeros[e] or any(e in row for row in Di.nonzeros):
                 ok, detail = False, f"D_{i} direction {e}"
-        if any(R[e][a][c][d] for a, c, d in itertools.product(range(n), repeat=3)):
+        if any(x for key, x in R.items() if key[0] == e):
             ok, detail = False, f"R row {e}"
     add("flat-projector-annihilation", ok, detail)
 
@@ -381,37 +385,37 @@ def _riemann_entries(E, beta) -> dict:
                 for c, d, y in support[k]:
                     key = (a, b, c, d)
                     out[key] = out.get(key, ZERO) + bx * y
-    return out
+    return {key: x for key, x in out.items() if x}
 
 
-def _riemann_integrability(n: int, R) -> CheckResult:
+def _riemann_integrability(R: dict) -> CheckResult:
     """R^{fg}_{ea} R^e_{bcd} antisymmetrized combination must vanish.
 
     With T_xyuv = R_fgex R_eyuv, the residual at (a, b, c, d) is
     T_abcd - T_bacd + T_cdab - T_dcab.  For each (f, g), T is summed over
-    nonzero entries only and the residual's keys are visited in order, so
-    the first failure is the lexicographically first (f, g, a, b, c, d).
+    the stored entries only and the residual's keys are visited in order,
+    so the first failure is the lexicographically first (f, g, a, b, c, d).
     """
-    triples = list(itertools.product(range(n), repeat=3))
-    rows = [[(y, u, v, s) for y, u, v in triples if (s := R[e][y][u][v])] for e in range(n)]
+    by_fg, by_e = {}, {}  # R_fgex as (e, x, r) under (f, g); R_eyuv as (y, u, v, s) under e
+    for (a, b, c, d), x in sorted(R.items()):
+        by_fg.setdefault((a, b), []).append((c, d, x))
+        by_e.setdefault(a, []).append((b, c, d, x))
     residual = {}  # the current (f, g)'s residual; candidates() refills it before yielding
 
     def candidates():
-        for f, g in itertools.product(range(n), repeat=2):
+        for fg, row in by_fg.items():
             t = {}
-            for e, x in itertools.product(range(n), repeat=2):
-                r = R[f][g][e][x]
-                if r:
-                    for y, u, v, s in rows[e]:
-                        key = (x, y, u, v)
-                        t[key] = t.get(key, ZERO) + r * s
+            for e, x, r in row:
+                for y, u, v, s in by_e.get(e, ()):
+                    key = (x, y, u, v)
+                    t[key] = t.get(key, ZERO) + r * s
             residual.clear()
             for (x, y, u, v), val in t.items():
                 for key, term in (((x, y, u, v), val), ((y, x, u, v), -val),
                                   ((u, v, x, y), val), ((u, v, y, x), -val)):
                     residual[key] = residual.get(key, ZERO) + term
             for key in sorted(residual):
-                yield (f, g) + key
+                yield fg + key
 
     return first_failure("riemann-integrability", candidates(),
                          lambda t: not residual[t[2:]])
@@ -441,16 +445,9 @@ def _constant_curvature_data(n: int, radius, sign: int) -> CurvatureData:
     a = rational(radius)
     if a <= 0:
         raise ModelBuildError("radius must be a positive rational")
-    E = []
-    for c in range(n):
-        for d in range(c + 1, n):
-            rows = [[ZERO] * n for _ in range(n)]
-            rows[c][d] = GaussianRational(1)
-            rows[d][c] = GaussianRational(-1)
-            E.append(Matrix.from_rows(rows))
-    p = len(E)
-    beta = Matrix.identity(p).scale(rational(sign) / (a * a))
-    return CurvatureData(n=n, p=p, E=tuple(E), beta=beta, flat_dim=0)
+    E = tuple(unit_bivectors(n).values())
+    beta = Matrix.identity(len(E)).scale(rational(sign) / (a * a))
+    return CurvatureData(n=n, p=len(E), E=E, beta=beta, flat_dim=0)
 
 
 def product(models) -> SymmetricSpaceModel:
@@ -466,10 +463,10 @@ def product(models) -> SymmetricSpaceModel:
                  for m in models]
 
     def embed(e, local):
-        rows = [[ZERO] * n_total for _ in range(n_total)]
-        for (a, x), (b, y) in itertools.product(enumerate(local), repeat=2):
-            rows[x][y] = e[a, b]
-        return Matrix.from_rows(rows)
+        rows = [{} for _ in range(n_total)]
+        for a, row in enumerate(e.nonzeros):
+            rows[local[a]] = {local[b]: x for b, x in row.items()}
+        return Matrix.from_nonzeros(n_total, rows)
 
     return build_model(CurvatureData(
         n=n_total, p=sum(m.p for m in models),
@@ -496,8 +493,10 @@ def catalog_space(name: str, params: dict) -> SymmetricSpaceModel:
         factors = json_kind(params.get("factors", []), list, "factors")
         if not factors:
             raise ModelBuildError("product needs a 'factors' list")
-        models = [space_from_descriptor(f) for f in factors]
-        at_most(sum(m.n for m in models), MAX_N, "product n")
+        models, n_total = [], 0
+        for f in factors:  # refuse as soon as the running total passes MAX_N
+            models.append(space_from_descriptor(f))
+            n_total = at_most(n_total + models[-1].n, MAX_N, "product n")
         return product(models)
     raise ModelBuildError(f"unknown catalog space {name!r}")
 

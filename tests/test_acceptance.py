@@ -231,11 +231,8 @@ def test_criterion_09_validator(grid):
     m3_bad.gamma = Matrix.from_rows(bad_gamma)
     detections.append(not validate_model(m3_bad).ok)
 
-    riem = [[[[x for x in c] for c in b] for b in a] for a in m.riemann]
-    riem[0][0][0][0] = q(1)
     detections.append(not validate_model(replace(
-        m, riemann=tuple(tuple(tuple(tuple(d) for d in c) for c in b) for b in riem)
-    )).ok)
+        m, riemann={**m.riemann, (0, 0, 0, 0): q(1)})).ok)
 
     rep2 = catalog_rep(m, "spinor")
     bad_g = [[x for x in row] for row in rep2.G]

@@ -29,7 +29,7 @@ def casimir_by_contraction(model, rep):
         for b in range(n):
             for c in range(n):
                 for d in range(n):
-                    x = model.riemann[a][b][c][d]
+                    x = model.riemann.get((a, b, c, d), ZERO)
                     if not x.is_zero():
                         acc = acc + (rep.G[a][b] * rep.G[c][d]).scale(x)
     return acc.scale(rational(1, 4))
@@ -92,6 +92,13 @@ class TestBuildRep:
             (lambda: sphere(3, 1), vector_rep),
             (lambda: sphere(2, 1), spinor_rep),
             (lambda: sphere(4, 1), spinor_rep),
+            (lambda: hyperbolic(3, 1), vector_rep),
+            (lambda: sphere(4, 1), vector_rep),
+            # radii 1 and 2: beta is not a multiple of the identity
+            (lambda: product([sphere(2, 1), sphere(2, 2)]), spinor_rep),
+            (lambda: product([flat(2), sphere(2, 1)]),
+             lambda m: catalog_rep(m, "tensor_product", factors=["vector", "spinor"],
+                                   twist=[rational(1, 3)])),
         ]:
             m = maker()
             rep = repf(m)
@@ -315,8 +322,8 @@ class TestFirstFailure:
                   for b in range(4)] for a in range(4)]
 
         def holds(a, b, c, d):
-            want = sum((curly[f][b].scale(riem[f][a][c][d])
-                        + curly[a][f].scale(riem[f][b][c][d]) for f in range(4)),
+            want = sum((curly[f][b].scale(riem.get((f, a, c, d), ZERO))
+                        + curly[a][f].scale(riem.get((f, b, c, d), ZERO)) for f in range(4)),
                        Matrix.zeros(4))
             return commutator(curly[c][d], curly[a][b]) == want
 

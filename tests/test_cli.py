@@ -222,6 +222,16 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: bad job file: ") and "exceeds the bound" in err
 
+    def test_oversized_product_refused_at_running_total(self, tmp_path, capsys):
+        # the total is checked after each factor, so 28 of the 30 S10 factors are never built
+        factors = [{"catalog": "sphere", "params": {"n": 10}}] * 30
+        job = {"space": {"catalog": "product", "params": {"factors": factors}}}
+        start = time.perf_counter()
+        rc = main(["compute", write_job(tmp_path, job)])
+        assert time.perf_counter() - start < 2
+        assert rc == 2
+        assert "product n = 20 exceeds the bound 10" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["compute", "validate"])
     def test_singular_beta_named(self, tmp_path, capsys, command):
         # a singular beta makes the D_i dependent too; the beta message comes first

@@ -22,12 +22,14 @@ from symheat.spaces import flat, hyperbolic, product, sphere
 
 
 def test_import_does_not_load_mpmath():
-    # the oracles import mpmath only when they run; numpy and sympy stay out too
+    # the oracles import mpmath only when they run; numpy and sympy stay out too,
+    # also for the CLI, whose check-group command alone loads numpy
     src = str(Path(symheat.__file__).resolve().parents[1])
-    code = ("import symheat, sys; "
-            "loaded = {'mpmath', 'numpy', 'sympy'} & set(sys.modules); assert not loaded, loaded")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+    for module in ("symheat", "symheat.cli"):
+        code = (f"import {module}, sys; "
+                "loaded = {'mpmath', 'numpy', 'sympy'} & set(sys.modules); assert not loaded, loaded")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestSpectralModel:

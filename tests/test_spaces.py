@@ -1,6 +1,8 @@
+import itertools
 import random
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -32,6 +34,17 @@ def scalar_curvature_by_contraction(model):
                 for k in range(p):
                     acc = acc + beta[i, k] * E[i][a, b] * E[k][a, b]
     return acc
+
+
+def riemann_by_contraction(model):
+    # independent oracle: every R_abcd = beta_ik E^i_ab E^k_cd, nonzero ones kept
+    n, E, beta = model.n, model.data.E, model.beta
+    terms = [(i, k, beta[i, k]) for i, k in itertools.product(range(model.p), repeat=2)
+             if beta[i, k]]
+    entries = {t: sum((x * E[i][t[0], t[1]] * E[k][t[2], t[3]] for i, k, x in terms),
+                      GaussianRational(0))
+               for t in itertools.product(range(n), repeat=4)}
+    return {t: x for t, x in entries.items() if not x.is_zero()}
 
 
 class TestBuildModel:
@@ -98,6 +111,21 @@ class TestBuildModel:
         assert model.riemann == base.riemann
         assert (model.R_G, model.R_H) == (base.R_G, base.R_H)
 
+    @pytest.mark.parametrize("maker", [
+        *(partial(sphere, n, 1) for n in range(2, 7)),
+        partial(hyperbolic, 3, 1),
+        lambda: product([flat(2), sphere(2, 1)]),
+        lambda: product([sphere(2, 1), sphere(2, 1)]),
+    ], ids=["S2", "S3", "S4", "S5", "S6", "H3", "flat2xS2", "S2xS2"])
+    def test_riemann_holds_its_nonzero_entries(self, maker):
+        m = maker()
+        assert all(x for x in m.riemann.values())
+        assert m.riemann == riemann_by_contraction(m)
+        n = m.n
+        assert m.ricci == Matrix.from_rows(
+            [[sum((m.riemann.get((a, b, a, d), ZERO) for a in range(n)), ZERO) for d in range(n)]
+             for b in range(n)])
+
     def test_ricci_of_unit_sphere(self):
         m = sphere(3, 1)
         assert m.ricci == Matrix.identity(3).scale(2)
@@ -153,10 +181,7 @@ def with_adjoint_entry(m, c, i, j, value):
 
 
 def with_riemann_entry(m, idx, value):
-    riem = [[[list(c) for c in b] for b in a] for a in m.riemann]
-    a, b, c, d = idx
-    riem[a][b][c][d] = GaussianRational.of(value)
-    return replace(m, riemann=tuple(tuple(tuple(tuple(d) for d in c) for c in b) for b in riem))
+    return replace(m, riemann={**m.riemann, idx: GaussianRational.of(value)})
 
 
 S2, S3, FLAT2_S2 = sphere(2, 1), sphere(3, 1), product([flat(2), sphere(2, 1)])
@@ -169,7 +194,7 @@ CORRUPTED = {
     "f_entry": lambda: replace(
         S3, F=(with_entry(S3.F[0], 0, 1, S3.F[0][0, 1] + 1),) + S3.F[1:]),
     "riemann_entry": lambda: with_riemann_entry(
-        S3, (0, 1, 0, 1), S3.riemann[0][1][0][1] + 1),
+        S3, (0, 1, 0, 1), S3.riemann[(0, 1, 0, 1)] + 1),
     "adjoint_entry": lambda: with_adjoint_entry(S3, 4, 0, 2, S3.C[4][0, 2] + 1),
     "d_on_flat": lambda: replace(
         FLAT2_S2, D=(with_entry(with_entry(FLAT2_S2.D[0], 0, 2, 1), 1, 3, 2),)
@@ -237,11 +262,7 @@ class TestValidateModel:
 
     def test_corrupted_riemann_detected(self):
         m = sphere(2, 1)
-        riem = [[[[x for x in c] for c in b] for b in a] for a in m.riemann]
-        riem[0][0][0][0] = GaussianRational(1)
-        corrupted = replace(m, riemann=tuple(
-            tuple(tuple(tuple(d) for d in c) for c in b) for b in riem
-        ))
+        corrupted = with_riemann_entry(m, (0, 0, 0, 0), 1)
         report = validate_model(corrupted)
         assert not report.ok
         assert "riemann-from-e-beta" in report.failed()
