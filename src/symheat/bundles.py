@@ -127,6 +127,8 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
         a, b, c, d = abcd
         want = combination(((int(b == c), G[a][d]), (-int(a == c), G[b][d]),
                             (-int(b == d), G[a][c]), (int(a == d), G[b][c])), rep.dimV)
+        if (a, b) == (c, d):  # [X, X] = 0
+            return want.is_zero()
         return commutator(G[a][b], G[c][d]) == want
 
     checks.append(first_failure(
@@ -147,10 +149,13 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
                     ok, detail = False, f"B({a},{b}) on a curved direction"
     add("twist-flat-support", ok, detail)
 
+    # each holonomy bracket [R_i, R_k], i < k, is formed once and read twice
+    bracket = {(i, k): commutator(R[i], R[k]) for i, k in index_pairs(p)}
+
     def bracket_holds(ik):  # [R_i, R_k] = F^j_ik R_j
         i, k = ik
         want = combination(((model.F[i][j, k], R[j]) for j in range(p)), rep.dimV)
-        return commutator(R[i], R[k]) == want
+        return bracket[ik] == want
 
     checks += [
         first_failure("fiber-holonomy-bracket", index_pairs(p), bracket_holds, "pair"),
@@ -160,17 +165,22 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
 
     # parallel-curvature integrability of the holonomy part of Omega:
     # with curlyE_ab = -E^i_ab R_i,
-    # [curlyE_cd, curlyE_ab] = R^f_acd curlyE_fb + R^f_bcd curlyE_af
+    # [curlyE_cd, curlyE_ab] = R^f_acd curlyE_fb + R^f_bcd curlyE_af.
+    # The left side is bilinear in the R_i, so for any R it is exactly
+    # sum_{i != k} E^i_cd E^k_ab [R_i, R_k], read from the brackets above.
     E, riem = model.data.E, model.riemann
     curly = [[combination(((-E[i][a, b], R[i]) for i in range(p)), rep.dimV)
               for b in range(n)] for a in range(n)]
+    e_at = {(a, b): [(i, x) for i, e in enumerate(E) if (x := e[a, b])] for a, b in pairs}
 
     def integrable(abcd):
         a, b, c, d = abcd
         want = combination(
             [(riem.get((f, a, c, d), ZERO), curly[f][b]) for f in range(n)]
             + [(riem.get((f, b, c, d), ZERO), curly[a][f]) for f in range(n)], rep.dimV)
-        return commutator(curly[c][d], curly[a][b]) == want
+        got = combination([(x * y, bracket[i, k]) if i < k else (-(x * y), bracket[k, i])
+                           for i, x in e_at[c, d] for k, y in e_at[a, b] if i != k], rep.dimV)
+        return got == want
 
     checks.append(first_failure(
         "fiber-curvature-integrability",

@@ -3,6 +3,9 @@
 Scalars are a + b*i with arbitrary-precision rational a, b, so every
 operation in the pipeline (spinor generators need +-i, all coefficients
 stay rational) closes inside one field.  No floating point lives here.
+Scalar arithmetic spends no rational operation on a zero real or
+imaginary part, so a real or purely imaginary value costs what a rational
+does.
 A Matrix is held as its nonzero entries, one {column: value} dict per
 row, and every matrix operation costs O(nonzeros), not O(rows * cols).
 There is one elimination, `kernel`, a sparse Gauss-Jordan null space
@@ -82,7 +85,12 @@ def rational_to_str(x) -> str:
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts.
+
+    The constructor reads each part as a backend rational (ints, rationals
+    or 'p/q' strings).  Arithmetic results skip that coercion and any
+    rational operation on a zero part; the values are the same either way.
+    """
 
     __slots__ = ("re", "im")
 
@@ -122,12 +130,17 @@ class GaussianRational:
         return bool(self.re or self.im)
 
     # -- arithmetic -----------------------------------------------------
+    # Results are built by _gr straight from backend values, and a part
+    # that is zero on either side costs no rational operation: nearly every
+    # scalar in a fiber job is purely real or purely imaginary, so most
+    # products take one rational product, not four.
 
     def __add__(self, other):
         o = _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _gr(a + c if a and c else a or c, b + d if b and d else b or d)
 
     __radd__ = __add__
 
@@ -135,7 +148,8 @@ class GaussianRational:
         o = _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _gr((a - c if a else -c) if c else a, (b - d if b else -d) if d else b)
 
     def __rsub__(self, other):
         o = _as_gr(other)
@@ -144,19 +158,27 @@ class GaussianRational:
         return o - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b = self.re, self.im
+        return _gr(-a if a else a, -b if b else b)
 
     def __mul__(self, other):
         o = _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        # real-by-real fast path: the bulk of the pipeline never leaves Q
-        if not self.im and not o.im:
-            return GaussianRational(self.re * o.re)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not b:  # a * (c + d i)
+            if not d:
+                return _gr(a * c, _R_ZERO)
+            return _gr(a * c if c else _R_ZERO, a * d)
+        if not a:  # b i * (c + d i)
+            if not d:
+                return _gr(_R_ZERO, b * c)
+            return _gr(-(b * d), b * c if c else _R_ZERO)
+        if not d:
+            return _gr(a * c, b * c)
+        if not c:
+            return _gr(-(b * d), a * d)
+        return _gr(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -164,15 +186,15 @@ class GaussianRational:
         o = _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero GaussianRational")
-        if self.im == 0 and o.im == 0:
-            return GaussianRational(self.re / o.re)
-        n = o.abs2()
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        a, b, c, d = self.re, self.im, o.re, o.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero GaussianRational")
+            return _gr(a / c if a else a, b / c if b else b)
+        if not c:  # (a + b i) / (d i) = b/d - (a/d) i
+            return _gr(b / d if b else b, -(a / d) if a else a)
+        n = c * c + d * d
+        return _gr((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
         o = _as_gr(other)
@@ -181,11 +203,15 @@ class GaussianRational:
         return o / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        b = self.im
+        return _gr(self.re, -b if b else b)
 
     def abs2(self):
         """|z|^2 = re^2 + im^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        a, b = self.re, self.im
+        if not b:
+            return a * a
+        return a * a + b * b if a else b * b
 
     # -- comparison / hashing --------------------------------------------
 
@@ -221,6 +247,21 @@ class GaussianRational:
         if isinstance(obj, (str, int)) and not isinstance(obj, bool):
             return cls(rational(obj))
         raise ValueError(f"cannot parse scalar from {obj!r}")
+
+
+_new_gr = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _gr(re, im) -> GaussianRational:
+    """re + im*i from two backend rationals, with no coercion; sums, products
+    and quotients of backend values are backend values, so the arithmetic
+    above passes them straight in."""
+    z = _new_gr(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 def _as_gr(x):
@@ -338,7 +379,8 @@ class Matrix:
         return Matrix._of(self.cols, [_row_sum(a, b) for a, b in zip(self.nonzeros, other.nonzeros)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + -other
+        self._require_same_shape(other)
+        return Matrix._of(self.cols, [_row_diff(a, b) for a, b in zip(self.nonzeros, other.nonzeros)])
 
     def __neg__(self) -> "Matrix":
         return Matrix._of(self.cols, [{j: -x for j, x in r.items()} for r in self.nonzeros])
@@ -440,6 +482,21 @@ def _row_sum(a: dict, b: dict) -> dict:
         if j not in out:
             out[j] = y
         elif s := out[j] + y:
+            out[j] = s
+        else:
+            del out[j]
+    return out
+
+
+def _row_diff(a: dict, b: dict) -> dict:
+    """a - b for {column: value} rows without zeros; shares a when b is empty."""
+    if not b:
+        return a
+    out = dict(a)
+    for j, y in b.items():
+        if j not in out:
+            out[j] = -y
+        elif s := out[j] - y:
             out[j] = s
         else:
             del out[j]

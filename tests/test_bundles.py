@@ -15,8 +15,12 @@ from symheat.bundles import (
     validate_rep,
     vector_rep,
 )
-from symheat.exact import GaussianRational, Matrix, ZERO, commutator, invert, rational
-from symheat.spaces import flat, hyperbolic, product, sphere
+from symheat import spaces
+from symheat.exact import (
+    GaussianRational, Matrix, ZERO, combination, commutator, invert, rational,
+)
+from symheat.spaces import CheckResult, ValidationReport, flat, hyperbolic, index_pairs, \
+    product, sphere
 
 EPS = Matrix.from_rows([[0, 1], [-1, 0]])
 
@@ -330,3 +334,161 @@ class TestFirstFailure:
         want = first_failure(4, holds)
         assert want == "indices (0, 1, 0, 2)"
         assert failed_detail(validate_rep(m, bad), "fiber-curvature-integrability") == want
+
+
+def one_commutator_per_quadruple(model, rep):
+    # reference validate_rep: a fresh commutator for every index quadruple and
+    # every holonomy pair, each check in the order validate_rep reports it
+    n, p, dimV = model.n, model.p, rep.dimV
+    G, B, R = rep.G, rep.B, rep.R
+    checks = []
+    ok, detail = True, ""
+    for a in range(n):
+        if not G[a][a].is_zero():
+            ok, detail = False, f"diagonal ({a},{a})"
+        for b in range(n):
+            if G[a][b] != -G[b][a]:
+                ok, detail = False, f"pair ({a},{b})"
+    checks.append(CheckResult("fiber-g-antisymmetry", ok, "" if ok else detail))
+
+    pairs = index_pairs(n)
+
+    def so_n_holds(abcd):
+        a, b, c, d = abcd
+        want = combination(((int(b == c), G[a][d]), (-int(a == c), G[b][d]),
+                            (-int(b == d), G[a][c]), (int(a == d), G[b][c])), dimV)
+        return commutator(G[a][b], G[c][d]) == want
+
+    checks.append(spaces.first_failure(
+        "fiber-so-n-relations",
+        ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:]), so_n_holds))
+
+    ok, detail = True, ""
+    if B.transpose() != -B:
+        ok, detail = False, "B not antisymmetric"
+    for a in range(n):
+        for b in range(n):
+            x = B[a, b]
+            if not x.is_zero():
+                if x.re != 0:
+                    ok, detail = False, f"B({a},{b}) not purely imaginary"
+                if a >= model.flat_dim or b >= model.flat_dim:
+                    ok, detail = False, f"B({a},{b}) on a curved direction"
+    checks.append(CheckResult("twist-flat-support", ok, "" if ok else detail))
+
+    def bracket_holds(ik):
+        i, k = ik
+        want = combination(((model.F[i][j, k], R[j]) for j in range(p)), dimV)
+        return commutator(R[i], R[k]) == want
+
+    checks += [
+        spaces.first_failure("fiber-holonomy-bracket", index_pairs(p), bracket_holds, "pair"),
+        spaces.first_failure("casimir-centrality", range(p),
+                             lambda i: commutator(rep.casimir, R[i]).is_zero(), "index"),
+    ]
+
+    E, riem = model.data.E, model.riemann
+    curly = [[combination(((-E[i][a, b], R[i]) for i in range(p)), dimV)
+              for b in range(n)] for a in range(n)]
+
+    def integrable(abcd):
+        a, b, c, d = abcd
+        want = combination(
+            [(riem.get((f, a, c, d), ZERO), curly[f][b]) for f in range(n)]
+            + [(riem.get((f, b, c, d), ZERO), curly[a][f]) for f in range(n)], dimV)
+        return commutator(curly[c][d], curly[a][b]) == want
+
+    checks.append(spaces.first_failure(
+        "fiber-curvature-integrability",
+        ((a, b, c, d) for a, b in pairs for c, d in pairs), integrable))
+    return ValidationReport(tuple(checks))
+
+
+def flat2_x(curved):
+    return product([flat(2), curved])
+
+
+# the nine benchmark job types' reps: (space, bundle, twist b at radius 1)
+BENCHMARK_REPS = {
+    "s4_scalar_k4": (lambda s, r: s(4, r), "scalar", None),
+    "s5_scalar_k2": (lambda s, r: s(5, r), "scalar", None),
+    "s4_scalar_k3": (lambda s, r: s(4, r), "scalar", None),
+    "s2_scalar_k6": (lambda s, r: s(2, r), "scalar", None),
+    "s2_spinor_k6": (lambda s, r: s(2, r), "spinor", None),
+    "s3_spinor_k6": (lambda s, r: s(3, r), "spinor", None),
+    "flat2xs2_vecspin_twist_k4": (lambda s, r: flat2_x(s(2, r)), "vector spinor", rational(1, 3)),
+    "s4_spinor_k3": (lambda s, r: s(4, r), "spinor", None),
+    "s3_vecspin_k3": (lambda s, r: s(3, r), "vector spinor", None),
+}
+
+
+def benchmark_rep(name, space, radius):
+    maker, bundle, b = BENCHMARK_REPS[name]
+    m = maker(space, radius)
+    factors = bundle.split()
+    twist = None if b is None else [b / radius ** 2]
+    if len(factors) == 1:
+        return m, catalog_rep(m, factors[0], twist=twist)
+    return m, catalog_rep(m, "tensor_product", factors=factors, twist=twist)
+
+
+def report_fields(report):
+    return [(c.name, c.passed, c.detail) for c in report.checks]
+
+
+class TestValidateRepParity:
+    @pytest.mark.parametrize("space", [sphere, hyperbolic], ids=["sphere", "hyperbolic"])
+    @pytest.mark.parametrize("name", list(BENCHMARK_REPS))
+    def test_benchmark_reps(self, name, space):
+        m, rep = benchmark_rep(name, space, rational(2, 3))
+        got = validate_rep(m, rep)
+        assert got.ok
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
+
+    def test_full_table_with_nonzero_diagonal(self):
+        m = sphere(3, 1)
+        rep = vector_rep(m)
+        table = [list(row) for row in rep.G]
+        table[0][0] = Matrix.identity(3)
+        bad = dataclasses.replace(rep, G=tuple(tuple(row) for row in table))
+        got = validate_rep(m, bad)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
+        assert failed_detail(got, "fiber-g-antisymmetry") == "pair (0,0)"
+        # want = -G_00 - G_11 is nonzero on the diagonal quadruple, where [X, X] = 0
+        assert failed_detail(got, "fiber-so-n-relations") == "indices (0, 1, 0, 1)"
+
+    @pytest.mark.parametrize("maker,name", [
+        (lambda: sphere(4, 1), "vector"),
+        (lambda: sphere(4, 1), "spinor"),
+        (lambda: hyperbolic(3, rational(1, 2)), "spinor"),
+    ])
+    def test_one_corrupted_holonomy_generator(self, maker, name):
+        m = maker()
+        rep = catalog_rep(m, name)
+        R = list(rep.R)
+        R[1] = R[1] + R[0].scale(rational(1, 2))
+        bad = dataclasses.replace(rep, R=tuple(R))
+        got = validate_rep(m, bad)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
+        assert {"fiber-holonomy-bracket", "fiber-curvature-integrability"} <= set(got.failed())
+
+    @pytest.mark.parametrize("name,factors", [
+        ("spinor", None), ("u1_twist", None), ("tensor_product", ["vector", "spinor"]),
+    ])
+    def test_twisted_flat2_x_s2(self, name, factors):
+        m = flat2_x(sphere(2, rational(3, 2)))
+        rep = catalog_rep(m, name, factors=factors, twist=[rational(2, 5)])
+        got = validate_rep(m, rep)
+        assert got.ok
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
+
+    @pytest.mark.parametrize("name,calls", [("s4_spinor_k3", 36), ("flat2xs2_vecspin_twist_k4", 16)])
+    def test_commutator_count(self, monkeypatch, name, calls):
+        # so(n): one per off-diagonal pair of pairs; holonomy: one per pair i < k;
+        # Casimir: one per R_i; integrability reads the holonomy brackets
+        m, rep = benchmark_rep(name, sphere, 1)
+        seen = []
+        original = bundles.commutator
+        monkeypatch.setattr(bundles, "commutator", lambda a, b: seen.append(1) or original(a, b))
+        assert validate_rep(m, rep).ok
+        assert len(seen) == calls

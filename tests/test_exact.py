@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -85,6 +87,72 @@ class TestScalar:
     def test_json_scalar_rejects_float_and_bool(self, obj):
         with pytest.raises((TypeError, ValueError)):
             GaussianRational.from_json(obj)
+
+
+# every pattern of zero and nonzero parts: zero, real, imaginary, both
+PART_PATTERNS = [(False, False), (True, False), (False, True), (True, True)]
+RIGHT_OPERANDS = [f"gaussian {p}" for p in PART_PATTERNS] + ["int 0", "int nonzero"]
+BACKEND = type(rational(0))
+
+
+def rand_part(rng, nonzero):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) if nonzero \
+        else Fraction(0)
+
+
+def oracle_ops(x, y):
+    # plain (re, im) pairs of Fractions; None marks a division by zero
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return {
+        "+": (a + c, b + d),
+        "-": (a - c, b - d),
+        "*": (a * c - b * d, a * d + b * c),
+        "/": None if not n else ((a * c + b * d) / n, (b * c - a * d) / n),
+    }
+
+
+class TestScalarAgainstPairOracle:
+    @pytest.mark.parametrize("right", RIGHT_OPERANDS)
+    @pytest.mark.parametrize("left", PART_PATTERNS, ids=str)
+    def test_arithmetic_matches_fraction_pairs(self, left, right):
+        rng = random.Random(f"{left} {right}")
+        ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+        def check(z, pair):
+            assert type(z) is GaussianRational
+            assert type(z.re) is BACKEND and type(z.im) is BACKEND
+            assert (z.re, z.im) == pair
+            public = GaussianRational(*pair)
+            assert z == public and hash(z) == hash(public)
+
+        for _ in range(25):
+            x = (rand_part(rng, left[0]), rand_part(rng, left[1]))
+            if right.startswith("int"):
+                w = rng.choice([-1, 1]) * rng.randint(1, 9) if right == "int nonzero" else 0
+                y, other = (Fraction(w), Fraction(0)), w
+            else:
+                pattern = PART_PATTERNS[RIGHT_OPERANDS.index(right)]
+                y = (rand_part(rng, pattern[0]), rand_part(rng, pattern[1]))
+                other = GaussianRational(*y)
+            z = GaussianRational(*x)
+            for name, want in oracle_ops(x, y).items():
+                if want is None:
+                    with pytest.raises(ZeroDivisionError):
+                        ops[name](z, other)
+                else:
+                    check(ops[name](z, other), want)
+                # the same operation with the operands swapped
+                flipped = oracle_ops(y, x)[name]
+                if flipped is None:
+                    with pytest.raises(ZeroDivisionError):
+                        ops[name](other, z)
+                else:
+                    check(ops[name](other, z), flipped)
+            check(-z, (-x[0], -x[1]))
+            check(z.conjugate(), (x[0], -x[1]))
+            n = z.abs2()
+            assert type(n) is BACKEND and n == x[0] ** 2 + x[1] ** 2
 
 
 class TestMatMul:
@@ -326,10 +394,10 @@ class TestNonzeroStorage:
         rng = random.Random(21)
         for n in range(5):
             a = sparse_matrix(rng, n, zero_share=0.4)
-            total = a + (-a)
-            assert total == Matrix.zeros(n) and hash(total) == hash(Matrix.zeros(n))
-            assert total.nonzeros == tuple({} for _ in range(n))
-            assert total.is_zero() and not total
+            for total in (a + (-a), a - a, -a - -a):
+                assert total == Matrix.zeros(n) and hash(total) == hash(Matrix.zeros(n))
+                assert total.nonzeros == tuple({} for _ in range(n))
+                assert total.is_zero() and not total
 
     def test_combination_and_dense_build_agree(self):
         rng = random.Random(22)
