@@ -109,14 +109,17 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     def add(name, passed, detail=""):
         checks.append(CheckResult(name, passed, detail if not passed else ""))
 
-    ok, detail = True, ""
-    for a in range(n):
-        if not G[a][a].is_zero():
-            ok, detail = False, f"diagonal ({a},{a})"
-        for b in range(n):
-            if G[a][b] != -G[b][a]:
-                ok, detail = False, f"pair ({a},{b})"
-    add("fiber-g-antisymmetry", ok, detail)
+    def g_antisymmetry():  # the first failing item, or ""
+        for a in range(n):
+            if not G[a][a].is_zero():
+                return f"diagonal ({a},{a})"
+            for b in range(n):
+                if G[a][b] != -G[b][a]:
+                    return f"pair ({a},{b})"
+        return ""
+
+    detail = g_antisymmetry()
+    add("fiber-g-antisymmetry", not detail, detail)
 
     # Both fiber relations flip sign under a <-> b and under c <-> d, and
     # the so(n) one also under (ab) <-> (cd); with G antisymmetric, the
@@ -136,18 +139,22 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
         ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:]),
         so_n_holds))
 
-    ok, detail = True, ""
-    if B.transpose() != -B:
-        ok, detail = False, "B not antisymmetric"
-    for a in range(n):
-        for b in range(n):
-            x = B[a, b]
-            if not x.is_zero():
+    def twist_flat_support():  # the first failing item, or ""
+        if B.transpose() != -B:
+            return "B not antisymmetric"
+        for a in range(n):
+            for b in range(n):
+                x = B[a, b]
+                if not x:
+                    continue
                 if x.re != 0:
-                    ok, detail = False, f"B({a},{b}) not purely imaginary"
+                    return f"B({a},{b}) not purely imaginary"
                 if a >= model.flat_dim or b >= model.flat_dim:
-                    ok, detail = False, f"B({a},{b}) on a curved direction"
-    add("twist-flat-support", ok, detail)
+                    return f"B({a},{b}) on a curved direction"
+        return ""
+
+    detail = twist_flat_support()
+    add("twist-flat-support", not detail, detail)
 
     # each holonomy bracket [R_i, R_k], i < k, is formed once and read twice
     bracket = {(i, k): commutator(R[i], R[k]) for i, k in index_pairs(p)}
@@ -219,7 +226,7 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     # hold exactly for any generator table: D_i = -beta_ik E^k, and build_model
     # enforces that each E^k is antisymmetric, so E^k_ab G_ba = -S_k.  (beta is
     # symmetric as well, so which index of beta is summed does not matter.)
-    minus_half = rational(-1, 2)
+    minus_half = GaussianRational(rational(-1, 2))
     S = [combination(((x, table[a][b]) for a, row in enumerate(e.nonzeros) for b, x in row.items()),
                      dimV) for e in model.data.E]
     R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items()), dimV)

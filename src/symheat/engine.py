@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .bundles import FiberRep
 from .exact import (
-    GaussianRational, Matrix, ZERO, combination, invert, kernel, rational, rational_to_str,
+    GaussianRational, Matrix, ONE, ZERO, combination, invert, kernel, rational, rational_to_str,
 )
 from .series import (
     cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series, weyl_density,
@@ -52,7 +52,7 @@ from .wick import GaussianWeight, average_poly
 
 K_MAX_LIMIT = 6
 
-_HALF = rational(1, 2)
+_HALF = ONE / 2
 
 
 class TruncationOverflowError(ValueError):
@@ -137,10 +137,10 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
         averaged = [project(a) for a in averaged]
 
     exponent_matrix = Matrix.identity(dimV).scale(
-        model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)
+        model.scalar_R / 8 + model.R_H / 6
     ) - rep.casimir
     prefactor = matrix_exp_series(exponent_matrix, degree)
-    twist = det_sinhc_numeric(rep.B, rational(-1, 2), degree)
+    twist = det_sinhc_numeric(rep.B, -_HALF, degree)
 
     # a_k = sum over i + j + l = k of prefactor[i] averaged[j] twist[l]
     coeffs = [Matrix.zeros(dimV)] * (k_max + 1)

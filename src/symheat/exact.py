@@ -1,38 +1,32 @@
 """Exact scalar and sparse matrix arithmetic over the Gaussian rationals.
 
-Scalars are a + b*i with arbitrary-precision rational a, b, so every
-operation in the pipeline (spinor generators need +-i, all coefficients
-stay rational) closes inside one field.  No floating point lives here.
-Scalar arithmetic spends no rational operation on a zero real or
-imaginary part, so a real or purely imaginary value costs what a rational
-does.
+Scalars are a + b*i with rational a, b, so every operation in the
+pipeline (spinor generators need +-i, all coefficients stay rational)
+closes inside one field.  No floating point lives here.  A scalar is held
+as three Python ints, (p + q*i)/d in lowest terms, and its arithmetic runs
+on ints and math.gcd alone: no fractions.Fraction is built on the compute
+path.  Fractions appear only where rationals are read in (`rational`, the
+constructor) or reported (`re`, `im`).
 A Matrix is held as its nonzero entries, one {column: value} dict per
 row, and every matrix operation costs O(nonzeros), not O(rows * cols).
 There is one elimination, `kernel`, a sparse Gauss-Jordan null space
 (Cartan subalgebras and commutants); `invert` reads an inverse (beta and
 Gram matrices) off the null space of [A | -I].
-
-Uses gmpy2.mpq for the rational backend when available, falling back to
-fractions.Fraction; both print as "p/q" and sit in the numbers.Rational
-tower, so the choice is invisible above this module.
 """
 from __future__ import annotations
 
 import numbers
-
-try:
-    from gmpy2 import mpq as _rational_backend
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as _rational_backend
+from fractions import Fraction
+from math import gcd
 
 
-def rational(a=0, b=None):
+def rational(a=0, b=None) -> Fraction:
     """Exact rational from ints, a 'p/q' string, or another rational.
 
     Floats and bools raise TypeError: a float carries its binary expansion,
     not the decimal it was written as, and JSON true is not a number.
-    Exponent strings ("1e5") and zero denominators raise ValueError; the
-    backend would expand "1e999999999" digit by digit.
+    Exponent strings ("1e5") and zero denominators raise ValueError;
+    Fraction would expand "1e999999999" digit by digit.
     """
     for x in (a, b):
         if isinstance(x, (float, bool)):
@@ -40,7 +34,7 @@ def rational(a=0, b=None):
         if isinstance(x, str) and ("e" in x or "E" in x):
             raise ValueError(f"cannot read {x!r} as an exact rational; no exponents")
     try:
-        return _rational_backend(a) if b is None else _rational_backend(a, b)
+        return Fraction(a) if b is None else Fraction(a, b)
     except ZeroDivisionError as exc:
         raise ValueError(f"cannot read {a!r} as an exact rational: zero denominator") from exc
 
@@ -64,42 +58,42 @@ def at_most(value: int, bound: int, name: str) -> int:
     return value
 
 
-_R_ZERO = rational(0)
-_R_ONE = rational(1)
-
-
-def _coerce_rational(x):
-    # the backend type is immutable, so an instance can be shared as is
-    if type(x) is _rational_backend:
-        return x
-    if isinstance(x, numbers.Rational):
-        return _rational_backend(x)
-    if isinstance(x, str):
-        return _rational_backend(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 def rational_to_str(x) -> str:
     """Render a rational as 'p/q' with the denominator always explicit."""
-    return f"{int(x.numerator)}/{int(x.denominator)}"
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _ratio_str(n: int, d: int) -> str:
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts.
+    """Exact complex number (p + q*i)/d held as three Python ints.
 
-    The constructor reads each part as a backend rational (ints, rationals
-    or 'p/q' strings).  Arithmetic results skip that coercion and any
-    rational operation on a zero part; the values are the same either way.
+    The form is canonical: d > 0 and gcd(p, q, d) = 1, and zero is
+    (0, 0, 1).  Equal values therefore have equal fields, and == and hash
+    read the three ints.  The constructor reads each part from an int, a
+    rational or a 'p/q' string.  Arithmetic works on the ints and reduces
+    each result by one gcd, none when the denominator is 1.  Values are
+    immutable by convention, as Fraction's are: nothing here writes to an
+    existing value, and callers must not either.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _coerce_rational(re))
-        object.__setattr__(self, "im", _coerce_rational(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+        if type(re) is int and type(im) is int:  # unit vectors, combination coefficients
+            self.p, self.q, self.d = re, im, 1
+            return
+        for x in (re, im):
+            if not isinstance(x, (numbers.Rational, str)):
+                raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        a, b = Fraction(re), Fraction(im)
+        da, db = a.denominator, b.denominator
+        # lcm of two lowest-terms denominators: gcd(p, q, d) is already 1
+        d = da // gcd(da, db) * db
+        self.p, self.q, self.d = int(a.numerator) * (d // da), int(b.numerator) * (d // db), d
 
     # -- conversions ----------------------------------------------------
 
@@ -109,47 +103,57 @@ class GaussianRational:
             return x
         return cls(x)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.q, self.d)
+
+    # int true division rounds correctly, so these match float(Fraction)
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self.p / self.d, self.q / self.d)
 
     def __float__(self) -> float:
-        if self.im != 0:
+        if self.q:
             raise ValueError(f"{self!r} has a nonzero imaginary part")
-        return float(self.re)
+        return self.p / self.d
 
     # -- predicates -----------------------------------------------------
 
-    # truthiness is cheaper than == 0, which calls the backend's __eq__ with an int
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.p and not self.q
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self.q
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return self.p != 0 or self.q != 0
 
     # -- arithmetic -----------------------------------------------------
-    # Results are built by _gr straight from backend values, and a part
-    # that is zero on either side costs no rational operation: nearly every
-    # scalar in a fiber job is purely real or purely imaginary, so most
-    # products take one rational product, not four.
+    # A product with a zero part is a product with the int 0, which costs
+    # next to nothing; sums over one denominator add the numerators.
 
     def __add__(self, other):
-        o = _as_gr(other)
+        o = other if type(other) is GaussianRational else _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return _gr(a + c if a and c else a or c, b + d if b and d else b or d)
+        a, b, d, c, e, f = self.p, self.q, self.d, o.p, o.q, o.d
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_gr(other)
+        o = other if type(other) is GaussianRational else _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return _gr((a - c if a else -c) if c else a, (b - d if b else -d) if d else b)
+        a, b, d, c, e, f = self.p, self.q, self.d, o.p, o.q, o.d
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         o = _as_gr(other)
@@ -158,43 +162,34 @@ class GaussianRational:
         return o - self
 
     def __neg__(self):
-        a, b = self.re, self.im
-        return _gr(-a if a else a, -b if b else b)
+        return _gr(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        o = _as_gr(other)
+        o = other if type(other) is GaussianRational else _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if not b:  # a * (c + d i)
-            if not d:
-                return _gr(a * c, _R_ZERO)
-            return _gr(a * c if c else _R_ZERO, a * d)
-        if not a:  # b i * (c + d i)
-            if not d:
-                return _gr(_R_ZERO, b * c)
-            return _gr(-(b * d), b * c if c else _R_ZERO)
-        if not d:
-            return _gr(a * c, b * c)
-        if not c:
-            return _gr(-(b * d), a * d)
-        return _gr(a * c - b * d, a * d + b * c)
+        a, b, d, c, e, f = self.p, self.q, self.d, o.p, o.q, o.d
+        if not b and not e:  # real x real: one gcd of two ints
+            p, d = a * c, d * f
+            if d != 1 and (g := gcd(p, d)) != 1:
+                return _gr(p // g, 0, d // g)
+            return _gr(p, 0, d)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_gr(other)
+        o = other if type(other) is GaussianRational else _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        if not d:
+        a, b, d, c, e, f = self.p, self.q, self.d, o.p, o.q, o.d
+        if not e:  # (a + b i)/d / (c/f) = (a + b i) f / (d c)
             if not c:
                 raise ZeroDivisionError("division by zero GaussianRational")
-            return _gr(a / c if a else a, b / c if b else b)
-        if not c:  # (a + b i) / (d i) = b/d - (a/d) i
-            return _gr(b / d if b else b, -(a / d) if a else a)
-        n = c * c + d * d
-        return _gr((a * c + b * d) / n, (b * c - a * d) / n)
+            if c < 0:
+                c, f = -c, -f
+            return _reduced(a * f, b * f, d * c)
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other):
         o = _as_gr(other)
@@ -203,42 +198,39 @@ class GaussianRational:
         return o / self
 
     def conjugate(self) -> "GaussianRational":
-        b = self.im
-        return _gr(self.re, -b if b else b)
+        return _gr(self.p, -self.q, self.d)
 
-    def abs2(self):
+    def abs2(self) -> Fraction:
         """|z|^2 = re^2 + im^2 as an exact rational."""
-        a, b = self.re, self.im
-        if not b:
-            return a * a
-        return a * a + b * b if a else b * b
+        return Fraction(self.p * self.p + self.q * self.q, self.d * self.d)
 
     # -- comparison / hashing --------------------------------------------
 
     def __eq__(self, other):
-        o = _as_gr(other)
+        o = other if type(other) is GaussianRational else _as_gr(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.p, self.q, self.d))
 
     # -- rendering --------------------------------------------------------
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}*i"
 
     def to_json(self):
         """'p/q' for real values, {"re": .., "im": ..} otherwise."""
-        if self.im == 0:
-            return rational_to_str(self.re)
-        return {"re": rational_to_str(self.re), "im": rational_to_str(self.im)}
+        if not self.q:
+            return _ratio_str(self.p, self.d)
+        return {"re": _ratio_str(self.p, self.d), "im": _ratio_str(self.q, self.d)}
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
@@ -250,24 +242,30 @@ class GaussianRational:
 
 
 _new_gr = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
 
 
-def _gr(re, im) -> GaussianRational:
-    """re + im*i from two backend rationals, with no coercion; sums, products
-    and quotients of backend values are backend values, so the arithmetic
-    above passes them straight in."""
+def _gr(p: int, q: int, d: int) -> GaussianRational:
+    """(p + q*i)/d from ints already in canonical form, with no checks."""
     z = _new_gr(GaussianRational)
-    _set_re(z, re)
-    _set_im(z, im)
+    z.p = p
+    z.q = q
+    z.d = d
     return z
 
 
+def _reduced(p: int, q: int, d: int) -> GaussianRational:
+    """(p + q*i)/d for ints with d > 0, divided by gcd(p, q, d)."""
+    if d != 1 and (g := gcd(p, q, d)) != 1:
+        return _gr(p // g, q // g, d // g)
+    return _gr(p, q, d)
+
+
 def _as_gr(x):
+    if type(x) is int:
+        return _gr(x, 0, 1)
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, numbers.Rational)):
+    if isinstance(x, numbers.Rational):
         return GaussianRational(x)
     return NotImplemented
 

@@ -21,17 +21,18 @@ computation and every operation truncates against it.
 """
 from __future__ import annotations
 
+import functools
 import math
-from .exact import GaussianRational, Matrix, ZERO, combination, rational
+from .exact import GaussianRational, Matrix, ONE, ZERO, combination
 
 
 class SeriesPoly:
     """Polynomial in omega^1..omega^p with one exact value per monomial.
 
-    A value is a dim x dim Matrix or, for the det(sinhc) factors, a plain
-    scalar (dim 1); the term at monomial mu carries s^|mu| implicitly.
-    Values multiply with `*` whatever their kinds, and zero values are
-    dropped.
+    A value is a dim x dim Matrix or, for the det(sinhc) factors, a
+    GaussianRational (dim 1); the term at monomial mu carries s^|mu|
+    implicitly.  Values multiply with `*` whatever their kinds, and zero
+    values are dropped.
     """
 
     __slots__ = ("p", "dim", "degree", "terms")
@@ -109,8 +110,7 @@ class SeriesPoly:
         f = {}
         for mono, v in self.terms.items():
             f.setdefault(sum(mono), {})[mono] = v
-        # an exact 1, so that int-valued terms still divide exactly
-        g = {0: {zero_mono: rational(1)}}
+        g = {0: {zero_mono: ONE}}
         for n in range(1, self.degree + 1):
             gn = {}
             for k, fk in f.items():
@@ -124,20 +124,27 @@ class SeriesPoly:
 
 
 def log_sinhc_coeffs(order: int) -> list:
-    """[c_0 .. c_order] of log(sinh(x)/x) = x^2/6 - x^4/180 + x^6/2835 - ...
+    """[c_0 .. c_order] of log(sinh(x)/x) = x^2/6 - x^4/180 + x^6/2835 - ...,
+    as GaussianRational.
 
     Only even powers appear: c_2m = 2^(2m) B_2m / (2m (2m)!), with the
-    Bernoulli numbers from sum_{j<=n} C(n+1, j) B_j = 0, B_0 = 1.
+    Bernoulli numbers from sum_{j<=n} C(n+1, j) B_j = 0, B_0 = 1.  Each
+    order is computed once; every call returns a fresh list.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    bern = [rational(1)]
+    return list(_log_sinhc_coeffs(order))
+
+
+@functools.cache
+def _log_sinhc_coeffs(order: int) -> tuple:
+    bern = [ONE]
     for n in range(1, order + 1):
-        bern.append(-sum(math.comb(n + 1, j) * bern[j] for j in range(n)) / (n + 1))
-    coeffs = [rational(0)] * (order + 1)
+        bern.append(-sum((math.comb(n + 1, j) * bern[j] for j in range(n)), ZERO) / (n + 1))
+    coeffs = [ZERO] * (order + 1)
     for k in range(2, order + 1, 2):
         coeffs[k] = 2**k * bern[k] / (k * math.factorial(k))
-    return coeffs
+    return tuple(coeffs)
 
 
 def _sparse_generators(mats, scale, exponent=1, basis=None):
@@ -146,10 +153,8 @@ def _sparse_generators(mats, scale, exponent=1, basis=None):
     Each generator is read off the nonzero rows of its Matrix.  With a
     basis (coefficient vectors T_a over the A_i) the generators are
     scale*B_a with B_a = sum_i T_a[i] A_i (one exact.combination each), the
-    pencil restricted to the span of the T_a.  Values are plain rationals
-    when every one of them and the exponent is real, and GaussianRational
-    otherwise.  Later steps only add, multiply and test for zero, so both
-    kinds share one code path.
+    pencil restricted to the span of the T_a.  Values and the exponent are
+    GaussianRational, real or not.
     """
     dim = mats[0].rows if mats else 0
     for a in mats:
@@ -162,11 +167,6 @@ def _sparse_generators(mats, scale, exponent=1, basis=None):
     for a in mats:
         gens.append({r: {c: x * scale for c, x in row.items()}
                      for r, row in enumerate(a.nonzeros) if row})
-    if exponent.is_real() and all(
-        v.is_real() for g in gens for row in g.values() for v in row.values()
-    ):
-        gens = [{r: {c: v.re for c, v in row.items()} for r, row in g.items()} for g in gens]
-        exponent = exponent.re
     return gens, exponent
 
 
@@ -196,7 +196,7 @@ def _pencil_step(power, gens):
 
 def _trace_product(x, y):
     """tr(X Y) for sparse {row: {col: value}} matrices."""
-    acc = 0
+    acc = ZERO
     for r, xrow in x.items():
         for c, xv in xrow.items():
             yv = y.get(c, {}).get(r)
@@ -235,7 +235,7 @@ def _power_sum(pa, pb):
 def _elementary_symmetric(psums: dict, top: int, zero_mono) -> list:
     """[e_0 .. e_top] from the power sums p_1 .. p_top by Newton's identities,
     k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i."""
-    e = [{zero_mono: 1}]
+    e = [{zero_mono: ONE}]
     for k in range(1, top + 1):
         acc = {}
         for i in range(1, k + 1):
@@ -249,7 +249,7 @@ def _direct_power_sums(gens, dim: int, top: int, zero_mono, odd: bool = True) ->
     {j: {monomial: value}}: the sum over monomial pairs (mu, nu) of
     tr(P_a[mu] P_b[nu]) at mu + nu, with P_m = A(omega)^m, a = floor(j/2)
     and b = ceil(j/2)."""
-    powers = [{zero_mono: {r: {r: 1} for r in range(dim)}}]
+    powers = [{zero_mono: {r: {r: ONE} for r in range(dim)}}]
     for _ in range((top + 1) // 2):
         powers.append(_pencil_step(powers[-1], gens))
     return {j: _power_sum(powers[j // 2], powers[(j + 1) // 2])
@@ -267,10 +267,8 @@ def det_sinhc_pencil(mats, scale, exponent, degree: int, basis=None) -> SeriesPo
     vector.  Exponents of several factors add, so their product costs one
     exp.  The work is done on plain {monomial: value} dicts:
 
-    - each scale*A_i is stored sparsely as {row: {col: value}}, over plain
-      rationals when every scaled entry and the exponent are real (every
-      catalog space) and over GaussianRational otherwise, with one code
-      path for both;
+    - each scale*A_i is stored sparsely as {row: {col: value}} with
+      GaussianRational values;
     - p_2m for 2m <= M comes from the pencil powers (_direct_power_sums);
       odd p_j never enter.
     """
@@ -281,7 +279,7 @@ def det_sinhc_pencil(mats, scale, exponent, degree: int, basis=None) -> SeriesPo
     top = degree - degree % 2
     psums = _direct_power_sums(gens, mats[0].rows, top, (0,) * p, odd=False)
 
-    logc = log_sinhc_coeffs(degree)
+    logc = _log_sinhc_coeffs(degree)
     f = {}
     for m in range(1, top // 2 + 1):
         cm = logc[2 * m] * exponent
@@ -321,13 +319,13 @@ def cosh_pencil(mats, dim: int, degree: int, basis=None) -> SeriesPoly:
     terms = {(0,) * p: Matrix.identity(dim)}
     if p == 0:
         return SeriesPoly(p, dim, degree, terms)
-    power = {(0,) * p: {r: {r: 1} for r in range(dim)}}
+    power = {(0,) * p: {r: {r: ONE} for r in range(dim)}}
     for j in range(1, degree + 1):
         power = _pencil_step(power, gens)
         if not power:
             break
         if j % 2 == 0:
-            inv = rational(1, math.factorial(j))
+            inv = ONE / math.factorial(j)
             for mono, x in power.items():
                 terms[mono] = Matrix.from_nonzeros(dim, [
                     {c: v * inv for c, v in x.get(r, {}).items()} for r in range(dim)])

@@ -342,14 +342,15 @@ def one_commutator_per_quadruple(model, rep):
     n, p, dimV = model.n, model.p, rep.dimV
     G, B, R = rep.G, rep.B, rep.R
     checks = []
-    ok, detail = True, ""
+    # every failing item in loop order; the check reports the first
+    fails = []
     for a in range(n):
         if not G[a][a].is_zero():
-            ok, detail = False, f"diagonal ({a},{a})"
+            fails.append(f"diagonal ({a},{a})")
         for b in range(n):
             if G[a][b] != -G[b][a]:
-                ok, detail = False, f"pair ({a},{b})"
-    checks.append(CheckResult("fiber-g-antisymmetry", ok, "" if ok else detail))
+                fails.append(f"pair ({a},{b})")
+    checks.append(CheckResult("fiber-g-antisymmetry", not fails, fails[0] if fails else ""))
 
     pairs = index_pairs(n)
 
@@ -363,18 +364,16 @@ def one_commutator_per_quadruple(model, rep):
         "fiber-so-n-relations",
         ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:]), so_n_holds))
 
-    ok, detail = True, ""
-    if B.transpose() != -B:
-        ok, detail = False, "B not antisymmetric"
+    fails = ["B not antisymmetric"] if B.transpose() != -B else []
     for a in range(n):
         for b in range(n):
             x = B[a, b]
             if not x.is_zero():
                 if x.re != 0:
-                    ok, detail = False, f"B({a},{b}) not purely imaginary"
+                    fails.append(f"B({a},{b}) not purely imaginary")
                 if a >= model.flat_dim or b >= model.flat_dim:
-                    ok, detail = False, f"B({a},{b}) on a curved direction"
-    checks.append(CheckResult("twist-flat-support", ok, "" if ok else detail))
+                    fails.append(f"B({a},{b}) on a curved direction")
+    checks.append(CheckResult("twist-flat-support", not fails, fails[0] if fails else ""))
 
     def bracket_holds(ik):
         i, k = ik
@@ -453,9 +452,17 @@ class TestValidateRepParity:
         bad = dataclasses.replace(rep, G=tuple(tuple(row) for row in table))
         got = validate_rep(m, bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
-        assert failed_detail(got, "fiber-g-antisymmetry") == "pair (0,0)"
+        assert failed_detail(got, "fiber-g-antisymmetry") == "diagonal (0,0)"
         # want = -G_00 - G_11 is nonzero on the diagonal quadruple, where [X, X] = 0
         assert failed_detail(got, "fiber-so-n-relations") == "indices (0, 1, 0, 1)"
+
+    def test_twist_reports_first_failure(self):
+        # a real B on S2 fails both item tests at (0,1) and again at (1,0)
+        m = sphere(2, 1)
+        bad = dataclasses.replace(catalog_rep(m, "scalar"), B=Matrix.from_rows([[0, 1], [-1, 0]]))
+        got = validate_rep(m, bad)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
+        assert failed_detail(got, "twist-flat-support") == "B(0,1) not purely imaginary"
 
     @pytest.mark.parametrize("maker,name", [
         (lambda: sphere(4, 1), "vector"),

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -153,6 +154,118 @@ class TestScalarAgainstPairOracle:
             check(z.conjugate(), (x[0], -x[1]))
             n = z.abs2()
             assert type(n) is BACKEND and n == x[0] ** 2 + x[1] ** 2
+
+
+    # each part given as an int, a Fraction or a 'p/q' string
+    @pytest.mark.parametrize("kinds", [(int, Fraction), (Fraction, str), (str, int), (str, str)],
+                             ids=lambda k: "/".join(t.__name__ for t in k))
+    def test_mixed_part_kinds_and_plain_operands(self, kinds):
+        rng = random.Random(str(kinds))
+        ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+        def spelled(x, kind):
+            if kind is int:
+                return x.numerator
+            return Fraction(x) if kind is Fraction else f"{x.numerator}/{x.denominator}"
+
+        for _ in range(40):
+            x = tuple(Fraction(rng.randint(-9, 9), 1 if kind is int else rng.randint(1, 9))
+                      for kind in kinds)
+            z = GaussianRational(*(spelled(v, k) for v, k in zip(x, kinds)))
+            assert z == GaussianRational(*x) and (z.re, z.im) == x
+            w = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            for plain in (w, w.numerator):  # a Fraction and an int, on either side
+                y = (Fraction(plain), Fraction(0))
+                for name, op in ops.items():
+                    want = oracle_ops(x, y)[name]
+                    assert op(z, plain) == GaussianRational(*want)
+                    flipped = oracle_ops(y, x)[name]
+                    if flipped is None:
+                        with pytest.raises(ZeroDivisionError):
+                            op(plain, z)
+                    else:
+                        assert op(plain, z) == GaussianRational(*flipped)
+            with pytest.raises(TypeError):
+                z + "1/2"
+
+    def test_division_by_both_parts_nonzero(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            x = (Fraction(rng.randint(-30, 30), rng.randint(1, 30)),
+                 Fraction(rng.randint(-30, 30), rng.randint(1, 30)))
+            y = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30)),
+                 Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 30)))
+            got = GaussianRational(*x) / GaussianRational(*y)
+            assert (got.re, got.im) == oracle_ops(x, y)["/"]
+            assert got * GaussianRational(*y) == GaussianRational(*x)
+
+    def test_parts_above_two_to_the_64(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            x, y = [(Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 2**70)),
+                     Fraction(rng.randint(-2**90, 2**90), rng.randint(1, 2**70)))
+                    for _ in range(2)]
+            z, w = GaussianRational(*x), GaussianRational(*y)
+            for name, op in [("+", operator.add), ("-", operator.sub),
+                             ("*", operator.mul), ("/", operator.truediv)]:
+                got = op(z, w)
+                assert (got.re, got.im) == oracle_ops(x, y)[name]
+                assert got == GaussianRational(*oracle_ops(x, y)[name])
+            big = GaussianRational(2**80 + 1)
+            assert (big * big).p == (2**80 + 1) ** 2 and (z * big).re == x[0] * (2**80 + 1)
+
+
+def canonical_scalar(z):
+    # gcd(0, 0, d) = d, so this also makes zero (0, 0, 1)
+    return z.d > 0 and math.gcd(z.p, z.q, z.d) == 1
+
+
+class TestCanonicalForm:
+    def test_fields_are_ints_in_lowest_terms(self):
+        rng = random.Random(13)
+        values = [rand_scalar(rng) for _ in range(60)]
+        results = [op(a, b) for a in values[:12] for b in values[:12]
+                   for op in (operator.add, operator.sub, operator.mul)]
+        results += [a / b for a in values[:12] for b in values[12:24] if b]
+        for z in values + results + [-values[0], values[1].conjugate()]:
+            assert all(type(f) is int for f in (z.p, z.q, z.d))
+            assert canonical_scalar(z)
+
+    def test_zero_is_zero_zero_one(self):
+        a = GaussianRational(rational(3, 7), rational(-2, 9))
+        for z in (ZERO, GaussianRational(), GaussianRational("0/5", rational(0)),
+                  a - a, a * 0, 0 * a, a + (-a), GaussianRational.from_json({"re": "0/3"})):
+            assert (z.p, z.q, z.d) == (0, 0, 1)
+            assert z == 0 and not z and z.is_zero()
+
+    def test_one_value_by_every_route(self):
+        # (3 - 5i)/6 by the constructor, by arithmetic and from JSON
+        routes = [
+            GaussianRational(rational(1, 2), rational(-5, 6)),
+            GaussianRational("3/6", "-10/12"),
+            GaussianRational(rational(1, 2)) - GaussianRational(0, 5) / 6,
+            (GaussianRational(3, -5) * GaussianRational(rational(1, 12))) * 2,
+            GaussianRational(9, -15) / GaussianRational(18),
+            GaussianRational(rational(5, 6), rational(1, 2)) * GaussianRational(0, -1),
+            GaussianRational.from_json({"re": "1/2", "im": "-5/6"}),
+            GaussianRational.from_json(GaussianRational(3, -5).to_json()) / 6,
+        ]
+        for z in routes:
+            assert (z.p, z.q, z.d) == (3, -5, 6)
+            assert z == routes[0] and hash(z) == hash(routes[0])
+        assert len(set(routes)) == 1
+        # values that differ in one field only are different values
+        for p, q, d in [(3, -5, 12), (3, 5, 6), (-3, -5, 6)]:
+            assert GaussianRational(rational(p, d), rational(q, d)) != routes[0]
+
+    def test_re_and_im_are_fractions(self):
+        for z in (ZERO, GaussianRational(3), GaussianRational(rational(3, 4), rational(-5, 6)),
+                  GaussianRational(0, 2) / 4):
+            assert type(z.re) is Fraction and type(z.im) is Fraction
+            assert z == GaussianRational(z.re, z.im)
+        z = GaussianRational(rational(3, 4), rational(-5, 6))
+        assert (z.re, z.im) == (Fraction(3, 4), Fraction(-5, 6)) and z.d == 12
+        assert z.to_json() == {"re": "3/4", "im": "-5/6"}
 
 
 class TestMatMul:

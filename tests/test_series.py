@@ -10,6 +10,7 @@ from symheat.bundles import catalog_rep
 from symheat.exact import GaussianRational, Matrix, combination, rational
 from symheat.series import (
     SeriesPoly,
+    _sparse_generators,
     cosh_pencil,
     det_sinhc_numeric,
     det_sinhc_pencil,
@@ -42,6 +43,13 @@ class TestLogSinhc:
 
     def test_order_zero(self):
         assert log_sinhc_coeffs(0) == [0]
+
+    def test_each_call_returns_a_fresh_list(self):
+        # one computation per order is kept; a caller's edit must not reach it
+        got = log_sinhc_coeffs(6)
+        assert type(got) is list and got is not log_sinhc_coeffs(6)
+        got[2] = 0
+        assert log_sinhc_coeffs(6)[2] == rational(1, 6)
 
     def test_against_sympy(self):
         x = sympy.symbols("x")
@@ -269,6 +277,33 @@ _COSH_GRID = [
     for degree in (6, 8)
     if p * dim <= (9 if degree == 6 else 8)
 ]
+
+
+class TestOneValueKind:
+    """Every pencil value is a GaussianRational, for real pencils too."""
+
+    def test_pencil_values_are_gaussian_rationals(self):
+        m = sphere(4, 1)
+        rep = catalog_rep(m, "spinor")
+        torus = [tuple(int(i == j) for j in range(6)) for i in (0, 5)]
+        dets = [det_sinhc_pencil(m.F, HALF, HALF, 6, torus),
+                det_sinhc_pencil(m.D, HALF, -HALF, 6, torus),
+                det_sinhc_pencil(m.D, HALF, -HALF, 4)]
+        for f in dets + [(dets[0] + dets[1]).exp()]:
+            assert f.terms and all(type(v) is GaussianRational for v in f.terms.values())
+        # the real pencil's generators too, not only what their products become
+        gens, exponent = _sparse_generators(m.D, HALF, -HALF, torus)
+        assert type(exponent) is GaussianRational
+        assert all(type(v) is GaussianRational
+                   for g in gens for row in g.values() for v in row.values())
+        for basis in (torus, None):
+            cosh = cosh_pencil(rep.R, rep.dimV, 6, basis)
+            assert len(cosh.terms) > 1
+            assert all(type(x) is GaussianRational
+                       for v in cosh.terms.values() for row in v.nonzeros for x in row.values())
+        twist = det_sinhc_numeric(Matrix.from_rows([[0, GaussianRational(0, 1)],
+                                                    [GaussianRational(0, -1), 0]]), -HALF, 6)
+        assert all(type(v) is GaussianRational for v in twist + log_sinhc_coeffs(6))
 
 
 class TestCoshAgainstDensePowers:
