@@ -57,8 +57,9 @@ def _exits(code: int, prefix: str, *errors):
 
 
 def _parsed(build, *args, failed: str = "validation error"):
-    """build(*args): structural faults exit 3, malformed job fields exit 2."""
-    with _exits(EXIT_PARSE, "error: bad job file: ", KeyError, TypeError, ValueError), \
+    """build(*args): structural faults exit 3, malformed or missing job fields exit 2."""
+    with _exits(EXIT_PARSE, "error: bad job file: missing field ", KeyError), \
+            _exits(EXIT_PARSE, "error: bad job file: ", TypeError, ValueError), \
             _exits(EXIT_VALIDATION, f"{failed}: ", ModelBuildError, BundleError):
         return build(*args)
 

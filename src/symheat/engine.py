@@ -142,15 +142,12 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     prefactor = matrix_exp_series(exponent_matrix, degree)
     twist = det_sinhc_numeric(rep.B, -_HALF, degree)
 
-    # a_k = sum over i + j + l = k of prefactor[i] averaged[j] twist[l]
-    coeffs = [Matrix.zeros(dimV)] * (k_max + 1)
-    for i, pre in enumerate(prefactor):
-        for j, avg in enumerate(averaged[: k_max + 1 - i]):
-            prod = pre * avg
-            for k in range(i + j, k_max + 1):
-                tw = twist[k - i - j]
-                if tw:
-                    coeffs[k] = coeffs[k] + prod.scale(tw)
+    # a_k = sum over i + j + l = k of twist[l] prefactor[i] averaged[j], one
+    # combination per k; prefactor[0] is the identity
+    prods = [(i + j, avg if i == 0 else pre * avg)
+             for i, pre in enumerate(prefactor) for j, avg in enumerate(averaged[: k_max + 1 - i])]
+    coeffs = [combination(((twist[k - ij], prod) for ij, prod in prods if ij <= k), dimV)
+              for k in range(k_max + 1)]
     if coeffs[0] != Matrix.identity(dimV):
         raise AssertionError("a_0 is not the identity")
     return HeatCoefficients(n=model.n, dimV=dimV, a=tuple(coeffs))

@@ -9,6 +9,9 @@ path.  Fractions appear only where rationals are read in (`rational`, the
 constructor) or reported (`re`, `im`).
 A Matrix is held as its nonzero entries, one {column: value} dict per
 row, and every matrix operation costs O(nonzeros), not O(rows * cols).
+Every sum of products (`Matrix.matmul`, `commutator`, `combination` and
+the row reductions of `kernel`) accumulates each entry as unreduced ints
+(p, q, d) and reduces it once, by one gcd, when the sum is complete.
 There is one elimination, `kernel`, a sparse Gauss-Jordan null space
 (Cartan subalgebras and commutants); `invert` reads an inverse (beta and
 Gram matrices) off the null space of [A | -I].
@@ -398,20 +401,13 @@ class Matrix:
         return self.scale(other)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """self * other; each entry accumulates its products as unreduced
+        ints and is reduced once."""
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        b = other.nonzeros
-        out = []
-        for r in self.nonzeros:
-            acc = {}
-            for l, x in r.items():
-                for j, y in b[l].items():
-                    s = acc.get(j)
-                    acc[j] = x * y if s is None else s + x * y
-            out.append({j: v for j, v in acc.items() if v})
-        return Matrix._of(other.cols, out)
+        return Matrix._of(other.cols, _product_rows(((1, self, other),), self.rows))
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
@@ -501,9 +497,62 @@ def _row_diff(a: dict, b: dict) -> dict:
     return out
 
 
+# -- sums of products -------------------------------------------------------
+# A sum of products accumulates in a {column: (p, q, d)} dict of unreduced
+# ints meaning (p + q*i)/d with d > 0, and each entry is reduced once, by
+# one gcd, when the sum is complete.
+
+
+def _add_scaled(acc: dict, a: int, b: int, d: int, row: dict) -> None:
+    """acc[j] += (a + b*i)/d * row[j] over the nonzeros of row, unreduced."""
+    get = acc.get
+    for j, y in row.items():
+        c, e, f = y.p, y.q, y.d
+        p, q, f = a * c - b * e, a * e + b * c, d * f
+        t = get(j)
+        if t is None:
+            acc[j] = (p, q, f)
+        else:
+            s, r, g = t
+            if g == f:
+                acc[j] = (s + p, r + q, g)
+            elif g % f:
+                acc[j] = (s * f + p * g, r * f + q * g, g * f)
+            else:  # f divides g: stay over g
+                k = g // f
+                acc[j] = (s + p * k, r + q * k, g)
+
+
+def _settle(acc: dict, out: dict) -> dict:
+    """out with each accumulated entry written in lowest terms; zero sums are
+    removed from it."""
+    for j, (p, q, d) in acc.items():
+        if not p and not q:
+            out.pop(j, None)
+        elif d != 1 and (g := gcd(p, q, d)) != 1:
+            out[j] = _gr(p // g, q // g, d // g)
+        else:
+            out[j] = _gr(p, q, d)
+    return out
+
+
+def _product_rows(terms, n: int) -> list:
+    """The n rows of sum s * A * B over the (s, A, B) terms, s = +-1."""
+    out = []
+    for i in range(n):
+        acc = {}
+        for s, a, b in terms:
+            b = b.nonzeros
+            for l, x in a.nonzeros[i].items():
+                _add_scaled(acc, s * x.p, s * x.q, x.d, b[l])
+        out.append(_settle(acc, {}) if acc else acc)
+    return out
+
+
 def combination(terms, n: int) -> Matrix:
     """The n x n sum c*M over the (c, M) pairs, walking the nonzeros of each M
-    whose c is nonzero."""
+    whose c is nonzero; each entry accumulates its products unreduced and is
+    reduced once, so one combination replaces a chain of scale and +."""
     acc = [{} for _ in range(n)]
     for c, m in terms:
         if not c:
@@ -511,18 +560,20 @@ def combination(terms, n: int) -> Matrix:
         if m.rows != n or m.cols != n:
             raise ValueError(f"{m.rows}x{m.cols} term in a {n}x{n} combination")
         c = GaussianRational.of(c)
+        a, b, d = c.p, c.q, c.d
         for dst, src in zip(acc, m.nonzeros):
-            for j, x in src.items():
-                s = dst.get(j)
-                dst[j] = c * x if s is None else s + c * x
-    return Matrix._of(n, [{j: v for j, v in r.items() if v} for r in acc])
+            if src:
+                _add_scaled(dst, a, b, d, src)
+    return Matrix._of(n, [_settle(r, {}) if r else r for r in acc])
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """a*b - b*a; both arguments must be square of the same size."""
+    """a*b - b*a in one pass: each entry accumulates the products of a*b and
+    the negated products of b*a and is reduced once; both arguments must be
+    square of the same size."""
     if not (a.is_square and b.is_square and a.rows == b.rows):
         raise ValueError("commutator needs square matrices of equal size")
-    return a.matmul(b) - b.matmul(a)
+    return Matrix._of(a.cols, _product_rows(((1, a, b), (-1, b, a)), a.rows))
 
 
 def invert(a: Matrix) -> Matrix:
@@ -554,38 +605,35 @@ def kernel(rows, ncols: int) -> list:
 
     Gauss-Jordan on dicts: each row is reduced by the pivot rows kept so
     far, and its new pivot is eliminated from them, so every kept row has
-    a 1 at its pivot and no other pivot column; only nonzeros are touched.
+    a 1 at its pivot, stored implicitly, and no other pivot column; only
+    nonzeros are touched.  So a new row is reduced by all the pivot rows it
+    hits in one pass, and each of its entries, like each entry an
+    elimination changes, is accumulated unreduced and reduced once.
     Rows that settle many unknowns should come first.  The basis holds one
     {column: value} vector per free column f, with 1 at f, in order of f.
     """
-    pivots = {}
+    pivots = {}  # pivot column: the row's other entries, its 1 at the pivot implicit
     for row in rows:
         row = {c: GaussianRational.of(v) for c, v in row.items() if v}
-        for c in [c for c in row if c in pivots]:
-            f = row.pop(c)
-            for k, v in pivots[c].items():
-                if k != c:
-                    x = row.get(k, ZERO) - f * v
-                    if x:
-                        row[k] = x
-                    else:
-                        row.pop(k, None)
+        hits = [c for c in row if c in pivots]
+        if hits:
+            # pivot rows are 0 at the other pivot columns: one pass takes all hits
+            acc = {k: (v.p, v.q, v.d) for k, v in row.items() if k not in pivots}
+            for c in hits:
+                f = row[c]
+                _add_scaled(acc, -f.p, -f.q, f.d, pivots[c])
+            row = _settle(acc, {})
         if not row:
             continue
         pc = min(row)
-        inv = ONE / row[pc]
+        inv = ONE / row.pop(pc)
         row = {k: v * inv for k, v in row.items()}
         for prow in pivots.values():
             g = prow.pop(pc, None)
-            if g is None:
-                continue
-            for k, v in row.items():
-                if k != pc:
-                    x = prow.get(k, ZERO) - g * v
-                    if x:
-                        prow[k] = x
-                    else:
-                        prow.pop(k, None)
+            if g is not None and row:
+                acc = {k: (x.p, x.q, x.d) for k in row if (x := prow.get(k)) is not None}
+                _add_scaled(acc, -g.p, -g.q, g.d, row)
+                _settle(acc, prow)
         pivots[pc] = row
     basis = []
     for f in range(ncols):

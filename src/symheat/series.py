@@ -82,16 +82,19 @@ class SeriesPoly:
             raise ValueError("truncation degrees differ")
 
     def __mul__(self, other: "SeriesPoly") -> "SeriesPoly":
+        """The truncated product; the value products landing on one monomial
+        are summed in one go (_product_sum)."""
         self._check_compatible(other)
         right = [(m2, sum(m2), v2) for m2, v2 in other.terms.items()]
-        out = {}
+        groups = {}
         for m1, v1 in self.terms.items():
             room = self.degree - sum(m1)
             for m2, d2, v2 in right:
                 if d2 <= room:
-                    _add_into(out, tuple(a + b for a, b in zip(m1, m2)), v1 * v2)
+                    groups.setdefault(tuple(a + b for a, b in zip(m1, m2)), []).append((v1, v2))
         dim = self.dim if self.dim != 1 else other.dim
-        return SeriesPoly(self.p, dim, self.degree, out)
+        return SeriesPoly(self.p, dim, self.degree,
+                          {mono: _product_sum(pairs) for mono, pairs in groups.items()})
 
     def truncated(self, degree: int) -> "SeriesPoly":
         return SeriesPoly(self.p, self.dim, degree, self.terms)
@@ -168,6 +171,18 @@ def _sparse_generators(mats, scale, exponent=1, basis=None):
         gens.append({r: {c: x * scale for c, x in row.items()}
                      for r, row in enumerate(a.nonzeros) if row})
     return gens, exponent
+
+
+def _product_sum(pairs):
+    """sum x*y over the (x, y) pairs of one monomial; one exact.combination
+    when one side is a Matrix and the other a scalar."""
+    x, y = pairs[0]
+    if isinstance(y, Matrix) and not isinstance(x, Matrix):
+        return combination(pairs, y.rows)
+    if isinstance(x, Matrix) and not isinstance(y, Matrix):
+        return combination(((y, x) for x, y in pairs), x.rows)
+    products = (x * y for x, y in pairs)
+    return sum(products, next(products))
 
 
 def _add_into(dst: dict, key, v):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .exact import GaussianRational, Matrix, ZERO, invert
+from .exact import GaussianRational, Matrix, ZERO, combination, invert
 from .series import SeriesPoly
 
 _GR = GaussianRational.of
@@ -166,6 +166,7 @@ def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
     A degree-d monomial carries s^d, so its average lands at t^(d/2);
     odd-degree monomials must average to zero.  With a density W the
     average is <. W> / <W>: W multiplies every moment but adds no s-power.
+    Each t-coefficient is one exact.combination of the values.
     """
     if poly.p != w.p:
         raise ValueError("polynomial and weight have different variable counts")
@@ -178,7 +179,7 @@ def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
     norm = moment((0,) * w.p)
     if norm.is_zero():
         raise ValueError("the density averages to zero")
-    out = [Matrix.zeros(poly.dim)] * (poly.degree // 2 + 1)
+    terms = [[] for _ in range(poly.degree // 2 + 1)]
     for mono, v in poly.terms.items():
         mom = moment(mono)
         if mom.is_zero():
@@ -186,5 +187,5 @@ def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
         d = sum(mono)
         if d % 2 == 1:
             raise AssertionError("odd power of sqrt(t) survived the average")
-        out[d // 2] = out[d // 2] + v.scale(mom / norm)
-    return out
+        terms[d // 2].append((mom / norm, v))
+    return [combination(t, poly.dim) for t in terms]

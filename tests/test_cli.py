@@ -192,6 +192,20 @@ class TestCompute:
         assert "error: bad job file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    @pytest.mark.parametrize("job,field", [
+        ({"space": {"explicit": {k: v for k, v in S2_EXPLICIT.items() if k != "p"}}}, "p"),
+        ({"space": {"explicit": {k: v for k, v in S2_EXPLICIT.items() if k != "n"}}}, "n"),
+        ({"space": {"explicit": {k: v for k, v in S2_EXPLICIT.items() if k != "E"}}}, "E"),
+        ({"space": {"explicit": {k: v for k, v in S2_EXPLICIT.items() if k != "beta"}}}, "beta"),
+        ({"space": {"catalog": "sphere", "params": {"radius": "1/2"}}}, "n"),
+        ({"space": {"catalog": "sphere", "params": {"n": 2}}, "bundle": {"explicit": {}}}, "dimV"),
+    ], ids=["explicit_p", "explicit_n", "explicit_E", "explicit_beta", "catalog_n", "dimV"])
+    def test_missing_field_named(self, tmp_path, capsys, job, field, command):
+        rc = main([command, write_job(tmp_path, job)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: bad job file: missing field '{field}'\n"
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
     @pytest.mark.parametrize("dimV", [0, -1])
     def test_fiber_dimension_below_one_rejected(self, tmp_path, capsys, dimV, command):
         job = {"space": {"catalog": "sphere", "params": {"n": 2}},

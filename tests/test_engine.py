@@ -476,3 +476,85 @@ class TestGoldenReports:
         hc = heat_coefficients(HeatRequest(model, rep, k_max))
         text = json.dumps(coefficient_report(hc, mode="exact"), indent=2, sort_keys=True)
         assert text + "\n" == (REFS / f"{name}.{sign}.json").read_text(encoding="utf-8")
+
+
+class TestFusedAssembly:
+    """a_k is one combination per k; checked against the term-by-term sum."""
+
+    CASES = {
+        "flat2xs2_vecspin_twist_k4": lambda: HeatRequest(
+            *_flat2_x_s2_vector_spinor(), 4),
+        "s4_spinor_k3": lambda: _catalog_request(lambda: sphere(4, rational(2, 3)), "spinor", 3),
+        "h3_vecspin_k3": lambda: _catalog_request(lambda: hyperbolic(3, 1), "tensor_product", 3,
+                                                  factors=_VS),
+        "s2_scalar_k5": lambda: _catalog_request(lambda: sphere(2, 2), "scalar", 5),
+        "flat2_twist_k6": lambda: _job_request(JOBS / "flat2_twist.json", 6),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_term_by_term_sum(self, monkeypatch, name):
+        seen = {}
+
+        def recording(key, fn):
+            def wrapper(*args, **kwargs):
+                seen[key] = out = fn(*args, **kwargs)
+                return out
+            return wrapper
+
+        def recording_projection(R, basis):
+            project = original_projection(R, basis)
+            projected = seen.setdefault("projected", [])
+            return lambda a: projected.append(project(a)) or projected[-1]
+
+        original_projection = engine._commutant_projection
+        for key in ("matrix_exp_series", "average_poly", "det_sinhc_numeric"):
+            monkeypatch.setattr(engine, key, recording(key, getattr(engine, key)))
+        monkeypatch.setattr(engine, "_commutant_projection", recording_projection)
+        req = self.CASES[name]()
+        got = heat_coefficients(req).a
+        prefactor, twist = seen["matrix_exp_series"], seen["det_sinhc_numeric"]
+        averaged = seen.get("projected", seen["average_poly"])
+        k_max, dimV = req.k_max, req.rep.dimV
+        want = [Matrix.zeros(dimV)] * (k_max + 1)
+        for i, pre in enumerate(prefactor):
+            for j, avg in enumerate(averaged[: k_max + 1 - i]):
+                prod = pre * avg
+                for k in range(i + j, k_max + 1):
+                    if twist[k - i - j]:
+                        want[k] = want[k] + prod.scale(twist[k - i - j])
+        assert list(got) == want
+        assert ("projected" in seen) == (name in ("s4_spinor_k3", "h3_vecspin_k3"))
+
+
+def _flat2_x_s2_vector_spinor():
+    model = product([flat(2), sphere(2, 1)])
+    return model, catalog_rep(model, "tensor_product", factors=_VS, twist=[rational(1, 3)])
+
+
+class TestMatmulCount:
+    """Products that are sums of products do not go through Matrix.matmul."""
+
+    def _counting(self, monkeypatch):
+        calls = []
+        original = Matrix.matmul
+        monkeypatch.setattr(Matrix, "matmul", lambda a, b: calls.append(1) or original(a, b))
+        return calls
+
+    def test_commutator_makes_no_matmul_call(self, monkeypatch):
+        from symheat.exact import commutator
+        a = Matrix.from_rows([[0, 1, 0], [GaussianRational(0, 1), 0, 2], [0, 0, HALF]])
+        b = a.transpose()
+        want = a * b - b * a
+        calls = self._counting(monkeypatch)
+        assert commutator(a, b) == want
+        assert calls == []
+
+    def test_matmul_calls_per_heat_coefficients(self, monkeypatch):
+        # the prefactor's k steps (4), the products prefactor[i] * averaged[j]
+        # for i >= 1 (10), the embedded beta (2), the weight's inverse check (1)
+        # and the request's beta-f-invariance check (1); 23 when a_k also formed
+        # the five identity products prefactor[0] * averaged[j]
+        model, rep = _flat2_x_s2_vector_spinor()
+        calls = self._counting(monkeypatch)
+        heat_coefficients(HeatRequest(model, rep, 4))
+        assert len(calls) == 18

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symheat.exact import (
     GaussianRational,
@@ -539,3 +540,203 @@ class TestNonzeroStorage:
     def test_index_out_of_range_raises(self, ij):
         with pytest.raises(IndexError):
             Matrix.identity(3)[ij]
+
+
+# ---------------------------------------------------------------------------
+# fused sums of products against references that chain GaussianRational * and +
+
+
+def chained_matmul(a: Matrix, b: Matrix) -> Matrix:
+    out = []
+    for r in a.nonzeros:
+        acc = {}
+        for l, x in r.items():
+            for j, y in b.nonzeros[l].items():
+                acc[j] = x * y if j not in acc else acc[j] + x * y
+        out.append(acc)
+    return Matrix.from_nonzeros(b.cols, out)
+
+
+def chained_combination(terms, n: int) -> Matrix:
+    acc = [{} for _ in range(n)]
+    for c, m in terms:
+        if not c:
+            continue
+        c = GaussianRational.of(c)
+        for dst, src in zip(acc, m.nonzeros):
+            for j, x in src.items():
+                dst[j] = c * x if j not in dst else dst[j] + c * x
+    return Matrix.from_nonzeros(n, acc)
+
+
+def chained_kernel(rows, ncols: int) -> list:
+    # one pivot hit at a time, each update a product and a subtraction
+    pivots = {}
+    for row in rows:
+        row = {c: GaussianRational.of(v) for c, v in row.items() if v}
+        for c in [c for c in row if c in pivots]:
+            f = row.pop(c)
+            for k, v in pivots[c].items():
+                if k != c:
+                    x = row.get(k, ZERO) - f * v
+                    if x:
+                        row[k] = x
+                    else:
+                        row.pop(k, None)
+        if not row:
+            continue
+        pc = min(row)
+        inv = GaussianRational(1) / row[pc]
+        row = {k: v * inv for k, v in row.items()}
+        for prow in pivots.values():
+            g = prow.pop(pc, None)
+            if g is None:
+                continue
+            for k, v in row.items():
+                if k != pc:
+                    x = prow.get(k, ZERO) - g * v
+                    if x:
+                        prow[k] = x
+                    else:
+                        prow.pop(k, None)
+        pivots[pc] = row
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {f: GaussianRational(1)}
+            vec.update((pc, -prow[f]) for pc, prow in pivots.items() if f in prow)
+            basis.append(vec)
+    return basis
+
+
+def chained_inverse(a: Matrix):
+    """The inverse through chained_kernel, or None when singular."""
+    n = a.rows
+    basis = chained_kernel([r | {n + i: GaussianRational(-1)} for i, r in enumerate(a.nonzeros)],
+                           2 * n)
+    if basis and max(basis[0]) < n:
+        return None
+    return Matrix.from_nonzeros(n, [{j: vec[i] for j, vec in enumerate(basis) if i in vec}
+                                    for i in range(n)])
+
+
+def stored_canonically(m: Matrix) -> bool:
+    return canonical(m) and all(type(v) is GaussianRational and canonical_scalar(v)
+                                for r in m.nonzeros for v in r.values())
+
+
+# A small pool makes sums cancel to zero often; big parts pass 2**64 and
+# denominators are mixed, so the unreduced accumulator meets every branch.
+POOL_PARTS = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)]
+part = st.one_of(
+    st.sampled_from(POOL_PARTS),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9])),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70)),
+)
+scalar = st.one_of(
+    st.builds(GaussianRational, part),  # real
+    st.builds(lambda y: GaussianRational(0, y), part),  # purely imaginary
+    st.builds(GaussianRational, part, part),  # complex
+)
+
+
+@st.composite
+def sparse_mats(draw, rows, cols):
+    size = rows * cols
+    kept = draw(st.one_of(st.just([False] * size), st.just([True] * size),
+                          st.lists(st.booleans(), min_size=size, max_size=size)))
+    return Matrix(rows, cols, [draw(scalar) if k else ZERO for k in kept])
+
+
+@st.composite
+def square_mats(draw, count):
+    n = draw(st.integers(1, 5))
+    return [draw(sparse_mats(n, n)) for _ in range(count)]
+
+
+FUSED = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+class TestFusedSumsOfProducts:
+    @FUSED
+    @given(st.data())
+    def test_matmul(self, data):
+        n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+        a, b = data.draw(sparse_mats(n, k)), data.draw(sparse_mats(k, m))
+        got = a.matmul(b)
+        assert got == chained_matmul(a, b) and stored_canonically(got)
+
+    @FUSED
+    @given(square_mats(2))
+    def test_commutator(self, mats):
+        a, b = mats
+        got = commutator(a, b)
+        assert got == chained_matmul(a, b) - chained_matmul(b, a) and stored_canonically(got)
+        assert commutator(a, a) == Matrix.zeros(a.rows) and stored_canonically(commutator(a, a))
+        assert commutator(a, Matrix.zeros(a.rows)).nonzeros == tuple({} for _ in range(a.rows))
+
+    @FUSED
+    @given(st.data())
+    def test_combination(self, data):
+        mats = data.draw(square_mats(4))
+        n = mats[0].rows
+        coeff = st.one_of(scalar, st.sampled_from([0, 1, -1, ZERO, GaussianRational(1)]),
+                          st.integers(-2**70, 2**70))
+        terms = [(data.draw(coeff), m) for m in mats + [Matrix.zeros(n)]]
+        # the negated terms cancel the first two to zero
+        terms += [(-GaussianRational.of(c), m) for c, m in terms[:2]]
+        got = combination(terms, n)
+        assert got == chained_combination(terms, n) and stored_canonically(got)
+        zero = combination([(c, m) for c, m in terms[:2]] + [(-GaussianRational.of(c), m)
+                                                            for c, m in terms[:2]], n)
+        assert zero.nonzeros == tuple({} for _ in range(n))
+
+    @FUSED
+    @given(st.data())
+    def test_kernel(self, data):
+        ncols = data.draw(st.integers(1, 6))
+        m = data.draw(sparse_mats(data.draw(st.integers(0, 6)), ncols))
+        rows = [dict(r) for r in m.nonzeros]
+        if rows:  # a repeated row and a sum of two rows reduce to zero
+            first, last = rows[0], rows[-1]
+            rows += [dict(first), {c: v for c in first.keys() | last.keys()
+                                   if (v := first.get(c, ZERO) + last.get(c, ZERO))}]
+        got = kernel(rows, ncols)
+        assert got == chained_kernel(rows, ncols)
+        for vec in got:
+            assert all(type(v) is GaussianRational and v and canonical_scalar(v)
+                       for v in vec.values())
+
+    @FUSED
+    @given(square_mats(1))
+    def test_invert(self, mats):
+        (a,) = mats
+        want = chained_inverse(a)
+        if want is None:
+            with pytest.raises(ValueError, match=r"^matrix is singular \(no pivot in column \d+\)$"):
+                invert(a)
+        else:
+            got = invert(a)
+            assert got == want and stored_canonically(got)
+            assert a * got == Matrix.identity(a.rows)
+
+    def test_singular_message_unchanged(self):
+        rows = [[GaussianRational(0, rational(1, 2)), GaussianRational(0, 1)],
+                [GaussianRational(rational(1, 3)), GaussianRational(rational(2, 3))]]
+        assert chained_inverse(Matrix.from_rows(rows)) is None
+        with pytest.raises(ValueError) as exc:
+            invert(Matrix.from_rows(rows))
+        assert str(exc.value) == "matrix is singular (no pivot in column 1)"
+
+    def test_cancelling_sums_store_no_zero(self):
+        x = GaussianRational(2**70 + 1, rational(-1, 3))
+        y = GaussianRational(rational(1, 2**65), 7)
+        a = Matrix.from_rows([[x, x], [y, 0]])
+        b = Matrix.from_rows([[y, 0], [-y, 1]])
+        got = a * b
+        assert got.nonzeros[0] == {1: x} and got == chained_matmul(a, b)
+        assert stored_canonically(got)
+        # entries over denominators 2, 3 and 6 that sum to an integer
+        c = combination([(rational(1, 2), Matrix.identity(2)), (rational(1, 3), Matrix.identity(2)),
+                         (rational(1, 6), Matrix.identity(2))], 2)
+        assert c == Matrix.identity(2) and all(v.d == 1 for r in c.nonzeros for v in r.values())

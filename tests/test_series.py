@@ -405,3 +405,56 @@ class TestPolyInvariants:
         b = SeriesPoly.one(1, 1, 4)
         with pytest.raises(ValueError):
             a * b
+
+
+def _termwise_product(a: SeriesPoly, b: SeriesPoly) -> dict:
+    # one value product at a time, added into the running sum of its monomial
+    out = {}
+    for m1, v1 in a.terms.items():
+        for m2, v2 in b.terms.items():
+            mono = tuple(u + v for u, v in zip(m1, m2))
+            if sum(mono) <= a.degree:
+                out[mono] = out[mono] + v1 * v2 if mono in out else v1 * v2
+    return out
+
+
+def _random_values_poly(rng, kind, p=2, dim=3, degree=4):
+    def value():
+        re = rational(rng.randint(-4, 4), rng.choice([1, 2, 3, 2**70]))
+        im = rational(rng.randint(-4, 4), rng.choice([1, 5])) if rng.random() < 0.5 else 0
+        return GaussianRational(re, im)
+
+    terms = {}
+    for mono in itertools.product(range(degree + 1), repeat=p):
+        if sum(mono) <= degree and rng.random() < 0.6:
+            terms[mono] = value() if kind == "scalar" else Matrix(
+                dim, dim, [value() if rng.random() < 0.4 else 0 for _ in range(dim * dim)])
+    return SeriesPoly(p, 1 if kind == "scalar" else dim, degree, terms)
+
+
+class TestGroupedProduct:
+    """SeriesPoly.__mul__ sums the value products of each monomial in one go."""
+
+    @pytest.mark.parametrize("kinds", [("matrix", "scalar"), ("scalar", "matrix"),
+                                       ("matrix", "matrix"), ("scalar", "scalar")],
+                             ids=lambda k: "x".join(k))
+    def test_matches_termwise_product(self, kinds):
+        rng = random.Random("x".join(kinds))
+        for _ in range(6):
+            a, b = (_random_values_poly(rng, kind) for kind in kinds)
+            got = a * b
+            want = {mono: v for mono, v in _termwise_product(a, b).items() if v}
+            assert got.terms == want
+            assert got.dim == (1 if kinds == ("scalar", "scalar") else 3)
+            for v in got.terms.values():
+                assert type(v) is (GaussianRational if kinds == ("scalar", "scalar") else Matrix)
+
+    def test_cancelling_products_leave_no_term(self):
+        m = Matrix.from_rows([[1, rational(1, 2)], [0, GaussianRational(0, 3)]])
+        x = GaussianRational(rational(2, 3), -1)
+        a = SeriesPoly(2, 2, 2, {(1, 0): m, (0, 1): m})
+        b = SeriesPoly(2, 1, 2, {(0, 1): x, (1, 0): -x, (0, 0): x})
+        for got in (a * b, b * a):
+            assert (1, 1) not in got.terms
+            assert got.terms == {(1, 0): m.scale(x), (0, 1): m.scale(x),
+                                 (2, 0): m.scale(-x), (0, 2): m.scale(x)}

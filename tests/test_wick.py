@@ -237,3 +237,45 @@ class TestWeightValidation:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             GaussianWeight.from_beta(Matrix.from_rows([[1, 1], [1, 1]]))
+
+
+def termwise_average(poly, w):
+    # each averaged value scaled and added into its t-coefficient one at a time
+    density = {(0,) * w.p: 1} if w.density is None else w.density
+
+    def moment(mono):
+        total = GaussianRational(0)
+        for nu, c in density.items():
+            idx = mono_to_indices([a + b for a, b in zip(mono, nu)])
+            total = total + GaussianRational.of(c) * average_monomial(idx, w)
+        return total
+
+    norm = moment((0,) * w.p)
+    out = [Matrix.zeros(poly.dim)] * (poly.degree // 2 + 1)
+    for mono, v in poly.terms.items():
+        out[sum(mono) // 2] = out[sum(mono) // 2] + v.scale(moment(mono) / norm)
+    return out
+
+
+class TestAverageAgainstTermwiseSum:
+    @pytest.mark.parametrize("density", [None, {(0, 0): 2, (2, 0): 1, (1, 1): rational(-1, 3)}],
+                             ids=["plain", "density"])
+    def test_random_matrix_polys(self, density):
+        rng = random.Random(f"average {density is None}")
+        for _ in range(5):
+            w = random_spd_ish_beta(rng, 2)
+            if density is not None:
+                w = GaussianWeight(w.beta, w.beta_inv, density)
+                if termwise_average(SeriesPoly.one(2, 1, 0), w)[0].is_zero():
+                    continue
+            terms = {}
+            for mono in all_monomials(2, range(5)):
+                exps = tuple(mono.count(i) for i in range(2))
+                if rng.random() < 0.7:
+                    terms[exps] = Matrix(3, 3, [
+                        GaussianRational(rational(rng.randint(-5, 5), rng.randint(1, 4)),
+                                         rng.choice([0, 0, 1, -2])) for _ in range(9)])
+            poly = SeriesPoly(2, 3, 4, terms)
+            got = average_poly(poly, w)
+            assert got == termwise_average(poly, w)
+            assert all(v for m in got for r in m.nonzeros for v in r.values())
