@@ -15,6 +15,13 @@ Spinor generators are assembled from Kronecker products of the three
 standard 2x2 Hermitian matrices, keeping every entry inside the Gaussian
 rationals; the explicit catalog covers n <= 6.  A catalog tensor product
 is assembled as one generator table and built once.
+
+validate_rep walks nonzero couplings only: a check item whose operands are
+all zero holds without forming a matrix, so a scalar fiber (every G_ab, R_i
+and the Casimir zero) forms none.  Each holonomy residual
+[R_i, R_k] - F^j_ik R_j is formed once and kept when nonzero, and the
+curvature integrability check combines those residuals with the nonzero
+R_j through scalars that the model alone determines.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ from .exact import (
     rational,
 )
 from .spaces import (
-    CheckResult, SymmetricSpaceModel, ValidationReport, first_failure, index_pairs,
+    CheckResult, SymmetricSpaceModel, ValidationReport, entries_at, first_failure, index_pairs,
     unit_bivectors,
 )
 
@@ -101,7 +108,10 @@ def _normalize_generators(n: int, dimV: int, G) -> tuple:
 
 
 def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
-    """Exact checks on an assembled fiber representation."""
+    """Exact checks on an assembled fiber representation, each naming its
+    first failing item: G antisymmetry, the so(n) relations, the twist's
+    flat support, the holonomy bracket, Casimir centrality and curvature
+    integrability."""
     checks = []
     n, p = model.n, model.p
     G, B, R = rep.G, rep.B, rep.R
@@ -114,7 +124,7 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
             if not G[a][a].is_zero():
                 return f"diagonal ({a},{a})"
             for b in range(n):
-                if G[a][b] != -G[b][a]:
+                if (G[a][b] or G[b][a]) and G[a][b] != -G[b][a]:
                     return f"pair ({a},{b})"
         return ""
 
@@ -124,15 +134,17 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     # Both fiber relations flip sign under a <-> b and under c <-> d, and
     # the so(n) one also under (ab) <-> (cd); with G antisymmetric, the
     # lexicographically first failure is therefore among the pairs below.
+    # Every item below forms a matrix only for its nonzero operands: an
+    # item whose operands are all zero holds without one.
     pairs = index_pairs(n)
 
-    def so_n_holds(abcd):
+    def so_n_holds(abcd):  # [G_ab, G_cd] = d_bc G_ad - d_ac G_bd - d_bd G_ac + d_ad G_bc
         a, b, c, d = abcd
-        want = combination(((int(b == c), G[a][d]), (-int(a == c), G[b][d]),
-                            (-int(b == d), G[a][c]), (int(a == d), G[b][c])), rep.dimV)
-        if (a, b) == (c, d):  # [X, X] = 0
-            return want.is_zero()
-        return commutator(G[a][b], G[c][d]) == want
+        terms = [(s, m) for s, m in ((int(b == c), G[a][d]), (-int(a == c), G[b][d]),
+                                     (-int(b == d), G[a][c]), (int(a == d), G[b][c])) if s and m]
+        if (a, b) != (c, d) and G[a][b] and G[c][d]:  # [X, X] = 0
+            terms.append((-1, commutator(G[a][b], G[c][d])))
+        return not terms or combination(terms, rep.dimV).is_zero()
 
     checks.append(first_failure(
         "fiber-so-n-relations",
@@ -156,38 +168,66 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     detail = twist_flat_support()
     add("twist-flat-support", not detail, detail)
 
-    # each holonomy bracket [R_i, R_k], i < k, is formed once and read twice
-    bracket = {(i, k): commutator(R[i], R[k]) for i, k in index_pairs(p)}
-
-    def bracket_holds(ik):  # [R_i, R_k] = F^j_ik R_j
-        i, k = ik
-        want = combination(((model.F[i][j, k], R[j]) for j in range(p)), rep.dimV)
-        return bracket[ik] == want
+    # the holonomy bracket's residual res_ik = [R_i, R_k] - F^j_ik R_j, i < k,
+    # is formed once per pair and kept only when it is nonzero
+    f_at = {}  # (i, k): [(j, F^j_ik)] over the nonzero F^j_ik
+    for i, f in enumerate(model.F):
+        for j, row in enumerate(f.nonzeros):
+            for k, x in row.items():
+                f_at.setdefault((i, k), []).append((j, x))
+    live = any(R)  # some R_j is nonzero
+    res = {}
+    for i, k in index_pairs(p):
+        terms = [(-x, R[j]) for j, x in f_at.get((i, k), ()) if R[j]]
+        if R[i] and R[k]:
+            terms.append((1, commutator(R[i], R[k])))
+        if terms and (m := combination(terms, rep.dimV)):
+            res[i, k] = m
 
     checks += [
-        first_failure("fiber-holonomy-bracket", index_pairs(p), bracket_holds, "pair"),
+        first_failure("fiber-holonomy-bracket", index_pairs(p), lambda ik: ik not in res, "pair"),
         first_failure("casimir-centrality", range(p),
-                      lambda i: commutator(rep.casimir, R[i]).is_zero(), "index"),
+                      lambda i: not (rep.casimir and R[i])
+                      or commutator(rep.casimir, R[i]).is_zero(), "index"),
     ]
 
     # parallel-curvature integrability of the holonomy part of Omega:
     # with curlyE_ab = -E^i_ab R_i,
     # [curlyE_cd, curlyE_ab] = R^f_acd curlyE_fb + R^f_bcd curlyE_af.
-    # The left side is bilinear in the R_i, so for any R it is exactly
-    # sum_{i != k} E^i_cd E^k_ab [R_i, R_k], read from the brackets above.
-    E, riem = model.data.E, model.riemann
-    curly = [[combination(((-E[i][a, b], R[i]) for i in range(p)), rep.dimV)
-              for b in range(n)] for a in range(n)]
-    e_at = {(a, b): [(i, x) for i, e in enumerate(E) if (x := e[a, b])] for a, b in pairs}
+    # The left side is sum_{i != k} E^i_cd E^k_ab [R_i, R_k]; writing each
+    # bracket as res_ik + F^j_ik R_j, left minus right is
+    # sum_{i != k} E^i_cd E^k_ab res_ik + sum_j c^j_abcd R_j with the model's
+    # scalars c^j_abcd = E^i_cd E^k_ab F^j_ik + R_facd E^j_fb + R_fbcd E^j_af
+    # (i != k), needed at the nonzero R_j only.
+    e_at = entries_at(model.data.E)
+    r_at = {}  # (b, c, d): [(f, R_fbcd)] over the nonzero entries
+    for (f, b, c, d), x in model.riemann.items():
+        r_at.setdefault((b, c, d), []).append((f, x))
 
     def integrable(abcd):
+        if not (res or live):  # every term below is zero
+            return True
         a, b, c, d = abcd
-        want = combination(
-            [(riem.get((f, a, c, d), ZERO), curly[f][b]) for f in range(n)]
-            + [(riem.get((f, b, c, d), ZERO), curly[a][f]) for f in range(n)], rep.dimV)
-        got = combination([(x * y, bracket[i, k]) if i < k else (-(x * y), bracket[k, i])
-                           for i, x in e_at[c, d] for k, y in e_at[a, b] if i != k], rep.dimV)
-        return got == want
+        terms, cj = [], {}
+        for i, x in e_at.get((c, d), ()):
+            for k, y in e_at.get((a, b), ()):
+                if i == k:
+                    continue
+                # [R_i, R_k] = -[R_k, R_i] for i > k
+                lo, hi, xy = (i, k, x * y) if i < k else (k, i, -(x * y))
+                if m := res.get((lo, hi)):
+                    terms.append((xy, m))
+                for j, f in f_at.get((lo, hi), ()) if live else ():
+                    cj[j] = cj.get(j, ZERO) + xy * f
+        if live:
+            for f, x in r_at.get((a, c, d), ()):
+                for j, y in e_at.get((f, b), ()):
+                    cj[j] = cj.get(j, ZERO) + x * y
+            for f, x in r_at.get((b, c, d), ()):
+                for j, y in e_at.get((a, f), ()):
+                    cj[j] = cj.get(j, ZERO) + x * y
+            terms += [(x, R[j]) for j, x in cj.items() if x and R[j]]
+        return not terms or combination(terms, rep.dimV).is_zero()
 
     checks.append(first_failure(
         "fiber-curvature-integrability",
@@ -201,9 +241,11 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     """Assemble and check a fiber representation.
 
     G may be a dict {(a, b): matrix} for a < b or a full n x n table; B
-    defaults to zero.  Raises BundleError when the so(n) relations, the
-    twist support constraint, or the holonomy bracket fail; the passing
-    report is kept as rep.report.
+    defaults to zero.  Raises BundleError when any of the six validate_rep
+    checks fails (G antisymmetry, the so(n) relations, the twist's flat
+    support, the holonomy bracket, Casimir centrality, curvature
+    integrability), naming the failed checks; the passing report is kept as
+    rep.report.
     """
     n = model.n
     if dimV is None:

@@ -267,16 +267,9 @@ def heat_trace(coeffs: HeatCoefficients, volume) -> HeatTraceResult:
 
 
 def _matrix_decimal_json(m: Matrix):
-    out = []
-    for i in range(m.rows):
-        row = []
-        for x in m.row(i):
-            if x.im == 0:
-                row.append(float(x.re))
-            else:
-                row.append({"re": float(x.re), "im": float(x.im)})
-        out.append(row)
-    return out
+    # int true division rounds correctly, so x.p / x.d == float(x.re)
+    return [[x.p / x.d if not x.q else {"re": x.p / x.d, "im": x.q / x.d} for x in m.row(i)]
+            for i in range(m.rows)]
 
 
 def coefficient_report(coeffs: HeatCoefficients, trace: HeatTraceResult | None = None,

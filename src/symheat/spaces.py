@@ -4,7 +4,10 @@ The primary datum is the factorized curvature (E, beta): a list of p
 antisymmetric n x n matrices E^i and a symmetric invertible p x p matrix
 beta with R_abcd = beta_ik E^i_ab E^k_cd.  Everything else — holonomy
 generators D_i, structure constants F^j_ik, curvature contractions — is
-derived exactly when the model is built.  The Riemann tensor is held as
+derived exactly when the model is built, at the cost of the nonzero
+entries: the D_j's nonzeros are indexed once by position, so projecting a
+bracket onto them walks that bracket's nonzeros, and tr(M_a M_b) in R_H and
+R_G pairs entries without forming M_a M_b.  The Riemann tensor is held as
 its nonzero entries, a {(a, b, c, d): value} dict, and Ricci and every
 check walk those entries.  The combined (n+p)-dimensional algebra and its
 invariant metric are derived on first read: only validation and the group
@@ -218,9 +221,16 @@ def _block_diag(blocks) -> Matrix:
 
 
 def _quarter_contraction(metric: Matrix, mats) -> GaussianRational:
-    """-(1/4) metric^{ab} tr(M_a M_b), summed over the nonzero metric entries."""
-    return _QUARTER * sum((g * (mats[a] * mats[b]).trace()
-                           for a, row in enumerate(metric.nonzeros) for b, g in row.items()), ZERO)
+    """-(1/4) metric^{ab} tr(M_a M_b), summed over the nonzero metric entries;
+    tr(M_a M_b) pairs each entry (M_a)_il with (M_b)_li, forming no product."""
+    acc = ZERO
+    for a, row in enumerate(metric.nonzeros):
+        ma = mats[a].nonzeros
+        for b, g in row.items():
+            mb = mats[b].nonzeros
+            acc = acc + g * sum((x * y for i, r in enumerate(ma) for l, x in r.items()
+                                 if (y := mb[l].get(i))), ZERO)
+    return _QUARTER * acc
 
 
 def _check_data(data: CurvatureData):
@@ -250,36 +260,57 @@ def unit_bivectors(n: int) -> dict:
             for a, b in index_pairs(n)}
 
 
+def entries_at(mats) -> dict:
+    """{(a, b): [(j, M_j[a, b])]} over the nonzero entries of the matrices M_j."""
+    out = {}
+    for j, m in enumerate(mats):
+        for a, row in enumerate(m.nonzeros):
+            for b, x in row.items():
+                out.setdefault((a, b), []).append((j, x))
+    return out
+
+
 def _solve_structure_constants(n: int, p: int, D) -> tuple:
     """F^j_ik = g^jl tr(D_l^+ [D_i, D_k]) with the Gram matrix g_jl = tr(D_j^+ D_l).
 
-    g is singular exactly when the D_j are dependent; a bracket outside
-    their span leaves a residual, which the exact closure check reports.
+    The nonzero entries of the D_j are indexed once by position, so a
+    projection walks the nonzeros of the projected matrix alone, and each
+    F^j_ik sums the columns of g^-1 at the bracket's projections.  g is singular
+    exactly when the D_j are dependent; a bracket outside their span leaves
+    a residual, which the exact closure check reports.
     """
     if p == 0:
         return tuple()
-    # the nonzero entries of each D_j, conjugated for the projection
-    support = [[(a, b, x.conjugate()) for a, row in enumerate(d.nonzeros) for b, x in row.items()]
-               for d in D]
+    at = {ab: [(j, x.conjugate()) for j, x in row] for ab, row in entries_at(D).items()}
 
-    def project(sup, m):  # tr(D_j^+ m) over the nonzero entries of D_j
-        return sum((c * y for a, b, c in sup if (y := m.nonzeros[a].get(b))), ZERO)
+    def project(m):  # {j: tr(D_j^+ m)} over the D_j nonzero where m is
+        out = {}
+        for a, row in enumerate(m.nonzeros):
+            for b, y in row.items():
+                for j, c in at.get((a, b), ()):
+                    out[j] = out.get(j, ZERO) + c * y
+        return out
 
+    gram = [{} for _ in range(p)]
+    for l, d in enumerate(D):
+        for j, x in project(d).items():
+            gram[j][l] = x
     try:
-        gram_inv = invert(Matrix.from_nonzeros(p, [{l: project(sup, d) for l, d in enumerate(D)}
-                                                   for sup in support]))
+        gram_inv = invert(Matrix.from_nonzeros(p, gram))
     except ValueError as exc:
         raise ModelBuildError("holonomy generators D_i are linearly dependent") from exc
+    columns = gram_inv.transpose().nonzeros
     F = [[{} for _ in range(p)] for _ in range(p)]  # F[i][j][k] = F^j_ik
     for i, k in index_pairs(p):
         com = commutator(D[i], D[k])
-        proj = [project(sup, com) for sup in support]
-        fs = [sum((g * proj[l] for l, g in row.items() if proj[l]), ZERO)
-              for row in gram_inv.nonzeros]
-        for j, f in enumerate(fs):
+        fs = {}
+        for l, x in project(com).items():
+            for j, g in columns[l].items():
+                fs[j] = fs.get(j, ZERO) + g * x
+        for j, f in fs.items():
             if f:
                 F[i][j][k], F[k][j][i] = f, -f
-        if com != combination(zip(fs, D), n):
+        if com != combination(((f, D[j]) for j, f in fs.items()), n):
             raise ModelBuildError(
                 f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j"
             )

@@ -19,8 +19,8 @@ from symheat import spaces
 from symheat.exact import (
     GaussianRational, Matrix, ZERO, combination, commutator, invert, rational,
 )
-from symheat.spaces import CheckResult, ValidationReport, flat, hyperbolic, index_pairs, \
-    product, sphere
+from symheat.spaces import CheckResult, CurvatureData, ValidationReport, build_model, flat, \
+    hyperbolic, index_pairs, product, sphere, unit_bivectors
 
 EPS = Matrix.from_rows([[0, 1], [-1, 0]])
 
@@ -435,6 +435,13 @@ def report_fields(report):
     return [(c.name, c.passed, c.detail) for c in report.checks]
 
 
+def unchecked(monkeypatch, make):
+    # the rep `make` assembles, with validate_rep stubbed so build_rep keeps it
+    with monkeypatch.context() as patch:
+        patch.setattr(bundles, "validate_rep", lambda model, rep: ValidationReport(()))
+        return make()
+
+
 class TestValidateRepParity:
     @pytest.mark.parametrize("space", [sphere, hyperbolic], ids=["sphere", "hyperbolic"])
     @pytest.mark.parametrize("name", list(BENCHMARK_REPS))
@@ -455,6 +462,28 @@ class TestValidateRepParity:
         assert failed_detail(got, "fiber-g-antisymmetry") == "diagonal (0,0)"
         # want = -G_00 - G_11 is nonzero on the diagonal quadruple, where [X, X] = 0
         assert failed_detail(got, "fiber-so-n-relations") == "indices (0, 1, 0, 1)"
+
+    def test_full_table_with_one_sided_generator(self):
+        # G_01 = 0 but G_10 != 0: the first failing pair is (0,1), not (1,0)
+        m = sphere(3, 1)
+        rep = vector_rep(m)
+        table = [list(row) for row in rep.G]
+        table[0][1] = Matrix.zeros(3)
+        bad = dataclasses.replace(rep, G=tuple(tuple(row) for row in table))
+        got = validate_rep(m, bad)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
+        assert failed_detail(got, "fiber-g-antisymmetry") == "pair (0,1)"
+
+    def test_zero_holonomy_generator_and_off_center_casimir(self):
+        # R_1 = 0 while the Casimir no longer commutes with R_2, R_3, ...
+        m = sphere(4, 1)
+        rep = spinor_rep(m)
+        shift = Matrix.diag([1, 0, 0, 0])
+        bad = dataclasses.replace(rep, R=(Matrix.zeros(4),) + rep.R[1:],
+                                  casimir=rep.casimir + shift)
+        got = validate_rep(m, bad)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
+        assert failed_detail(got, "casimir-centrality") != "index 0"
 
     def test_twist_reports_first_failure(self):
         # a real B on S2 fails both item tests at (0,1) and again at (1,0)
@@ -489,10 +518,41 @@ class TestValidateRepParity:
         assert got.ok
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
 
-    @pytest.mark.parametrize("name,calls", [("s4_spinor_k3", 36), ("flat2xs2_vecspin_twist_k4", 16)])
+    @pytest.mark.parametrize("beta", [(1, 1, 2), (1, 1, -1)], ids=["112", "11m1"])
+    @pytest.mark.parametrize("name", ["scalar", "vector", "spinor"])
+    def test_s3_frame_with_unequal_beta(self, monkeypatch, name, beta):
+        # the brackets of the D_j still close, but R_abcd is not parallel, so
+        # the model's scalars c^j_abcd are nonzero and integrability fails on
+        # every fiber with nonzero R_j
+        E = tuple(unit_bivectors(3).values())
+        m = build_model(CurvatureData(n=3, p=3, E=E, beta=Matrix.diag(beta)))
+        rep = unchecked(monkeypatch, lambda: catalog_rep(m, name))
+        got = validate_rep(m, rep)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
+        if name == "scalar":
+            assert got.ok
+        else:
+            assert failed_detail(got, "fiber-curvature-integrability") == "indices (0, 1, 0, 2)"
+
+    def test_one_nonzero_generator_in_a_line_fiber(self, monkeypatch):
+        # G_01 = 1 alone on S3: [G_02, G_12] = 0 while the relation asks for
+        # -G_01, an item with zero commutator operands that must still fail
+        m = sphere(3, 1)
+        rep = unchecked(monkeypatch,
+                        lambda: build_rep(m, {(0, 1): Matrix.from_rows([[1]])}, dimV=1))
+        got = validate_rep(m, rep)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
+        assert failed_detail(got, "fiber-so-n-relations") == "indices (0, 2, 1, 2)"
+
+    @pytest.mark.parametrize("name,calls", [
+        ("s4_spinor_k3", 36), ("flat2xs2_vecspin_twist_k4", 16),
+        ("s5_scalar_k2", 0), ("s4_scalar_k4", 0),
+    ])
     def test_commutator_count(self, monkeypatch, name, calls):
-        # so(n): one per off-diagonal pair of pairs; holonomy: one per pair i < k;
-        # Casimir: one per R_i; integrability reads the holonomy brackets
+        # so(n): one per off-diagonal pair of pairs with both generators
+        # nonzero; holonomy: one per pair i < k with both R nonzero; Casimir:
+        # one per nonzero R_i when the Casimir is nonzero; integrability
+        # reads the holonomy residuals.  A scalar fiber forms none.
         m, rep = benchmark_rep(name, sphere, 1)
         seen = []
         original = bundles.commutator

@@ -413,6 +413,28 @@ class TestReport:
         with pytest.raises(ValueError):
             coefficient_report(hc, mode="fancy")
 
+    def test_decimal_entries_match_float_of_fraction(self):
+        # the float of each part, rounded as float(Fraction) rounds it, on
+        # parts far beyond 2**53 and parts whose p and d share a factor
+        # (re = p/d is then reduced before it is rounded)
+        big = 3 ** 700
+        parts = [(0, 1), (1, 3), (-2, 3), (big + 1, big), (-(big - 1), 3 * big),
+                 (2 ** 80 + 1, 2 ** 80), (10 ** 400 + 7, 10 ** 403), (1, 7 ** 300),
+                 (6 * big + 3, 9 * big)]
+        entries = [GaussianRational(rational(a, b), rational(c, d))
+                   for a, b in parts for c, d in parts]
+        m = Matrix(len(parts), len(parts), entries)
+
+        def reference(x):
+            if x.im == 0:
+                return float(x.re)
+            return {"re": float(x.re), "im": float(x.im)}
+
+        want = [[reference(x) for x in m.row(i)] for i in range(m.rows)]
+        got = engine._matrix_decimal_json(m)
+        assert json.dumps(got) == json.dumps(want)
+        assert got == want
+
 
 class TestTracedNames:
     """perfbench/spans.py wraps these engine-level names, looked up at call time."""

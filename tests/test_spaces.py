@@ -6,7 +6,8 @@ from functools import partial
 
 import pytest
 
-from symheat.exact import GaussianRational, Matrix, ZERO, invert, rational
+from symheat import spaces
+from symheat.exact import GaussianRational, Matrix, ZERO, combination, commutator, invert, rational
 from symheat.spaces import (
     CurvatureData,
     ModelBuildError,
@@ -14,9 +15,11 @@ from symheat.spaces import (
     catalog_space,
     flat,
     hyperbolic,
+    index_pairs,
     product,
     space_from_descriptor,
     sphere,
+    unit_bivectors,
     validate_model,
 )
 
@@ -96,16 +99,7 @@ class TestBuildModel:
     def test_gaussian_complex_frame(self):
         # E -> M.E with a complex M, beta -> M^-T beta M^-1: same curvature,
         # complex D_j
-        base = sphere(3, 1)
-        i = GaussianRational(0, 1)
-        m = Matrix.from_rows([[1, i, 0], [0, 1, rational(1, 2)], [i, 0, 1]])
-        E = tuple(
-            sum((base.data.E[j].scale(m[k, j]) for j in range(3)), Matrix.zeros(3))
-            for k in range(3)
-        )
-        m_inv = invert(m)
-        model = build_model(CurvatureData(
-            n=3, p=3, E=E, beta=m_inv.transpose() * base.beta * m_inv))
+        base, model = sphere(3, 1), complex_s3_frame()
         assert not all(x.is_real() for d in model.D for row in d.to_rows() for x in row)
         assert validate_model(model).ok
         assert model.riemann == base.riemann
@@ -129,6 +123,121 @@ class TestBuildModel:
     def test_ricci_of_unit_sphere(self):
         m = sphere(3, 1)
         assert m.ricci == Matrix.identity(3).scale(2)
+
+
+def naive_structure_constants(n, p, D):
+    # reference: project each bracket onto every D_j over D_j's own support,
+    # then apply the full inverse Gram matrix
+    if p == 0:
+        return ()
+    support = [[(a, b, x.conjugate()) for a, row in enumerate(d.nonzeros)
+                for b, x in row.items()] for d in D]
+
+    def project(sup, m):
+        return sum((c * m[a, b] for a, b, c in sup), ZERO)
+
+    try:
+        gram_inv = invert(Matrix.from_rows([[project(sup, d) for d in D] for sup in support]))
+    except ValueError as exc:
+        raise ModelBuildError("holonomy generators D_i are linearly dependent") from exc
+    F = [[[ZERO] * p for _ in range(p)] for _ in range(p)]
+    for i, k in index_pairs(p):
+        com = commutator(D[i], D[k])
+        proj = [project(sup, com) for sup in support]
+        fs = [sum((gram_inv[j, l] * proj[l] for l in range(p)), ZERO) for j in range(p)]
+        for j, f in enumerate(fs):
+            F[i][j][k], F[k][j][i] = f, -f
+        if com != combination(zip(fs, D), n):
+            raise ModelBuildError(f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j")
+    return tuple(Matrix.from_rows(F[i]) for i in range(p))
+
+
+def naive_quarter_contraction(metric, mats):
+    # reference: -(1/4) metric^{ab} tr(M_a M_b) over every metric entry
+    N = metric.rows
+    return GaussianRational(rational(-1, 4)) * sum(
+        (metric[a, b] * (mats[a] * mats[b]).trace() for a in range(N) for b in range(N)), ZERO)
+
+
+def reframed(base, m):
+    # E -> M.E, beta -> M^-T beta M^-1: the same curvature in another frame
+    p = base.p
+    E = tuple(combination(((m[k, j], base.data.E[j]) for j in range(p)), base.n)
+              for k in range(p))
+    m_inv = invert(m)
+    return build_model(CurvatureData(n=base.n, p=p, E=E, beta=m_inv.transpose() * base.beta * m_inv,
+                                     flat_dim=base.flat_dim))
+
+
+def complex_s3_frame():
+    i = GaussianRational(0, 1)
+    return reframed(sphere(3, 1), Matrix.from_rows([[1, i, 0], [0, 1, rational(1, 2)], [i, 0, 1]]))
+
+
+def rotated_s4_frame():
+    # a real frame change whose D_j are not orthogonal: the Gram matrix is
+    # not diagonal
+    rows = [[int(j == k) + int(j == k + 1) - int(j + 2 == k) for k in range(6)]
+            for j in range(6)]
+    rows[5][0] = rational(1, 3)
+    return reframed(sphere(4, 1), Matrix.from_rows(rows))
+
+
+def bivector(n, a, b):
+    return unit_bivectors(n)[a, b]
+
+
+def isotropic_frame():
+    # E^1 = e12 + i e13 has tr(E^T E) = 0: only the Hermitian Gram form,
+    # tr(D^+ D), sees that D_1 is nonzero
+    e = bivector(3, 0, 1) + bivector(3, 0, 2).scale(GaussianRational(0, 1))
+    return build_model(CurvatureData(n=3, p=1, E=(e,), beta=Matrix.identity(1)))
+
+
+class TestStructureConstantParity:
+    MODELS = {
+        **{f"S{n}": partial(sphere, n, 1) for n in range(2, 7)},
+        **{f"H{n}": partial(hyperbolic, n, rational(2, 3)) for n in range(2, 7)},
+        "flat2xS2": lambda: product([flat(2), sphere(2, 1)]),
+        "complex_S3": complex_s3_frame,
+        "rotated_S4": rotated_s4_frame,
+        "isotropic": isotropic_frame,
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_against_naive_projection(self, name):
+        m = self.MODELS[name]()
+        F = spaces._solve_structure_constants(m.n, m.p, m.D)
+        assert F == m.F == naive_structure_constants(m.n, m.p, m.D)
+        beta_inv = invert(m.beta) if m.p else m.beta
+        assert m.R_H == naive_quarter_contraction(beta_inv, m.F)
+        assert m.R_G == naive_quarter_contraction(m.gamma_inv, m.C)
+
+    def test_rotated_frame_has_a_full_gram_matrix(self):
+        m = rotated_s4_frame()
+        gram = Matrix.from_rows([[sum((x.conjugate() * y for x, y in zip(
+            itertools.chain(*dj.to_rows()), itertools.chain(*dl.to_rows()))), ZERO)
+            for dl in m.D] for dj in m.D])
+        assert any(gram[j, l] for j in range(m.p) for l in range(m.p) if j != l)
+        assert validate_model(m).ok
+
+    @pytest.mark.parametrize("D", [
+        # dependent and not closing: the dependence is reported first
+        lambda: (bivector(3, 0, 1), bivector(3, 0, 2), bivector(3, 0, 1)),
+        lambda: (bivector(3, 0, 1), bivector(3, 0, 1).scale(2)),
+        lambda: (Matrix.zeros(3),),
+        # [D_1, D_2] closes (it is zero), [D_1, D_3] is the first open bracket
+        lambda: (bivector(4, 0, 1), bivector(4, 2, 3), bivector(4, 0, 2)),
+        lambda: (bivector(3, 0, 1), bivector(3, 0, 2)),
+    ], ids=["dependent_and_open", "dependent_pair", "zero", "open_13", "open_12"])
+    def test_errors_keep_message_and_order(self, D):
+        D = D()
+        n, p = D[0].rows, len(D)
+        with pytest.raises(ModelBuildError) as want:
+            naive_structure_constants(n, p, D)
+        with pytest.raises(ModelBuildError) as got:
+            spaces._solve_structure_constants(n, p, D)
+        assert str(got.value) == str(want.value)
 
 
 class TestCatalog:
