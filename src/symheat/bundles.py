@@ -43,10 +43,12 @@ PAULI_Y = Matrix.from_rows([[ZERO, -I_UNIT], [I_UNIT, ZERO]])
 PAULI_Z = Matrix.from_rows([[1, 0], [0, -1]])
 
 SPINOR_MAX_DIM = 6
-# Largest explicit fiber or catalog tensor product a job may ask for: an
-# explicit fiber with zero generators builds in 0.38 s on S3 and 6.5 s on
-# S6 at dimV = 32, and the cost grows about as dimV^2 (2-core x86 VM,
-# Python 3.11).
+# Largest explicit fiber or catalog tensor product a job may ask for.  The
+# fiber build no longer limits it: at dimV = 32 an explicit fiber with zero
+# generators builds in 0.002 s on S3 and S6 (2-core x86 VM, Python 3.11).
+# The engine's commutant projection, over dimV^2 unknowns, does: k = 3 on
+# that fiber takes 0.16 s at dimV = 32 and 1.5 s (S3) to 1.7 s (S6) at
+# dimV = 64, most of it inverting the Gram matrix.
 MAX_EXPLICIT_DIMV = 32
 
 

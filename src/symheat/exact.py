@@ -9,9 +9,10 @@ path.  Fractions appear only where rationals are read in (`rational`, the
 constructor) or reported (`re`, `im`).
 A Matrix is held as its nonzero entries, one {column: value} dict per
 row, and every matrix operation costs O(nonzeros), not O(rows * cols).
-Every sum of products (`Matrix.matmul`, `commutator`, `combination` and
-the row reductions of `kernel`) accumulates each entry as unreduced ints
-(p, q, d) and reduces it once, by one gcd, when the sum is complete.
+Every sum of products (`Matrix.matmul`, `commutator`, `combination`, the
+row reductions of `kernel`, and the pencil sums of `series`) accumulates
+each entry as unreduced ints (p, q, d) and reduces it once, by one gcd,
+when the sum is complete.
 There is one elimination, `kernel`, a sparse Gauss-Jordan null space
 (Cartan subalgebras and commutants); `invert` reads an inverse (beta and
 Gram matrices) off the null space of [A | -I].
@@ -521,6 +522,25 @@ def _add_scaled(acc: dict, a: int, b: int, d: int, row: dict) -> None:
             else:  # f divides g: stay over g
                 k = g // f
                 acc[j] = (s + p * k, r + q * k, g)
+
+
+def _add_product(acc: dict, key, a: int, b: int, d: int, y) -> None:
+    """acc[key] += (a + b*i)/d * y for one value y, unreduced (one entry of
+    _add_scaled, for sums whose products land on keys no row spells out)."""
+    c, e, f = y.p, y.q, y.d
+    p, q, f = a * c - b * e, a * e + b * c, d * f
+    t = acc.get(key)
+    if t is None:
+        acc[key] = (p, q, f)
+    else:
+        s, r, g = t
+        if g == f:
+            acc[key] = (s + p, r + q, g)
+        elif g % f:
+            acc[key] = (s * f + p * g, r * f + q * g, g * f)
+        else:  # f divides g: stay over g
+            k = g // f
+            acc[key] = (s + p * k, r + q * k, g)
 
 
 def _settle(acc: dict, out: dict) -> dict:

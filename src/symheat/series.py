@@ -10,7 +10,15 @@ sparse, shared by cosh, the det factors and the Weyl density), one
 det(sinhc) expansion (det_sinhc_pencil, which also gives the twist
 factor as a one-variable pencil in t) and one exp recurrence
 (SeriesPoly.exp).  A pencil may be restricted to the span of a few
-coefficient vectors (a Cartan subalgebra), one omega per vector.
+coefficient vectors (a Cartan subalgebra), one omega per vector.  The
+Weyl density expands only the blocks of coordinates that the restricted
+pencil couples, never the whole pencil.
+
+Every sum of products here (each row of a pencil power, each monomial's
+trace in a power sum, each coefficient of the exp recurrence and of
+Newton's identities) accumulates as unreduced ints through exact's
+_add_scaled and _add_product, with its int weights and its division by n
+folded in, and is reduced once by exact._settle.
 
 In every polynomial built here each omega variable carries exactly one
 factor of s, so a term's s-power is its omega-degree until the Gaussian
@@ -23,7 +31,9 @@ from __future__ import annotations
 
 import functools
 import math
-from .exact import GaussianRational, Matrix, ONE, ZERO, combination
+from .exact import (
+    GaussianRational, Matrix, ONE, ZERO, _add_product, _add_scaled, _settle, combination,
+)
 
 
 class SeriesPoly:
@@ -67,7 +77,7 @@ class SeriesPoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for mono, v in other.terms.items():
-            _add_into(out, mono, v)
+            out[mono] = out[mono] + v if mono in out else v
         return SeriesPoly(self.p, self.dim, self.degree, out)
 
     def scale(self, c) -> "SeriesPoly":
@@ -103,7 +113,9 @@ class SeriesPoly:
         """exp of a scalar-valued polynomial with a zero constant term.
 
         Runs n g_n = sum_k k f_k g_(n-k), g_0 = 1, over the parts f_k of
-        omega-degree k, on plain dicts.
+        omega-degree k, on plain dicts; each coefficient of g_n accumulates
+        its products, weights k and the division by n unreduced and is
+        reduced once (_add_products).
         """
         zero_mono = (0,) * self.p
         if self.dim != 1:
@@ -112,15 +124,14 @@ class SeriesPoly:
             raise ValueError("polynomial exp needs a zero constant term")
         f = {}
         for mono, v in self.terms.items():
-            f.setdefault(sum(mono), {})[mono] = v
+            f.setdefault(sum(mono), {})[mono] = GaussianRational.of(v)
         g = {0: {zero_mono: ONE}}
         for n in range(1, self.degree + 1):
-            gn = {}
+            acc = {}
             for k, fk in f.items():
                 if k <= n and n - k in g:
-                    _add_products(gn, fk, g[n - k], k)
-            gn = {mono: v / n for mono, v in gn.items() if v}
-            if gn:
+                    _add_products(acc, fk, g[n - k], k, n)
+            if gn := _settle(acc, {}):
                 g[n] = gn
         return SeriesPoly(self.p, 1, self.degree,
                           {mono: v for gn in g.values() for mono, v in gn.items()})
@@ -175,96 +186,104 @@ def _sparse_generators(mats, scale, exponent=1, basis=None):
 
 def _product_sum(pairs):
     """sum x*y over the (x, y) pairs of one monomial; one exact.combination
-    when one side is a Matrix and the other a scalar."""
+    when one side is a Matrix and the other a scalar, one accumulated sum
+    when both are scalars."""
     x, y = pairs[0]
-    if isinstance(y, Matrix) and not isinstance(x, Matrix):
+    if isinstance(x, Matrix) and isinstance(y, Matrix):
+        products = (x * y for x, y in pairs)
+        return sum(products, next(products))
+    if isinstance(y, Matrix):
         return combination(pairs, y.rows)
-    if isinstance(x, Matrix) and not isinstance(y, Matrix):
+    if isinstance(x, Matrix):
         return combination(((y, x) for x, y in pairs), x.rows)
-    products = (x * y for x, y in pairs)
-    return sum(products, next(products))
-
-
-def _add_into(dst: dict, key, v):
-    dst[key] = dst[key] + v if key in dst else v
+    acc = {}
+    for x, y in pairs:
+        x = GaussianRational.of(x)
+        _add_product(acc, 0, x.p, x.q, x.d, GaussianRational.of(y))
+    return _settle(acc, {}).get(0, ZERO)
 
 
 def _pencil_step(power, gens):
-    """A(omega)^(m+1) from A(omega)^m, both as {monomial: sparse matrix}."""
-    out = {}
+    """A(omega)^(m+1) from A(omega)^m, both as {monomial: sparse matrix}.
+
+    Each output row accumulates its products unreduced (exact._add_scaled)
+    and is reduced once; rows and monomials that sum to zero are dropped.
+    """
+    acc = {}
     for mono, x in power.items():
         for i, a in enumerate(gens):
-            dst = out.setdefault(mono[:i] + (mono[i] + 1,) + mono[i + 1:], {})
+            dst = acc.setdefault(mono[:i] + (mono[i] + 1,) + mono[i + 1:], {})
             for r, xrow in x.items():
                 drow = dst.setdefault(r, {})
                 for c, xv in xrow.items():
-                    for k, av in a.get(c, {}).items():
-                        _add_into(drow, k, xv * av)
-    cleaned = {}
-    for mono, mat in out.items():
-        rows = {r: {k: v for k, v in row.items() if v} for r, row in mat.items()}
-        rows = {r: row for r, row in rows.items() if row}
-        if rows:
-            cleaned[mono] = rows
-    return cleaned
+                    arow = a.get(c)
+                    if arow:
+                        _add_scaled(drow, xv.p, xv.q, xv.d, arow)
+    out = {}
+    for mono, rows in acc.items():
+        settled = {r: row for r, racc in rows.items() if racc and (row := _settle(racc, {}))}
+        if settled:
+            out[mono] = settled
+    return out
 
 
-def _trace_product(x, y):
-    """tr(X Y) for sparse {row: {col: value}} matrices."""
-    acc = ZERO
+def _trace_product(acc: dict, key, k: int, x, y):
+    """acc[key] += k tr(X Y) for sparse {row: {col: value}} matrices, unreduced."""
     for r, xrow in x.items():
         for c, xv in xrow.items():
-            yv = y.get(c, {}).get(r)
-            if yv is not None:
-                acc = acc + xv * yv
-    return acc
+            yrow = y.get(c)
+            if yrow is not None and (yv := yrow.get(r)) is not None:
+                _add_product(acc, key, k * xv.p, k * xv.q, xv.d, yv)
 
 
-def _add_products(dst: dict, x: dict, y: dict, c):
-    """dst += c * x * y for {monomial: scalar} polynomials, untruncated."""
+def _add_products(acc: dict, x: dict, y: dict, c: int, n: int = 1):
+    """acc += (c/n) x y for {monomial: scalar} polynomials, untruncated; each
+    product is added unreduced (exact._add_product)."""
     for m1, v1 in x.items():
-        cv1 = c * v1
+        a, b, d = c * v1.p, c * v1.q, n * v1.d
         for m2, v2 in y.items():
-            _add_into(dst, tuple(u + v for u, v in zip(m1, m2)), cv1 * v2)
+            _add_product(acc, tuple(map(int.__add__, m1, m2)), a, b, d, v2)
 
 
 def _power_sum(pa, pb):
     """tr(P_a P_b) as {monomial: value}: tr(P_a[mu] P_b[nu]) summed at mu + nu.
 
-    When P_a is P_b, each unordered pair of monomials is traced once and
-    doubled, since tr(XY) = tr(YX).
+    When P_a is P_b, each unordered pair of monomials is traced once with
+    the weight 2, since tr(XY) = tr(YX).  Each monomial's trace is reduced
+    once.
     """
-    out = {}
+    acc = {}
     items = list(pa.items())
+    same = pa is pb
     for i, (mu, x) in enumerate(items):
-        for nu, y in (items[i:] if pa is pb else pb.items()):
-            tr = _trace_product(x, y)
-            if not tr:
-                continue
-            if pa is pb and nu != mu:
-                tr = tr + tr
-            _add_into(out, tuple(u + v for u, v in zip(mu, nu)), tr)
-    return {mono: v for mono, v in out.items() if v}
+        for nu, y in (items[i:] if same else pb.items()):
+            _trace_product(acc, tuple(map(int.__add__, mu, nu)), 2 if same and nu != mu else 1,
+                           x, y)
+    return _settle(acc, {})
 
 
 def _elementary_symmetric(psums: dict, top: int, zero_mono) -> list:
     """[e_0 .. e_top] from the power sums p_1 .. p_top by Newton's identities,
-    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i."""
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i; each coefficient of e_k
+    accumulates its products, signs and the division by k unreduced and is
+    reduced once."""
     e = [{zero_mono: ONE}]
     for k in range(1, top + 1):
         acc = {}
         for i in range(1, k + 1):
-            _add_products(acc, e[k - i], psums[i], (-1) ** (i - 1))
-        e.append({mono: v / k for mono, v in acc.items() if v})
+            _add_products(acc, e[k - i], psums[i], (-1) ** (i - 1), k)
+        e.append(_settle(acc, {}))
     return e
 
 
-def _direct_power_sums(gens, dim: int, top: int, zero_mono, odd: bool = True) -> dict:
+def _direct_power_sums(gens, coords, top: int, zero_mono, odd: bool = True) -> dict:
     """p_j = tr[A(omega)^j] for 1 <= j <= top (even j only unless odd) as
     {j: {monomial: value}}: the sum over monomial pairs (mu, nu) of
     tr(P_a[mu] P_b[nu]) at mu + nu, with P_m = A(omega)^m, a = floor(j/2)
-    and b = ceil(j/2)."""
-    powers = [{zero_mono: {r: {r: ONE} for r in range(dim)}}]
+    and b = ceil(j/2).  The powers start from the identity on coords, so
+    on a block of coordinates that no generator couples to the rest they
+    are the powers of that block's sub-pencil."""
+    powers = [{zero_mono: {r: {r: ONE} for r in coords}}]
     for _ in range((top + 1) // 2):
         powers.append(_pencil_step(powers[-1], gens))
     return {j: _power_sum(powers[j // 2], powers[(j + 1) // 2])
@@ -292,7 +311,7 @@ def det_sinhc_pencil(mats, scale, exponent, degree: int, basis=None) -> SeriesPo
     if p == 0:
         return SeriesPoly(0, 1, degree)
     top = degree - degree % 2
-    psums = _direct_power_sums(gens, mats[0].rows, top, (0,) * p, odd=False)
+    psums = _direct_power_sums(gens, range(mats[0].rows), top, (0,) * p, odd=False)
 
     logc = _log_sinhc_coeffs(degree)
     f = {}
@@ -309,14 +328,64 @@ def weyl_density(mats, basis) -> dict:
     For the adjoint pencil A_i = F_i of h and a Cartan subalgebra t, A(y)
     has r zero eigenvalues and the pairs +-i alpha(y), one per positive
     root, so e_(p-r) = prod_{alpha>0} alpha(y)^2, the Weyl density; it is
-    the zero polynomial when the span is not a Cartan subalgebra.  The
-    coefficients e_k come from the pencil power sums by Newton's identities.
+    the zero polynomial when the span is not a Cartan subalgebra.
+
+    The p coordinates split into blocks, the connected components of the
+    restricted generators' nonzero couplings, and A(y) is block diagonal,
+    so det(lambda + A(y)) is the product of the blocks' characteristic
+    polynomials.  Each block's coefficients e_0 .. e_top, up to its top
+    nonzero one, come from that block's pencil power sums by Newton's
+    identities; a zero row and column is a block with e_0 = 1 alone.
+    e_(p-r) sums the products over one e_j per block with the j adding up
+    to p - r: a single product of the top coefficients when the tops add
+    up to p - r, as on every Cartan span, and the zero polynomial {} when
+    they add up to less.
     """
     p, r = len(mats), len(basis)
     zero_mono = (0,) * r
     gens, _ = _sparse_generators(mats, 1, 1, basis)
-    psums = _direct_power_sums(gens, p, p - r, zero_mono)
-    return _elementary_symmetric(psums, p - r, zero_mono)[p - r]
+    chars = []
+    for block in _coupling_blocks(gens, p):
+        e = _elementary_symmetric(_direct_power_sums(gens, block, len(block), zero_mono),
+                                  len(block), zero_mono)
+        while not e[-1]:
+            e.pop()
+        chars.append(e)
+    # the e_j of the blocks taken so far, kept only where the tops still to
+    # come can lift j to p - r
+    need, room = p - r, sum(len(e) - 1 for e in chars)
+    partial = {0: {zero_mono: ONE}}
+    for e in chars:
+        room -= len(e) - 1
+        acc = {}
+        for j, x in partial.items():
+            for i in range(max(0, need - room - j), min(len(e), need - j + 1)):
+                _add_products(acc.setdefault(i + j, {}), x, e[i], 1)
+        partial = {j: poly for j, a in acc.items() if (poly := _settle(a, {}))}
+    return partial.get(need, {})
+
+
+def _coupling_blocks(gens, p: int) -> list:
+    """The connected components of the coordinates 0 .. p-1, two of them
+    joined when some generator has a nonzero entry at (row, col) or
+    (col, row); each component is a list of coordinates."""
+    linked = [set() for _ in range(p)]
+    for g in gens:
+        for r, row in g.items():
+            for c in row:
+                linked[r].add(c)
+                linked[c].add(r)
+    seen, blocks = set(), []
+    for start in range(p):
+        if start not in seen:
+            seen.add(start)
+            block = [start]
+            for u in block:  # grows as the component is found
+                for v in linked[u] - seen:
+                    seen.add(v)
+                    block.append(v)
+            blocks.append(block)
+    return blocks
 
 
 def cosh_pencil(mats, dim: int, degree: int, basis=None) -> SeriesPoly:

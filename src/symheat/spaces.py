@@ -37,8 +37,11 @@ from .exact import (
 _QUARTER = GaussianRational(rational(-1, 4))
 
 # Largest model dimension n a job may ask for, catalog, explicit or a product's
-# total: on a 2-core x86 VM (Python 3.11, Fraction backend) S10 builds in
-# 2.3 s and S12 in 6.5 s, and build time grows faster than n^5.
+# total.  The model build no longer limits it: on a 2-core x86 VM (Python
+# 3.11) S10 builds in 0.03 s and S12 in 0.08 s.  The density-weighted Wick
+# average does: the Weyl density of S10 and S11 (rank 5) has 2961 terms and
+# that of S12 (rank 6) 56183, and scalar k = 2 takes 0.9 s on S10 but 23 s
+# on S12.
 MAX_N = 10
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from pathlib import Path
 
@@ -31,6 +32,9 @@ from symheat.engine import (
 from symheat.exact import GaussianRational, Matrix, combination, invert, rational
 from symheat.series import (
     SeriesPoly,
+    _direct_power_sums,
+    _elementary_symmetric,
+    _sparse_generators,
     cosh_pencil,
     det_sinhc_numeric,
     det_sinhc_pencil,
@@ -357,11 +361,8 @@ class TestCartanRoute:
 
     def test_nilpotent_algebra_has_no_cartan_subalgebra(self):
         # Heisenberg [D_0, D_1] = D_2: every ad is nilpotent, so W = 0 on every candidate
-        F = [Matrix.zeros(3) for _ in range(3)]
-        F[0] = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
-        F[1] = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [-1, 0, 0]])
         with pytest.raises(HolonomyAverageError, match="no Cartan subalgebra"):
-            cartan_subalgebra(F)
+            cartan_subalgebra(_heisenberg_F())
 
     @pytest.mark.parametrize("space", [sphere, hyperbolic])
     def test_rotated_frame_falls_back_to_a_centralizer(self, space):
@@ -376,6 +377,75 @@ class TestCartanRoute:
         for bundle in ("scalar", "spinor"):
             got = heat_coefficients(HeatRequest(m, catalog_rep(m, bundle), 4)).a
             assert got == heat_coefficients(HeatRequest(base, catalog_rep(base, bundle), 4)).a
+
+
+def _whole_pencil_weyl_density(mats, basis):
+    """e_(p-r) of the whole p x p restricted pencil by Newton's identities,
+    every coordinate in one expansion: the reference for the block density."""
+    p, r = len(mats), len(basis)
+    zero_mono = (0,) * r
+    gens, _ = _sparse_generators(mats, 1, 1, basis)
+    psums = _direct_power_sums(gens, range(p), p - r, zero_mono)
+    return _elementary_symmetric(psums, p - r, zero_mono)[p - r]
+
+
+def _heisenberg_F():
+    F = [Matrix.zeros(3) for _ in range(3)]
+    F[0] = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    F[1] = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [-1, 0, 0]])
+    return F
+
+
+class TestBlockWeylDensity:
+    """weyl_density by coupling blocks against the whole-pencil expansion."""
+
+    MODELS = {
+        **{f"s{n}": (lambda n=n: sphere(n, 1)) for n in range(2, 9)},
+        **{f"h{n}": (lambda n=n: hyperbolic(n, 1)) for n in range(2, 9)},
+        "flat2_s2": lambda: product([flat(2), sphere(2, 1)]),
+        "s2_s2_s2": lambda: product([sphere(2, 1)] * 3),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_greedy_torus_matches_whole_pencil(self, name):
+        m = self.MODELS[name]()
+        basis = next(_cartan_candidates(m.F))
+        got = weyl_density(m.F, basis)
+        assert got and got == _whole_pencil_weyl_density(m.F, basis)
+
+    @pytest.mark.parametrize("space", [sphere, hyperbolic])
+    def test_rotated_frame_on_every_candidate(self, space):
+        m = _rotated(space(4, 1))
+        densities = []
+        for basis in _cartan_candidates(m.F):
+            densities.append(weyl_density(m.F, basis))
+            assert densities[-1] == _whole_pencil_weyl_density(m.F, basis)
+        # the greedy span gives W = 0, a centralizer basis W != 0
+        assert not densities[0] and any(densities[1:])
+
+    def test_so4_one_vector_span_is_zero(self):
+        m = sphere(4, 1)
+        basis = [tuple(int(i == j) for j in range(6)) for i in (0, 5)]
+        assert weyl_density(m.F, basis[:1]) == _whole_pencil_weyl_density(m.F, basis[:1]) == {}
+
+    def test_heisenberg_is_zero_on_every_candidate(self):
+        F = _heisenberg_F()
+        for basis in _cartan_candidates(F):
+            assert weyl_density(F, basis) == _whole_pencil_weyl_density(F, basis) == {}
+
+    def test_blocks_whose_tops_exceed_p_minus_r(self):
+        # a block-diagonal pencil that is no adjoint pencil, on blocks {0, 1}
+        # and {2, 3, 4}: the tops add up to 5 > p - r = 3, so e_3 sums over
+        # several choices of one coefficient per block
+        rng = random.Random(22)
+        blocks = ((0, 1), (2, 3, 4))
+        mats = [Matrix.from_nonzeros(5, [
+            {c: GaussianRational(rational(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+                                 rng.randint(-1, 1))
+             for b in blocks if r in b for c in b} for r in range(5)]) for _ in range(5)]
+        basis = [(1, 0, 2, 0, -1), (0, 1, 0, rational(1, 3), 1)]
+        got = weyl_density(mats, basis)
+        assert len(got) > 1 and got == _whole_pencil_weyl_density(mats, basis)
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,9 +217,15 @@ class TestExactSphereScalarOracle:
     def test_known_values(self, n, want):
         assert exact_sphere_scalar_coefficients(n, len(want) - 1) == [rational(x) for x in want]
 
-    @pytest.mark.parametrize("n, k_max", [(4, 5), (5, 3), (4, 6), (5, 6), (6, 6)])
+    @pytest.mark.parametrize("n, k_max", [(4, 5), (5, 3), (4, 6), (5, 6), (6, 6),
+                                          (8, 4), (9, 2), (10, 2)])
     def test_frontier_matches_heat_engine(self, n, k_max):
         model = sphere(n, 1)
+        start = time.perf_counter()
         hc = heat_coefficients(HeatRequest(model, scalar_rep(model), k_max))
+        if n == 10:
+            # the Weyl density by coupling blocks: about 0.7 s on a 2-core
+            # x86 VM, where the whole-pencil expansion took 19 s
+            assert time.perf_counter() - start < 10
         want = exact_sphere_scalar_coefficients(n, k_max)
         assert [a[0, 0] for a in hc.a] == [GaussianRational(x) for x in want]

@@ -10,6 +10,8 @@ from symheat.bundles import catalog_rep
 from symheat.exact import GaussianRational, Matrix, combination, rational
 from symheat.series import (
     SeriesPoly,
+    _direct_power_sums,
+    _elementary_symmetric,
     _sparse_generators,
     cosh_pencil,
     det_sinhc_numeric,
@@ -205,6 +207,121 @@ class TestDetSinhcExponent:
     def test_exp_needs_scalar_values(self):
         with pytest.raises(ValueError, match="scalar"):
             SeriesPoly(1, 2, 4, {(2,): Matrix.identity(2)}).exp()
+
+
+def _mixed_entry(rng):
+    # parts over 2, 3 and 6: an accumulated sum meets equal denominators,
+    # coprime ones and one that divides the other
+    def part():
+        return rational(rng.randint(-4, 4), rng.choice((1, 2, 3, 6)))
+    return GaussianRational(part(), part())
+
+
+def _chained_mul(x: dict, y: dict) -> dict:
+    """x * y for {monomial: GaussianRational} polynomials, one + per product."""
+    out = {}
+    for m1, v1 in x.items():
+        for m2, v2 in y.items():
+            mono = tuple(u + v for u, v in zip(m1, m2))
+            out[mono] = out.get(mono, GaussianRational(0)) + v1 * v2
+    return {mono: v for mono, v in out.items() if v}
+
+
+def _chained_power_sums(mats, top):
+    """{j: tr A(omega)^j} from dense pencil powers, every entry a chain of + and *."""
+    p, dim = len(mats), mats[0].rows
+    zero = GaussianRational(0)
+    power = {(0,) * p: [[GaussianRational(int(r == c)) for c in range(dim)] for r in range(dim)]}
+    out = {}
+    for j in range(1, top + 1):
+        step = {}
+        for mono, x in power.items():
+            for i, a in enumerate(mats):
+                key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                y = step.setdefault(key, [[zero] * dim for _ in range(dim)])
+                for r in range(dim):
+                    for c in range(dim):
+                        for k in range(dim):
+                            y[r][c] = y[r][c] + x[r][k] * a[k, c]
+        power = step
+        traces = {mono: sum((x[r][r] for r in range(dim)), zero) for mono, x in power.items()}
+        out[j] = {mono: v for mono, v in traces.items() if v}
+    return out
+
+
+def _chained_elementary(psums, top, zero_mono):
+    """Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) p_i, one + per product."""
+    e = [{zero_mono: GaussianRational(1)}]
+    for k in range(1, top + 1):
+        acc = {}
+        for i in range(1, k + 1):
+            for mono, v in _chained_mul(e[k - i], psums[i]).items():
+                acc[mono] = acc.get(mono, GaussianRational(0)) + v * (-1) ** (i - 1)
+        e.append({mono: v / k for mono, v in acc.items() if v})
+    return e
+
+
+def _chained_exp(f: SeriesPoly) -> dict:
+    """sum_j f^j / j! truncated at f's degree, one + per product."""
+    out = {(0,) * f.p: GaussianRational(1)}
+    term = dict(out)
+    for j in range(1, f.degree + 1):
+        term = {mono: v / j for mono, v in _chained_mul(term, f.terms).items()
+                if sum(mono) <= f.degree}
+        for mono, v in term.items():
+            out[mono] = out.get(mono, GaussianRational(0)) + v
+    return {mono: v for mono, v in out.items() if v}
+
+
+class TestAccumulatedSums:
+    """The pencil sums accumulated unreduced, against chained GaussianRational sums."""
+
+    @pytest.mark.parametrize("p, dim, top", [(1, 3, 6), (2, 2, 5), (2, 3, 4), (3, 2, 4)])
+    def test_power_sums_and_newton(self, p, dim, top):
+        rng = random.Random(f"acc-{p}-{dim}-{top}")
+        mats = [Matrix.from_rows([[_mixed_entry(rng) for _ in range(dim)] for _ in range(dim)])
+                for _ in range(p)]
+        gens, _ = _sparse_generators(mats, 1)
+        zero_mono = (0,) * p
+        want = _chained_power_sums(mats, top)
+        assert _direct_power_sums(gens, range(dim), top, zero_mono) == want
+        assert (_direct_power_sums(gens, range(dim), top, zero_mono, odd=False)
+                == {j: v for j, v in want.items() if j % 2 == 0})
+        e = _elementary_symmetric(want, top, zero_mono)
+        assert e == _chained_elementary(want, top, zero_mono)
+        # e_dim is the determinant, and e_j vanishes above the size
+        assert all(not e[j] for j in range(dim + 1, top + 1)) and e[dim]
+
+    @pytest.mark.parametrize("p, degree", [(1, 8), (2, 6), (3, 5)])
+    def test_exp(self, p, degree):
+        rng = random.Random(f"exp-{p}-{degree}")
+        terms = {}
+        for mono in itertools.product(range(degree + 1), repeat=p):
+            if 0 < sum(mono) <= degree and rng.random() < 0.6:
+                terms[mono] = _mixed_entry(rng)
+        f = SeriesPoly(p, 1, degree, terms)
+        assert f.exp().terms == _chained_exp(f)
+
+    def test_sums_make_no_gaussian_rational_add(self, monkeypatch):
+        rng = random.Random(23)
+        mats = [Matrix.from_rows([[_mixed_entry(rng) for _ in range(3)] for _ in range(3)])
+                for _ in range(2)]
+        gens, _ = _sparse_generators(mats, 1)
+        f = det_sinhc_pencil(mats, HALF, HALF, 6)
+        calls = []
+        original = GaussianRational.__add__
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(GaussianRational, "__add__", counting)
+        monkeypatch.setattr(GaussianRational, "__radd__", counting)
+        psums = _direct_power_sums(gens, range(3), 6, (0, 0))
+        e = _elementary_symmetric(psums, 6, (0, 0))
+        g = f.exp()
+        assert calls == []
+        assert psums[6] and e[3] and len(g.terms) > 1
 
 
 class TestCoshPencil:
