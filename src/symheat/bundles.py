@@ -17,8 +17,10 @@ rationals; the explicit catalog covers n <= 6.  A catalog tensor product
 is assembled as one generator table and built once.
 
 validate_rep walks nonzero couplings only: a check item whose operands are
-all zero holds without forming a matrix, so a scalar fiber (every G_ab, R_i
-and the Casimir zero) forms none.  Each holonomy residual
+all zero holds without forming a matrix, and a check whose items all hold
+for zero generators visits none when they are zero, so a scalar fiber (every
+G_ab, R_i and the Casimir zero) forms no matrix and visits no so(n) or
+integrability item.  Each holonomy residual
 [R_i, R_k] - F^j_ik R_j is formed once and kept when nonzero, and the
 curvature integrability check combines those residuals with the nonzero
 R_j through scalars that the model alone determines.
@@ -148,9 +150,10 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
             terms.append((-1, commutator(G[a][b], G[c][d])))
         return not terms or combination(terms, rep.dimV).is_zero()
 
-    checks.append(first_failure(
+    checks.append(first_failure(  # every item holds when every G_ab is zero
         "fiber-so-n-relations",
-        ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:]),
+        ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:])
+        if any(g for row in G for g in row) else (),
         so_n_holds))
 
     def twist_flat_support():  # the first failing item, or ""
@@ -171,20 +174,28 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     add("twist-flat-support", not detail, detail)
 
     # the holonomy bracket's residual res_ik = [R_i, R_k] - F^j_ik R_j, i < k,
-    # is formed once per pair and kept only when it is nonzero
-    f_at = {}  # (i, k): [(j, F^j_ik)] over the nonzero F^j_ik
-    for i, f in enumerate(model.F):
-        for j, row in enumerate(f.nonzeros):
-            for k, x in row.items():
-                f_at.setdefault((i, k), []).append((j, x))
-    live = any(R)  # some R_j is nonzero
+    # is formed once per pair and kept only when it is nonzero.  With every
+    # R_j zero there is no residual and every integrability item holds, so
+    # the indices below are built only when some R_j is nonzero.
+    live = any(R)
     res = {}
-    for i, k in index_pairs(p):
-        terms = [(-x, R[j]) for j, x in f_at.get((i, k), ()) if R[j]]
-        if R[i] and R[k]:
-            terms.append((1, commutator(R[i], R[k])))
-        if terms and (m := combination(terms, rep.dimV)):
-            res[i, k] = m
+    f_at = {}  # (i, k): [(j, F^j_ik)] over the nonzero F^j_ik
+    e_at = {}  # (a, b): [(i, E^i_ab)] over the nonzero E^i_ab
+    r_at = {}  # (b, c, d): [(f, R_fbcd)] over the nonzero entries
+    if live:
+        for i, f in enumerate(model.F):
+            for j, row in enumerate(f.nonzeros):
+                for k, x in row.items():
+                    f_at.setdefault((i, k), []).append((j, x))
+        for i, k in index_pairs(p):
+            terms = [(-x, R[j]) for j, x in f_at.get((i, k), ()) if R[j]]
+            if R[i] and R[k]:
+                terms.append((1, commutator(R[i], R[k])))
+            if terms and (m := combination(terms, rep.dimV)):
+                res[i, k] = m
+        e_at = entries_at(model.data.E)
+        for (f, b, c, d), x in model.riemann.items():
+            r_at.setdefault((b, c, d), []).append((f, x))
 
     checks += [
         first_failure("fiber-holonomy-bracket", index_pairs(p), lambda ik: ik not in res, "pair"),
@@ -201,14 +212,7 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     # sum_{i != k} E^i_cd E^k_ab res_ik + sum_j c^j_abcd R_j with the model's
     # scalars c^j_abcd = E^i_cd E^k_ab F^j_ik + R_facd E^j_fb + R_fbcd E^j_af
     # (i != k), needed at the nonzero R_j only.
-    e_at = entries_at(model.data.E)
-    r_at = {}  # (b, c, d): [(f, R_fbcd)] over the nonzero entries
-    for (f, b, c, d), x in model.riemann.items():
-        r_at.setdefault((b, c, d), []).append((f, x))
-
     def integrable(abcd):
-        if not (res or live):  # every term below is zero
-            return True
         a, b, c, d = abcd
         terms, cj = [], {}
         for i, x in e_at.get((c, d), ()):
@@ -219,21 +223,20 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
                 lo, hi, xy = (i, k, x * y) if i < k else (k, i, -(x * y))
                 if m := res.get((lo, hi)):
                     terms.append((xy, m))
-                for j, f in f_at.get((lo, hi), ()) if live else ():
+                for j, f in f_at.get((lo, hi), ()):
                     cj[j] = cj.get(j, ZERO) + xy * f
-        if live:
-            for f, x in r_at.get((a, c, d), ()):
-                for j, y in e_at.get((f, b), ()):
-                    cj[j] = cj.get(j, ZERO) + x * y
-            for f, x in r_at.get((b, c, d), ()):
-                for j, y in e_at.get((a, f), ()):
-                    cj[j] = cj.get(j, ZERO) + x * y
-            terms += [(x, R[j]) for j, x in cj.items() if x and R[j]]
+        for f, x in r_at.get((a, c, d), ()):
+            for j, y in e_at.get((f, b), ()):
+                cj[j] = cj.get(j, ZERO) + x * y
+        for f, x in r_at.get((b, c, d), ()):
+            for j, y in e_at.get((a, f), ()):
+                cj[j] = cj.get(j, ZERO) + x * y
+        terms += [(x, R[j]) for j, x in cj.items() if x and R[j]]
         return not terms or combination(terms, rep.dimV).is_zero()
 
     checks.append(first_failure(
         "fiber-curvature-integrability",
-        ((a, b, c, d) for a, b in pairs for c, d in pairs), integrable))
+        ((a, b, c, d) for a, b in pairs for c, d in pairs) if live else (), integrable))
 
     return ValidationReport(tuple(checks))
 

@@ -14,8 +14,10 @@ row reductions of `kernel`, and the pencil sums of `series`) accumulates
 each entry as unreduced ints (p, q, d) and reduces it once, by one gcd,
 when the sum is complete.
 There is one elimination, `kernel`, a sparse Gauss-Jordan null space
-(Cartan subalgebras and commutants); `invert` reads an inverse (beta and
-Gram matrices) off the null space of [A | -I].
+(Cartan subalgebras and commutants); it indexes which kept rows hold each
+column, so a new pivot is eliminated only from the rows that hold it.
+`invert` reads an inverse (beta and Gram matrices) off the null space of
+[A | -I].
 """
 from __future__ import annotations
 
@@ -624,15 +626,17 @@ def kernel(rows, ncols: int) -> list:
     """A basis of the null space of the sparse rows {column: value} in ncols unknowns.
 
     Gauss-Jordan on dicts: each row is reduced by the pivot rows kept so
-    far, and its new pivot is eliminated from them, so every kept row has
-    a 1 at its pivot, stored implicitly, and no other pivot column; only
-    nonzeros are touched.  So a new row is reduced by all the pivot rows it
-    hits in one pass, and each of its entries, like each entry an
-    elimination changes, is accumulated unreduced and reduced once.
+    far, and its new pivot is eliminated from those that hold its column,
+    so every kept row has a 1 at its pivot, stored implicitly, and no other
+    pivot column; only nonzeros are touched.  So a new row is reduced by
+    all the pivot rows it hits in one pass, and each of its entries, like
+    each entry an elimination changes, is accumulated unreduced and reduced
+    once.
     Rows that settle many unknowns should come first.  The basis holds one
     {column: value} vector per free column f, with 1 at f, in order of f.
     """
     pivots = {}  # pivot column: the row's other entries, its 1 at the pivot implicit
+    holders = {}  # column: the set of pivot columns whose rows hold it
     for row in rows:
         row = {c: GaussianRational.of(v) for c, v in row.items() if v}
         hits = [c for c in row if c in pivots]
@@ -648,17 +652,25 @@ def kernel(rows, ncols: int) -> list:
         pc = min(row)
         inv = ONE / row.pop(pc)
         row = {k: v * inv for k, v in row.items()}
-        for prow in pivots.values():
-            g = prow.pop(pc, None)
-            if g is not None and row:
+        for q in holders.pop(pc, ()):  # only the rows that hold pc change
+            prow = pivots[q]
+            g = prow.pop(pc)
+            if row:
                 acc = {k: (x.p, x.q, x.d) for k in row if (x := prow.get(k)) is not None}
                 _add_scaled(acc, -g.p, -g.q, g.d, row)
                 _settle(acc, prow)
+                for k in row:
+                    if k in prow:
+                        holders.setdefault(k, set()).add(q)
+                    elif k in holders:
+                        holders[k].discard(q)
         pivots[pc] = row
+        for k in row:
+            holders.setdefault(k, set()).add(pc)
     basis = []
     for f in range(ncols):
         if f not in pivots:
             vec = {f: ONE}
-            vec.update((pc, -prow[f]) for pc, prow in pivots.items() if f in prow)
+            vec.update((q, -pivots[q][f]) for q in holders.get(f, ()))
             basis.append(vec)
     return basis

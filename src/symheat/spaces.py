@@ -5,14 +5,21 @@ antisymmetric n x n matrices E^i and a symmetric invertible p x p matrix
 beta with R_abcd = beta_ik E^i_ab E^k_cd.  Everything else — holonomy
 generators D_i, structure constants F^j_ik, curvature contractions — is
 derived exactly when the model is built, at the cost of the nonzero
-entries: the D_j's nonzeros are indexed once by position, so projecting a
-bracket onto them walks that bracket's nonzeros, and tr(M_a M_b) in R_H and
-R_G pairs entries without forming M_a M_b.  The Riemann tensor is held as
-its nonzero entries, a {(a, b, c, d): value} dict, and Ricci and every
-check walk those entries.  The combined (n+p)-dimensional algebra and its
-invariant metric are derived on first read: only validation and the group
-checks read them.  Frame indices of the flat factor come first by
-convention.
+entries and with no matrix formed.  Each bracket [D_i, D_k] is summed from
+its entry chains D_i[a, b] D_k[b, c] - D_k[a, b] D_i[b, c] into one
+accumulator keyed by (a, c), in one unreduced pass (exact._add_product):
+the projections onto the D_j, whose nonzeros are indexed once by position,
+F^j = g^jl proj_l and the closure residual [D_i, D_k] - F^j_ik D_j follow
+in the same pass, and each is settled once (exact._settle).  R_H and R_G
+pair the entries of tr(M_a M_b) and the Riemann entries sum the products
+of beta and E entries the same way; the weight check sums (beta F_j) +
+(beta F_j)^T entry by entry.  validate_model keeps the checks that form
+matrices, so it verifies this derivation independently.  The Riemann
+tensor is held as its nonzero entries, a {(a, b, c, d): value} dict, and
+Ricci and every check walk those entries.  The combined (n+p)-dimensional
+algebra and its invariant metric are derived on first read: only
+validation and the group checks read them.  Frame indices of the flat
+factor come first by convention.
 
 Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
@@ -26,6 +33,9 @@ from .exact import (
     GaussianRational,
     Matrix,
     ZERO,
+    _add_product,
+    _add_scaled,
+    _settle,
     at_most,
     combination,
     commutator,
@@ -34,11 +44,9 @@ from .exact import (
     rational,
 )
 
-_QUARTER = GaussianRational(rational(-1, 4))
-
 # Largest model dimension n a job may ask for, catalog, explicit or a product's
 # total.  The model build no longer limits it: on a 2-core x86 VM (Python
-# 3.11) S10 builds in 0.03 s and S12 in 0.08 s.  The density-weighted Wick
+# 3.11) S10 builds in 0.012 s and S12 in 0.023 s.  The density-weighted Wick
 # average does: the Weyl density of S10 and S11 (rank 5) has 2961 terms and
 # that of S12 (rank 6) 56183, and scalar k = 2 takes 0.9 s on S10 but 23 s
 # on S12.
@@ -183,9 +191,12 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
 
     The structure constants F^j_ik of [D_i, D_k] = F^j_ik D_j are the
     projections of each bracket onto the D_j through the inverse of their
-    Gram matrix.  A singular beta, dependent D_j (a singular Gram matrix)
-    and a bracket that does not close on the D_j raise ModelBuildError, in
-    that order: a singular beta would make the D_j dependent too.
+    Gram matrix, summed from the brackets' entry chains with no matrix
+    formed (_solve_structure_constants).  A singular beta, dependent D_j (a
+    singular Gram matrix) and a bracket that does not close on the D_j
+    raise ModelBuildError, in that order: a singular beta would make the D_j
+    dependent too.  R_H and the Riemann entries are accumulated unreduced
+    and settled once.
     """
     n, p, E, beta = data.n, data.p, data.E, data.beta
     _check_data(data)
@@ -197,7 +208,7 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     # D_i = -sum_k beta_ik E^k (the delta metric raises the first index)
     D = tuple(combination(((-x, E[k]) for k, x in row.items()), n) for row in beta.nonzeros)
 
-    F = _solve_structure_constants(n, p, D)
+    F = _solve_structure_constants(p, D)
 
     riemann = _riemann_entries(E, beta)
     rows = [{} for _ in range(n)]  # Ric_bd = R_abad
@@ -225,27 +236,31 @@ def _block_diag(blocks) -> Matrix:
 
 def _quarter_contraction(metric: Matrix, mats) -> GaussianRational:
     """-(1/4) metric^{ab} tr(M_a M_b), summed over the nonzero metric entries;
-    tr(M_a M_b) pairs each entry (M_a)_il with (M_b)_li, forming no product."""
-    acc = ZERO
+    tr(M_a M_b) pairs each entry (M_a)_il with (M_b)_li, forming no product,
+    and the whole sum is accumulated unreduced and settled once."""
+    acc = {}
     for a, row in enumerate(metric.nonzeros):
         ma = mats[a].nonzeros
         for b, g in row.items():
             mb = mats[b].nonzeros
-            acc = acc + g * sum((x * y for i, r in enumerate(ma) for l, x in r.items()
-                                 if (y := mb[l].get(i))), ZERO)
-    return _QUARTER * acc
+            gp, gq, gd = -g.p, -g.q, 4 * g.d
+            for i, r in enumerate(ma):
+                for l, x in r.items():
+                    if (y := mb[l].get(i)) is not None:
+                        _add_product(acc, 0, gp * x.p - gq * x.q, gp * x.q + gq * x.p,
+                                     gd * x.d, y)
+    return _settle(acc, {}).get(0, ZERO)
 
 
 def _check_data(data: CurvatureData):
     for i, e in enumerate(data.E):
-        if e.transpose() != -e:
+        rows = e.nonzeros  # antisymmetric: each entry x has the partner -x
+        if any((y := rows[b].get(a)) is None or y.p != -x.p or y.q != -x.q or y.d != x.d
+               for a, row in enumerate(rows) for b, x in row.items()):
             raise ModelBuildError(f"E^{i} is not antisymmetric")
         for a in range(data.flat_dim):
-            for b in range(data.n):
-                if not e[a, b].is_zero():
-                    raise ModelBuildError(
-                        f"E^{i} touches flat direction ({a},{b})"
-                    )
+            if rows[a]:
+                raise ModelBuildError(f"E^{i} touches flat direction ({a},{min(rows[a])})")
     if data.beta.transpose() != data.beta:
         raise ModelBuildError("beta is not symmetric")
 
@@ -273,51 +288,70 @@ def entries_at(mats) -> dict:
     return out
 
 
-def _solve_structure_constants(n: int, p: int, D) -> tuple:
+def _solve_structure_constants(p: int, D) -> tuple:
     """F^j_ik = g^jl tr(D_l^+ [D_i, D_k]) with the Gram matrix g_jl = tr(D_j^+ D_l).
 
-    The nonzero entries of the D_j are indexed once by position, so a
-    projection walks the nonzeros of the projected matrix alone, and each
-    F^j_ik sums the columns of g^-1 at the bracket's projections.  g is singular
-    exactly when the D_j are dependent; a bracket outside their span leaves
-    a residual, which the exact closure check reports.
+    Each bracket is summed from its entry chains D_i[a, b] D_k[b, c] -
+    D_k[a, b] D_i[b, c] into one accumulator keyed by (a, c); a pair with no
+    chain has a zero bracket and is skipped.  The projections onto the D_j,
+    F^j = g^jl proj_l and the closure residual [D_i, D_k] - F^j_ik D_j are
+    accumulated unreduced in the same pass and each settled once; no matrix
+    is formed.  g is singular exactly when the D_j are dependent; a bracket
+    outside their span leaves a nonzero residual.
     """
     if p == 0:
         return tuple()
-    at = {ab: [(j, x.conjugate()) for j, x in row] for ab, row in entries_at(D).items()}
-
-    def project(m):  # {j: tr(D_j^+ m)} over the D_j nonzero where m is
-        out = {}
-        for a, row in enumerate(m.nonzeros):
-            for b, y in row.items():
-                for j, c in at.get((a, b), ()):
-                    out[j] = out.get(j, ZERO) + c * y
-        return out
+    rows = [d.nonzeros for d in D]
+    ent = [[(a, b, x) for a, row in enumerate(r) for b, x in row.items()] for r in rows]
+    at = {}  # (a, b): [(j, conj D_j[a, b])] over the D_j nonzero there
+    for j, entries in enumerate(ent):
+        for a, b, x in entries:
+            at.setdefault((a, b), []).append((j, x.conjugate()))
 
     gram = [{} for _ in range(p)]
-    for l, d in enumerate(D):
-        for j, x in project(d).items():
-            gram[j][l] = x
+    for l, entries in enumerate(ent):
+        for a, b, y in entries:
+            for j, c in at[a, b]:
+                _add_product(gram[j], l, c.p, c.q, c.d, y)
     try:
-        gram_inv = invert(Matrix.from_nonzeros(p, gram))
+        gram_inv = invert(Matrix._of(p, [_settle(g, {}) for g in gram]))
     except ValueError as exc:
         raise ModelBuildError("holonomy generators D_i are linearly dependent") from exc
     columns = gram_inv.transpose().nonzeros
     F = [[{} for _ in range(p)] for _ in range(p)]  # F[i][j][k] = F^j_ik
     for i, k in index_pairs(p):
-        com = commutator(D[i], D[k])
+        acc = {}  # [D_i, D_k], then the closure residual
+        for s, chains, ends in ((1, ent[i], rows[k]), (-1, ent[k], rows[i])):
+            for a, b, x in chains:
+                if end := ends[b]:
+                    xp, xq, xd = s * x.p, s * x.q, x.d
+                    for c, y in end.items():
+                        _add_product(acc, (a, c), xp, xq, xd, y)
+        if not acc:
+            continue
+        proj = {}
+        for (a, c), (xp, xq, xd) in acc.items():
+            for l, y in at.get((a, c), ()):
+                _add_product(proj, l, xp, xq, xd, y)
         fs = {}
-        for l, x in project(com).items():
-            for j, g in columns[l].items():
-                fs[j] = fs.get(j, ZERO) + g * x
-        for j, f in fs.items():
-            if f:
-                F[i][j][k], F[k][j][i] = f, -f
-        if com != combination(((f, D[j]) for j, f in fs.items()), n):
+        for l, (xp, xq, xd) in proj.items():
+            if xp or xq:
+                _add_scaled(fs, xp, xq, xd, columns[l])
+        for j, f in _settle(fs, {}).items():
+            F[i][j][k], F[k][j][i] = f, -f
+            fp, fq, fd = -f.p, -f.q, f.d
+            for a, b, x in ent[j]:
+                _add_product(acc, (a, b), fp, fq, fd, x)
+        if not _vanishes(acc):
             raise ModelBuildError(
                 f"bracket [D_{i + 1}, D_{k + 1}] does not close on the D_j"
             )
-    return tuple(Matrix.from_nonzeros(p, F[i]) for i in range(p))
+    return tuple(Matrix._of(p, F[i]) for i in range(p))
+
+
+def _vanishes(acc: dict) -> bool:
+    """Whether every entry of an unreduced accumulator (p, q, d) is zero."""
+    return not any(p or q for p, q, _ in acc.values())
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +366,19 @@ def first_failure(name: str, items, holds, label: str = "indices") -> CheckResul
 
 def weight_invariance(m: SymmetricSpaceModel) -> CheckResult:
     """beta F_j is antisymmetric for every j: the weight exp(-<w, beta w>/4)
-    is invariant under the holonomy algebra."""
-    return first_failure("beta-f-invariance", range(m.p),
-                         lambda j: (bf := m.beta * m.F[j]).transpose() == -bf, "index")
+    is invariant under the holonomy algebra.  (beta F_j) + (beta F_j)^T is
+    summed entry by entry, unreduced, and must vanish."""
+    beta = [(a, b, x) for a, row in enumerate(m.beta.nonzeros) for b, x in row.items()]
+
+    def holds(j):
+        f, acc = m.F[j].nonzeros, {}
+        for a, b, x in beta:
+            for c, y in f[b].items():
+                _add_product(acc, (a, c), x.p, x.q, x.d, y)
+                _add_product(acc, (c, a), x.p, x.q, x.d, y)
+        return _vanishes(acc)
+
+    return first_failure("beta-f-invariance", range(m.p), holds, "index")
 
 
 def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
@@ -408,18 +452,18 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
 
 
 def _riemann_entries(E, beta) -> dict:
-    """R_abcd = beta_ik E^i_ab E^k_cd summed over nonzero beta and E entries only."""
+    """R_abcd = beta_ik E^i_ab E^k_cd summed over nonzero beta and E entries
+    only; each entry is accumulated unreduced and settled once."""
     support = [[(a, b, x) for a, row in enumerate(e.nonzeros) for b, x in row.items()]
                for e in E]
-    out = {}
+    acc = {}
     for i, row in enumerate(beta.nonzeros):
-        for k, bik in row.items():
+        for k, g in row.items():
             for a, b, x in support[i]:
-                bx = bik * x
+                gp, gq, gd = g.p * x.p - g.q * x.q, g.p * x.q + g.q * x.p, g.d * x.d
                 for c, d, y in support[k]:
-                    key = (a, b, c, d)
-                    out[key] = out.get(key, ZERO) + bx * y
-    return {key: x for key, x in out.items() if x}
+                    _add_product(acc, (a, b, c, d), gp, gq, gd, y)
+    return _settle(acc, {})
 
 
 def _riemann_integrability(R: dict) -> CheckResult:

@@ -643,10 +643,11 @@ class TestMatmulCount:
 
     def test_matmul_calls_per_heat_coefficients(self, monkeypatch):
         # the prefactor's k steps (4), the products prefactor[i] * averaged[j]
-        # for i >= 1 (10), the embedded beta (2), the weight's inverse check (1)
-        # and the request's beta-f-invariance check (1); 23 when a_k also formed
-        # the five identity products prefactor[0] * averaged[j]
+        # for i >= 1 (10), the embedded beta (2) and the weight's inverse
+        # check (1); the request's beta-f-invariance check sums its entries
+        # and forms no product; 22 when a_k also formed the five identity
+        # products prefactor[0] * averaged[j]
         model, rep = _flat2_x_s2_vector_spinor()
         calls = self._counting(monkeypatch)
         heat_coefficients(HeatRequest(model, rep, 4))
-        assert len(calls) == 18
+        assert len(calls) == 17

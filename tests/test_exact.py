@@ -707,6 +707,26 @@ class TestFusedSumsOfProducts:
             assert all(type(v) is GaussianRational and v and canonical_scalar(v)
                        for v in vec.values())
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_on_wider_sparse_systems(self, seed):
+        # many pivot rows, few of them holding each new pivot column, entries
+        # from a small pool so that eliminations cancel to zero often
+        rng = random.Random(seed)
+        pool = [GaussianRational(x) for x in (1, -1, 2, rational(1, 2))] + [I_UNIT]
+        ncols = rng.randint(12, 20)
+        rows = [{c: rng.choice(pool) for c in rng.sample(range(ncols), rng.randint(1, 4))}
+                for _ in range(rng.randint(8, ncols))]
+        assert kernel(rows, ncols) == chained_kernel(rows, ncols)
+        a = Matrix.from_nonzeros(10, [{i: rng.choice(pool), **{j: rng.choice(pool) for j in
+                                       rng.sample(range(10), rng.randint(0, 2))}}
+                                      for i in range(10)])
+        want = chained_inverse(a)
+        if want is None:
+            with pytest.raises(ValueError):
+                invert(a)
+        else:
+            assert invert(a) == want
+
     @FUSED
     @given(square_mats(1))
     def test_invert(self, mats):

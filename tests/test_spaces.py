@@ -15,6 +15,7 @@ from symheat.spaces import (
     catalog_space,
     flat,
     hyperbolic,
+    first_failure,
     index_pairs,
     product,
     space_from_descriptor,
@@ -91,6 +92,29 @@ class TestBuildModel:
         with pytest.raises(ModelBuildError, match="does not close"):
             build_model(data)
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],  # (1, 0) has no partner entry
+        [[0, 1, 0], [-2, 0, 0], [0, 0, 0]],  # unequal partner
+        [[0, rational(1, 2), 0], [rational(-1, 3), 0, 0], [0, 0, 0]],  # same numerator
+        [[0, GaussianRational(1, 1), 0], [GaussianRational(-1, 1), 0, 0], [0, 0, 0]],
+        [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],  # nonzero diagonal entry
+    ], ids=["missing_partner", "unequal_partner", "unequal_denominator", "unequal_imaginary",
+            "diagonal"])
+    def test_e_antisymmetry_checked_entry_by_entry(self, rows):
+        e = Matrix.from_rows(rows)
+        assert e.transpose() != -e  # the matrix route sees the same fault
+        data = CurvatureData(n=3, p=2, E=(bivector(3, 0, 2), e), beta=Matrix.identity(2))
+        with pytest.raises(ModelBuildError) as exc:
+            build_model(data)
+        assert str(exc.value) == "E^1 is not antisymmetric"
+
+    def test_e_on_a_flat_direction_rejected(self):
+        data = CurvatureData(n=3, p=1, E=(bivector(3, 1, 2),), beta=Matrix.identity(1),
+                             flat_dim=2)
+        with pytest.raises(ModelBuildError) as exc:
+            build_model(data)
+        assert str(exc.value) == "E^0 touches flat direction (1,2)"
+
     def test_single_zero_generator_rejected(self):
         data = CurvatureData(n=2, p=1, E=(Matrix.zeros(2),), beta=Matrix.identity(1))
         with pytest.raises(ModelBuildError, match="dependent"):
@@ -159,6 +183,28 @@ def naive_quarter_contraction(metric, mats):
         (metric[a, b] * (mats[a] * mats[b]).trace() for a in range(N) for b in range(N)), ZERO)
 
 
+def naive_riemann_entries(E, beta):
+    # reference: R_abcd summed over every beta and E entry, zeros included
+    n, p = E[0].rows, len(E)
+    entries = {t: sum((beta[i, k] * E[i][t[0], t[1]] * E[k][t[2], t[3]]
+                       for i in range(p) for k in range(p)), ZERO)
+               for t in itertools.product(range(n), repeat=4)}
+    return {t: x for t, x in entries.items() if x}
+
+
+def matmul_weight_invariance(m):
+    # reference: each beta F_j formed as a product and compared with its transpose
+    return first_failure("beta-f-invariance", range(m.p),
+                         lambda j: (bf := m.beta * m.F[j]).transpose() == -bf, "index")
+
+
+def s3_with_beta(diagonal):
+    # the so(3) frame of S3 under a diagonal beta: F_j is rescaled, and beta F_j
+    # is antisymmetric only when beta is equal on the two indices other than j
+    return build_model(CurvatureData(n=3, p=3, E=sphere(3, 1).data.E,
+                                     beta=Matrix.diag(diagonal)))
+
+
 def reframed(base, m):
     # E -> M.E, beta -> M^-T beta M^-1: the same curvature in another frame
     p = base.p
@@ -196,9 +242,10 @@ def isotropic_frame():
 
 class TestStructureConstantParity:
     MODELS = {
-        **{f"S{n}": partial(sphere, n, 1) for n in range(2, 7)},
-        **{f"H{n}": partial(hyperbolic, n, rational(2, 3)) for n in range(2, 7)},
+        **{f"S{n}": partial(sphere, n, 1) for n in range(2, 9)},
+        **{f"H{n}": partial(hyperbolic, n, rational(2, 3)) for n in range(2, 8)},
         "flat2xS2": lambda: product([flat(2), sphere(2, 1)]),
+        "S2xS2xS2": lambda: product([sphere(2, 1)] * 3),
         "complex_S3": complex_s3_frame,
         "rotated_S4": rotated_s4_frame,
         "isotropic": isotropic_frame,
@@ -207,11 +254,31 @@ class TestStructureConstantParity:
     @pytest.mark.parametrize("name", list(MODELS))
     def test_against_naive_projection(self, name):
         m = self.MODELS[name]()
-        F = spaces._solve_structure_constants(m.n, m.p, m.D)
+        F = spaces._solve_structure_constants(m.p, m.D)
         assert F == m.F == naive_structure_constants(m.n, m.p, m.D)
         beta_inv = invert(m.beta) if m.p else m.beta
         assert m.R_H == naive_quarter_contraction(beta_inv, m.F)
         assert m.R_G == naive_quarter_contraction(m.gamma_inv, m.C)
+
+    @pytest.mark.parametrize("name", ["S2", "S3", "S4", "S5", "H4", "flat2xS2", "S2xS2xS2",
+                                      "complex_S3", "rotated_S4", "isotropic"])
+    def test_riemann_entries_against_naive_sum(self, name):
+        m = self.MODELS[name]()
+        E, beta = m.data.E, m.beta
+        assert spaces._riemann_entries(E, beta) == naive_riemann_entries(E, beta)
+
+    @pytest.mark.parametrize("name", [*MODELS, "beta_123", "beta_211", "beta_1i1"])
+    def test_weight_invariance_against_matmul_route(self, name):
+        # beta_1i1 leaves beta F_0 + (beta F_0)^T purely imaginary
+        frames = {"beta_123": lambda: s3_with_beta([1, 2, 3]),
+                  "beta_211": lambda: s3_with_beta([2, 1, 1]),
+                  "beta_1i1": lambda: s3_with_beta([1, GaussianRational(1, 1), 1])}
+        m = (frames.get(name) or self.MODELS[name])()
+        got = spaces.weight_invariance(m)
+        assert got == matmul_weight_invariance(m)
+        want = {"beta_123": (False, "index 0"), "beta_211": (False, "index 1"),
+                "beta_1i1": (False, "index 0")}
+        assert (got.passed, got.detail) == want.get(name, (True, ""))
 
     def test_rotated_frame_has_a_full_gram_matrix(self):
         m = rotated_s4_frame()
@@ -229,14 +296,17 @@ class TestStructureConstantParity:
         # [D_1, D_2] closes (it is zero), [D_1, D_3] is the first open bracket
         lambda: (bivector(4, 0, 1), bivector(4, 2, 3), bivector(4, 0, 2)),
         lambda: (bivector(3, 0, 1), bivector(3, 0, 2)),
-    ], ids=["dependent_and_open", "dependent_pair", "zero", "open_13", "open_12"])
+        # the residual [i e12, e13] = -i e23 is purely imaginary
+        lambda: (bivector(3, 0, 1).scale(GaussianRational(0, 1)), bivector(3, 0, 2)),
+    ], ids=["dependent_and_open", "dependent_pair", "zero", "open_13", "open_12",
+            "open_imaginary"])
     def test_errors_keep_message_and_order(self, D):
         D = D()
         n, p = D[0].rows, len(D)
         with pytest.raises(ModelBuildError) as want:
             naive_structure_constants(n, p, D)
         with pytest.raises(ModelBuildError) as got:
-            spaces._solve_structure_constants(n, p, D)
+            spaces._solve_structure_constants(p, D)
         assert str(got.value) == str(want.value)
 
 
