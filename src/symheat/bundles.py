@@ -14,13 +14,17 @@ determinant factor has real rational series coefficients.
 Spinor generators are assembled from Kronecker products of the three
 standard 2x2 Hermitian matrices, keeping every entry inside the Gaussian
 rationals; the explicit catalog covers n <= 6.  A catalog tensor product
-is assembled as one generator table and built once.
+is assembled as one generator table and built once.  A catalog table
+depends on (name, n, factors) alone, so it is built once per process and
+shared across radii; its checks run on every call.
 
 validate_rep walks nonzero couplings only: a check item whose operands are
 all zero holds without forming a matrix, and a check whose items all hold
 for zero generators visits none when they are zero, so a scalar fiber (every
 G_ab, R_i and the Casimir zero) forms no matrix and visits no so(n) or
-integrability item.  Each holonomy residual
+integrability item.  G's antisymmetry is compared entry by entry, and each
+so(n) item sums its products and delta terms per row, unreduced, with no
+intermediate matrix.  Each holonomy residual
 [R_i, R_k] - F^j_ik R_j is formed once and kept when nonzero, and the
 curvature integrability check combines those residuals with the nonzero
 R_j through scalars that the model alone determines.
@@ -29,11 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exact import (
-    GaussianRational, I_UNIT, Matrix, ZERO, at_most, combination, commutator, json_kind,
-    rational,
+    GaussianRational, I_UNIT, Matrix, ZERO, _product_rows, at_most, combination, commutator,
+    json_kind, rational,
 )
 from .spaces import (
     CheckResult, SymmetricSpaceModel, ValidationReport, entries_at, first_failure, index_pairs,
@@ -46,11 +50,12 @@ PAULI_Z = Matrix.from_rows([[1, 0], [0, -1]])
 
 SPINOR_MAX_DIM = 6
 # Largest explicit fiber or catalog tensor product a job may ask for.  The
-# fiber build no longer limits it: at dimV = 32 an explicit fiber with zero
-# generators builds in 0.002 s on S3 and S6 (2-core x86 VM, Python 3.11).
-# The engine's commutant projection, over dimV^2 unknowns, does: k = 3 on
-# that fiber takes 0.16 s at dimV = 32 and 1.5 s (S3) to 1.7 s (S6) at
-# dimV = 64, most of it inverting the Gram matrix.
+# fiber build does not limit it: an explicit fiber with zero generators
+# builds in about 1 ms on S3 and S6 at dimV = 32 or 64 (2-core x86 VM,
+# Python 3.11).  The engine's commutant projection, over dimV^2 unknowns,
+# does: k = 3 on that fiber takes 0.06-0.1 s at dimV = 32 and 0.4-0.6 s
+# at dimV = 64, most of it building the dimV^2 commutant basis matrices
+# and their duals.
 MAX_EXPLICIT_DIMV = 32
 
 
@@ -89,13 +94,14 @@ class FiberRep:
 
 def _normalize_generators(n: int, dimV: int, G) -> tuple:
     """Accept {(a, b): M} with a < b or a full table; return the full table."""
-    table = [[Matrix.zeros(dimV) for _ in range(n)] for _ in range(n)]
+    zero = Matrix.zeros(dimV)  # one shared value for every empty cell
+    table = [[zero] * n for _ in range(n)]
     if isinstance(G, dict):
         for (a, b), m in G.items():
             if not (0 <= a < b < n):
                 raise BundleError(f"generator key {(a, b)} out of range")
             table[a][b] = m
-            table[b][a] = -m
+            table[b][a] = -m if m else m
     else:
         rows = list(G)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -124,11 +130,15 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
         checks.append(CheckResult(name, passed, detail if not passed else ""))
 
     def g_antisymmetry():  # the first failing item, or ""
+        # pair (a, b) fails exactly when (b, a) does, and (a, b) comes first
         for a in range(n):
-            if not G[a][a].is_zero():
+            if G[a][a]:
                 return f"diagonal ({a},{a})"
-            for b in range(n):
-                if (G[a][b] or G[b][a]) and G[a][b] != -G[b][a]:
+            for b in range(a + 1, n):  # G_ab = -G_ba, row by row on canonical entries
+                if (G[a][b] or G[b][a]) and any(
+                        x.keys() != y.keys() or any(v.p != -(w := y[j]).p or v.q != -w.q
+                                                    or v.d != w.d for j, v in x.items())
+                        for x, y in zip(G[a][b].nonzeros, G[b][a].nonzeros)):
                     return f"pair ({a},{b})"
         return ""
 
@@ -138,17 +148,19 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     # Both fiber relations flip sign under a <-> b and under c <-> d, and
     # the so(n) one also under (ab) <-> (cd); with G antisymmetric, the
     # lexicographically first failure is therefore among the pairs below.
-    # Every item below forms a matrix only for its nonzero operands: an
-    # item whose operands are all zero holds without one.
-    pairs = index_pairs(n)
+    # Every item below reads its nonzero operands only: an item whose
+    # operands are all zero holds without a sum.
+    pairs, eye = index_pairs(n), Matrix.identity(rep.dimV)
 
     def so_n_holds(abcd):  # [G_ab, G_cd] = d_bc G_ad - d_ac G_bd - d_bd G_ac + d_ad G_bc
         a, b, c, d = abcd
-        terms = [(s, m) for s, m in ((int(b == c), G[a][d]), (-int(a == c), G[b][d]),
-                                     (-int(b == d), G[a][c]), (int(a == d), G[b][c])) if s and m]
+        # one sum per row of the products of [G_ab, G_cd] and -s I G per delta term s G
+        terms = [(-s, eye, m) for s, m in (
+            (int(b == c), G[a][d]), (-int(a == c), G[b][d]),
+            (-int(b == d), G[a][c]), (int(a == d), G[b][c])) if s and m]
         if (a, b) != (c, d) and G[a][b] and G[c][d]:  # [X, X] = 0
-            terms.append((-1, commutator(G[a][b], G[c][d])))
-        return not terms or combination(terms, rep.dimV).is_zero()
+            terms += [(1, G[a][b], G[c][d]), (-1, G[c][d], G[a][b])]
+        return not terms or not any(_product_rows(terms, rep.dimV))
 
     checks.append(first_failure(  # every item holds when every G_ab is zero
         "fiber-so-n-relations",
@@ -273,12 +285,13 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     # hold exactly for any generator table: D_i = -beta_ik E^k, and build_model
     # enforces that each E^k is antisymmetric, so E^k_ab G_ba = -S_k.  (beta is
     # symmetric as well, so which index of beta is summed does not matter.)
+    # Zero operands are skipped, so a scalar fiber forms no product.
     minus_half = GaussianRational(rational(-1, 2))
-    S = [combination(((x, table[a][b]) for a, row in enumerate(e.nonzeros) for b, x in row.items()),
-                     dimV) for e in model.data.E]
-    R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items()), dimV)
+    S = [combination(((x, table[a][b]) for a, row in enumerate(e.nonzeros) for b, x in row.items()
+                      if table[a][b]), dimV) for e in model.data.E]
+    R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items() if S[k]), dimV)
               for row in model.beta.nonzeros)
-    casimir = combination(((minus_half, s * r) for s, r in zip(S, R)), dimV)
+    casimir = combination(((minus_half, s * r) for s, r in zip(S, R) if s and r), dimV)
 
     rep = FiberRep(model=model, dimV=dimV, G=table, B=B, R=R, casimir=casimir)
     rep.report = validate_rep(model, rep)
@@ -361,32 +374,42 @@ def _kron_sum(G1: dict, dim1: int, G2: dict, dim2: int) -> dict:
 def _catalog_generators(model: SymmetricSpaceModel, name: str, twist, factors):
     """Generators {(a, b): G_ab} over every index pair, and dimV, of a catalog bundle.
 
-    A tensor product's dimV, the product of its factors', is held to
-    MAX_EXPLICIT_DIMV before any Kronecker product is formed.
+    The checks run on every call, and a tensor product's dimV, the product
+    of its factors', is held to MAX_EXPLICIT_DIMV before any Kronecker
+    product is formed; the table is built once per process (_catalog_table).
     """
     if name == "u1_twist":
         if not twist:
             raise BundleError("u1_twist needs at least one block strength")
         if model.flat_dim < 2:
             raise BundleError("u1_twist needs flat_dim >= 2")
-    if name in ("scalar", "u1_twist"):
-        return {ab: Matrix.zeros(1) for ab in index_pairs(model.n)}, 1
-    if name == "vector":
-        return unit_bivectors(model.n), model.n
-    if name == "spinor":
-        if model.n > SPINOR_MAX_DIM:
-            raise BundleError(f"spinor catalog covers n <= {SPINOR_MAX_DIM}")
-        return spin_generator_table(model.n), 2 ** (model.n // 2)
+    if name == "spinor" and model.n > SPINOR_MAX_DIM:
+        raise BundleError(f"spinor catalog covers n <= {SPINOR_MAX_DIM}")
     if name == "tensor_product":
         if not factors or len(factors) < 2:
             raise BundleError("tensor_product needs at least two factor names")
-        tables = [_catalog_generators(model, f, None, None) for f in factors]
-        at_most(math.prod(dim for _, dim in tables), MAX_EXPLICIT_DIMV, "dimV")
-        G, dimV = tables[0]
-        for G2, dim2 in tables[1:]:
-            G, dimV = _kron_sum(G, dimV, G2, dim2), dimV * dim2
-        return G, dimV
-    raise BundleError(f"unknown catalog bundle {name!r}")
+        at_most(math.prod(_catalog_generators(model, f, None, None)[1] for f in factors),
+                MAX_EXPLICIT_DIMV, "dimV")
+    elif name not in ("scalar", "u1_twist", "vector", "spinor"):
+        raise BundleError(f"unknown catalog bundle {name!r}")
+    G, dimV = _catalog_table(name, model.n, tuple(factors) if name == "tensor_product" else ())
+    return dict(G), dimV
+
+
+@cache
+def _catalog_table(name: str, n: int, factors: tuple) -> tuple:
+    """(generators, dimV) of a catalog bundle that passed its checks."""
+    if name in ("scalar", "u1_twist"):
+        return dict.fromkeys(index_pairs(n), Matrix.zeros(1)), 1
+    if name == "vector":
+        return unit_bivectors(n), n
+    if name == "spinor":
+        return spin_generator_table(n), 2 ** (n // 2)
+    G, dimV = _catalog_table(factors[0], n, ())
+    for f in factors[1:]:
+        G2, dim2 = _catalog_table(f, n, ())
+        G, dimV = _kron_sum(G, dimV, G2, dim2), dimV * dim2
+    return G, dimV
 
 
 def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,

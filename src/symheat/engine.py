@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 from .bundles import FiberRep
 from .exact import (
-    GaussianRational, Matrix, ONE, ZERO, combination, invert, kernel, rational, rational_to_str,
+    GaussianRational, Matrix, ONE, ZERO, _add_scaled, _settle, combination, invert, kernel,
+    rational, rational_to_str,
 )
 from .series import (
     cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series, weyl_density,
@@ -133,7 +134,7 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     beta = embed.transpose() * model.beta * embed
     averaged = average_poly(bracket, GaussianWeight.from_beta(beta, density))
     if len(basis) < model.p and dimV > 1:
-        project = _commutant_projection(rep.R, basis)
+        project = _commutant_projection(rep.R, _lie_generators(model.F, basis))
         averaged = [project(a) for a in averaged]
 
     exponent_matrix = Matrix.identity(dimV).scale(
@@ -194,14 +195,57 @@ def _cartan_candidates(F):
         yield [tuple(vec.get(i, ZERO) for i in range(p)) for vec in kernel(fx.nonzeros, p)]
 
 
+def _lie_generators(F, basis) -> list:
+    """Vectors that generate h as a Lie algebra: the Cartan vectors of basis,
+    then each unit vector e_i, in index order, outside the Lie closure of
+    those chosen so far, until that closure is h.  The closure is the least
+    span that holds each chosen g and is stable under ad_g = g_i F_i; it is
+    kept in row echelon form, each row's first entry 1."""
+    p, echelon = len(F), {}
+
+    def reduced(v):  # v minus its part in the closure
+        while v and (c := min(v)) in echelon:
+            x, row = v[c], echelon[c]
+            v = {k: y for k in v.keys() | row.keys()
+                 if (y := v.get(k, ZERO) - x * row.get(k, ZERO))}
+        return v
+
+    gens, ads, kept = [], [], []  # ads: the columns of each chosen ad_g
+    for v in list(basis) + [tuple(int(i == j) for j in range(p)) for i in range(p)]:
+        if len(echelon) == p:
+            break
+        if not reduced(g := {i: GaussianRational.of(x) for i, x in enumerate(v) if x}):
+            continue
+        gens.append(v)
+        ads.append(combination(((x, F[i]) for i, x in g.items()), p).transpose().nonzeros)
+        pending = [(ads[-1], x) for x in kept] + [(None, g)]
+        while pending and len(echelon) < p:
+            ad, x = pending.pop()
+            if ad is not None:  # [g, x] = ad_g x, summed over the columns of ad_g
+                acc = {}
+                for k, y in x.items():
+                    _add_scaled(acc, y.p, y.q, y.d, ad[k])
+                x = _settle(acc, {})
+            if r := reduced(x):
+                c = min(r)
+                echelon[c] = {k: y / r[c] for k, y in r.items()}
+                kept.append(x)
+                pending += [(a, x) for a in ads]
+    return gens
+
+
 def _commutant_projection(R, basis):
     """The projection onto the commutant of the R_i, as a function of a matrix A.
 
     Called only when t is smaller than h: for an abelian h the t-average
     is the h-average already.  The commutant basis Gamma_b solves
-    [R_i, X] = 0 (exact.kernel, with the Cartan generators sum_i v[i] R_i
-    first, since they settle most unknowns).  The projection P(A) is the
-    commutant element with tr(Gamma_b P(A)) = tr(Gamma_b A) for every b.
+    [sum_i v[i] R_i, X] = 0 for v in basis, a Lie-generating set of h
+    (_lie_generators, Cartan generators first: they settle most unknowns),
+    with exact.kernel.  An X that commutes with two matrices commutes with
+    their bracket, and R is a Lie homomorphism, [R_i, R_k] = F^j_ik R_j
+    (fiber-holonomy-bracket, enforced by build_rep), so this null space, and
+    kernel's reduced basis of it, is that of every R_i.  The projection P(A)
+    is the commutant element with tr(Gamma_b P(A)) = tr(Gamma_b A) for every b.
     This pairing vanishes on every [R_i, Y], so P is the average over the
     holonomy group for any fiber generators, anti-Hermitian or not.  The
     pairing walks the sparse kernel vectors, whose unknown u = k*dim + c is
@@ -211,17 +255,18 @@ def _commutant_projection(R, basis):
     """
     dim = R[0].rows
     eqs = []
-    for g in [combination(zip(v, R), dim) for v in basis] + list(R):
-        rows = {}
-        # [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c], X[k,c] is unknown k*dim + c
-        for a, grow in enumerate(g.nonzeros):
-            for b, v in grow.items():
-                for c in range(dim):
-                    row = rows.setdefault((a, c), {})
-                    row[b * dim + c] = row.get(b * dim + c, ZERO) + v
-                    row = rows.setdefault((c, b), {})
-                    row[c * dim + a] = row.get(c * dim + a, ZERO) - v
-        eqs.extend(rows.values())
+    for g in (combination(zip(v, R), dim) for v in basis):
+        # [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c], X[k,c] is unknown k*dim + c;
+        # the two sums meet only at X[r,c], through g[r,r] and g[c,c]
+        cols = g.transpose().nonzeros
+        for r, grow in enumerate(g.nonzeros):
+            for c, gcol in enumerate(cols):
+                if grow or gcol:
+                    row = {k * dim + c: x for k, x in grow.items()}
+                    for k, x in gcol.items():
+                        u = r * dim + k
+                        row[u] = row[u] - x if u in row else -x
+                    eqs.append(row)
     vecs = kernel(eqs, dim * dim)
     gammas, at = [], {}  # at[u] lists (b, Gamma_b[u]) over the b with Gamma_b[u] != 0
     for b, vec in enumerate(vecs):

@@ -458,7 +458,8 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def to_json(self):
-        return [[x.to_json() for x in self.row(i)] for i in range(self.rows)]
+        return [[x.to_json() if (x := r.get(j)) is not None else "0/1" for j in range(self.cols)]
+                for r in self.nonzeros]
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":

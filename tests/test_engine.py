@@ -23,13 +23,15 @@ from symheat.engine import (
     RepModelMismatchError,
     TruncationOverflowError,
     _cartan_candidates,
+    _commutant_projection,
+    _lie_generators,
     cartan_subalgebra,
     coefficient_report,
     heat_coefficients,
     heat_trace,
     render_report_text,
 )
-from symheat.exact import GaussianRational, Matrix, combination, invert, rational
+from symheat.exact import ZERO, GaussianRational, Matrix, combination, invert, kernel, rational
 from symheat.series import (
     SeriesPoly,
     _direct_power_sums,
@@ -377,6 +379,108 @@ class TestCartanRoute:
         for bundle in ("scalar", "spinor"):
             got = heat_coefficients(HeatRequest(m, catalog_rep(m, bundle), 4)).a
             assert got == heat_coefficients(HeatRequest(base, catalog_rep(base, bundle), 4)).a
+
+
+def _all_generator_commutant(R, basis):
+    """The commutant basis solved as before the Lie-generating set: the rows of
+    [g, X] = 0 for the Cartan generators g, then again for every R_i."""
+    dim = R[0].rows
+    eqs = []
+    for g in [combination(zip(v, R), dim) for v in basis] + list(R):
+        rows = {}
+        for a, grow in enumerate(g.nonzeros):
+            for b, v in grow.items():
+                for c in range(dim):
+                    row = rows.setdefault((a, c), {})
+                    row[b * dim + c] = row.get(b * dim + c, ZERO) + v
+                    row = rows.setdefault((c, b), {})
+                    row[c * dim + a] = row.get(c * dim + a, ZERO) - v
+        eqs.extend(rows.values())
+    return kernel(eqs, dim * dim)
+
+
+def _lie_closure_dim(F, gens):
+    """Dimension of the Lie closure of gens: vectors w are kept while they
+    raise the rank (read off exact.kernel), and each kept w queues ad_g w."""
+    p = len(F)
+    ads = [combination(zip(g, F), p) for g in gens]
+    kept, todo = [], [dict(enumerate(g)) for g in gens]
+    while todo:
+        w = todo.pop()
+        if len(kernel(kept + [w], p)) < p - len(kept):
+            kept.append(w)
+            col = Matrix(p, 1, [w.get(i, ZERO) for i in range(p)])
+            todo += [{j: r[0] for j, r in enumerate((ad * col).nonzeros) if r} for ad in ads]
+    return len(kept)
+
+
+class TestLieGeneratingCommutant:
+    """The commutant solved on a Lie-generating set of h, against all of R."""
+
+    CASES = {
+        "s3_vecspin": (lambda: sphere(3, 1), "tensor_product", _VS),
+        "h3_vecspin": (lambda: hyperbolic(3, rational(1, 2)), "tensor_product", _VS),
+        "s4_vecspin": (lambda: sphere(4, 1), "tensor_product", _VS),
+        "s4_spinor": (lambda: sphere(4, 1), "spinor", None),
+        "s6_spinor": (lambda: sphere(6, 1), "spinor", None),
+        "s5_vector": (lambda: sphere(5, 1), "vector", None),
+        "s2_x_s3_vector": (lambda: product([sphere(2, 1), sphere(3, 1)]), "vector", None),
+        "rotated_s4_spinor": (lambda: _rotated(sphere(4, 1)), "spinor", None),
+    }
+
+    @staticmethod
+    def _solve(monkeypatch, name):
+        space, bundle, factors = TestLieGeneratingCommutant.CASES[name]
+        m = space()
+        rep = catalog_rep(m, bundle, factors=factors)
+        basis, _ = cartan_subalgebra(m.F)
+        solved = []
+        monkeypatch.setattr(engine, "kernel", lambda eqs, n: solved.append(
+            (len(eqs), kernel(eqs, n))) or solved[-1][1])
+        project = _commutant_projection(rep.R, _lie_generators(m.F, basis))
+        return m, rep, basis, project, solved
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_commutant_basis_as_all_generators(self, monkeypatch, name):
+        m, rep, basis, project, solved = self._solve(monkeypatch, name)
+        assert len(solved) == 1
+        assert solved[0][1] == _all_generator_commutant(rep.R, basis)
+        rng = random.Random(name)
+        dim = rep.dimV
+        for _ in range(3):
+            a = Matrix.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+                                   for _ in range(dim)] for _ in range(dim)])
+            got = project(a)
+            assert all((got * r - r * got).is_zero() for r in rep.R)
+            assert project(got) == got
+
+    def test_row_count_on_s4_vector_x_spinor(self, monkeypatch):
+        # three generators (two Cartan, one unit vector) of 256 rows each,
+        # where every R_i on top of the Cartan ones took 2048
+        *_, solved = self._solve(monkeypatch, "s4_vecspin")
+        assert solved[0][0] == 768
+
+    @pytest.mark.parametrize("space", [
+        *[lambda n=n: sphere(n, 1) for n in range(2, 11)],
+        *[lambda n=n: hyperbolic(n, rational(2, 3)) for n in (3, 4, 6)],
+        lambda: product([sphere(2, 1), sphere(2, 1)]),
+        lambda: product([sphere(2, 1), hyperbolic(3, 1)]),
+        lambda: product([flat(2), sphere(2, 1), sphere(3, 1)]),
+        lambda: product([sphere(3, 1), sphere(3, 1)]),
+        lambda: product([sphere(2, 1), sphere(2, 1), sphere(2, 1)]),
+        lambda: _rotated(sphere(4, 1)),
+    ], ids=[*(f"s{n}" for n in range(2, 11)), "h3", "h4", "h6", "s2xs2", "s2xh3", "flat2xs2xs3",
+            "s3xs3", "s2xs2xs2", "rotated_s4"])
+    def test_closure_spans_h(self, space):
+        m = space()
+        basis, _ = cartan_subalgebra(m.F)
+        gens = _lie_generators(m.F, basis)
+        assert gens[: len(basis)] == basis
+        assert all(v in basis or sum(map(bool, v)) == 1 for v in gens)
+        assert _lie_closure_dim(m.F, gens) == m.p
+        # no generator is redundant: each lies outside the closure of those before it
+        assert all(_lie_closure_dim(m.F, gens[:i]) < _lie_closure_dim(m.F, gens[: i + 1])
+                   for i in range(len(basis), len(gens)))
 
 
 def _whole_pencil_weyl_density(mats, basis):

@@ -486,6 +486,7 @@ class TestNonzeroStorage:
                 assert canonical(got), name
                 assert (got.rows, got.cols) == (len(want), len(want[0]) if want else got.cols)
                 assert got.to_rows() == want, name
+                assert got.to_json() == [[x.to_json() for x in r] for r in want], name
                 assert got == as_matrix(want, got.cols) and hash(got) == hash(as_matrix(want, got.cols))
             if n == m:
                 assert ma.trace() == sum((a[i][i] for i in range(n)), GaussianRational(0))
