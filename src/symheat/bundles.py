@@ -52,10 +52,10 @@ SPINOR_MAX_DIM = 6
 # Largest explicit fiber or catalog tensor product a job may ask for.  The
 # fiber build does not limit it: an explicit fiber with zero generators
 # builds in about 1 ms on S3 and S6 at dimV = 32 or 64 (2-core x86 VM,
-# Python 3.11).  The engine's commutant projection, over dimV^2 unknowns,
-# does: k = 3 on that fiber takes 0.06-0.1 s at dimV = 32 and 0.4-0.6 s
-# at dimV = 64, most of it building the dimV^2 commutant basis matrices
-# and their duals.
+# Python 3.11), and its commutant projection is the identity, so k = 3 on
+# S3 takes about 4 ms at either size.  The engine's commutant solve over
+# dimV^2 unknowns does, on a fiber with nonzero generators: k = 2 takes
+# 0.15 s on the S3 vector x vector x vector product (dimV = 27).
 MAX_EXPLICIT_DIMV = 32
 
 

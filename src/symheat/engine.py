@@ -19,11 +19,13 @@ Weyl integration formula for the compact algebra h turns the average
 over its p variables into one over the r = rank h variables y of a
 Cartan subalgebra t:  <phi>_h = <phi W>_t / <W>_t  for invariant phi,
 with the Weyl density W(y) = prod_{alpha>0} alpha(y)^2 = e_(p-r)(F(y)).
-For a matrix fiber and r < p, the t-average is projected onto the
-commutant of the R_i, where the h-average lies; the trace pairing with
-a commutant basis is invariant, so it fixes that projection.  An abelian
-h takes the same route with t = h (the p unit vectors), W = 1 and no
-projection.
+t is the greedy commuting generators grown by centralizer vectors, with
+its basis made beta-orthogonal, so the weight on t is diagonal and every
+moment factors into one-variable moments.  For a matrix fiber and r < p,
+the t-average is projected onto the commutant of the R_i, where the
+h-average lies; the trace pairing with a commutant basis is invariant, so
+it fixes that projection.  An abelian h takes the same route with t = h
+(the p unit vectors), W = 1 and no projection.
 
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
@@ -48,7 +50,7 @@ from .exact import (
 from .series import (
     cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series, weyl_density,
 )
-from .spaces import SymmetricSpaceModel, index_pairs, weight_invariance
+from .spaces import SymmetricSpaceModel, weight_invariance
 from .wick import GaussianWeight, average_poly
 
 K_MAX_LIMIT = 6
@@ -66,8 +68,8 @@ class RepModelMismatchError(ValueError):
 
 class HolonomyAverageError(ValueError):
     """The holonomy average cannot be taken over a Cartan subalgebra: the
-    weight is not invariant under h (beta-f-invariance fails), or no
-    candidate subalgebra is abelian with a nonzero Weyl density."""
+    weight is not invariant under h (beta-f-invariance fails), no maximal
+    abelian span has a nonzero Weyl density, or beta is singular on it."""
 
 
 @dataclass(frozen=True)
@@ -125,14 +127,16 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
 
     # the bracket on a Cartan subalgebra t, averaged with the Weyl density
     basis, density = cartan_subalgebra(model.F)
+    torus, d = _beta_orthogonal(basis, model.beta)
+    if torus != basis:
+        basis, density = torus, weyl_density(model.F, torus)
     f_cosh = cosh_pencil(rep.R, dimV, degree, basis)
     # the two det(sinhc) factors as exponents, added and exponentiated once
     f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree, basis)
     f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree, basis)
     bracket = f_cosh * (f_hol + f_tan).exp()
-    embed = Matrix.from_rows([[v[i] for v in basis] for i in range(model.p)])
-    beta = embed.transpose() * model.beta * embed
-    averaged = average_poly(bracket, GaussianWeight.from_beta(beta, density))
+    weight = GaussianWeight(Matrix.diag(d), Matrix.diag([ONE / x for x in d]), density)
+    averaged = average_poly(bracket, weight)
     if len(basis) < model.p and dimV > 1:
         project = _commutant_projection(rep.R, _lie_generators(model.F, basis))
         averaged = [project(a) for a in averaged]
@@ -163,36 +167,57 @@ def cartan_subalgebra(F) -> tuple:
 
     basis holds r coefficient vectors over the D_i, and W = e_(p-r)(F(y))
     on t (series.weyl_density) is nonzero exactly when an abelian span is
-    a Cartan subalgebra.  The first candidate that is abelian with W != 0
-    is taken: the pairwise-commuting basis generators picked greedily, then
-    the centralizer ker F(x) of a few fixed integer points x.  When the
-    greedy pick is every generator, h is abelian and is its own torus:
-    basis holds the p unit vectors and W = e_0 = 1 (for flat space,
-    p = 0, that is ([], {(): 1})).
+    a Cartan subalgebra.  The torus starts from the pairwise-commuting
+    generators picked greedily (D_i and D_k commute iff column k of F_i
+    vanishes) and, while W = 0, grows by one vector of the centralizer of
+    its span (the kernel of the stacked ad(v) rows) outside that span.  h
+    is compact (the D_i are antisymmetric), so a maximal abelian span is a
+    Cartan subalgebra; a centralizer equal to the span with W = 0 (a
+    nilpotent h) is refused.  An abelian h is its own torus: the p unit
+    vectors with W = e_0 = 1 (for flat space, p = 0, ([], {(): 1})).
     """
-    p = len(F)
-    for basis in _cartan_candidates(F):
-        ads = [combination(zip(v, F), p) for v in basis]
-        if any(ads[a] * Matrix(p, 1, basis[b]) for a, b in index_pairs(len(basis))):
-            continue
-        density = weyl_density(F, basis)
-        if density:
-            return basis, density
-    raise HolonomyAverageError("no Cartan subalgebra with a nonzero Weyl density found")
-
-
-def _cartan_candidates(F):
-    """Greedy pairwise-commuting generators (D_i and D_k commute iff column
-    k of F_i vanishes), then ker F(x) for x = (1^m, 2^m, .., p^m), m = 1, 2, 3."""
     p = len(F)
     picked = []
     for i in range(p):
-        if all(not F[i][j, k] for k in picked for j in range(p)):
+        if not any(k in row for row in F[i].nonzeros for k in picked):
             picked.append(i)
-    yield [tuple(int(i == j) for j in range(p)) for i in picked]
-    for m in (1, 2, 3):
-        fx = combination(((x**m, f) for x, f in enumerate(F, 1)), p)
-        yield [tuple(vec.get(i, ZERO) for i in range(p)) for vec in kernel(fx.nonzeros, p)]
+    basis = [tuple(int(i == j) for j in range(p)) for i in picked]
+    while not (density := weyl_density(F, basis)):
+        rows = [row for v in basis for row in combination(zip(v, F), p).nonzeros if row]
+        grown = (basis + [tuple(vec.get(i, ZERO) for i in range(p))] for vec in kernel(rows, p))
+        # the first centralizer vector outside the span leaves the columns independent
+        basis = next((g for g in grown if not kernel(
+            [{a: v[i] for a, v in enumerate(g) if v[i]} for i in range(p)], len(g))), None)
+        if basis is None:
+            raise HolonomyAverageError("no Cartan subalgebra with a nonzero Weyl density found")
+    return basis, density
+
+
+def _beta_orthogonal(basis, beta):
+    """The torus basis made beta-orthogonal by congruence, and the diagonal
+    d_a = <v_a, beta v_a> of beta on it, as (basis, d).
+
+    Gram-Schmidt under beta; a v_a with d_a = 0 first becomes v_a +- v_b for
+    a later v_b, one of whose norms d_b +- 2 <v_a, beta v_b> is nonzero unless
+    beta is singular on the torus.  A basis that is already orthogonal, as
+    every catalog torus is, comes back unchanged.
+    """
+    def form(u, v):
+        return sum((x * b * v[j] for i, x in enumerate(u) if x
+                    for j, b in beta.nonzeros[i].items() if v[j]), ZERO)
+
+    vecs = list(basis)
+    for a, v in enumerate(vecs):
+        if not form(v, v):
+            v = vecs[a] = next((u for w in vecs[a + 1:] for c in (1, -1)
+                                if form(u := tuple(x + c * y for x, y in zip(v, w)), u)), None)
+            if v is None:
+                raise HolonomyAverageError("beta is singular on the Cartan subalgebra")
+        for b in range(a + 1, len(vecs)):
+            if c := form(vecs[b], v):
+                c = c / form(v, v)
+                vecs[b] = tuple(x - c * y for x, y in zip(vecs[b], v))
+    return vecs, [form(v, v) for v in vecs]
 
 
 def _lie_generators(F, basis) -> list:
@@ -267,6 +292,8 @@ def _commutant_projection(R, basis):
                         u = r * dim + k
                         row[u] = row[u] - x if u in row else -x
                     eqs.append(row)
+    if not eqs:  # every R_i is zero: the commutant is every matrix
+        return lambda a: a
     vecs = kernel(eqs, dim * dim)
     gammas, at = [], {}  # at[u] lists (b, Gamma_b[u]) over the b with Gamma_b[u] != 0
     for b, vec in enumerate(vecs):

@@ -335,7 +335,8 @@ def weyl_density(mats, basis) -> dict:
     so det(lambda + A(y)) is the product of the blocks' characteristic
     polynomials.  Each block's coefficients e_0 .. e_top, up to its top
     nonzero one, come from that block's pencil power sums by Newton's
-    identities; a zero row and column is a block with e_0 = 1 alone.
+    identities; a coordinate no generator touches is a block with e_0 = 1
+    alone and is skipped.
     e_(p-r) sums the products over one e_j per block with the j adding up
     to p - r: a single product of the top coefficients when the tops add
     up to p - r, as on every Cartan span, and the zero polynomial {} when
@@ -346,6 +347,8 @@ def weyl_density(mats, basis) -> dict:
     gens, _ = _sparse_generators(mats, 1, 1, basis)
     chars = []
     for block in _coupling_blocks(gens, p):
+        if len(block) == 1 and not any(block[0] in g for g in gens):
+            continue
         e = _elementary_symmetric(_direct_power_sums(gens, block, len(block), zero_mono),
                                   len(block), zero_mono)
         while not e[-1]:

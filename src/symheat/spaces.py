@@ -48,8 +48,8 @@ from .exact import (
 # total.  The model build no longer limits it: on a 2-core x86 VM (Python
 # 3.11) S10 builds in 0.012 s and S12 in 0.023 s.  The density-weighted Wick
 # average does: the Weyl density of S10 and S11 (rank 5) has 2961 terms and
-# that of S12 (rank 6) 56183, and scalar k = 2 takes 0.9 s on S10 but 23 s
-# on S12.
+# that of S12 (rank 6) 56183, and scalar k = 2 takes 0.2-0.3 s on S10 and
+# S11 but 7 s on S12, with per-variable moment tables.
 MAX_N = 10
 
 

@@ -9,19 +9,23 @@ average through the Wick pairing rules (each pair contributes
 cases unnecessary: the resulting coefficients are the same polynomials
 either way.
 
-Two independent evaluation routes are provided: average_monomial
+Two independent evaluation routes take any beta: average_monomial
 sums over perfect matchings by the recursion that pairs the first index
 with each partner value in turn, memoized per weight on every sorted
 sub-multiset it reaches; symmetrized_moment evaluates the closed form
 (2k)!/k! beta^((i1 i2 ... i2k-1 i2k)) through coefficient extraction
 from powers of the quadratic form (never touching the matching
 recursion).  Their exact agreement is an acceptance criterion.
+average_poly, the engine's route, takes a diagonal beta, on which every
+moment is a product of one-variable moments read from per-variable tables.
 """
 from __future__ import annotations
 
 import math
 
-from .exact import GaussianRational, Matrix, ZERO, combination, invert
+from .exact import (
+    GaussianRational, Matrix, ONE, ZERO, _add_product, _settle, combination, invert,
+)
 from .series import SeriesPoly
 
 _GR = GaussianRational.of
@@ -52,8 +56,6 @@ class GaussianWeight:
 
     @classmethod
     def from_beta(cls, beta: Matrix, density: dict | None = None) -> "GaussianWeight":
-        if beta.rows == 0:
-            return cls(Matrix.zeros(0, 0), Matrix.zeros(0, 0), density)
         return cls(beta, invert(beta), density)
 
 
@@ -161,20 +163,39 @@ def mono_to_indices(mono) -> tuple:
 
 
 def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
-    """The t-coefficients of the average of a Matrix-valued polynomial.
+    """The t-coefficients of the average of a Matrix-valued polynomial under
+    a diagonal weight (any other raises ValueError).
 
     A degree-d monomial carries s^d, so its average lands at t^(d/2);
     odd-degree monomials must average to zero.  With a density W the
     average is <. W> / <W>: W multiplies every moment but adds no s-power.
-    Each t-coefficient is one exact.combination of the values.
+    On a diagonal beta, <y^mu W> = sum_nu c_nu prod_a <y_a^(mu_a + nu_a)>,
+    from tables of the <y_a^k> read once each through average_monomial; each
+    moment is summed as unreduced ints and reduced once, and each
+    t-coefficient is one exact.combination of the values.
     """
     if poly.p != w.p:
         raise ValueError("polynomial and weight have different variable counts")
-    density = {(0,) * w.p: 1} if w.density is None else w.density
+    if any(j != i for i, row in enumerate(w.beta_inv.nonzeros) for j in row):
+        raise ValueError("average_poly needs a diagonal weight")
+    density = [(nu, _GR(c)) for nu, c in ({(0,) * w.p: 1} if w.density is None
+                                          else w.density).items()]
+    tables = [[average_monomial((a,) * k, w) for k in range(
+        max((mono[a] for mono in poly.terms), default=0)
+        + max((nu[a] for nu, _ in density), default=0) + 1)] for a in range(w.p)]
 
     def moment(mono):
-        return sum((c * average_monomial(mono_to_indices([a + b for a, b in zip(mono, nu)]), w)
-                    for nu, c in density.items()), ZERO)
+        acc = {}
+        for nu, c in density:
+            a, b, d = c.p, c.q, c.d
+            for table, m, n in zip(tables, mono, nu):
+                x = table[m + n]
+                if not x:
+                    break
+                a, b, d = a * x.p - b * x.q, a * x.q + b * x.p, d * x.d
+            else:
+                _add_product(acc, 0, a, b, d, ONE)
+        return _settle(acc, {}).get(0, ZERO)
 
     norm = moment((0,) * w.p)
     if norm.is_zero():

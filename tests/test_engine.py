@@ -22,7 +22,7 @@ from symheat.engine import (
     K_MAX_LIMIT,
     RepModelMismatchError,
     TruncationOverflowError,
-    _cartan_candidates,
+    _beta_orthogonal,
     _commutant_projection,
     _lie_generators,
     cartan_subalgebra,
@@ -264,6 +264,20 @@ def _reference_heat_coefficients(req):
     )
 
 
+def _cartan_candidates(F):
+    """The torus bases the engine once tried in turn: the greedy pairwise-commuting
+    generators, then ker F(x) for x = (1^m, 2^m, .., p^m), m = 1, 2, 3."""
+    p = len(F)
+    picked = []
+    for i in range(p):
+        if all(not F[i][j, k] for k in picked for j in range(p)):
+            picked.append(i)
+    yield [tuple(int(i == j) for j in range(p)) for i in picked]
+    for m in (1, 2, 3):
+        fx = combination(((x**m, f) for x, f in enumerate(F, 1)), p)
+        yield [tuple(vec.get(i, ZERO) for i in range(p)) for vec in kernel(fx.nonzeros, p)]
+
+
 def _rotated(base):
     """base in the frame E'^i = M_ij E^j with beta' = M^-T beta M^-1 (same curvature),
     M the upper-triangular matrix of ones."""
@@ -349,15 +363,22 @@ class TestCartanRoute:
         req = HeatRequest(model, rep, 4)
         assert heat_coefficients(req).a == _reference_heat_coefficients(req)
 
-    def test_zero_generator_fiber_projects_in_time(self):
-        # R = 0 commutes with every X, so the commutant is all dimV^2 matrix units,
-        # up to 1024 at the fiber bound MAX_EXPLICIT_DIMV = 32
+    def test_zero_generator_fiber_projects_in_time(self, monkeypatch):
+        # R = 0 commutes with every X, so the commutant is every matrix and the
+        # projection is the identity, with no kernel solve for its basis
         model = sphere(3, 1)
         scalar = heat_coefficients(HeatRequest(model, scalar_rep(model), 3)).a
+
+        def refuse(*args):
+            raise AssertionError("a zero-generator fiber needs no kernel")
+
         for dimV in (16, 32):
             rep = rep_from_descriptor(model, {"explicit": {"dimV": dimV}})
+            monkeypatch.setattr(engine, "kernel", refuse)
+            monkeypatch.setattr("symheat.exact.kernel", refuse)
             start = time.perf_counter()
             got = heat_coefficients(HeatRequest(model, rep, 3)).a
+            monkeypatch.undo()
             assert time.perf_counter() - start < 3
             assert got == tuple(Matrix.identity(dimV).scale(a[0, 0]) for a in scalar)
 
@@ -379,6 +400,65 @@ class TestCartanRoute:
         for bundle in ("scalar", "spinor"):
             got = heat_coefficients(HeatRequest(m, catalog_rep(m, bundle), 4)).a
             assert got == heat_coefficients(HeatRequest(base, catalog_rep(base, bundle), 4)).a
+
+
+def _restricted_beta(model, basis):
+    """beta restricted to the span of basis, <v_a, beta v_b>, by a dense product."""
+    embed = Matrix.from_rows([[v[i] for v in basis] for i in range(model.p)])
+    return embed.transpose() * model.beta * embed
+
+
+class TestGrownTorus:
+    """The greedy torus grown by centralizer vectors, made beta-orthogonal."""
+
+    def test_rotated_s6_grows_in_time(self):
+        base = sphere(6, 1)
+        m = _rotated(base)
+        start = time.perf_counter()
+        basis, density = cartan_subalgebra(m.F)
+        # 3.8 s through the dense ker F(x) candidates, about 0.2 s grown (2-core x86 VM)
+        assert time.perf_counter() - start < 1
+        assert len(basis) == 3 and density
+        ads = [combination(zip(v, m.F), m.p) for v in basis]
+        assert all((ads[a] * Matrix(m.p, 1, basis[b])).is_zero()
+                   for a in range(3) for b in range(3))
+        want = heat_coefficients(HeatRequest(base, scalar_rep(base), 2)).a
+        assert heat_coefficients(HeatRequest(m, scalar_rep(m), 2)).a == want
+
+    @pytest.mark.parametrize("space", [sphere, hyperbolic])
+    def test_rotated_frame_weight_is_diagonal(self, monkeypatch, space):
+        m = _rotated(space(4, 1))
+        basis, _ = cartan_subalgebra(m.F)
+        assert not _restricted_beta(m, basis).nonzeros[0].keys() <= {0}  # not orthogonal yet
+        seen = {}
+        for name in ("cosh_pencil", "average_poly"):
+            original = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda *a, name=name, original=original:
+                                seen.setdefault(name, a) and original(*a))
+        heat_coefficients(HeatRequest(m, scalar_rep(m), 2))
+        torus, weight = seen["cosh_pencil"][3], seen["average_poly"][1]
+        restricted = _restricted_beta(m, torus)
+        assert restricted == weight.beta == Matrix.diag([restricted[a, a] for a in range(2)])
+        assert weight.density == weyl_density(m.F, torus)
+        # the same torus: every new vector lies in the span of the grown basis
+        assert all(len(kernel([{a: c[i] for a, c in enumerate(basis + [v]) if c[i]}
+                               for i in range(m.p)], 3)) == 1 for v in torus)
+
+    def test_catalog_torus_is_kept(self):
+        for m in (sphere(5, 1), hyperbolic(4, 2), product([sphere(2, 1), hyperbolic(3, 1)])):
+            basis, _ = cartan_subalgebra(m.F)
+            torus, d = _beta_orthogonal(basis, m.beta)
+            assert torus == basis
+            assert _restricted_beta(m, basis) == Matrix.diag(d)
+
+    def test_isotropic_vectors_are_combined(self):
+        # beta = [[0, 1], [1, 0]] on the unit vectors: both have norm 0
+        beta = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+        basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        torus, d = _beta_orthogonal(basis, beta)
+        embed = Matrix.from_rows([[v[i] for v in torus] for i in range(3)])
+        assert embed.transpose() * beta * embed == Matrix.diag(d)
+        assert all(d) and len(kernel(embed.nonzeros, 3)) == 0
 
 
 def _all_generator_commutant(R, basis):
@@ -550,6 +630,18 @@ class TestBlockWeylDensity:
         basis = [(1, 0, 2, 0, -1), (0, 1, 0, rational(1, 3), 1)]
         got = weyl_density(mats, basis)
         assert len(got) > 1 and got == _whole_pencil_weyl_density(mats, basis)
+
+
+    def test_single_coordinates_touched_or_not(self):
+        # coordinate 2 is touched by a diagonal entry alone and coordinate 3 by
+        # nothing: both are one-coordinate blocks, and only the first counts
+        mats = [Matrix.from_nonzeros(4, rows) for rows in (
+            [{0: q(1), 1: q(1)}, {}, {2: q(2)}, {}],
+            [{}, {0: q(1)}, {2: q(-3)}, {}],
+            [{}] * 4, [{}] * 4)]
+        basis = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        got = weyl_density(mats, basis)
+        assert got and got == _whole_pencil_weyl_density(mats, basis)
 
 
 class TestReport:
@@ -747,11 +839,12 @@ class TestMatmulCount:
 
     def test_matmul_calls_per_heat_coefficients(self, monkeypatch):
         # the prefactor's k steps (4), the products prefactor[i] * averaged[j]
-        # for i >= 1 (10), the embedded beta (2) and the weight's inverse
-        # check (1); the request's beta-f-invariance check sums its entries
-        # and forms no product; 22 when a_k also formed the five identity
-        # products prefactor[0] * averaged[j]
+        # for i >= 1 (10) and the weight's inverse check (1); the request's
+        # beta-f-invariance check sums its entries and forms no product, and
+        # the weight is read off the beta-orthogonal torus with no embedded
+        # beta; 17 when the weight embedded beta with two products, 22 when
+        # a_k also formed the five identity products prefactor[0] * averaged[j]
         model, rep = _flat2_x_s2_vector_spinor()
         calls = self._counting(monkeypatch)
         heat_coefficients(HeatRequest(model, rep, 4))
-        assert len(calls) == 17
+        assert len(calls) == 15

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symheat import wick
-from symheat.exact import GaussianRational, Matrix, rational
+from symheat.exact import GaussianRational, Matrix, combination, rational
 from symheat.series import SeriesPoly, det_sinhc_pencil
 from symheat.wick import (
     GaussianWeight,
@@ -210,8 +210,9 @@ class TestAveragePoly:
         beta = Matrix.from_rows([[2, 1], [1, 3]])
         poly = SeriesPoly.one(2, 1, 4) * det_sinhc_pencil(
             [EPS, EPS.scale(2)], rational(1, 2), rational(-1, 2), 4).exp()
-        plain = average_poly(poly, GaussianWeight.from_beta(beta))
-        assert average_poly(poly, GaussianWeight.from_beta(beta, {(0, 0): 1})) == plain
+        plain = average_poly(*diagonalized(poly, GaussianWeight.from_beta(beta)))
+        assert average_poly(*diagonalized(
+            poly, GaussianWeight.from_beta(beta, {(0, 0): 1}))) == plain
 
     def test_zero_mean_density_rejected(self):
         # <y1^2 - y2^2> = 0 under the identity weight
@@ -237,6 +238,61 @@ class TestWeightValidation:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             GaussianWeight.from_beta(Matrix.from_rows([[1, 1], [1, 1]]))
+
+
+def _form(beta, u, v):
+    return sum((u[i] * beta[i, j] * v[j] for i in range(beta.rows) for j in range(beta.rows)),
+               GaussianRational(0))
+
+
+def congruence(beta):
+    """Columns v_a with <v_a, beta v_b> = 0 for a != b, by symmetric
+    elimination: a v_a with zero norm first takes v_a +- v_b for a later b."""
+    p = beta.rows
+    cols = [[GaussianRational(int(i == j)) for i in range(p)] for j in range(p)]
+    for a in range(p):
+        if _form(beta, cols[a], cols[a]).is_zero():
+            cols[a] = next(u for b in range(a + 1, p) for c in (1, -1)
+                           if not _form(beta, u := [x + c * y for x, y in zip(cols[a], cols[b])],
+                                        u).is_zero())
+        norm = _form(beta, cols[a], cols[a])
+        for b in range(a + 1, p):
+            c = _form(beta, cols[b], cols[a]) / norm
+            cols[b] = [x - c * y for x, y in zip(cols[b], cols[a])]
+    return cols
+
+
+def substituted(terms, cols, scale):
+    """{mu: value} in y, rewritten in z with y_a = sum_b cols[b][a] z_b;
+    scale(value, c) multiplies a value by a scalar."""
+    p, out = len(cols), {}
+    for mu, value in terms.items():
+        expansion = {(0,) * p: GaussianRational(1)}
+        for a, e in enumerate(mu):
+            for _ in range(e):
+                nxt = {}
+                for m, c in expansion.items():
+                    for b in range(p):
+                        if not cols[b][a].is_zero():
+                            key = m[:b] + (m[b] + 1,) + m[b + 1:]
+                            nxt[key] = nxt.get(key, GaussianRational(0)) + c * cols[b][a]
+                expansion = nxt
+        for m, c in expansion.items():
+            out[m] = out[m] + scale(value, c) if m in out else scale(value, c)
+    return out
+
+
+def diagonalized(poly, w):
+    """The same average on a diagonal weight: y = P z with P^T beta P diagonal,
+    the polynomial and the density rewritten in z (the Wick moments of P z
+    under P^T beta P are those of y under beta)."""
+    cols = congruence(w.beta)
+    d = [_form(w.beta, v, v) for v in cols]
+    density = None if w.density is None else substituted(
+        w.density, cols, lambda x, c: GaussianRational.of(x) * c)
+    weight = GaussianWeight(Matrix.diag(d), Matrix.diag([1 / x for x in d]), density)
+    return SeriesPoly(poly.p, poly.dim, poly.degree,
+                      substituted(poly.terms, cols, lambda x, c: x.scale(c))), weight
 
 
 def termwise_average(poly, w):
@@ -276,6 +332,104 @@ class TestAverageAgainstTermwiseSum:
                         GaussianRational(rational(rng.randint(-5, 5), rng.randint(1, 4)),
                                          rng.choice([0, 0, 1, -2])) for _ in range(9)])
             poly = SeriesPoly(2, 3, 4, terms)
-            got = average_poly(poly, w)
+            got = average_poly(*diagonalized(poly, w))
             assert got == termwise_average(poly, w)
             assert all(v for m in got for r in m.nonzeros for v in r.values())
+
+
+def per_monomial_average(poly, w):
+    # the general route: every moment of every monomial times every density
+    # term through average_monomial, summed value by value
+    density = {(0,) * w.p: 1} if w.density is None else w.density
+
+    def moment(mono):
+        return sum((GaussianRational.of(c) * average_monomial(
+            mono_to_indices([a + b for a, b in zip(mono, nu)]), w)
+            for nu, c in density.items()), GaussianRational(0))
+
+    norm = moment((0,) * w.p)
+    if norm.is_zero():
+        raise ValueError("the density averages to zero")
+    terms = [[] for _ in range(poly.degree // 2 + 1)]
+    for mono, v in poly.terms.items():
+        mom = moment(mono)
+        if not mom.is_zero():
+            terms[sum(mono) // 2].append((mom / norm, v))
+    return [combination(t, poly.dim) for t in terms]
+
+
+def _random_value(rng, complex_part=True):
+    im = rng.choice([0, 0, 1, -2]) if complex_part else 0
+    return GaussianRational(rational(rng.randint(-5, 5), rng.randint(1, 4)), im)
+
+
+class TestMomentTables:
+    """average_poly's per-variable tables against the per-monomial route."""
+
+    SIGNS = {
+        "positive": lambda rng: rational(rng.randint(1, 5), rng.randint(1, 3)),
+        "negative": lambda rng: -rational(rng.randint(1, 5), rng.randint(1, 3)),
+        "indefinite": lambda rng: rng.choice([1, -1]) * rational(rng.randint(1, 5), 2),
+        "complex": lambda rng: GaussianRational(rational(rng.randint(-3, 3), 2),
+                                                rng.choice([-2, -1, 1, 2])),
+    }
+
+    @staticmethod
+    def _diagonal_weight(rng, p, entry, density):
+        d = [GaussianRational.of(entry(rng)) for _ in range(p)]
+        return GaussianWeight(Matrix.diag(d), Matrix.diag([1 / x for x in d]), density)
+
+    @pytest.mark.parametrize("kind", list(SIGNS))
+    @pytest.mark.parametrize("with_density", [False, True], ids=["plain", "density"])
+    def test_random_diagonal_weights(self, kind, with_density):
+        rng = random.Random(f"tables {kind} {with_density}")
+        checked = 0
+        for p in (1, 2, 3):
+            for _ in range(4):
+                density = None
+                if with_density:  # of even degree, as a Weyl density is
+                    density = {}
+                    for _ in range(rng.randint(1, 4)):
+                        nu = [rng.randint(0, 3) for _ in range(p)]
+                        nu[rng.randrange(p)] += sum(nu) % 2
+                        density[tuple(nu)] = _random_value(rng)
+                w = self._diagonal_weight(rng, p, self.SIGNS[kind], density)
+                terms = {}
+                for mono in all_monomials(p, range(5)):
+                    if rng.random() < 0.6:
+                        terms[tuple(mono.count(i) for i in range(p))] = Matrix(2, 2, [
+                            _random_value(rng) for _ in range(4)])
+                poly = SeriesPoly(p, 2, 4, terms)
+                try:
+                    want = per_monomial_average(poly, w)
+                except ValueError:
+                    with pytest.raises(ValueError, match="averages to zero"):
+                        average_poly(poly, w)
+                    continue
+                assert average_poly(poly, w) == want
+                checked += 1
+        assert checked >= 6
+
+    def test_no_variables(self):
+        w = GaussianWeight(Matrix.zeros(0, 0), Matrix.zeros(0, 0), {(): rational(-3, 2)})
+        value = Matrix.from_rows([[1, GaussianRational(0, 2)], [rational(1, 3), 0]])
+        poly = SeriesPoly(0, 2, 4, {(): value})
+        assert average_poly(poly, w) == per_monomial_average(poly, w) == [
+            value, Matrix.zeros(2), Matrix.zeros(2)]
+
+    def test_tables_read_each_one_variable_moment_once(self, monkeypatch):
+        seen = []
+        original = wick.average_monomial
+        monkeypatch.setattr(wick, "average_monomial",
+                            lambda indices, w: seen.append(indices) or original(indices, w))
+        w = GaussianWeight(Matrix.diag([2, -1]), Matrix.diag([rational(1, 2), -1]),
+                           {(2, 0): 1, (0, 4): 3})
+        poly = SeriesPoly(2, 1, 4, {(4, 0): Matrix.identity(1), (1, 2): Matrix.identity(1)})
+        average_poly(poly, w)
+        # y_0 up to 4 + 2, y_1 up to 2 + 4, each exponent once
+        assert sorted(seen) == sorted([(0,) * k for k in range(7)] + [(1,) * k for k in range(7)])
+
+    def test_non_diagonal_weight_rejected(self):
+        w = GaussianWeight.from_beta(Matrix.from_rows([[2, 1], [1, 3]]))
+        with pytest.raises(ValueError, match="diagonal weight"):
+            average_poly(SeriesPoly.one(2, 1, 2), w)
