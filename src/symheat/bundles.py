@@ -22,10 +22,11 @@ validate_rep walks nonzero couplings only: a check item whose operands are
 all zero holds without forming a matrix, and a check whose items all hold
 for zero generators visits none when they are zero, so a scalar fiber (every
 G_ab, R_i and the Casimir zero) forms no matrix and visits no so(n) or
-integrability item.  G's antisymmetry is compared entry by entry, and each
-so(n) item sums its products and delta terms per row, unreduced, with no
-intermediate matrix.  Each holonomy residual
-[R_i, R_k] - F^j_ik R_j is formed once and kept when nonzero, and the
+integrability item.  G's antisymmetry is compared entry by entry.  Each
+so(n) item, each holonomy residual res_ik = [R_i, R_k] - F^j_ik R_j and
+the Casimir is one exact.combination whose products are passed as factor
+terms (c, A, B), so no product or commutator is formed only to be
+combined.  Each residual is formed once and kept when nonzero, and the
 curvature integrability check combines those residuals with the nonzero
 R_j through scalars that the model alone determines.
 """
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exact import (
-    GaussianRational, I_UNIT, Matrix, ZERO, _product_rows, at_most, combination, commutator,
-    json_kind, rational,
+    GaussianRational, I_UNIT, Matrix, ZERO, at_most, combination, commutator, json_kind,
+    rational,
 )
 from .spaces import (
     CheckResult, SymmetricSpaceModel, ValidationReport, entries_at, first_failure, index_pairs,
@@ -150,17 +151,17 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     # lexicographically first failure is therefore among the pairs below.
     # Every item below reads its nonzero operands only: an item whose
     # operands are all zero holds without a sum.
-    pairs, eye = index_pairs(n), Matrix.identity(rep.dimV)
+    pairs = index_pairs(n)
 
     def so_n_holds(abcd):  # [G_ab, G_cd] = d_bc G_ad - d_ac G_bd - d_bd G_ac + d_ad G_bc
         a, b, c, d = abcd
-        # one sum per row of the products of [G_ab, G_cd] and -s I G per delta term s G
-        terms = [(-s, eye, m) for s, m in (
+        # one combination of the products of [G_ab, G_cd] and -s G per delta term s G
+        terms = [(-s, m) for s, m in (
             (int(b == c), G[a][d]), (-int(a == c), G[b][d]),
             (-int(b == d), G[a][c]), (int(a == d), G[b][c])) if s and m]
         if (a, b) != (c, d) and G[a][b] and G[c][d]:  # [X, X] = 0
             terms += [(1, G[a][b], G[c][d]), (-1, G[c][d], G[a][b])]
-        return not terms or not any(_product_rows(terms, rep.dimV))
+        return not terms or not combination(terms, rep.dimV)
 
     checks.append(first_failure(  # every item holds when every G_ab is zero
         "fiber-so-n-relations",
@@ -186,7 +187,7 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     add("twist-flat-support", not detail, detail)
 
     # the holonomy bracket's residual res_ik = [R_i, R_k] - F^j_ik R_j, i < k,
-    # is formed once per pair and kept only when it is nonzero.  With every
+    # is one combination per pair, kept only when it is nonzero.  With every
     # R_j zero there is no residual and every integrability item holds, so
     # the indices below are built only when some R_j is nonzero.
     live = any(R)
@@ -200,9 +201,8 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
                 for k, x in row.items():
                     f_at.setdefault((i, k), []).append((j, x))
         for i, k in index_pairs(p):
-            terms = [(-x, R[j]) for j, x in f_at.get((i, k), ()) if R[j]]
-            if R[i] and R[k]:
-                terms.append((1, commutator(R[i], R[k])))
+            terms = [(1, R[i], R[k]), (-1, R[k], R[i])] if R[i] and R[k] else []
+            terms += [(-x, R[j]) for j, x in f_at.get((i, k), ()) if R[j]]
             if terms and (m := combination(terms, rep.dimV)):
                 res[i, k] = m
         e_at = entries_at(model.data.E)
@@ -291,7 +291,7 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
                       if table[a][b]), dimV) for e in model.data.E]
     R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items() if S[k]), dimV)
               for row in model.beta.nonzeros)
-    casimir = combination(((minus_half, s * r) for s, r in zip(S, R) if s and r), dimV)
+    casimir = combination(((minus_half, s, r) for s, r in zip(S, R) if s and r), dimV)
 
     rep = FiberRep(model=model, dimV=dimV, G=table, B=B, R=R, casimir=casimir)
     rep.report = validate_rep(model, rep)

@@ -147,11 +147,12 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     prefactor = matrix_exp_series(exponent_matrix, degree)
     twist = det_sinhc_numeric(rep.B, -_HALF, degree)
 
-    # a_k = sum over i + j + l = k of twist[l] prefactor[i] averaged[j], one
-    # combination per k; prefactor[0] is the identity
-    prods = [(i + j, avg if i == 0 else pre * avg)
-             for i, pre in enumerate(prefactor) for j, avg in enumerate(averaged[: k_max + 1 - i])]
-    coeffs = [combination(((twist[k - ij], prod) for ij, prod in prods if ij <= k), dimV)
+    # a_k = sum_m twist[k - m] b_m with b_m = sum_(i + j = m) prefactor[i]
+    # averaged[j]: one combination per b_m, its products passed as factors,
+    # and one per a_k
+    b = [combination(((1, prefactor[i], averaged[m - i]) for i in range(m + 1)), dimV)
+         for m in range(k_max + 1)]
+    coeffs = [combination(((twist[k - m], b[m]) for m in range(k + 1)), dimV)
               for k in range(k_max + 1)]
     if coeffs[0] != Matrix.identity(dimV):
         raise AssertionError("a_0 is not the identity")

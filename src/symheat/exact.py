@@ -9,10 +9,13 @@ path.  Fractions appear only where rationals are read in (`rational`, the
 constructor) or reported (`re`, `im`).
 A Matrix is held as its nonzero entries, one {column: value} dict per
 row, and every matrix operation costs O(nonzeros), not O(rows * cols).
-Every sum of products (`Matrix.matmul`, `commutator`, `combination`, the
-row reductions of `kernel`, and the pencil sums of `series`) accumulates
-each entry as unreduced ints (p, q, d) and reduces it once, by one gcd,
-when the sum is complete.
+Every matrix sum of products is one call of one routine whose terms are
+(c, A), meaning c*A, and (c, A, B), meaning c*A*B, so callers pass the
+factors of a product instead of forming it: `combination` is that routine
+over n x n terms, and `Matrix.matmul`, `commutator` and `+`/`-` are each
+one call of it.  It, the row reductions of `kernel` and the pencil sums of
+`series` accumulate each entry as unreduced ints (p, q, d) and reduce it
+once, by one gcd, when the sum is complete.
 There is one elimination, `kernel`, a sparse Gauss-Jordan null space
 (Cartan subalgebras and commutants); it indexes which kept rows hold each
 column, so a new pivot is eliminated only from the rows that hold it.
@@ -380,11 +383,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix._of(self.cols, [_row_sum(a, b) for a, b in zip(self.nonzeros, other.nonzeros)])
+        return _sum_of_products(((1, self), (1, other)), self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._require_same_shape(other)
-        return Matrix._of(self.cols, [_row_diff(a, b) for a, b in zip(self.nonzeros, other.nonzeros)])
+        return _sum_of_products(((1, self), (-1, other)), self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
         return Matrix._of(self.cols, [{j: -x for j, x in r.items()} for r in self.nonzeros])
@@ -410,7 +413,7 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return Matrix._of(other.cols, _product_rows(((1, self, other),), self.rows))
+        return _sum_of_products(((1, self, other),), self.rows, other.cols)
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
@@ -471,36 +474,6 @@ class Matrix:
         return [[complex(x) for x in self.row(i)] for i in range(self.rows)]
 
 
-def _row_sum(a: dict, b: dict) -> dict:
-    """a + b for {column: value} rows without zeros; shares an operand when the other is empty."""
-    if not b or not a:
-        return b or a
-    out = dict(a)
-    for j, y in b.items():
-        if j not in out:
-            out[j] = y
-        elif s := out[j] + y:
-            out[j] = s
-        else:
-            del out[j]
-    return out
-
-
-def _row_diff(a: dict, b: dict) -> dict:
-    """a - b for {column: value} rows without zeros; shares a when b is empty."""
-    if not b:
-        return a
-    out = dict(a)
-    for j, y in b.items():
-        if j not in out:
-            out[j] = -y
-        elif s := out[j] - y:
-            out[j] = s
-        else:
-            del out[j]
-    return out
-
-
 # -- sums of products -------------------------------------------------------
 # A sum of products accumulates in a {column: (p, q, d)} dict of unreduced
 # ints meaning (p + q*i)/d with d > 0, and each entry is reduced once, by
@@ -559,44 +532,52 @@ def _settle(acc: dict, out: dict) -> dict:
     return out
 
 
-def _product_rows(terms, n: int) -> list:
-    """The n rows of sum s * A * B over the (s, A, B) terms, s = +-1."""
-    out = []
-    for i in range(n):
-        acc = {}
-        for s, a, b in terms:
-            b = b.nonzeros
-            for l, x in a.nonzeros[i].items():
-                _add_scaled(acc, s * x.p, s * x.q, x.d, b[l])
-        out.append(_settle(acc, {}) if acc else acc)
-    return out
+def _sum_of_products(terms, rows: int, cols: int) -> Matrix:
+    """The rows x cols sum of the terms (c, A), meaning c*A, and (c, A, B),
+    meaning c*A*B.  c is read as GaussianRational.of reads it, and a term
+    with c == 0 is skipped; any other term of the wrong shape raises
+    ValueError.  Each entry accumulates its products unreduced and is
+    reduced once."""
+    acc = [{} for _ in range(rows)]
+    for t in terms:
+        c = t[0]
+        if not c:
+            continue
+        c = GaussianRational.of(c)
+        a, b, d = c.p, c.q, c.d
+        if len(t) == 2:
+            m = t[1]
+            if m.rows != rows or m.cols != cols:
+                raise ValueError(f"{m.rows}x{m.cols} term in a {rows}x{cols} combination")
+            for dst, src in zip(acc, m.nonzeros):
+                if src:
+                    _add_scaled(dst, a, b, d, src)
+            continue
+        _, x, y = t
+        if x.rows != rows or x.cols != y.rows or y.cols != cols:
+            raise ValueError(f"{x.rows}x{x.cols} by {y.rows}x{y.cols} term "
+                             f"in a {rows}x{cols} combination")
+        y = y.nonzeros
+        for dst, src in zip(acc, x.nonzeros):
+            for l, v in src.items():
+                e, f = v.p, v.q
+                _add_scaled(dst, a * e - b * f, a * f + b * e, d * v.d, y[l])
+    return Matrix._of(cols, [_settle(r, {}) if r else r for r in acc])
 
 
 def combination(terms, n: int) -> Matrix:
-    """The n x n sum c*M over the (c, M) pairs, walking the nonzeros of each M
-    whose c is nonzero; each entry accumulates its products unreduced and is
-    reduced once, so one combination replaces a chain of scale and +."""
-    acc = [{} for _ in range(n)]
-    for c, m in terms:
-        if not c:
-            continue
-        if m.rows != n or m.cols != n:
-            raise ValueError(f"{m.rows}x{m.cols} term in a {n}x{n} combination")
-        c = GaussianRational.of(c)
-        a, b, d = c.p, c.q, c.d
-        for dst, src in zip(acc, m.nonzeros):
-            if src:
-                _add_scaled(dst, a, b, d, src)
-    return Matrix._of(n, [_settle(r, {}) if r else r for r in acc])
+    """The n x n sum of the terms (c, M), meaning c*M, and (c, A, B), meaning
+    c*A*B (_sum_of_products), so one combination replaces a chain of
+    products, scale and +."""
+    return _sum_of_products(terms, n, n)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """a*b - b*a in one pass: each entry accumulates the products of a*b and
-    the negated products of b*a and is reduced once; both arguments must be
-    square of the same size."""
+    """a*b - b*a as one sum of products; both arguments must be square of
+    the same size."""
     if not (a.is_square and b.is_square and a.rows == b.rows):
         raise ValueError("commutator needs square matrices of equal size")
-    return Matrix._of(a.cols, _product_rows(((1, a, b), (-1, b, a)), a.rows))
+    return _sum_of_products(((1, a, b), (-1, b, a)), a.rows, a.rows)
 
 
 def invert(a: Matrix) -> Matrix:

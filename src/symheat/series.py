@@ -106,9 +106,6 @@ class SeriesPoly:
         return SeriesPoly(self.p, dim, self.degree,
                           {mono: _product_sum(pairs) for mono, pairs in groups.items()})
 
-    def truncated(self, degree: int) -> "SeriesPoly":
-        return SeriesPoly(self.p, self.dim, degree, self.terms)
-
     def exp(self) -> "SeriesPoly":
         """exp of a scalar-valued polynomial with a zero constant term.
 
@@ -186,12 +183,11 @@ def _sparse_generators(mats, scale, exponent=1, basis=None):
 
 def _product_sum(pairs):
     """sum x*y over the (x, y) pairs of one monomial; one exact.combination
-    when one side is a Matrix and the other a scalar, one accumulated sum
-    when both are scalars."""
+    when either side is a Matrix, its products passed as factors when both
+    are, and one accumulated sum when both are scalars."""
     x, y = pairs[0]
     if isinstance(x, Matrix) and isinstance(y, Matrix):
-        products = (x * y for x, y in pairs)
-        return sum(products, next(products))
+        return combination(((1, x, y) for x, y in pairs), x.rows)
     if isinstance(y, Matrix):
         return combination(pairs, y.rows)
     if isinstance(x, Matrix):
@@ -425,7 +421,7 @@ def matrix_exp_series(m: Matrix, degree: int) -> list:
         raise ValueError("matrix exponential needs a square matrix")
     out = [Matrix.identity(m.rows)]
     for k in range(1, degree // 2 + 1):
-        out.append((out[-1] * m).scale(GaussianRational(1) / GaussianRational(k)))
+        out.append(combination(((ONE / k, out[-1], m),), m.rows))
     return out
 
 

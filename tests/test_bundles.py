@@ -545,14 +545,15 @@ class TestValidateRepParity:
         assert failed_detail(got, "fiber-so-n-relations") == "indices (0, 2, 1, 2)"
 
     @pytest.mark.parametrize("name,calls", [
-        ("s4_spinor_k3", 21), ("flat2xs2_vecspin_twist_k4", 1),
+        ("s4_spinor_k3", 6), ("flat2xs2_vecspin_twist_k4", 1),
         ("s5_scalar_k2", 0), ("s4_scalar_k4", 0),
     ])
     def test_commutator_count(self, monkeypatch, name, calls):
-        # holonomy: one per pair i < k with both R nonzero; Casimir: one per
-        # nonzero R_i when the Casimir is nonzero.  The so(n) items sum their
-        # products with their delta terms and form none; integrability reads
-        # the holonomy residuals.  A scalar fiber forms none.
+        # Casimir centrality: one per nonzero R_i when the Casimir is nonzero
+        # (six on S4, one on flat2 x S2).  The holonomy residuals and the
+        # so(n) items are each one combination that takes their products as
+        # factor terms and form none; integrability reads the residuals.  A
+        # scalar fiber forms none.
         m, rep = benchmark_rep(name, sphere, 1)
         seen = []
         original = bundles.commutator

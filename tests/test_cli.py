@@ -440,6 +440,20 @@ class TestDeterminism:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    # stdout and exit code of `symheat compute <job> --output both` and
+    # `symheat validate <job>` for every jobs/*.json, stored as
+    # {"<command> <job file>": {"exit_code": .., "stdout": ..}}; a new job
+    # needs its entries added
+    GOLDENS = json.loads((Path(__file__).resolve().parent / "goldens" / "cli_jobs.json")
+                         .read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("command", ["compute", "validate"])
+    @pytest.mark.parametrize("job", sorted(p.name for p in JOBS.glob("*.json")))
+    def test_job_output_matches_golden(self, capsys, command, job):
+        rc = main([command, str(JOBS / job)] + (["--output", "both"] if command == "compute" else []))
+        golden = self.GOLDENS[f"{command} {job}"]
+        assert (rc, capsys.readouterr().out) == (golden["exit_code"], golden["stdout"])
+
 
 def _paths(node, path=()):
     """Every position in a JSON tree, the root first, as a tuple of keys."""

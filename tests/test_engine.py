@@ -838,13 +838,12 @@ class TestMatmulCount:
         assert calls == []
 
     def test_matmul_calls_per_heat_coefficients(self, monkeypatch):
-        # the prefactor's k steps (4), the products prefactor[i] * averaged[j]
-        # for i >= 1 (10) and the weight's inverse check (1); the request's
-        # beta-f-invariance check sums its entries and forms no product, and
-        # the weight is read off the beta-orthogonal torus with no embedded
-        # beta; 17 when the weight embedded beta with two products, 22 when
-        # a_k also formed the five identity products prefactor[0] * averaged[j]
+        # the weight's inverse check beta * beta^-1 alone: the prefactor's
+        # steps and the sums of prefactor[i] * averaged[j] pass their products
+        # to a combination as factors, the request's beta-f-invariance check
+        # sums its entries, and the weight is read off the beta-orthogonal
+        # torus with no embedded beta
         model, rep = _flat2_x_s2_vector_spinor()
         calls = self._counting(monkeypatch)
         heat_coefficients(HeatRequest(model, rep, 4))
-        assert len(calls) == 15
+        assert len(calls) == 1

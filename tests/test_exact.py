@@ -666,6 +666,13 @@ class TestFusedSumsOfProducts:
         a, b = data.draw(sparse_mats(n, k)), data.draw(sparse_mats(k, m))
         got = a.matmul(b)
         assert got == chained_matmul(a, b) and stored_canonically(got)
+        # rectangular + and - against entrywise sums, a - a and a + -a included
+        for other in (data.draw(sparse_mats(n, k)), a, -a):
+            for op in (operator.add, operator.sub):
+                got = op(a, other)
+                want = [{j: v for j in range(k) if (v := op(a[i, j], other[i, j]))}
+                        for i in range(n)]
+                assert got.nonzeros == tuple(want) and stored_canonically(got)
 
     @FUSED
     @given(square_mats(2))
@@ -686,11 +693,27 @@ class TestFusedSumsOfProducts:
         terms = [(data.draw(coeff), m) for m in mats + [Matrix.zeros(n)]]
         # the negated terms cancel the first two to zero
         terms += [(-GaussianRational.of(c), m) for c, m in terms[:2]]
+        first_two = terms[:2]
+        # triples (c, A, B), meaning c*A*B, mixed in among the pairs
+        for _ in range(data.draw(st.integers(0, 4))):
+            a, b = data.draw(st.sampled_from(mats)), data.draw(st.sampled_from(mats))
+            terms.insert(data.draw(st.integers(0, len(terms))), (data.draw(coeff), a, b))
         got = combination(terms, n)
-        assert got == chained_combination(terms, n) and stored_canonically(got)
-        zero = combination([(c, m) for c, m in terms[:2]] + [(-GaussianRational.of(c), m)
-                                                            for c, m in terms[:2]], n)
+        want = chained_combination([t if len(t) == 2 else (t[0], chained_matmul(t[1], t[2]))
+                                    for t in terms], n)
+        assert got == want and stored_canonically(got)
+        a, b = mats[:2]
+        c = data.draw(coeff)
+        zero = combination(first_two + [(-GaussianRational.of(c), m) for c, m in first_two]
+                           + [(c, a, b), (-GaussianRational.of(c), a, b)], n)
         assert zero.nonzeros == tuple({} for _ in range(n))
+        # a wrongly shaped term raises unless its c is zero, and then it is skipped
+        wide, tall = Matrix.zeros(n, n + 1), Matrix.zeros(n + 1, n)
+        for bad in [(wide,), (a, wide), (wide, a), (tall, wide), (wide, Matrix.zeros(n + 1))]:
+            with pytest.raises(ValueError, match=rf"term in a {n}x{n} combination$"):
+                combination(terms + [(data.draw(coeff.filter(bool)), *bad)], n)
+            for zero_c in (0, ZERO, Fraction(0)):
+                assert combination(terms + [(zero_c, *bad)], n) == got
 
     @FUSED
     @given(st.data())

@@ -515,7 +515,8 @@ class TestPolyInvariants:
     def test_truncation_stability(self):
         f_small = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 4).exp()
         f_large = det_sinhc_pencil([-EPS], HALF, rational(-1, 2), 8).exp()
-        assert f_large.truncated(4) == f_small
+        # the terms of degree <= 4 are the degree-4 expansion's
+        assert {m: v for m, v in f_large.terms.items() if sum(m) <= 4} == f_small.terms
 
     def test_mismatched_limits_rejected(self):
         a = SeriesPoly.one(1, 1, 2)
