@@ -16,7 +16,13 @@ standard 2x2 Hermitian matrices, keeping every entry inside the Gaussian
 rationals; the explicit catalog covers n <= 6.  A catalog tensor product
 is assembled as one generator table and built once.  A catalog table
 depends on (name, n, factors) alone, so it is built once per process and
-shared across radii; its checks run on every call.
+shared across radii; the catalog's argument checks run on every call.
+
+beta is invertible, so span{R_i} = span{S_k} whatever beta is; on a
+catalog space beta carries only the radius and the sign.  G's antisymmetry
+and the so(n) relations read G alone, so they run once per table and are
+kept on it (GeneratorTable); the twist's support, the holonomy bracket,
+Casimir centrality and integrability read beta and run on every call.
 
 validate_rep walks nonzero couplings only: a check item whose operands are
 all zero holds without forming a matrix, and a check whose items all hold
@@ -93,8 +99,13 @@ class FiberRep:
         )
 
 
-def _normalize_generators(n: int, dimV: int, G) -> tuple:
-    """Accept {(a, b): M} with a < b or a full table; return the full table."""
+def _normalize_generators(n: int, dimV: int, G) -> "GeneratorTable":
+    """Accept {(a, b): M} with a < b or a full table; return the full table.
+
+    A GeneratorTable of this shape is returned as it is, with the checks it
+    carries."""
+    if isinstance(G, GeneratorTable) and len(G) == n and (not n or G[0][0].rows == dimV):
+        return G
     zero = Matrix.zeros(dimV)  # one shared value for every empty cell
     table = [[zero] * n for _ in range(n)]
     if isinstance(G, dict):
@@ -115,20 +126,29 @@ def _normalize_generators(n: int, dimV: int, G) -> tuple:
             m = table[a][b]
             if m.rows != dimV or m.cols != dimV:
                 raise BundleError(f"generator ({a},{b}) has the wrong shape")
-    return tuple(tuple(row) for row in table)
+    return GeneratorTable(tuple(row) for row in table)
 
 
-def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
-    """Exact checks on an assembled fiber representation, each naming its
-    first failing item: G antisymmetry, the so(n) relations, the twist's
-    flat support, the holonomy bracket, Casimir centrality and curvature
-    integrability."""
-    checks = []
-    n, p = model.n, model.p
-    G, B, R = rep.G, rep.B, rep.R
+class GeneratorTable(tuple):
+    """A full generator table G[a][b]: n rows of n dimV x dimV matrices.
 
-    def add(name, passed, detail=""):
-        checks.append(CheckResult(name, passed, detail if not passed else ""))
+    The table, its rows and its matrices are immutable, so the two checks
+    that read G alone, its antisymmetry and the so(n) relations, are run on
+    first read and kept on the table (checks).  A catalog table is built
+    once per process and shared across radii, so those checks run once per
+    table; any other table carries its own results and drops them with
+    itself.
+    """
+
+    @cached_property
+    def checks(self) -> tuple:
+        return _table_checks(self)
+
+
+def _table_checks(G) -> tuple:
+    """The fiber-g-antisymmetry and fiber-so-n-relations results of a full
+    table, each naming its first failing item."""
+    n = len(G)
 
     def g_antisymmetry():  # the first failing item, or ""
         # pair (a, b) fails exactly when (b, a) does, and (a, b) comes first
@@ -144,7 +164,6 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
         return ""
 
     detail = g_antisymmetry()
-    add("fiber-g-antisymmetry", not detail, detail)
 
     # Both fiber relations flip sign under a <-> b and under c <-> d, and
     # the so(n) one also under (ab) <-> (cd); with G antisymmetric, the
@@ -161,13 +180,30 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
             (-int(b == d), G[a][c]), (int(a == d), G[b][c])) if s and m]
         if (a, b) != (c, d) and G[a][b] and G[c][d]:  # [X, X] = 0
             terms += [(1, G[a][b], G[c][d]), (-1, G[c][d], G[a][b])]
-        return not terms or not combination(terms, rep.dimV)
+        return not terms or not combination(terms, G[0][0].rows)
 
-    checks.append(first_failure(  # every item holds when every G_ab is zero
-        "fiber-so-n-relations",
-        ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:])
-        if any(g for row in G for g in row) else (),
-        so_n_holds))
+    return (CheckResult("fiber-g-antisymmetry", not detail, detail),
+            first_failure(  # every item holds when every G_ab is zero
+                "fiber-so-n-relations",
+                ((a, b, c, d) for x, (a, b) in enumerate(pairs) for c, d in pairs[x:])
+                if any(g for row in G for g in row) else (),
+                so_n_holds))
+
+
+def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
+    """Exact checks on an assembled fiber representation, each naming its
+    first failing item: G antisymmetry, the so(n) relations, the twist's
+    flat support, the holonomy bracket, Casimir centrality and curvature
+    integrability.
+
+    The first two read G alone (GeneratorTable.checks); a table that is not
+    a GeneratorTable, say one put in by dataclasses.replace, is checked
+    afresh.  The rest read B, R and the Casimir, and run on every call.
+    """
+    n, p = model.n, model.p
+    B, R = rep.B, rep.R
+    checks = list(rep.G.checks if isinstance(rep.G, GeneratorTable) else _table_checks(rep.G))
+    pairs = index_pairs(n)
 
     def twist_flat_support():  # the first failing item, or ""
         if B.transpose() != -B:
@@ -184,7 +220,7 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
         return ""
 
     detail = twist_flat_support()
-    add("twist-flat-support", not detail, detail)
+    checks.append(CheckResult("twist-flat-support", not detail, detail))
 
     # the holonomy bracket's residual res_ik = [R_i, R_k] - F^j_ik R_j, i < k,
     # is one combination per pair, kept only when it is nonzero.  With every
@@ -371,10 +407,15 @@ def _kron_sum(G1: dict, dim1: int, G2: dict, dim2: int) -> dict:
     return {ab: g.kron(e2) + e1.kron(G2[ab]) for ab, g in G1.items()}
 
 
-def _catalog_generators(model: SymmetricSpaceModel, name: str, twist, factors):
-    """Generators {(a, b): G_ab} over every index pair, and dimV, of a catalog bundle.
+def _pair_generators(table) -> dict:
+    """{(a, b): G_ab} over the index pairs a < b of a full table."""
+    return {(a, b): table[a][b] for a, b in index_pairs(len(table))}
 
-    The checks run on every call, and a tensor product's dimV, the product
+
+def _catalog_generators(model: SymmetricSpaceModel, name: str, twist, factors):
+    """The full generator table (a GeneratorTable) and dimV of a catalog bundle.
+
+    The argument checks run on every call, and a tensor product's dimV, the product
     of its factors', is held to MAX_EXPLICIT_DIMV before any Kronecker
     product is formed; the table is built once per process (_catalog_table).
     """
@@ -392,24 +433,26 @@ def _catalog_generators(model: SymmetricSpaceModel, name: str, twist, factors):
                 MAX_EXPLICIT_DIMV, "dimV")
     elif name not in ("scalar", "u1_twist", "vector", "spinor"):
         raise BundleError(f"unknown catalog bundle {name!r}")
-    G, dimV = _catalog_table(name, model.n, tuple(factors) if name == "tensor_product" else ())
-    return dict(G), dimV
+    return _catalog_table(name, model.n, tuple(factors) if name == "tensor_product" else ())
 
 
 @cache
 def _catalog_table(name: str, n: int, factors: tuple) -> tuple:
-    """(generators, dimV) of a catalog bundle that passed its checks."""
+    """(table, dimV) of a catalog bundle that passed its checks.  One table
+    object serves every radius and sign, so the checks it carries run once."""
     if name in ("scalar", "u1_twist"):
-        return dict.fromkeys(index_pairs(n), Matrix.zeros(1)), 1
-    if name == "vector":
-        return unit_bivectors(n), n
-    if name == "spinor":
-        return spin_generator_table(n), 2 ** (n // 2)
-    G, dimV = _catalog_table(factors[0], n, ())
-    for f in factors[1:]:
-        G2, dim2 = _catalog_table(f, n, ())
-        G, dimV = _kron_sum(G, dimV, G2, dim2), dimV * dim2
-    return G, dimV
+        G, dimV = dict.fromkeys(index_pairs(n), Matrix.zeros(1)), 1
+    elif name == "vector":
+        G, dimV = unit_bivectors(n), n
+    elif name == "spinor":
+        G, dimV = spin_generator_table(n), 2 ** (n // 2)
+    else:
+        table, dimV = _catalog_table(factors[0], n, ())
+        G = _pair_generators(table)
+        for f in factors[1:]:
+            table, dim2 = _catalog_table(f, n, ())
+            G, dimV = _kron_sum(G, dimV, _pair_generators(table), dim2), dimV * dim2
+    return _normalize_generators(n, dimV, G), dimV
 
 
 def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,
@@ -440,13 +483,11 @@ def tensor_product_rep(rep1: FiberRep, rep2: FiberRep,
     """
     if rep1.model is not rep2.model and rep1.model.data != rep2.model.data:
         raise BundleError("tensor factors live over different models")
-    model, pairs = rep1.model, index_pairs(rep1.model.n)
-    table = _kron_sum({(a, b): rep1.G[a][b] for a, b in pairs}, rep1.dimV,
-                      {(a, b): rep2.G[a][b] for a, b in pairs}, rep2.dimV)
+    table = _kron_sum(_pair_generators(rep1.G), rep1.dimV, _pair_generators(rep2.G), rep2.dimV)
     twist = rep1.B + rep2.B
     if B is not None:
         twist = twist + B
-    return build_rep(model, table, twist, dimV=rep1.dimV * rep2.dimV)
+    return build_rep(rep1.model, table, twist, dimV=rep1.dimV * rep2.dimV)
 
 
 def _optional(value, kind: type, name: str):

@@ -41,6 +41,7 @@ pi never appears: coefficients and traced invariants are exact rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bundles import FiberRep
 from .exact import (
@@ -265,25 +266,56 @@ def _commutant_projection(R, basis):
 
     Called only when t is smaller than h: for an abelian h the t-average
     is the h-average already.  The commutant basis Gamma_b solves
-    [sum_i v[i] R_i, X] = 0 for v in basis, a Lie-generating set of h
-    (_lie_generators, Cartan generators first: they settle most unknowns),
-    with exact.kernel.  An X that commutes with two matrices commutes with
-    their bracket, and R is a Lie homomorphism, [R_i, R_k] = F^j_ik R_j
-    (fiber-holonomy-bracket, enforced by build_rep), so this null space, and
-    kernel's reduced basis of it, is that of every R_i.  The projection P(A)
-    is the commutant element with tr(Gamma_b P(A)) = tr(Gamma_b A) for every b.
-    This pairing vanishes on every [R_i, Y], so P is the average over the
-    holonomy group for any fiber generators, anti-Hermitian or not.  The
-    pairing walks the sparse kernel vectors, whose unknown u = k*dim + c is
-    X[k, c]: tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim].  In the
-    Gram matrix tr(Gamma_a Gamma_b), each nonzero Gamma_a[u] meets only the
-    Gamma_b that are nonzero at the transposed unknown (u % dim)*dim + u // dim.
+    [g, X] = 0 for g = sum_i v[i] R_i, v in basis, a Lie-generating set of
+    h (_lie_generators, Cartan generators first: they settle most unknowns).
+    An X that commutes with two matrices commutes with their bracket, and R
+    is a Lie homomorphism, [R_i, R_k] = F^j_ik R_j (fiber-holonomy-bracket,
+    enforced by build_rep), so this commutant is that of every R_i.  The
+    projection P(A) is the commutant element with tr(Gamma_b P(A)) =
+    tr(Gamma_b A) for every b.  This pairing vanishes on every [R_i, Y], so
+    P is the average over the holonomy group for any fiber generators,
+    anti-Hermitian or not.
+
+    The commutant of g is that of g/x for any x != 0, and exact.kernel
+    returns the reduced basis of the null space, which depends on the null
+    space alone.  So each g is divided by its first nonzero entry, and the
+    basis and its duals are memoized on those lines (_commutant_duals):
+    R_i = -(1/2) beta_ik S_k with S_k free of beta, and on a catalog space
+    beta is the sign over r^2 times the identity, so every radius and sign
+    of one fiber shares one entry, and only P(A) runs per job.
     """
     dim = R[0].rows
-    eqs = []
+    lines = []
     for g in (combination(zip(v, R), dim) for v in basis):
-        # [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c], X[k,c] is unknown k*dim + c;
-        # the two sums meet only at X[r,c], through g[r,r] and g[c,c]
+        if g:
+            row = next(r for r in g.nonzeros if r)
+            lines.append(g.scale(ONE / row[min(row)]))
+    if not lines:  # every R_i is zero: the commutant is every matrix
+        return lambda a: a
+    duals = _commutant_duals(tuple(lines))
+
+    def pair(vec, a):  # tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim]
+        return sum((x * y for u, x in vec if (y := a.nonzeros[u % dim].get(u // dim))), ZERO)
+
+    return lambda a: combination(((pair(v, a), d) for v, d in duals), dim)
+
+
+@lru_cache(maxsize=16)
+def _commutant_duals(gens: tuple) -> tuple:
+    """((Gamma_b, dual_b), ...) for the commutant of the matrices gens: each
+    Gamma_b as its sparse (unknown, value) items, where the unknown
+    u = k*dim + c is X[k, c], and dual_b the matrix with tr(Gamma_a dual_b) =
+    delta_ab.  The memo holds at most 16 commutants, so distinct fibers
+    cannot grow it without bound.
+
+    [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c]; the two sums meet only
+    at X[r,c], through g[r,r] and g[c,c].  In the Gram matrix
+    tr(Gamma_a Gamma_b), each nonzero Gamma_a[u] meets only the Gamma_b that
+    are nonzero at the transposed unknown (u % dim)*dim + u // dim.
+    """
+    dim = gens[0].rows
+    eqs = []
+    for g in gens:
         cols = g.transpose().nonzeros
         for r, grow in enumerate(g.nonzeros):
             for c, gcol in enumerate(cols):
@@ -293,8 +325,6 @@ def _commutant_projection(R, basis):
                         u = r * dim + k
                         row[u] = row[u] - x if u in row else -x
                     eqs.append(row)
-    if not eqs:  # every R_i is zero: the commutant is every matrix
-        return lambda a: a
     vecs = kernel(eqs, dim * dim)
     gammas, at = [], {}  # at[u] lists (b, Gamma_b[u]) over the b with Gamma_b[u] != 0
     for b, vec in enumerate(vecs):
@@ -310,15 +340,10 @@ def _commutant_projection(R, basis):
             for b, y in at.get((u % dim) * dim + u // dim, ()):
                 row[b] = row[b] + x * y if b in row else x * y
         gram.append(row)
-
-    def pair(vec, a):
-        return sum((x * y for u, x in vec.items()
-                    if (y := a.nonzeros[u % dim].get(u // dim))), ZERO)
-
     # the dual basis under the trace pairing: tr(Gamma_b dual_c) = delta_bc
     gram_inv = invert(Matrix.from_nonzeros(len(vecs), gram))
-    duals = [combination(((x, gammas[c]) for c, x in r.items()), dim) for r in gram_inv.nonzeros]
-    return lambda a: combination(((pair(v, a), d) for v, d in zip(vecs, duals)), dim)
+    return tuple((tuple(vec.items()), combination(((x, gammas[c]) for c, x in r.items()), dim))
+                 for vec, r in zip(vecs, gram_inv.nonzeros))
 
 
 def heat_trace(coeffs: HeatCoefficients, volume) -> HeatTraceResult:

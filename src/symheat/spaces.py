@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exact import (
     GaussianRational,
@@ -519,11 +519,18 @@ def flat(n0: int) -> SymmetricSpaceModel:
     return build_model(data)
 
 
+@cache
+def _unit_frame(n: int) -> tuple:
+    """The unit bivectors of unit_bivectors(n), in order, as one tuple built
+    once per n: the constant-curvature frame E, free of the radius."""
+    return tuple(unit_bivectors(n).values())
+
+
 def _constant_curvature_data(n: int, radius, sign: int) -> CurvatureData:
     a = rational(radius)
     if a <= 0:
         raise ModelBuildError("radius must be a positive rational")
-    E = tuple(unit_bivectors(n).values())
+    E = _unit_frame(n)
     beta = Matrix.identity(len(E)).scale(rational(sign) / (a * a))
     return CurvatureData(n=n, p=len(E), E=E, beta=beta, flat_dim=0)
 

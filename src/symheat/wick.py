@@ -17,7 +17,8 @@ sub-multiset it reaches; symmetrized_moment evaluates the closed form
 from powers of the quadratic form (never touching the matching
 recursion).  Their exact agreement is an acceptance criterion.
 average_poly, the engine's route, takes a diagonal beta, on which every
-moment is a product of one-variable moments read from per-variable tables.
+moment is a product of one-variable moments read from per-variable tables,
+whose even entries past <y_a^2> follow from it in closed form.
 """
 from __future__ import annotations
 
@@ -170,9 +171,11 @@ def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
     odd-degree monomials must average to zero.  With a density W the
     average is <. W> / <W>: W multiplies every moment but adds no s-power.
     On a diagonal beta, <y^mu W> = sum_nu c_nu prod_a <y_a^(mu_a + nu_a)>,
-    from tables of the <y_a^k> read once each through average_monomial; each
-    moment is summed as unreduced ints and reduced once, and each
-    t-coefficient is one exact.combination of the values.
+    from tables of the <y_a^k>: k < 4 and odd k are read through
+    average_monomial, and each even k >= 4 takes the closed form
+    (k - 1) <y_a^2> <y_a^(k-2)>.  Each moment is summed as unreduced ints and
+    reduced once, and each t-coefficient is one exact.combination of the
+    values.
     """
     if poly.p != w.p:
         raise ValueError("polynomial and weight have different variable counts")
@@ -180,9 +183,15 @@ def average_poly(poly: SeriesPoly, w: GaussianWeight) -> list:
         raise ValueError("average_poly needs a diagonal weight")
     density = [(nu, _GR(c)) for nu, c in ({(0,) * w.p: 1} if w.density is None
                                           else w.density).items()]
-    tables = [[average_monomial((a,) * k, w) for k in range(
-        max((mono[a] for mono in poly.terms), default=0)
-        + max((nu[a] for nu, _ in density), default=0) + 1)] for a in range(w.p)]
+    tables = []
+    for a in range(w.p):
+        table = []
+        for k in range(max((mono[a] for mono in poly.terms), default=0)
+                       + max((nu[a] for nu, _ in density), default=0) + 1):
+            # <y_a^k> = (k - 1) <y_a^2> <y_a^(k-2)>: pair one y_a with each other one
+            table.append(average_monomial((a,) * k, w) if k < 4 or k % 2
+                         else _GR(k - 1) * table[2] * table[k - 2])
+        tables.append(table)
 
     def moment(mono):
         acc = {}

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import pytest
 
@@ -612,6 +613,42 @@ class TestEntryWiseChecks:
         assert got.failed() == ["fiber-g-antisymmetry"]
 
 
+class TestTableCheckMemo:
+    """The checks that read G alone run once per table and are kept on it."""
+
+    def test_catalog_table_checked_once_across_radii(self, monkeypatch):
+        calls, original = [], bundles._table_checks
+        monkeypatch.setattr(bundles, "_table_checks", lambda G: calls.append(G) or original(G))
+        reps = [catalog_rep(space(4, r), "spinor") for space in (sphere, hyperbolic)
+                for r in (1, rational(2, 3), rational(5, 2))]
+        assert len(calls) <= 1 and all(rep.G is reps[0].G for rep in reps)
+        assert all(report_fields(rep.report) == report_fields(reps[0].report) for rep in reps)
+
+    @pytest.mark.parametrize("name", list(CORRUPTED_TABLES))
+    @pytest.mark.parametrize("as_table", [False, True], ids=["tuple", "generator_table"])
+    def test_corrupted_table_after_its_good_twin(self, name, as_table):
+        space, bundle, factors, corrupt = CORRUPTED_TABLES[name]
+        m = space()
+        good = catalog_rep(m, bundle, factors=factors)
+        assert validate_rep(m, good).ok
+        bad = corrupt(good)
+        if as_table:  # a GeneratorTable of its own, as build_rep would make
+            bad = dataclasses.replace(bad, G=bundles._normalize_generators(m.n, bad.dimV, bad.G))
+        got, want = validate_rep(m, bad), one_commutator_per_quadruple(m, bad)
+        assert report_fields(got) == report_fields(want)
+        assert not got.ok
+
+    def test_explicit_table_is_held_by_its_rep_alone(self):
+        # no process-wide memo keeps a table: distinct explicit tables are
+        # freed with their reps
+        m = sphere(2, 1)
+        for q in (1, 2, 3):  # S2 monopoles of charge q/2
+            rep = build_rep(m, {(0, 1): Matrix.from_rows([[GaussianRational(0, rational(q, 2))]])})
+            assert validate_rep(m, rep).ok and "checks" in vars(rep.G)
+            (holder,) = gc.get_referrers(rep.G)
+            assert holder is rep or holder is vars(rep)
+
+
 class TestCatalogTables:
     """Catalog generator tables are built once per process and shared."""
 
@@ -634,11 +671,11 @@ class TestCatalogTables:
                 for f in factors[1:]:
                     G2, dim2 = fresh[f](n)
                     want = bundles._kron_sum(want[0], want[1], G2, dim2), want[1] * dim2
-            assert (G, dimV) == want
-            # shared across radii and signs, each caller with its own dict
+            assert (G, dimV) == (bundles._normalize_generators(n, want[1], want[0]), want[1])
+            # one immutable table shared across radii and signs, which keeps
+            # the results of the checks that read G alone
             G2, _ = bundles._catalog_generators(big, name, None, factors)
-            assert G2 is not G and G2.keys() == G.keys()
-            assert all(G2[ab] is G[ab] for ab in G)
+            assert G2 is G and isinstance(G, bundles.GeneratorTable)
 
     def test_checks_run_before_every_lookup(self):
         m4, m7, flat_s2 = sphere(4, 1), sphere(7, 1), product([flat(2), sphere(2, 1)])

@@ -515,6 +515,8 @@ class TestLieGeneratingCommutant:
         rep = catalog_rep(m, bundle, factors=factors)
         basis, _ = cartan_subalgebra(m.F)
         solved = []
+        # solve afresh: an earlier test may have left this commutant in the memo
+        monkeypatch.setattr(engine, "_commutant_duals", engine._commutant_duals.__wrapped__)
         monkeypatch.setattr(engine, "kernel", lambda eqs, n: solved.append(
             (len(eqs), kernel(eqs, n))) or solved[-1][1])
         project = _commutant_projection(rep.R, _lie_generators(m.F, basis))
@@ -561,6 +563,116 @@ class TestLieGeneratingCommutant:
         # no generator is redundant: each lies outside the closure of those before it
         assert all(_lie_closure_dim(m.F, gens[:i]) < _lie_closure_dim(m.F, gens[: i + 1])
                    for i in range(len(basis), len(gens)))
+
+
+def _lines_and_generators(rep, basis):
+    """The engine's generators g = sum_i v[i] R_i, nonzero ones only, as
+    they are (the route before the memo) and each divided by its first entry."""
+    gens = tuple(g for g in (combination(zip(v, rep.R), rep.dimV) for v in basis) if g)
+    firsts = [next(r for r in g.nonzeros if r) for g in gens]
+    return tuple(g.scale(1 / row[min(row)]) for g, row in zip(gens, firsts)), gens
+
+
+class TestCommutantMemo:
+    """The commutant basis, its Gram inverse and duals depend on the lines
+    through the generators alone, so every radius and sign shares them."""
+
+    CASES = {
+        "s3_vecspin": (lambda s, r: s(3, r), "tensor_product", _VS),
+        "s4_spinor": (lambda s, r: s(4, r), "spinor", None),
+        "flat2xs2_vecspin": (lambda s, r: product([flat(2), s(2, r)]), "tensor_product", _VS),
+    }
+    RADII = (1, rational(2, 3), rational(5, 2))
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        seen, memo = [], engine._commutant_duals
+        monkeypatch.setattr(engine, "_commutant_duals",
+                            lambda gens: seen.append((gens, memo(gens))) or seen[-1][1])
+        return seen, memo.__wrapped__
+
+    def _check(self, monkeypatch, models, bundle, factors):
+        seen, fresh = self._recorded(monkeypatch)
+        rng = random.Random(bundle)
+        for m in models:
+            rep = catalog_rep(m, bundle, factors=factors)
+            basis = _lie_generators(m.F, cartan_subalgebra(m.F)[0])
+            project = _commutant_projection(rep.R, basis)
+            lines, gens = _lines_and_generators(rep, basis)
+            assert seen[-1][0] == lines
+            # the memo's entry, one solved from the lines and one from the
+            # generators as they are: all three equal
+            assert seen[-1][1] == fresh(lines) == fresh(gens)
+            dim = rep.dimV
+            for _ in range(2):
+                a = Matrix.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+                                       for _ in range(dim)] for _ in range(dim)])
+                got = project(a)
+                assert all((got * r - r * got).is_zero() for r in rep.R)
+                assert project(got) == got
+        return seen
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_every_radius_and_sign_shares_one_entry(self, monkeypatch, name):
+        space, bundle, factors = self.CASES[name]
+        models = [space(s, r) for s in (sphere, hyperbolic) for r in self.RADII]
+        seen = self._check(monkeypatch, models, bundle, factors)
+        assert len({gens for gens, _ in seen}) == 1
+
+    def test_product_with_unequal_factor_radii(self, monkeypatch):
+        # S2 x S3 with radii 1 and 2/3: beta is not a multiple of the identity
+        models = [product([sphere(2, a), sphere(3, b)])
+                  for a, b in ((1, 1), (1, rational(2, 3)), (rational(2, 3), 1))]
+        self._check(monkeypatch, models, "vector", None)
+
+    def test_memo_is_bounded(self):
+        # distinct commutants, one per diagonal generator diag(1, c): the memo
+        # keeps its bound however many there are
+        memo = engine._commutant_duals
+        for c in range(2, 2 * memo.cache_info().maxsize + 3):
+            project = _commutant_projection((Matrix.diag([1, c]),), [(1,)])
+            assert project(Matrix.from_rows([[1, 2], [3, 4]])) == Matrix.diag([1, 4])
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+class TestTracedProjectedJob:
+    """The benchmark's tracer on a projected fiber whose second job reads
+    the table checks and the commutant from the memo."""
+
+    def test_second_radius_hits_the_memo(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(REFS.parent))
+        import run
+        from jobmix import WORKLOADS, Job
+        from refcheck import load_refs
+        from spans import Tracer
+        from symheat import bundles
+
+        api = run.import_symheat()
+        jtype = next(t for t in WORKLOADS["fiber_heavy"] if t.name == "s4_spinor_k3")
+        refs = load_refs([jtype])
+        checked = []
+        table_checks = bundles._table_checks
+        monkeypatch.setattr(bundles, "_table_checks",
+                            lambda G: checked.append(G) or table_checks(G))
+        tracer, hits, times = Tracer(), [], []
+        with tracer.installed():
+            for job_id, (sign, radius) in enumerate(((1, rational(3, 2)),
+                                                     (-1, rational(2, 5)))):
+                before = engine._commutant_duals.cache_info().hits
+                with tracer.job(job_id):
+                    dt, ok = run.run_job(api, Job(jtype, sign, radius), refs[jtype.name, sign],
+                                         tracer)
+                assert ok
+                times.append(dt)
+                hits.append(engine._commutant_duals.cache_info().hits - before)
+        # the second job reads both memos: no table check, one commutant hit
+        assert hits[1] == 1 and len(checked) <= 1
+        for job_id in (0, 1):
+            names = {s.name for s in tracer.spans if s.job == job_id}
+            assert {"job", *run.SPAN_TIMES.values()} <= names
+        metrics = run.per_layer_metrics(tracer, 2, times, times)
+        assert set(metrics) == set(run.PER_LAYER) and metrics["wick.monomials"] >= 1
 
 
 def _whole_pencil_weyl_density(mats, basis):

@@ -426,8 +426,19 @@ class TestMomentTables:
                            {(2, 0): 1, (0, 4): 3})
         poly = SeriesPoly(2, 1, 4, {(4, 0): Matrix.identity(1), (1, 2): Matrix.identity(1)})
         average_poly(poly, w)
-        # y_0 up to 4 + 2, y_1 up to 2 + 4, each exponent once
-        assert sorted(seen) == sorted([(0,) * k for k in range(7)] + [(1,) * k for k in range(7)])
+        # y_0 up to 4 + 2, y_1 up to 2 + 4, each exponent below 4 or odd once;
+        # the even ones from 4 on follow from <y_a^2> in closed form
+        assert sorted(seen) == sorted((a,) * k for a in (0, 1) for k in range(7) if k < 4 or k % 2)
+
+    def test_closed_form_tables_equal_the_matching_sum(self):
+        # <y_a^k> = (k - 1) <y_a^2> <y_a^(k-2)> against the pairing recursion
+        w = GaussianWeight(Matrix.diag([rational(2, 3), -5]),
+                           Matrix.diag([rational(3, 2), rational(-1, 5)]))
+        for a in (0, 1):
+            for k in range(0, 13, 2):
+                mono = tuple(k if b == a else 0 for b in (0, 1))
+                got = average_poly(SeriesPoly(2, 1, 12, {mono: Matrix.identity(1)}), w)
+                assert got[k // 2][0, 0] == average_monomial((a,) * k, w)
 
     def test_non_diagonal_weight_rejected(self):
         w = GaussianWeight.from_beta(Matrix.from_rows([[2, 1], [1, 3]]))
