@@ -27,6 +27,17 @@ h-average lies; the trace pairing with a commutant basis is invariant, so
 it fixes that projection.  An abelian h takes the same route with t = h
 (the p unit vectors), W = 1 and no projection.
 
+For a model that spaces.build_model made, F = c F0 with F0 the F of its
+frame's spaces.UnitStructure.  The torus basis of F is that of F0, since
+the greedy picks, the zero test of W and exact.kernel's reduced bases see
+only zero patterns and spans; W(F) = c^(p-r) W(F0), a factor of both
+<phi W>_t and <W>_t that cancels exactly in their ratio; the Lie-generating
+set walks the same spans.  So all three, like the request's weight check,
+are taken once per frame from F0.  _beta_orthogonal runs on each job's
+beta, and a torus it changes gets its density from the job's F.  A model
+that build_model did not make (dataclasses.replace, a direct constructor
+call) has no unit structure and derives all of them from its own F.
+
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
 exponents of the two determinant factors; cosh and the determinant
@@ -87,7 +98,8 @@ class HeatRequest:
         rep_model = self.rep.model
         if rep_model is not self.model and rep_model.data != self.model.data:
             raise RepModelMismatchError("rep was built for a different model")
-        check = weight_invariance(self.model)
+        unit = self.model.unit
+        check = weight_invariance(self.model) if unit is None else unit.weight
         if not check.passed:
             raise HolonomyAverageError(
                 f"{check.name} fails ({check.detail}): the weight exp(-<w, beta w>/4) "
@@ -127,7 +139,8 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     dimV = rep.dimV
 
     # the bracket on a Cartan subalgebra t, averaged with the Weyl density
-    basis, density = cartan_subalgebra(model.F)
+    unit = model.unit
+    basis, density = cartan_subalgebra(model.F) if unit is None else _unit_torus(unit)
     torus, d = _beta_orthogonal(basis, model.beta)
     if torus != basis:
         basis, density = torus, weyl_density(model.F, torus)
@@ -139,7 +152,9 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     weight = GaussianWeight(Matrix.diag(d), Matrix.diag([ONE / x for x in d]), density)
     averaged = average_poly(bracket, weight)
     if len(basis) < model.p and dimV > 1:
-        project = _commutant_projection(rep.R, _lie_generators(model.F, basis))
+        gens = (_lie_generators(model.F, basis) if unit is None
+                else _unit_lie_generators(unit, tuple(basis)))
+        project = _commutant_projection(rep.R, gens)
         averaged = [project(a) for a in averaged]
 
     exponent_matrix = Matrix.identity(dimV).scale(
@@ -193,6 +208,20 @@ def cartan_subalgebra(F) -> tuple:
         if basis is None:
             raise HolonomyAverageError("no Cartan subalgebra with a nonzero Weyl density found")
     return basis, density
+
+
+@lru_cache(maxsize=16)
+def _unit_torus(unit) -> tuple:
+    """cartan_subalgebra(F0) of a frame's spaces.UnitStructure, shared by
+    every model of the frame; at most 16 frames are kept, and callers only
+    read the basis and the density."""
+    return cartan_subalgebra(unit.model.F)
+
+
+@lru_cache(maxsize=16)
+def _unit_lie_generators(unit, basis: tuple) -> list:
+    """_lie_generators(F0, basis) of a frame's spaces.UnitStructure."""
+    return _lie_generators(unit.model.F, basis)
 
 
 def _beta_orthogonal(basis, beta):

@@ -21,17 +21,22 @@ algebra and its invariant metric are derived on first read: only
 validation and the group checks read them.  Frame indices of the flat
 factor come first by convention.
 
+A radius and a sign only scale beta, and everything derived is linear in
+that scale, so build_model derives each frame once at unit scale
+(UnitStructure) and rescales it per call.
+
 Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 
 from .exact import (
     GaussianRational,
     Matrix,
+    ONE,
     ZERO,
     _add_product,
     _add_scaled,
@@ -46,10 +51,11 @@ from .exact import (
 
 # Largest model dimension n a job may ask for, catalog, explicit or a product's
 # total.  The model build no longer limits it: on a 2-core x86 VM (Python
-# 3.11) S10 builds in 0.012 s and S12 in 0.023 s.  The density-weighted Wick
+# 3.11) S10 and S12 are derived in 0.009 and 0.014 s, and another radius of
+# either is scaled from that in 0.003 and 0.004 s.  The density-weighted Wick
 # average does: the Weyl density of S10 and S11 (rank 5) has 2961 terms and
-# that of S12 (rank 6) 56183, and scalar k = 2 takes 0.2-0.3 s on S10 and
-# S11 but 7 s on S12, with per-variable moment tables.
+# that of S12 (rank 6) 56183, and scalar k = 2 takes 0.15-0.25 s on S10 and
+# S11 but 4.4-5.6 s on S12, with per-variable moment tables.
 MAX_N = 10
 
 
@@ -92,7 +98,9 @@ class SymmetricSpaceModel:
     the dict {(a, b, c, d): R_abcd} of the nonzero entries only; an absent
     key is a zero entry.  The combined algebra C (N adjoint matrices with
     (C_A)[B, C] = C^B_AC, N = n + p), its metric gamma, gamma's inverse and
-    R_G are computed on first read.
+    R_G are computed on first read.  unit is the frame's UnitStructure when
+    build_model made the model; it is no init field, so dataclasses.replace
+    and a direct call leave it None.
     """
 
     data: CurvatureData
@@ -102,6 +110,7 @@ class SymmetricSpaceModel:
     ricci: Matrix
     scalar_R: GaussianRational
     R_H: GaussianRational
+    unit: UnitStructure | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def C(self) -> tuple:
@@ -171,6 +180,22 @@ class ValidationReport:
         ]
 
 
+class UnitStructure:
+    """What every model of one frame shares: model, derived at beta0 = beta / c
+    (build_model), and its beta-f-invariance check, run on first read.
+    (beta F_j) + (beta F_j)^T is c^2 times its value at beta0, so the check
+    passes, or fails at the same index, at every scale.  It is hashed by
+    identity; the engine keys F0's torus and Lie generators on it.
+    """
+
+    def __init__(self, model: SymmetricSpaceModel):
+        self.model = model
+
+    @cached_property
+    def weight(self) -> CheckResult:
+        return weight_invariance(self.model)
+
+
 def _structure_constant(model_parts, upper: int, lo1: int, lo2: int) -> GaussianRational:
     """C^upper_{lo1 lo2}: indices 0..n-1 tangent, n..N-1 holonomy."""
     n, E, D, F = model_parts
@@ -188,6 +213,38 @@ def _structure_constant(model_parts, upper: int, lo1: int, lo2: int) -> Gaussian
 
 def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     """Derive the full model from (E, beta); exact throughout.
+
+    Everything derived is linear in the scale of beta: with c its first
+    nonzero entry and beta0 = beta / c, D = c D0, F = c F0, R_H = c R_H0,
+    and so are the Riemann entries, Ricci and scalar_R.  So the model at
+    beta0 is derived once per frame (E, beta0, flat_dim, n) and kept with
+    its weight check (UnitStructure, at most 16 frames), and each call only
+    scales its fields by c.  Every radius and sign of one catalog space share
+    one frame.  Each ModelBuildError of the derivation (_derive) is raised
+    at beta exactly when at beta0, with the same message; an error is not
+    kept, so every call raises it again.
+    """
+    row = next((r for r in data.beta.nonzeros if r), None)
+    c = row[min(row)] if row else ONE
+    unit = _unit_structure(data.n, data.flat_dim, data.E, data.beta.scale(ONE / c))
+    m = unit.model
+    model = SymmetricSpaceModel(
+        data=data, D=tuple(d.scale(c) for d in m.D), F=tuple(f.scale(c) for f in m.F),
+        riemann={key: c * x for key, x in m.riemann.items()}, ricci=m.ricci.scale(c),
+        scalar_R=c * m.scalar_R, R_H=c * m.R_H)
+    model.unit = unit
+    return model
+
+
+@lru_cache(maxsize=16)
+def _unit_structure(n: int, flat_dim: int, E: tuple, beta0: Matrix) -> UnitStructure:
+    """The UnitStructure of one frame, derived at most once while it is kept."""
+    return UnitStructure(_derive(CurvatureData(n=n, p=len(E), E=E, beta=beta0,
+                                               flat_dim=flat_dim)))
+
+
+def _derive(data: CurvatureData) -> SymmetricSpaceModel:
+    """The model of data derived from scratch, with no unit structure.
 
     The structure constants F^j_ik of [D_i, D_k] = F^j_ik D_j are the
     projections of each bracket onto the D_j through the inverse of their

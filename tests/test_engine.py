@@ -1,11 +1,12 @@
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from symheat import engine
+from symheat import engine, spaces
 from symheat.bundles import (
     build_rep,
     catalog_rep,
@@ -634,6 +635,100 @@ class TestCommutantMemo:
             assert project(Matrix.from_rows([[1, 2], [3, 4]])) == Matrix.diag([1, 4])
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def _power(c, k):
+    out = GaussianRational(1)
+    for _ in range(k):
+        out = out * c
+    return out
+
+
+def _first_entry(beta):
+    row = next(r for r in beta.nonzeros if r)
+    return row[min(row)]
+
+
+_RADII = (1, rational(2, 3), rational(5, 2))
+
+
+class TestUnitTorus:
+    """The torus, the Weyl density and the Lie generators are derived once per
+    frame, from the unit-scale F0 of the model's spaces.UnitStructure."""
+
+    MODELS = {
+        **{f"{s.__name__}{n}_r{r}".replace("/", "_"): (lambda s=s, n=n, r=r: s(n, r))
+           for s in (sphere, hyperbolic) for n in (3, 4, 5) for r in _RADII},
+        "s2xh3": lambda: product([sphere(2, rational(5, 2)), hyperbolic(3, rational(2, 3))]),
+        "rotated_h4": lambda: _rotated(hyperbolic(4, rational(2, 3))),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_shared_torus_against_a_fresh_one(self, name):
+        m = self.MODELS[name]()
+        basis, density = cartan_subalgebra(m.F)
+        shared_basis, shared_density = engine._unit_torus(m.unit)
+        assert shared_basis == basis
+        scale = _power(_first_entry(m.beta), m.p - len(basis))
+        assert density == {mono: scale * x for mono, x in shared_density.items()}
+        # a_k against the same job on a copy that build_model did not make
+        for bundle in ("scalar", "spinor"):
+            rep = catalog_rep(m, bundle)
+            got = heat_coefficients(HeatRequest(m, rep, 3)).a
+            assert got == heat_coefficients(HeatRequest(replace(m), rep, 3)).a
+
+    @pytest.mark.parametrize("name", ["sphere4_r2_3", "hyperbolic5_r5_2", "s2xh3", "rotated_h4"])
+    def test_lie_generators_do_not_see_the_scale(self, name):
+        m = self.MODELS[name]()
+        torus, _ = _beta_orthogonal(cartan_subalgebra(m.F)[0], m.beta)
+        gens = _lie_generators(m.F, torus)
+        assert gens == _lie_generators(m.unit.model.F, torus)
+        assert gens == engine._unit_lie_generators(m.unit, tuple(torus))
+
+    def test_one_derivation_per_frame(self, monkeypatch):
+        # twelve radii and signs of S4 spinor: the model, the weight check,
+        # the torus and the Lie generators are each derived at most once
+        calls = []
+        for owner, name in ((spaces, "_solve_structure_constants"),
+                            (spaces, "weight_invariance"), (engine, "cartan_subalgebra"),
+                            (engine, "_lie_generators"), (engine, "weight_invariance")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, key=(owner, name), original=original:
+                                calls.append(key) or original(*a))
+        radii = (1, rational(2, 3), rational(5, 2), rational(3, 7), rational(9, 4), 7)
+        reps = [catalog_rep(space(4, r), "spinor") for space in (sphere, hyperbolic)
+                for r in radii]
+        for rep in reps:
+            heat_coefficients(HeatRequest(rep.model, rep, 2))
+        assert all(calls.count(key) <= 1 for key in calls)
+        assert (engine, "weight_invariance") not in calls
+        assert all(rep.model.unit is reps[0].model.unit for rep in reps)
+
+    def test_replaced_model_reuses_nothing(self, monkeypatch):
+        m = sphere(4, rational(2, 3))
+        rep = catalog_rep(m, "spinor")
+        fields = {f: getattr(m, f) for f in ("data", "D", "F", "riemann", "ricci", "scalar_R",
+                                             "R_H")}
+        want = heat_coefficients(HeatRequest(m, rep, 2)).a
+        for copy in (replace(m), spaces.SymmetricSpaceModel(**fields)):
+            calls = []
+            for name in ("cartan_subalgebra", "_lie_generators", "weight_invariance"):
+                original = getattr(engine, name)
+                monkeypatch.setattr(engine, name, lambda *a, name=name, original=original:
+                                    calls.append(name) or original(*a))
+            assert heat_coefficients(HeatRequest(copy, rep, 2)).a == want
+            monkeypatch.undo()
+            assert sorted(calls) == ["_lie_generators", "cartan_subalgebra", "weight_invariance"]
+
+    def test_replaced_model_checks_its_own_weight(self):
+        m = sphere(4, rational(2, 3))
+        HeatRequest(m, scalar_rep(m), 1)
+        bad_f = replace(m, F=(m.F[0] + Matrix.from_nonzeros(m.p, [{1: 1}] + [{}] * (m.p - 1)),)
+                      + m.F[1:])
+        bad_beta = replace(m, data=replace(m.data, beta=Matrix.diag(range(1, m.p + 1))))
+        for bad in (bad_f, bad_beta):
+            with pytest.raises(HolonomyAverageError, match=r"beta-f-invariance fails \(index 0\)"):
+                HeatRequest(bad, scalar_rep(bad), 1)
 
 
 class TestTracedProjectedJob:

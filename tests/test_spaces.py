@@ -9,6 +9,7 @@ import pytest
 from symheat import spaces
 from symheat.exact import GaussianRational, Matrix, ZERO, combination, commutator, invert, rational
 from symheat.spaces import (
+    CheckResult,
     CurvatureData,
     ModelBuildError,
     build_model,
@@ -559,3 +560,104 @@ class TestDescriptors:
     def test_bad_descriptor(self):
         with pytest.raises(ModelBuildError):
             space_from_descriptor({"nope": 1})
+
+
+FIELDS = ("data", "D", "F", "riemann", "ricci", "scalar_R", "R_H", "C", "gamma", "gamma_inv",
+          "R_G")
+
+
+def explicit_s3():
+    # S3 of radius 5/2 in a sheared frame, read from an explicit descriptor:
+    # beta is not diagonal
+    m = reframed(sphere(3, rational(5, 2)), Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    return space_from_descriptor({"explicit": {
+        "n": 3, "p": 3, "E": [e.to_json() for e in m.data.E], "beta": m.beta.to_json()}})
+
+
+RADII = (1, rational(2, 3), rational(5, 2))
+
+
+def frame_data(n, E, beta, flat_dim=0):
+    return CurvatureData(n=n, p=len(E), E=tuple(E), beta=beta, flat_dim=flat_dim)
+
+
+class TestUnitStructure:
+    """build_model derives each frame once at beta0 = beta / c and scales by c."""
+
+    MODELS = {
+        **{f"S{n}_r{r}".replace("/", "_"): partial(sphere, n, r)
+           for n in range(2, 11) for r in RADII},
+        **{f"H{n}_r{r}".replace("/", "_"): partial(hyperbolic, n, r)
+           for n in range(2, 7) for r in RADII},
+        "flat2xS2": lambda: product([flat(2), sphere(2, rational(2, 3))]),
+        "S2xH3": lambda: product([sphere(2, rational(5, 2)), hyperbolic(3, rational(2, 3))]),
+        "explicit_S3": explicit_s3,
+        "rotated_S4": rotated_s4_frame,
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_scaled_model_equals_a_fresh_derivation(self, name):
+        m = self.MODELS[name]()
+        fresh = spaces._derive(m.data)
+        assert m.unit is not None and fresh.unit is None
+        for f in FIELDS:
+            assert getattr(m, f) == getattr(fresh, f), f
+        # the Riemann entries come in the order of a fresh derivation too
+        assert list(m.riemann) == list(fresh.riemann)
+        assert validate_model(m).to_json() == validate_model(fresh).to_json()
+
+    ERRORS = {
+        "singular_beta": lambda s: frame_data(
+            3, sphere(3, 1).data.E, Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]]).scale(s)),
+        "dependent_d": lambda s: frame_data(
+            3, (bivector(3, 0, 1), bivector(3, 0, 1)), Matrix.identity(2).scale(s)),
+        "open_bracket": lambda s: frame_data(
+            3, (bivector(3, 0, 1), bivector(3, 0, 2)), Matrix.diag([1, 2]).scale(s)),
+        # the S3 frame with a flat direction, after the curved S3 filled the memo
+        "flat_direction": lambda s: frame_data(
+            3, sphere(3, 1).data.E, Matrix.identity(3).scale(s), flat_dim=1),
+    }
+
+    @pytest.mark.parametrize("name", list(ERRORS))
+    def test_errors_raise_alike_on_every_call(self, name):
+        sphere(3, 1)
+        for scale in (1, rational(-5, 2)):
+            data = self.ERRORS[name](scale)
+            with pytest.raises(ModelBuildError) as want:
+                spaces._derive(data)
+            for _ in range(2):
+                with pytest.raises(ModelBuildError) as got:
+                    build_model(data)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+        assert build_model(sphere(3, 1).data).unit.model.flat_dim == 0
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_sphere_and_hyperbolic_share_one_entry(self, n):
+        models = [space(n, r) for space in (sphere, hyperbolic) for r in RADII]
+        assert all(m.unit is models[0].unit for m in models)
+        assert models[0].unit.model.beta == Matrix.identity(models[0].p)
+
+    def test_memo_is_bounded(self):
+        # S3's frame under beta = diag(1, 1, c): one frame per c
+        memo, E = spaces._unit_structure, sphere(3, 1).data.E
+        for c in range(2, 2 * memo.cache_info().maxsize + 3):
+            m = build_model(frame_data(3, E, Matrix.diag([1, 1, c])))
+            assert m.R_H == spaces._derive(m.data).R_H
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_model_not_made_by_build_model_has_no_unit(self):
+        m = hyperbolic(4, rational(2, 3))
+        fields = {f: getattr(m, f) for f in ("data", "D", "F", "riemann", "ricci", "scalar_R",
+                                             "R_H")}
+        for other in (replace(m), replace(m, F=m.F), spaces.SymmetricSpaceModel(**fields)):
+            assert other.unit is None and other == m
+        with pytest.raises(ValueError):
+            replace(m, unit=m.unit)
+
+    def test_weight_check_is_kept_per_frame(self):
+        m = s3_with_beta([2, 2, 4])
+        assert m.unit.weight == spaces.weight_invariance(m) == CheckResult(
+            "beta-f-invariance", False, "index 0")
+        assert s3_with_beta([-1, -1, -2]).unit is m.unit
