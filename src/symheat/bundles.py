@@ -208,12 +208,9 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     def twist_flat_support():  # the first failing item, or ""
         if B.transpose() != -B:
             return "B not antisymmetric"
-        for a in range(n):
-            for b in range(n):
-                x = B[a, b]
-                if not x:
-                    continue
-                if x.re != 0:
+        for a, row in enumerate(B.nonzeros):
+            for b in sorted(row):
+                if row[b].re != 0:
                     return f"B({a},{b}) not purely imaginary"
                 if a >= model.flat_dim or b >= model.flat_dim:
                     return f"B({a},{b}) on a curved direction"

@@ -27,16 +27,10 @@ h-average lies; the trace pairing with a commutant basis is invariant, so
 it fixes that projection.  An abelian h takes the same route with t = h
 (the p unit vectors), W = 1 and no projection.
 
-For a model that spaces.build_model made, F = c F0 with F0 the F of its
-frame's spaces.UnitStructure.  The torus basis of F is that of F0, since
-the greedy picks, the zero test of W and exact.kernel's reduced bases see
-only zero patterns and spans; W(F) = c^(p-r) W(F0), a factor of both
-<phi W>_t and <W>_t that cancels exactly in their ratio; the Lie-generating
-set walks the same spans.  So all three, like the request's weight check,
-are taken once per frame from F0.  _beta_orthogonal runs on each job's
-beta, and a torus it changes gets its density from the job's F.  A model
-that build_model did not make (dataclasses.replace, a direct constructor
-call) has no unit structure and derives all of them from its own F.
+The weight check, the torus basis, its density and the Lie-generating set
+depend on the frame alone, up to a factor of W that cancels in the ratio:
+each is read from the model's spaces.UnitStructure, and a job forms only
+the norms d_a = <v_a, beta v_a> of its own beta.
 
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
@@ -56,13 +50,10 @@ from functools import lru_cache
 
 from .bundles import FiberRep
 from .exact import (
-    GaussianRational, Matrix, ONE, ZERO, _add_scaled, _settle, combination, invert, kernel,
-    rational, rational_to_str,
+    GaussianRational, Matrix, ONE, ZERO, combination, invert, kernel, rational, rational_to_str,
 )
-from .series import (
-    cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series, weyl_density,
-)
-from .spaces import SymmetricSpaceModel, weight_invariance
+from .series import cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series
+from .spaces import HolonomyAverageError, SymmetricSpaceModel, _beta_form
 from .wick import GaussianWeight, average_poly
 
 K_MAX_LIMIT = 6
@@ -76,12 +67,6 @@ class TruncationOverflowError(ValueError):
 
 class RepModelMismatchError(ValueError):
     """The fiber representation was built against a different model."""
-
-
-class HolonomyAverageError(ValueError):
-    """The holonomy average cannot be taken over a Cartan subalgebra: the
-    weight is not invariant under h (beta-f-invariance fails), no maximal
-    abelian span has a nonzero Weyl density, or beta is singular on it."""
 
 
 @dataclass(frozen=True)
@@ -98,8 +83,7 @@ class HeatRequest:
         rep_model = self.rep.model
         if rep_model is not self.model and rep_model.data != self.model.data:
             raise RepModelMismatchError("rep was built for a different model")
-        unit = self.model.unit
-        check = weight_invariance(self.model) if unit is None else unit.weight
+        check = self.model.unit.weight
         if not check.passed:
             raise HolonomyAverageError(
                 f"{check.name} fails ({check.detail}): the weight exp(-<w, beta w>/4) "
@@ -139,11 +123,8 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     dimV = rep.dimV
 
     # the bracket on a Cartan subalgebra t, averaged with the Weyl density
-    unit = model.unit
-    basis, density = cartan_subalgebra(model.F) if unit is None else _unit_torus(unit)
-    torus, d = _beta_orthogonal(basis, model.beta)
-    if torus != basis:
-        basis, density = torus, weyl_density(model.F, torus)
+    basis, density = model.unit.torus
+    d = [_beta_form(model.beta, v, v) for v in basis]
     f_cosh = cosh_pencil(rep.R, dimV, degree, basis)
     # the two det(sinhc) factors as exponents, added and exponentiated once
     f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree, basis)
@@ -152,9 +133,7 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     weight = GaussianWeight(Matrix.diag(d), Matrix.diag([ONE / x for x in d]), density)
     averaged = average_poly(bracket, weight)
     if len(basis) < model.p and dimV > 1:
-        gens = (_lie_generators(model.F, basis) if unit is None
-                else _unit_lie_generators(unit, tuple(basis)))
-        project = _commutant_projection(rep.R, gens)
+        project = _commutant_projection(rep.R, model.unit.lie_generators)
         averaged = [project(a) for a in averaged]
 
     exponent_matrix = Matrix.identity(dimV).scale(
@@ -176,118 +155,7 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# Cartan subalgebra and commutant
-
-
-def cartan_subalgebra(F) -> tuple:
-    """A Cartan subalgebra t of h and its Weyl density, as (basis, W).
-
-    basis holds r coefficient vectors over the D_i, and W = e_(p-r)(F(y))
-    on t (series.weyl_density) is nonzero exactly when an abelian span is
-    a Cartan subalgebra.  The torus starts from the pairwise-commuting
-    generators picked greedily (D_i and D_k commute iff column k of F_i
-    vanishes) and, while W = 0, grows by one vector of the centralizer of
-    its span (the kernel of the stacked ad(v) rows) outside that span.  h
-    is compact (the D_i are antisymmetric), so a maximal abelian span is a
-    Cartan subalgebra; a centralizer equal to the span with W = 0 (a
-    nilpotent h) is refused.  An abelian h is its own torus: the p unit
-    vectors with W = e_0 = 1 (for flat space, p = 0, ([], {(): 1})).
-    """
-    p = len(F)
-    picked = []
-    for i in range(p):
-        if not any(k in row for row in F[i].nonzeros for k in picked):
-            picked.append(i)
-    basis = [tuple(int(i == j) for j in range(p)) for i in picked]
-    while not (density := weyl_density(F, basis)):
-        rows = [row for v in basis for row in combination(zip(v, F), p).nonzeros if row]
-        grown = (basis + [tuple(vec.get(i, ZERO) for i in range(p))] for vec in kernel(rows, p))
-        # the first centralizer vector outside the span leaves the columns independent
-        basis = next((g for g in grown if not kernel(
-            [{a: v[i] for a, v in enumerate(g) if v[i]} for i in range(p)], len(g))), None)
-        if basis is None:
-            raise HolonomyAverageError("no Cartan subalgebra with a nonzero Weyl density found")
-    return basis, density
-
-
-@lru_cache(maxsize=16)
-def _unit_torus(unit) -> tuple:
-    """cartan_subalgebra(F0) of a frame's spaces.UnitStructure, shared by
-    every model of the frame; at most 16 frames are kept, and callers only
-    read the basis and the density."""
-    return cartan_subalgebra(unit.model.F)
-
-
-@lru_cache(maxsize=16)
-def _unit_lie_generators(unit, basis: tuple) -> list:
-    """_lie_generators(F0, basis) of a frame's spaces.UnitStructure."""
-    return _lie_generators(unit.model.F, basis)
-
-
-def _beta_orthogonal(basis, beta):
-    """The torus basis made beta-orthogonal by congruence, and the diagonal
-    d_a = <v_a, beta v_a> of beta on it, as (basis, d).
-
-    Gram-Schmidt under beta; a v_a with d_a = 0 first becomes v_a +- v_b for
-    a later v_b, one of whose norms d_b +- 2 <v_a, beta v_b> is nonzero unless
-    beta is singular on the torus.  A basis that is already orthogonal, as
-    every catalog torus is, comes back unchanged.
-    """
-    def form(u, v):
-        return sum((x * b * v[j] for i, x in enumerate(u) if x
-                    for j, b in beta.nonzeros[i].items() if v[j]), ZERO)
-
-    vecs = list(basis)
-    for a, v in enumerate(vecs):
-        if not form(v, v):
-            v = vecs[a] = next((u for w in vecs[a + 1:] for c in (1, -1)
-                                if form(u := tuple(x + c * y for x, y in zip(v, w)), u)), None)
-            if v is None:
-                raise HolonomyAverageError("beta is singular on the Cartan subalgebra")
-        for b in range(a + 1, len(vecs)):
-            if c := form(vecs[b], v):
-                c = c / form(v, v)
-                vecs[b] = tuple(x - c * y for x, y in zip(vecs[b], v))
-    return vecs, [form(v, v) for v in vecs]
-
-
-def _lie_generators(F, basis) -> list:
-    """Vectors that generate h as a Lie algebra: the Cartan vectors of basis,
-    then each unit vector e_i, in index order, outside the Lie closure of
-    those chosen so far, until that closure is h.  The closure is the least
-    span that holds each chosen g and is stable under ad_g = g_i F_i; it is
-    kept in row echelon form, each row's first entry 1."""
-    p, echelon = len(F), {}
-
-    def reduced(v):  # v minus its part in the closure
-        while v and (c := min(v)) in echelon:
-            x, row = v[c], echelon[c]
-            v = {k: y for k in v.keys() | row.keys()
-                 if (y := v.get(k, ZERO) - x * row.get(k, ZERO))}
-        return v
-
-    gens, ads, kept = [], [], []  # ads: the columns of each chosen ad_g
-    for v in list(basis) + [tuple(int(i == j) for j in range(p)) for i in range(p)]:
-        if len(echelon) == p:
-            break
-        if not reduced(g := {i: GaussianRational.of(x) for i, x in enumerate(v) if x}):
-            continue
-        gens.append(v)
-        ads.append(combination(((x, F[i]) for i, x in g.items()), p).transpose().nonzeros)
-        pending = [(ads[-1], x) for x in kept] + [(None, g)]
-        while pending and len(echelon) < p:
-            ad, x = pending.pop()
-            if ad is not None:  # [g, x] = ad_g x, summed over the columns of ad_g
-                acc = {}
-                for k, y in x.items():
-                    _add_scaled(acc, y.p, y.q, y.d, ad[k])
-                x = _settle(acc, {})
-            if r := reduced(x):
-                c = min(r)
-                echelon[c] = {k: y / r[c] for k, y in r.items()}
-                kept.append(x)
-                pending += [(a, x) for a in ads]
-    return gens
+# commutant
 
 
 def _commutant_projection(R, basis):

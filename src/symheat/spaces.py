@@ -22,16 +22,18 @@ validation and the group checks read them.  Frame indices of the flat
 factor come first by convention.
 
 A radius and a sign only scale beta, and everything derived is linear in
-that scale, so build_model derives each frame once at unit scale
-(UnitStructure) and rescales it per call.
+that scale, so build_model derives each frame once at unit scale and
+rescales it per call.  Every model has a frame (UnitStructure), which
+holds what the engine's average shares across scales; a model that
+build_model did not make has its own.
 
 Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache, partial
 
 from .exact import (
     GaussianRational,
@@ -46,8 +48,10 @@ from .exact import (
     commutator,
     invert,
     json_kind,
+    kernel,
     rational,
 )
+from .series import weyl_density
 
 # Largest model dimension n a job may ask for, catalog, explicit or a product's
 # total.  The model build no longer limits it: on a 2-core x86 VM (Python
@@ -61,6 +65,12 @@ MAX_N = 10
 
 class ModelBuildError(ValueError):
     """Raised when curvature data cannot produce a consistent model."""
+
+
+class HolonomyAverageError(ValueError):
+    """The holonomy average cannot be taken over a Cartan subalgebra: the
+    weight is not invariant under h (beta-f-invariance fails), no maximal
+    abelian span has a nonzero Weyl density, or beta is singular on it."""
 
 
 @dataclass(frozen=True)
@@ -98,9 +108,9 @@ class SymmetricSpaceModel:
     the dict {(a, b, c, d): R_abcd} of the nonzero entries only; an absent
     key is a zero entry.  The combined algebra C (N adjoint matrices with
     (C_A)[B, C] = C^B_AC, N = n + p), its metric gamma, gamma's inverse and
-    R_G are computed on first read.  unit is the frame's UnitStructure when
-    build_model made the model; it is no init field, so dataclasses.replace
-    and a direct call leave it None.
+    R_G are computed on first read.  unit is the model's frame, a
+    UnitStructure: build_model sets the one its frame shares, and any other
+    model (dataclasses.replace, a direct call) derives its own on first read.
     """
 
     data: CurvatureData
@@ -110,7 +120,10 @@ class SymmetricSpaceModel:
     ricci: Matrix
     scalar_R: GaussianRational
     R_H: GaussianRational
-    unit: UnitStructure | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def unit(self) -> UnitStructure:
+        return UnitStructure(self)
 
     @cached_property
     def C(self) -> tuple:
@@ -181,11 +194,16 @@ class ValidationReport:
 
 
 class UnitStructure:
-    """What every model of one frame shares: model, derived at beta0 = beta / c
-    (build_model), and its beta-f-invariance check, run on first read.
-    (beta F_j) + (beta F_j)^T is c^2 times its value at beta0, so the check
-    passes, or fails at the same index, at every scale.  It is hashed by
-    identity; the engine keys F0's torus and Lie generators on it.
+    """What every model of one frame shares, derived from model on first read:
+    build_model's model at beta0 = beta / c, else the model itself.  A scale
+    c of beta multiplies each F_j and <u, beta v> by c, so every scale has
+    - weight, the beta-f-invariance check: (beta F_j) + (beta F_j)^T scales
+      by c^2, so it passes, or fails at the same index;
+    - torus, (basis, W): cartan_subalgebra made beta-orthogonal, which sees
+      only spans, zero patterns and ratios of <u, beta v>, and the Weyl
+      density on it, up to c^(p-r), which cancels in <phi W>_t / <W>_t;
+    - lie_generators: _lie_generators on that basis, which sees only spans.
+    An error is not kept: a failing derivation raises again on every read.
     """
 
     def __init__(self, model: SymmetricSpaceModel):
@@ -194,6 +212,17 @@ class UnitStructure:
     @cached_property
     def weight(self) -> CheckResult:
         return weight_invariance(self.model)
+
+    @cached_property
+    def torus(self) -> tuple:
+        F, beta = self.model.F, self.model.beta
+        basis, density = cartan_subalgebra(F)
+        torus = _beta_orthogonal(basis, beta)
+        return torus, density if torus == basis else weyl_density(F, torus)
+
+    @cached_property
+    def lie_generators(self) -> list:
+        return _lie_generators(self.model.F, self.torus[0])
 
 
 def _structure_constant(model_parts, upper: int, lo1: int, lo2: int) -> GaussianRational:
@@ -217,12 +246,12 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     Everything derived is linear in the scale of beta: with c its first
     nonzero entry and beta0 = beta / c, D = c D0, F = c F0, R_H = c R_H0,
     and so are the Riemann entries, Ricci and scalar_R.  So the model at
-    beta0 is derived once per frame (E, beta0, flat_dim, n) and kept with
-    its weight check (UnitStructure, at most 16 frames), and each call only
-    scales its fields by c.  Every radius and sign of one catalog space share
-    one frame.  Each ModelBuildError of the derivation (_derive) is raised
-    at beta exactly when at beta0, with the same message; an error is not
-    kept, so every call raises it again.
+    beta0 is derived once per frame (E, beta0, flat_dim, n) and kept as the
+    frame's UnitStructure (at most 16 frames), which the model gets as its
+    unit, and each call only scales its fields by c.  Every radius and sign
+    of one catalog space share one frame.  Each ModelBuildError of the
+    derivation (_derive) is raised at beta exactly when at beta0, with the
+    same message; an error is not kept, so every call raises it again.
     """
     row = next((r for r in data.beta.nonzeros if r), None)
     c = row[min(row)] if row else ONE
@@ -238,13 +267,13 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
 
 @lru_cache(maxsize=16)
 def _unit_structure(n: int, flat_dim: int, E: tuple, beta0: Matrix) -> UnitStructure:
-    """The UnitStructure of one frame, derived at most once while it is kept."""
-    return UnitStructure(_derive(CurvatureData(n=n, p=len(E), E=E, beta=beta0,
-                                               flat_dim=flat_dim)))
+    """The UnitStructure of one frame, derived at most once while it is kept:
+    the unit-scale model's own unit."""
+    return _derive(CurvatureData(n=n, p=len(E), E=E, beta=beta0, flat_dim=flat_dim)).unit
 
 
 def _derive(data: CurvatureData) -> SymmetricSpaceModel:
-    """The model of data derived from scratch, with no unit structure.
+    """The model of data derived from scratch; its unit is its own.
 
     The structure constants F^j_ik of [D_i, D_k] = F^j_ik D_j are the
     projections of each bracket onto the D_j through the inverse of their
@@ -409,6 +438,109 @@ def _solve_structure_constants(p: int, D) -> tuple:
 def _vanishes(acc: dict) -> bool:
     """Whether every entry of an unreduced accumulator (p, q, d) is zero."""
     return not any(p or q for p, q, _ in acc.values())
+
+
+# ---------------------------------------------------------------------------
+# Cartan subalgebra
+
+
+def cartan_subalgebra(F) -> tuple:
+    """A Cartan subalgebra t of h and its Weyl density, as (basis, W).
+
+    basis holds r coefficient vectors over the D_i, and W = e_(p-r)(F(y))
+    on t (series.weyl_density) is nonzero exactly when an abelian span is
+    a Cartan subalgebra.  The torus starts from the pairwise-commuting
+    generators picked greedily (D_i and D_k commute iff column k of F_i
+    vanishes) and, while W = 0, grows by one vector of the centralizer of
+    its span (the kernel of the stacked ad(v) rows) outside that span.  h
+    is compact (the D_i are antisymmetric), so a maximal abelian span is a
+    Cartan subalgebra; a centralizer equal to the span with W = 0 (a
+    nilpotent h) is refused.  An abelian h is its own torus: the p unit
+    vectors with W = e_0 = 1 (for flat space, p = 0, ([], {(): 1})).
+    """
+    p = len(F)
+    picked = []
+    for i in range(p):
+        if not any(k in row for row in F[i].nonzeros for k in picked):
+            picked.append(i)
+    basis = [tuple(int(i == j) for j in range(p)) for i in picked]
+    while not (density := weyl_density(F, basis)):
+        rows = [row for v in basis for row in combination(zip(v, F), p).nonzeros if row]
+        grown = (basis + [tuple(vec.get(i, ZERO) for i in range(p))] for vec in kernel(rows, p))
+        # the first centralizer vector outside the span leaves the columns independent
+        basis = next((g for g in grown if not kernel(
+            [{a: v[i] for a, v in enumerate(g) if v[i]} for i in range(p)], len(g))), None)
+        if basis is None:
+            raise HolonomyAverageError("no Cartan subalgebra with a nonzero Weyl density found")
+    return basis, density
+
+
+def _beta_form(beta, u, v):
+    """<u, beta v>, summed over the nonzero entries of u, beta and v."""
+    return sum((x * b * v[j] for i, x in enumerate(u) if x
+                for j, b in beta.nonzeros[i].items() if v[j]), ZERO)
+
+
+def _beta_orthogonal(basis, beta) -> list:
+    """The torus basis made beta-orthogonal by congruence.
+
+    Gram-Schmidt under beta; a v_a with d_a = <v_a, beta v_a> = 0 first
+    becomes v_a +- v_b for a later v_b, one of whose norms
+    d_b +- 2 <v_a, beta v_b> is nonzero unless beta is singular on the
+    torus.  A basis that is already orthogonal, as every catalog torus is,
+    comes back unchanged.
+    """
+    form, vecs = partial(_beta_form, beta), list(basis)
+    for a, v in enumerate(vecs):
+        if not form(v, v):
+            v = vecs[a] = next((u for w in vecs[a + 1:] for c in (1, -1)
+                                if form(u := tuple(x + c * y for x, y in zip(v, w)), u)), None)
+            if v is None:
+                raise HolonomyAverageError("beta is singular on the Cartan subalgebra")
+        for b in range(a + 1, len(vecs)):
+            if c := form(vecs[b], v):
+                c = c / form(v, v)
+                vecs[b] = tuple(x - c * y for x, y in zip(vecs[b], v))
+    return vecs
+
+
+def _lie_generators(F, basis) -> list:
+    """Vectors that generate h as a Lie algebra: the Cartan vectors of basis,
+    then each unit vector e_i, in index order, outside the Lie closure of
+    those chosen so far, until that closure is h.  The closure is the least
+    span that holds each chosen g and is stable under ad_g = g_i F_i; it is
+    kept in row echelon form, each row's first entry 1."""
+    p, echelon = len(F), {}
+
+    def reduced(v):  # v minus its part in the closure
+        while v and (c := min(v)) in echelon:
+            x, row = v[c], echelon[c]
+            v = {k: y for k in v.keys() | row.keys()
+                 if (y := v.get(k, ZERO) - x * row.get(k, ZERO))}
+        return v
+
+    gens, ads, kept = [], [], []  # ads: the columns of each chosen ad_g
+    for v in list(basis) + [tuple(int(i == j) for j in range(p)) for i in range(p)]:
+        if len(echelon) == p:
+            break
+        if not reduced(g := {i: GaussianRational.of(x) for i, x in enumerate(v) if x}):
+            continue
+        gens.append(v)
+        ads.append(combination(((x, F[i]) for i, x in g.items()), p).transpose().nonzeros)
+        pending = [(ads[-1], x) for x in kept] + [(None, g)]
+        while pending and len(echelon) < p:
+            ad, x = pending.pop()
+            if ad is not None:  # [g, x] = ad_g x, summed over the columns of ad_g
+                acc = {}
+                for k, y in x.items():
+                    _add_scaled(acc, y.p, y.q, y.d, ad[k])
+                x = _settle(acc, {})
+            if r := reduced(x):
+                c = min(r)
+                echelon[c] = {k: y / r[c] for k, y in r.items()}
+                kept.append(x)
+                pending += [(a, x) for a in ads]
+    return gens
 
 
 # ---------------------------------------------------------------------------

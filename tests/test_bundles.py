@@ -494,6 +494,22 @@ class TestValidateRepParity:
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "twist-flat-support") == "B(0,1) not purely imaginary"
 
+    def test_twist_reports_first_entry_in_row_major_order(self):
+        # on flat2 x S2, B(0,3) = i sits on a curved direction and B(0,1) = 1
+        # is real; row 0 holds column 3 before column 1, and B(0,1) is reported
+        m = flat2_x(sphere(2, 1))
+        i = GaussianRational(0, 1)
+        B = Matrix.from_nonzeros(4, [{3: i, 1: 1}, {0: -1}, {}, {0: -i}])
+        bad = dataclasses.replace(catalog_rep(m, "scalar"), B=B)
+        got = validate_rep(m, bad)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
+        assert failed_detail(got, "twist-flat-support") == "B(0,1) not purely imaginary"
+        # times i, B(0,1) holds and B(0,3) = -1 fails first as real
+        bad = dataclasses.replace(bad, B=B.scale(i))
+        got = validate_rep(m, bad)
+        assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
+        assert failed_detail(got, "twist-flat-support") == "B(0,3) not purely imaginary"
+
     @pytest.mark.parametrize("maker,name", [
         (lambda: sphere(4, 1), "vector"),
         (lambda: sphere(4, 1), "spinor"),

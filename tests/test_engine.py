@@ -19,14 +19,10 @@ from symheat.bundles import (
 from symheat.engine import (
     HeatCoefficients,
     HeatRequest,
-    HolonomyAverageError,
     K_MAX_LIMIT,
     RepModelMismatchError,
     TruncationOverflowError,
-    _beta_orthogonal,
     _commutant_projection,
-    _lie_generators,
-    cartan_subalgebra,
     coefficient_report,
     heat_coefficients,
     heat_trace,
@@ -46,7 +42,12 @@ from symheat.series import (
 )
 from symheat.spaces import (
     CurvatureData,
+    HolonomyAverageError,
+    _beta_form,
+    _beta_orthogonal,
+    _lie_generators,
     build_model,
+    cartan_subalgebra,
     flat,
     hyperbolic,
     product,
@@ -246,15 +247,35 @@ class TestRequestValidation:
             HeatRequest(m, scalar_rep(m), 1)
 
 
+def _reference_frame(beta):
+    """(None, beta) on a diagonal beta.  Otherwise the unit vectors made
+    beta-orthogonal by a dense Gram-Schmidt (beta is definite in every case
+    here) and beta on them, diagonal: the full pencils in coordinates where
+    the Gaussian weight factors, whose Jacobian cancels in the average."""
+    p = beta.rows
+    if all(row.keys() <= {i} for i, row in enumerate(beta.nonzeros)):
+        return None, beta
+    vecs = []
+    for i in range(p):
+        v = Matrix(p, 1, [int(i == j) for j in range(p)])
+        for u in vecs:
+            v = v - u.scale((u.transpose() * beta * v)[0, 0] / (u.transpose() * beta * u)[0, 0])
+        vecs.append(v)
+    return ([tuple(v[j, 0] for j in range(p)) for v in vecs],
+            Matrix.diag([(v.transpose() * beta * v)[0, 0] for v in vecs]))
+
+
 def _reference_heat_coefficients(req):
-    """heat_coefficients with the bracket over all of h: the pencils with no
-    basis, average_poly on the full beta, no density and no projection."""
+    """heat_coefficients with the bracket over all of h: the pencils on the
+    whole of h (_reference_frame), average_poly on the full beta, no density
+    and no projection."""
     model, rep, k_max = req.model, req.rep, req.k_max
     degree, dimV = 2 * k_max, rep.dimV
-    exponent = (det_sinhc_pencil(model.F, HALF, HALF, degree)
-                + det_sinhc_pencil(model.D, HALF, -HALF, degree))
-    bracket = cosh_pencil(rep.R, dimV, degree) * exponent.exp()
-    averaged = average_poly(bracket, GaussianWeight.from_beta(model.beta))
+    basis, beta = _reference_frame(model.beta)
+    exponent = (det_sinhc_pencil(model.F, HALF, HALF, degree, basis)
+                + det_sinhc_pencil(model.D, HALF, -HALF, degree, basis))
+    bracket = cosh_pencil(rep.R, dimV, degree, basis) * exponent.exp()
+    averaged = average_poly(bracket, GaussianWeight.from_beta(beta))
     prefactor = matrix_exp_series(Matrix.identity(dimV).scale(
         model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)) - rep.casimir, degree)
     twist = det_sinhc_numeric(rep.B, -HALF, degree)
@@ -440,7 +461,9 @@ class TestGrownTorus:
         torus, weight = seen["cosh_pencil"][3], seen["average_poly"][1]
         restricted = _restricted_beta(m, torus)
         assert restricted == weight.beta == Matrix.diag([restricted[a, a] for a in range(2)])
-        assert weight.density == weyl_density(m.F, torus)
+        # the frame's density, c^(p-r) times the one of the job's own F
+        scale = _power(_first_entry(m.beta), m.p - len(torus))
+        assert weyl_density(m.F, torus) == {mono: scale * x for mono, x in weight.density.items()}
         # the same torus: every new vector lies in the span of the grown basis
         assert all(len(kernel([{a: c[i] for a, c in enumerate(basis + [v]) if c[i]}
                                for i in range(m.p)], 3)) == 1 for v in torus)
@@ -448,15 +471,16 @@ class TestGrownTorus:
     def test_catalog_torus_is_kept(self):
         for m in (sphere(5, 1), hyperbolic(4, 2), product([sphere(2, 1), hyperbolic(3, 1)])):
             basis, _ = cartan_subalgebra(m.F)
-            torus, d = _beta_orthogonal(basis, m.beta)
-            assert torus == basis
-            assert _restricted_beta(m, basis) == Matrix.diag(d)
+            assert _beta_orthogonal(basis, m.beta) == basis
+            assert _restricted_beta(m, basis) == Matrix.diag([_beta_form(m.beta, v, v)
+                                                              for v in basis])
 
     def test_isotropic_vectors_are_combined(self):
         # beta = [[0, 1], [1, 0]] on the unit vectors: both have norm 0
         beta = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
         basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        torus, d = _beta_orthogonal(basis, beta)
+        torus = _beta_orthogonal(basis, beta)
+        d = [_beta_form(beta, v, v) for v in torus]
         embed = Matrix.from_rows([[v[i] for v in torus] for i in range(3)])
         assert embed.transpose() * beta * embed == Matrix.diag(d)
         assert all(d) and len(kernel(embed.nonzeros, 3)) == 0
@@ -653,8 +677,8 @@ _RADII = (1, rational(2, 3), rational(5, 2))
 
 
 class TestUnitTorus:
-    """The torus, the Weyl density and the Lie generators are derived once per
-    frame, from the unit-scale F0 of the model's spaces.UnitStructure."""
+    """The torus, the Weyl density and the Lie generators live on the model's
+    frame, spaces.UnitStructure, derived once from its unit-scale F0."""
 
     MODELS = {
         **{f"{s.__name__}{n}_r{r}".replace("/", "_"): (lambda s=s, n=n, r=r: s(n, r))
@@ -666,11 +690,11 @@ class TestUnitTorus:
     @pytest.mark.parametrize("name", list(MODELS))
     def test_shared_torus_against_a_fresh_one(self, name):
         m = self.MODELS[name]()
-        basis, density = cartan_subalgebra(m.F)
-        shared_basis, shared_density = engine._unit_torus(m.unit)
+        basis = _beta_orthogonal(cartan_subalgebra(m.F)[0], m.beta)
+        shared_basis, shared_density = m.unit.torus
         assert shared_basis == basis
         scale = _power(_first_entry(m.beta), m.p - len(basis))
-        assert density == {mono: scale * x for mono, x in shared_density.items()}
+        assert weyl_density(m.F, basis) == {mono: scale * x for mono, x in shared_density.items()}
         # a_k against the same job on a copy that build_model did not make
         for bundle in ("scalar", "spinor"):
             rep = catalog_rep(m, bundle)
@@ -680,31 +704,33 @@ class TestUnitTorus:
     @pytest.mark.parametrize("name", ["sphere4_r2_3", "hyperbolic5_r5_2", "s2xh3", "rotated_h4"])
     def test_lie_generators_do_not_see_the_scale(self, name):
         m = self.MODELS[name]()
-        torus, _ = _beta_orthogonal(cartan_subalgebra(m.F)[0], m.beta)
+        torus = _beta_orthogonal(cartan_subalgebra(m.F)[0], m.beta)
         gens = _lie_generators(m.F, torus)
         assert gens == _lie_generators(m.unit.model.F, torus)
-        assert gens == engine._unit_lie_generators(m.unit, tuple(torus))
+        assert gens == m.unit.lie_generators
 
     def test_one_derivation_per_frame(self, monkeypatch):
-        # twelve radii and signs of S4 spinor: the model, the weight check,
-        # the torus and the Lie generators are each derived at most once
+        # six radii and two signs of S4 spinor, in the catalog frame and in the
+        # rotated one: after a frame's first job, nothing of it is derived again
         calls = []
-        for owner, name in ((spaces, "_solve_structure_constants"),
-                            (spaces, "weight_invariance"), (engine, "cartan_subalgebra"),
-                            (engine, "_lie_generators"), (engine, "weight_invariance")):
-            original = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, key=(owner, name), original=original:
-                                calls.append(key) or original(*a))
+        for name in ("_solve_structure_constants", "weight_invariance", "cartan_subalgebra",
+                     "_beta_orthogonal", "_lie_generators", "weyl_density"):
+            original = getattr(spaces, name)
+            monkeypatch.setattr(spaces, name, lambda *a, name=name, original=original:
+                                calls.append(name) or original(*a))
         radii = (1, rational(2, 3), rational(5, 2), rational(3, 7), rational(9, 4), 7)
-        reps = [catalog_rep(space(4, r), "spinor") for space in (sphere, hyperbolic)
-                for r in radii]
-        for rep in reps:
-            heat_coefficients(HeatRequest(rep.model, rep, 2))
-        assert all(calls.count(key) <= 1 for key in calls)
-        assert (engine, "weight_invariance") not in calls
-        assert all(rep.model.unit is reps[0].model.unit for rep in reps)
+        for frame in (lambda m: m, _rotated):
+            units = []
+            for space in (sphere, hyperbolic):
+                for r in radii:
+                    calls.clear()
+                    m = frame(space(4, r))
+                    heat_coefficients(HeatRequest(m, catalog_rep(m, "spinor"), 2))
+                    assert not (units and calls), calls
+                    units.append(m.unit)
+            assert all(unit is units[0] for unit in units)
 
-    def test_replaced_model_reuses_nothing(self, monkeypatch):
+    def test_model_not_made_by_build_model_has_its_own_frame(self, monkeypatch):
         m = sphere(4, rational(2, 3))
         rep = catalog_rep(m, "spinor")
         fields = {f: getattr(m, f) for f in ("data", "D", "F", "riemann", "ricci", "scalar_R",
@@ -713,12 +739,17 @@ class TestUnitTorus:
         for copy in (replace(m), spaces.SymmetricSpaceModel(**fields)):
             calls = []
             for name in ("cartan_subalgebra", "_lie_generators", "weight_invariance"):
-                original = getattr(engine, name)
-                monkeypatch.setattr(engine, name, lambda *a, name=name, original=original:
-                                    calls.append(name) or original(*a))
+                original = getattr(spaces, name)
+                monkeypatch.setattr(spaces, name, lambda *a, name=name, original=original:
+                                    calls.append((name, a[0])) or original(*a))
             assert heat_coefficients(HeatRequest(copy, rep, 2)).a == want
             monkeypatch.undo()
-            assert sorted(calls) == ["_lie_generators", "cartan_subalgebra", "weight_invariance"]
+            assert copy.unit is not m.unit and copy.unit.model is copy
+            # each part of the copy's frame is derived once, from the copy itself
+            assert sorted(name for name, _ in calls) == [
+                "_lie_generators", "cartan_subalgebra", "weight_invariance"]
+            assert all(x is (copy if name == "weight_invariance" else copy.F)
+                       for name, x in calls)
 
     def test_replaced_model_checks_its_own_weight(self):
         m = sphere(4, rational(2, 3))

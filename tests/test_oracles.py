@@ -33,6 +33,17 @@ def test_import_does_not_load_mpmath():
                        env={**os.environ, "PYTHONPATH": src})
 
 
+def test_spaces_does_not_load_the_engine():
+    # the package __init__ imports every module, so symheat is stood in by a
+    # bare package of the same path: what loads then is what spaces imports
+    pkg = str(Path(symheat.__file__).resolve().parent)
+    code = ("import sys, types; pkg = types.ModuleType('symheat'); "
+            f"pkg.__path__ = [{pkg!r}]; sys.modules['symheat'] = pkg; import symheat.spaces; "
+            "loaded = {'symheat.engine', 'symheat.bundles', 'symheat.wick'} & set(sys.modules); "
+            "assert 'symheat.series' in sys.modules and not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 class TestSpectralModel:
     def test_s2_multiplicities(self):
         sm = SpectralModel(2)

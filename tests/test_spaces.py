@@ -599,7 +599,7 @@ class TestUnitStructure:
     def test_scaled_model_equals_a_fresh_derivation(self, name):
         m = self.MODELS[name]()
         fresh = spaces._derive(m.data)
-        assert m.unit is not None and fresh.unit is None
+        assert m.unit is not None
         for f in FIELDS:
             assert getattr(m, f) == getattr(fresh, f), f
         # the Riemann entries come in the order of a fresh derivation too
@@ -647,13 +647,19 @@ class TestUnitStructure:
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
-    def test_model_not_made_by_build_model_has_no_unit(self):
+    def test_model_not_made_by_build_model_has_its_own_frame(self):
         m = hyperbolic(4, rational(2, 3))
         fields = {f: getattr(m, f) for f in ("data", "D", "F", "riemann", "ricci", "scalar_R",
                                              "R_H")}
         for other in (replace(m), replace(m, F=m.F), spaces.SymmetricSpaceModel(**fields)):
-            assert other.unit is None and other == m
-        with pytest.raises(ValueError):
+            assert other == m and other.unit is not m.unit
+            # derived from the copy's own F, kept on the copy, and the same
+            # scale-free torus basis and Lie generators as the shared frame's
+            assert other.unit.model is other and other.unit is other.unit
+            assert other.unit.weight == m.unit.weight
+            assert other.unit.torus[0] == m.unit.torus[0]
+            assert other.unit.lie_generators == m.unit.lie_generators
+        with pytest.raises(TypeError):
             replace(m, unit=m.unit)
 
     def test_weight_check_is_kept_per_frame(self):
