@@ -21,8 +21,13 @@ shared across radii; the catalog's argument checks run on every call.
 beta is invertible, so span{R_i} = span{S_k} whatever beta is; on a
 catalog space beta carries only the radius and the sign.  G's antisymmetry
 and the so(n) relations read G alone, so they run once per table and are
-kept on it (GeneratorTable); the twist's support, the holonomy bracket,
-Casimir centrality and integrability read beta and run on every call.
+kept on it (GeneratorTable.checks).  A scale c of beta multiplies R and the
+Casimir by c, and every item of the holonomy bracket, Casimir centrality
+and integrability checks by c^2, so those three run once per frame
+(spaces.UnitStructure) and table, on the frame's unit-scale model, and are
+kept with R0 and the Casimir there (UnitFiber, held by GeneratorTable.fibers);
+a rep scales R0 and the Casimir by c.  Only the twist's support, which reads
+B, runs on every call.
 
 validate_rep walks nonzero couplings only: a check item whose operands are
 all zero holds without forming a matrix, and a check whose items all hold
@@ -39,16 +44,17 @@ R_j through scalars that the model alone determines.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exact import (
-    GaussianRational, I_UNIT, Matrix, ZERO, at_most, combination, commutator, json_kind,
+    GaussianRational, I_UNIT, Matrix, ONE, ZERO, at_most, combination, commutator, json_kind,
     rational,
 )
 from .spaces import (
-    CheckResult, SymmetricSpaceModel, ValidationReport, entries_at, first_failure, index_pairs,
-    unit_bivectors,
+    CheckResult, SymmetricSpaceModel, ValidationReport, beta_scale, entries_at, first_failure,
+    index_pairs, unit_bivectors,
 )
 
 PAULI_X = Matrix.from_rows([[0, 1], [1, 0]])
@@ -78,6 +84,10 @@ class FiberRep:
     G[b][a] = -G[a][b]); B is the n x n fiber-scalar twist; R holds the
     p holonomy generators; Omega, the total curvature table, is computed on
     first read.  report is the validate_rep verdict build_rep reached on it.
+    unit is (fiber, c) with R = c fiber.R and the Casimir c fiber.casimir:
+    build_rep sets the UnitFiber its frame and table share, and any other rep
+    (dataclasses.replace, a direct call) derives its own from its own R and
+    Casimir on first read, with c = 1.
     """
 
     model: SymmetricSpaceModel
@@ -89,6 +99,10 @@ class FiberRep:
     report: ValidationReport | None = None
 
     @cached_property
+    def unit(self) -> tuple:
+        return UnitFiber(self.model, self.dimV, self.R, self.casimir), ONE
+
+    @cached_property
     def Omega(self) -> tuple:
         """Omega_ab = -E^i_ab R_i + B_ab."""
         E, n, eye = self.model.data.E, self.model.n, Matrix.identity(self.dimV)
@@ -97,6 +111,26 @@ class FiberRep:
                               + [(self.B[a, b], eye)], self.dimV) for b in range(n))
             for a in range(n)
         )
+
+
+class UnitFiber:
+    """A fiber at unit scale: R and the Casimir of a generator table on a
+    model, and the fiber-holonomy-bracket, casimir-centrality and
+    fiber-curvature-integrability results on them (checks), which hold
+    unchanged at every scale of beta.  The engine keeps here what it derives
+    from R alone: the cosh pencil per degree, with the torus basis it was
+    expanded on (cosh), and the commutant's basis and duals, with the
+    Lie-generating set they were solved for (commutant).
+
+    It holds neither its model nor its table, so the table's memo
+    (GeneratorTable.fibers) keeps no frame alive.
+    """
+
+    def __init__(self, model: SymmetricSpaceModel, dimV: int, R: tuple, casimir: Matrix):
+        self.dimV, self.R, self.casimir = dimV, R, casimir
+        self.checks = _fiber_checks(model, R, casimir)
+        self.cosh = {}
+        self.commutant = None
 
 
 def _normalize_generators(n: int, dimV: int, G) -> "GeneratorTable":
@@ -137,12 +171,18 @@ class GeneratorTable(tuple):
     first read and kept on the table (checks).  A catalog table is built
     once per process and shared across radii, so those checks run once per
     table; any other table carries its own results and drops them with
-    itself.
+    itself.  fibers maps each frame (spaces.UnitStructure) the table was
+    built on to its UnitFiber there; the frame is held weakly, so the memo
+    holds no more entries than there are live frames.
     """
 
     @cached_property
     def checks(self) -> tuple:
         return _table_checks(self)
+
+    @cached_property
+    def fibers(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
 
 
 def _table_checks(G) -> tuple:
@@ -198,12 +238,12 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
 
     The first two read G alone (GeneratorTable.checks); a table that is not
     a GeneratorTable, say one put in by dataclasses.replace, is checked
-    afresh.  The rest read B, R and the Casimir, and run on every call.
+    afresh.  The last three are read off the rep's UnitFiber (rep.unit),
+    whose results hold at every scale, unless model is not rep.model.  Only
+    the twist's support runs on every call.
     """
-    n, p = model.n, model.p
-    B, R = rep.B, rep.R
+    B = rep.B
     checks = list(rep.G.checks if isinstance(rep.G, GeneratorTable) else _table_checks(rep.G))
-    pairs = index_pairs(n)
 
     def twist_flat_support():  # the first failing item, or ""
         if B.transpose() != -B:
@@ -218,6 +258,17 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
 
     detail = twist_flat_support()
     checks.append(CheckResult("twist-flat-support", not detail, detail))
+    checks += (rep.unit[0].checks if model is rep.model
+               else _fiber_checks(model, rep.R, rep.casimir))
+    return ValidationReport(tuple(checks))
+
+
+def _fiber_checks(model: SymmetricSpaceModel, R: tuple, casimir: Matrix) -> tuple:
+    """The fiber-holonomy-bracket, casimir-centrality and
+    fiber-curvature-integrability results of R and the Casimir on model."""
+    n, p = model.n, model.p
+    dimV = casimir.rows
+    pairs = index_pairs(n)
 
     # the holonomy bracket's residual res_ik = [R_i, R_k] - F^j_ik R_j, i < k,
     # is one combination per pair, kept only when it is nonzero.  With every
@@ -236,17 +287,17 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
         for i, k in index_pairs(p):
             terms = [(1, R[i], R[k]), (-1, R[k], R[i])] if R[i] and R[k] else []
             terms += [(-x, R[j]) for j, x in f_at.get((i, k), ()) if R[j]]
-            if terms and (m := combination(terms, rep.dimV)):
+            if terms and (m := combination(terms, dimV)):
                 res[i, k] = m
         e_at = entries_at(model.data.E)
         for (f, b, c, d), x in model.riemann.items():
             r_at.setdefault((b, c, d), []).append((f, x))
 
-    checks += [
+    checks = [
         first_failure("fiber-holonomy-bracket", index_pairs(p), lambda ik: ik not in res, "pair"),
         first_failure("casimir-centrality", range(p),
-                      lambda i: not (rep.casimir and R[i])
-                      or commutator(rep.casimir, R[i]).is_zero(), "index"),
+                      lambda i: not (casimir and R[i])
+                      or commutator(casimir, R[i]).is_zero(), "index"),
     ]
 
     # parallel-curvature integrability of the holonomy part of Omega:
@@ -277,13 +328,29 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
             for j, y in e_at.get((a, f), ()):
                 cj[j] = cj.get(j, ZERO) + x * y
         terms += [(x, R[j]) for j, x in cj.items() if x and R[j]]
-        return not terms or combination(terms, rep.dimV).is_zero()
+        return not terms or combination(terms, dimV).is_zero()
 
     checks.append(first_failure(
         "fiber-curvature-integrability",
         ((a, b, c, d) for a, b in pairs for c, d in pairs) if live else (), integrable))
+    return tuple(checks)
 
-    return ValidationReport(tuple(checks))
+
+def _holonomy(model: SymmetricSpaceModel, table, dimV: int) -> tuple:
+    """(R, Casimir) of a full generator table on model."""
+    # With S_k = E^k_ab G_ab, R_i = -(1/2) D^a_ib G^b_a = -(1/2) beta_ik S_k and
+    # R^2 = (1/4) R^abcd G_ab G_cd = (1/4) beta_ik S_i S_k = -(1/2) S_i R_i.  Both
+    # hold exactly for any generator table: D_i = -beta_ik E^k, and build_model
+    # enforces that each E^k is antisymmetric, so E^k_ab G_ba = -S_k.  (beta is
+    # symmetric as well, so which index of beta is summed does not matter.)
+    # Zero operands are skipped, so a scalar fiber forms no product.
+    minus_half = GaussianRational(rational(-1, 2))
+    S = [combination(((x, table[a][b]) for a, row in enumerate(e.nonzeros) for b, x in row.items()
+                      if table[a][b]), dimV) for e in model.data.E]
+    R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items() if S[k]), dimV)
+              for row in model.beta.nonzeros)
+    casimir = combination(((minus_half, s, r) for s, r in zip(S, R) if s and r), dimV)
+    return R, casimir
 
 
 def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
@@ -296,6 +363,12 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     support, the holonomy bracket, Casimir centrality, curvature
     integrability), naming the failed checks; the passing report is kept as
     rep.report.
+
+    R and the Casimir are linear in beta, so the table's UnitFiber on the
+    model's frame, derived at the frame's beta0 on first use and kept in
+    table.fibers, serves every radius and sign: with c = beta / beta0, the
+    rep scales its R and Casimir by c.  A failing fiber is kept too, and
+    raises the same BundleError on every call.
     """
     n = model.n
     if dimV is None:
@@ -313,20 +386,15 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     if B.rows != n or B.cols != n:
         raise BundleError("twist matrix must be n x n")
 
-    # With S_k = E^k_ab G_ab, R_i = -(1/2) D^a_ib G^b_a = -(1/2) beta_ik S_k and
-    # R^2 = (1/4) R^abcd G_ab G_cd = (1/4) beta_ik S_i S_k = -(1/2) S_i R_i.  Both
-    # hold exactly for any generator table: D_i = -beta_ik E^k, and build_model
-    # enforces that each E^k is antisymmetric, so E^k_ab G_ba = -S_k.  (beta is
-    # symmetric as well, so which index of beta is summed does not matter.)
-    # Zero operands are skipped, so a scalar fiber forms no product.
-    minus_half = GaussianRational(rational(-1, 2))
-    S = [combination(((x, table[a][b]) for a, row in enumerate(e.nonzeros) for b, x in row.items()
-                      if table[a][b]), dimV) for e in model.data.E]
-    R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items() if S[k]), dimV)
-              for row in model.beta.nonzeros)
-    casimir = combination(((minus_half, s, r) for s, r in zip(S, R) if s and r), dimV)
-
-    rep = FiberRep(model=model, dimV=dimV, G=table, B=B, R=R, casimir=casimir)
+    frame = model.unit
+    fiber = table.fibers.get(frame)
+    if fiber is None:
+        fiber = table.fibers[frame] = UnitFiber(frame.model, dimV,
+                                                *_holonomy(frame.model, table, dimV))
+    c = beta_scale(model.beta) / beta_scale(frame.model.beta)
+    rep = FiberRep(model=model, dimV=dimV, G=table, B=B,
+                   R=tuple(r.scale(c) for r in fiber.R), casimir=fiber.casimir.scale(c))
+    rep.unit = fiber, c
     rep.report = validate_rep(model, rep)
     if not rep.report.ok:
         raise BundleError(f"fiber checks failed: {', '.join(rep.report.failed())}")

@@ -30,7 +30,14 @@ it fixes that projection.  An abelian h takes the same route with t = h
 The weight check, the torus basis, its density and the Lie-generating set
 depend on the frame alone, up to a factor of W that cancels in the ratio:
 each is read from the model's spaces.UnitStructure, and a job forms only
-the norms d_a = <v_a, beta v_a> of its own beta.
+the norms d_a = <v_a, beta v_a> of its own beta.  Likewise the fiber: with
+R = c R0, the degree-|mu| terms of cosh(s R(y)) are c^|mu| times those of
+R0, and the commutant of c R0 is that of R0.  So the cosh pencil of each
+degree and the commutant's basis and duals are derived once on the rep's
+unit fiber (bundles.UnitFiber, one per frame and generator table) and kept
+there, and a job scales the cosh terms.  The two det(sinhc) pencils are
+still expanded per job on the job model's own F and D, which
+perfbench/spans.py tells apart by identity with model.F.
 
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
@@ -39,20 +46,22 @@ factors take their pencil powers, restricted to t, from the same sparse
 routine.  The average turns the bracket into a list of t-coefficients,
 the prefactor is the list [M^k / k!], the twist factor is the list of
 its t-coefficients (the same det(sinhc) expansion on the pencil t*B),
-and a_k is the t^k coefficient of the three lists' product.
+and a_k is the t^k coefficient of the three lists' product; without a
+twist that list is [1, 0, ...] and a_k is the product of the other two.
 
 pi never appears: coefficients and traced invariants are exact rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bundles import FiberRep
 from .exact import (
     GaussianRational, Matrix, ONE, ZERO, combination, invert, kernel, rational, rational_to_str,
 )
-from .series import cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series
+from .series import (
+    SeriesPoly, cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series,
+)
 from .spaces import HolonomyAverageError, SymmetricSpaceModel, _beta_form
 from .wick import GaussianWeight, average_poly
 
@@ -125,15 +134,14 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     # the bracket on a Cartan subalgebra t, averaged with the Weyl density
     basis, density = model.unit.torus
     d = [_beta_form(model.beta, v, v) for v in basis]
-    f_cosh = cosh_pencil(rep.R, dimV, degree, basis)
+    f_cosh = _cosh(rep, degree, basis)
     # the two det(sinhc) factors as exponents, added and exponentiated once
     f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree, basis)
     f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree, basis)
     bracket = f_cosh * (f_hol + f_tan).exp()
-    weight = GaussianWeight(Matrix.diag(d), Matrix.diag([ONE / x for x in d]), density)
-    averaged = average_poly(bracket, weight)
+    averaged = average_poly(bracket, GaussianWeight.diagonal(d, density))
     if len(basis) < model.p and dimV > 1:
-        project = _commutant_projection(rep.R, model.unit.lie_generators)
+        project = _commutant_projection(rep.unit[0], model.unit.lie_generators)
         averaged = [project(a) for a in averaged]
 
     exponent_matrix = Matrix.identity(dimV).scale(
@@ -144,26 +152,37 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
 
     # a_k = sum_m twist[k - m] b_m with b_m = sum_(i + j = m) prefactor[i]
     # averaged[j]: one combination per b_m, its products passed as factors,
-    # and one per a_k
+    # and one per a_k unless the twist series is 1
     b = [combination(((1, prefactor[i], averaged[m - i]) for i in range(m + 1)), dimV)
          for m in range(k_max + 1)]
-    coeffs = [combination(((twist[k - m], b[m]) for m in range(k + 1)), dimV)
-              for k in range(k_max + 1)]
+    coeffs = b if not any(twist[1:]) else [
+        combination(((twist[k - m], b[m]) for m in range(k + 1)), dimV) for k in range(k_max + 1)]
     if coeffs[0] != Matrix.identity(dimV):
         raise AssertionError("a_0 is not the identity")
     return HeatCoefficients(n=model.n, dimV=dimV, a=tuple(coeffs))
+
+
+def _cosh(rep: FiberRep, degree: int, basis) -> SeriesPoly:
+    """cosh(s R(y)) on the torus basis: the rep's unit fiber's pencil, kept
+    there per degree, at c y.  With R = c R0, each term of degree |mu| is
+    c^|mu| times that of R0."""
+    fiber, c = rep.unit
+    kept = fiber.cosh.get(degree)
+    if kept is None or kept[0] != basis:
+        kept = fiber.cosh[degree] = basis, cosh_pencil(fiber.R, rep.dimV, degree, basis)
+    return kept[1].dilate(c)
 
 
 # ---------------------------------------------------------------------------
 # commutant
 
 
-def _commutant_projection(R, basis):
+def _commutant_projection(fiber, gens):
     """The projection onto the commutant of the R_i, as a function of a matrix A.
 
     Called only when t is smaller than h: for an abelian h the t-average
     is the h-average already.  The commutant basis Gamma_b solves
-    [g, X] = 0 for g = sum_i v[i] R_i, v in basis, a Lie-generating set of
+    [g, X] = 0 for g = sum_i v[i] R_i, v in gens, a Lie-generating set of
     h (_lie_generators, Cartan generators first: they settle most unknowns).
     An X that commutes with two matrices commutes with their bracket, and R
     is a Lie homomorphism, [R_i, R_k] = F^j_ik R_j (fiber-holonomy-bracket,
@@ -173,23 +192,16 @@ def _commutant_projection(R, basis):
     P is the average over the holonomy group for any fiber generators,
     anti-Hermitian or not.
 
-    The commutant of g is that of g/x for any x != 0, and exact.kernel
-    returns the reduced basis of the null space, which depends on the null
-    space alone.  So each g is divided by its first nonzero entry, and the
-    basis and its duals are memoized on those lines (_commutant_duals):
-    R_i = -(1/2) beta_ik S_k with S_k free of beta, and on a catalog space
-    beta is the sign over r^2 times the identity, so every radius and sign
-    of one fiber shares one entry, and only P(A) runs per job.
+    The commutant of c R is that of R, so the basis and its duals are solved
+    once on the unit fiber's R (bundles.UnitFiber) and kept there with gens;
+    only P(A) runs per job.
     """
-    dim = R[0].rows
-    lines = []
-    for g in (combination(zip(v, R), dim) for v in basis):
-        if g:
-            row = next(r for r in g.nonzeros if r)
-            lines.append(g.scale(ONE / row[min(row)]))
-    if not lines:  # every R_i is zero: the commutant is every matrix
+    if fiber.commutant is None or fiber.commutant[0] != gens:
+        fiber.commutant = gens, _commutant_duals(fiber.R, gens)
+    duals = fiber.commutant[1]
+    if duals is None:  # every R_i is zero: the commutant is every matrix
         return lambda a: a
-    duals = _commutant_duals(tuple(lines))
+    dim = fiber.dimV
 
     def pair(vec, a):  # tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim]
         return sum((x * y for u, x in vec if (y := a.nonzeros[u % dim].get(u // dim))), ZERO)
@@ -197,22 +209,22 @@ def _commutant_projection(R, basis):
     return lambda a: combination(((pair(v, a), d) for v, d in duals), dim)
 
 
-@lru_cache(maxsize=16)
-def _commutant_duals(gens: tuple) -> tuple:
-    """((Gamma_b, dual_b), ...) for the commutant of the matrices gens: each
-    Gamma_b as its sparse (unknown, value) items, where the unknown
-    u = k*dim + c is X[k, c], and dual_b the matrix with tr(Gamma_a dual_b) =
-    delta_ab.  The memo holds at most 16 commutants, so distinct fibers
-    cannot grow it without bound.
+def _commutant_duals(R, gens):
+    """((Gamma_b, dual_b), ...) for the commutant of the g = sum_i v[i] R_i,
+    v in gens, or None when every g is zero: each Gamma_b as its sparse
+    (unknown, value) items, where the unknown u = k*dim + c is X[k, c], and
+    dual_b the matrix with tr(Gamma_a dual_b) = delta_ab.  exact.kernel
+    returns the reduced basis of the null space, which depends on the null
+    space alone.
 
     [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c]; the two sums meet only
     at X[r,c], through g[r,r] and g[c,c].  In the Gram matrix
     tr(Gamma_a Gamma_b), each nonzero Gamma_a[u] meets only the Gamma_b that
     are nonzero at the transposed unknown (u % dim)*dim + u // dim.
     """
-    dim = gens[0].rows
+    dim = R[0].rows
     eqs = []
-    for g in gens:
+    for g in (combination(zip(v, R), dim) for v in gens):
         cols = g.transpose().nonzeros
         for r, grow in enumerate(g.nonzeros):
             for c, gcol in enumerate(cols):
@@ -222,6 +234,8 @@ def _commutant_duals(gens: tuple) -> tuple:
                         u = r * dim + k
                         row[u] = row[u] - x if u in row else -x
                     eqs.append(row)
+    if not eqs:
+        return None
     vecs = kernel(eqs, dim * dim)
     gammas, at = [], {}  # at[u] lists (b, Gamma_b[u]) over the b with Gamma_b[u] != 0
     for b, vec in enumerate(vecs):

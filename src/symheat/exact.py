@@ -294,7 +294,7 @@ class Matrix:
     never mutated; callers read them and must not write to them.
     """
 
-    __slots__ = ("rows", "cols", "nonzeros")
+    __slots__ = ("rows", "cols", "nonzeros", "_hash")
 
     def __init__(self, rows: int, cols: int, entries):
         e = [GaussianRational.of(x) for x in entries]
@@ -452,7 +452,12 @@ class Matrix:
                 and self.nonzeros == other.nonzeros)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.nonzeros)))
+        try:
+            return self._hash
+        except AttributeError:  # first call: computed once, the matrix is immutable
+            h = hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.nonzeros)))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         body = "; ".join(

@@ -85,6 +85,17 @@ class SeriesPoly:
             mono: v * c for mono, v in self.terms.items()
         })
 
+    def dilate(self, c) -> "SeriesPoly":
+        """The polynomial at c*omega: each term times c^|mu|."""
+        if c == ONE:
+            return self
+        powers = [ONE]
+        for _ in range(self.degree):
+            powers.append(powers[-1] * c)
+        return SeriesPoly(self.p, self.dim, self.degree, {
+            mono: v * powers[sum(mono)] for mono, v in self.terms.items()
+        })
+
     def _check_compatible(self, other: "SeriesPoly"):
         if self.p != other.p:
             raise ValueError("omega variable counts differ")
@@ -300,12 +311,14 @@ def det_sinhc_pencil(mats, scale, exponent, degree: int, basis=None) -> SeriesPo
     - each scale*A_i is stored sparsely as {row: {col: value}} with
       GaussianRational values;
     - p_2m for 2m <= M comes from the pencil powers (_direct_power_sums);
-      odd p_j never enter.
+      odd p_j never enter;
+    - a pencil whose generators all vanish, as an untwisted B, has the zero
+      exponent, with no power formed.
     """
     gens, exponent = _sparse_generators(mats, scale, exponent, basis)
     p = len(gens)
-    if p == 0:
-        return SeriesPoly(0, 1, degree)
+    if not any(gens):  # every power sum vanishes: the zero exponent
+        return SeriesPoly(p, 1, degree)
     top = degree - degree % 2
     psums = _direct_power_sums(gens, range(mats[0].rows), top, (0,) * p, odd=False)
 

@@ -253,8 +253,7 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     derivation (_derive) is raised at beta exactly when at beta0, with the
     same message; an error is not kept, so every call raises it again.
     """
-    row = next((r for r in data.beta.nonzeros if r), None)
-    c = row[min(row)] if row else ONE
+    c = beta_scale(data.beta)
     unit = _unit_structure(data.n, data.flat_dim, data.E, data.beta.scale(ONE / c))
     m = unit.model
     model = SymmetricSpaceModel(
@@ -263,6 +262,13 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
         scalar_R=c * m.scalar_R, R_H=c * m.R_H)
     model.unit = unit
     return model
+
+
+def beta_scale(beta: Matrix) -> GaussianRational:
+    """The first nonzero entry of beta, 1 when there is none: build_model's
+    scale c, which takes a frame's beta0 to beta = c beta0."""
+    row = next((r for r in beta.nonzeros if r), None)
+    return row[min(row)] if row else ONE
 
 
 @lru_cache(maxsize=16)

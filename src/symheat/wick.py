@@ -46,6 +46,9 @@ class GaussianWeight:
             raise ValueError("beta must be symmetric")
         if beta * beta_inv != Matrix.identity(beta.rows):
             raise ValueError("beta_inv is not the exact inverse of beta")
+        self._fill(beta, beta_inv, density)
+
+    def _fill(self, beta: Matrix, beta_inv: Matrix, density) -> "GaussianWeight":
         if density is not None and any(len(mono) != beta.rows for mono in density):
             raise ValueError("density monomials must have one exponent per variable")
         self.p = beta.rows
@@ -54,10 +57,18 @@ class GaussianWeight:
         self.density = density
         self._pairing_cache = {(): GaussianRational(1)}
         self._q_powers = {}
+        return self
 
     @classmethod
     def from_beta(cls, beta: Matrix, density: dict | None = None) -> "GaussianWeight":
         return cls(beta, invert(beta), density)
+
+    @classmethod
+    def diagonal(cls, d, density: dict | None = None) -> "GaussianWeight":
+        """The weight of beta = diag(d), d nonzero.  beta and its inverse
+        diag(1/d_a) are formed here, symmetric and exact by construction, so
+        neither check of a supplied pair runs."""
+        return cls.__new__(cls)._fill(Matrix.diag(d), Matrix.diag([ONE / x for x in d]), density)
 
 
 def average_monomial(indices, w: GaussianWeight) -> GaussianRational:

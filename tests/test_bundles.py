@@ -570,12 +570,15 @@ class TestValidateRepParity:
         # (six on S4, one on flat2 x S2).  The holonomy residuals and the
         # so(n) items are each one combination that takes their products as
         # factor terms and form none; integrability reads the residuals.  A
-        # scalar fiber forms none.
+        # scalar fiber forms none.  Those checks run once per frame and
+        # table, so validate_rep on a built rep forms none either.
         m, rep = benchmark_rep(name, sphere, 1)
         seen = []
         original = bundles.commutator
         monkeypatch.setattr(bundles, "commutator", lambda a, b: seen.append(1) or original(a, b))
         assert validate_rep(m, rep).ok
+        assert seen == []
+        assert all(c.passed for c in bundles._fiber_checks(m, rep.R, rep.casimir))
         assert len(seen) == calls
 
 

@@ -1,19 +1,24 @@
+import gc
 import json
 import random
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from symheat import engine, spaces
+from symheat import bundles, engine, spaces
 from symheat.bundles import (
+    FiberRep,
     build_rep,
     catalog_rep,
     rep_from_descriptor,
     scalar_rep,
     spin_generator_table,
     spinor_rep,
+    twist_matrix,
+    validate_rep,
     vector_rep,
 )
 from symheat.engine import (
@@ -452,13 +457,11 @@ class TestGrownTorus:
         m = _rotated(space(4, 1))
         basis, _ = cartan_subalgebra(m.F)
         assert not _restricted_beta(m, basis).nonzeros[0].keys() <= {0}  # not orthogonal yet
-        seen = {}
-        for name in ("cosh_pencil", "average_poly"):
-            original = getattr(engine, name)
-            monkeypatch.setattr(engine, name, lambda *a, name=name, original=original:
-                                seen.setdefault(name, a) and original(*a))
+        seen = []
+        original = engine.average_poly
+        monkeypatch.setattr(engine, "average_poly", lambda *a: seen.append(a) or original(*a))
         heat_coefficients(HeatRequest(m, scalar_rep(m), 2))
-        torus, weight = seen["cosh_pencil"][3], seen["average_poly"][1]
+        torus, weight = m.unit.torus[0], seen[0][1]
         restricted = _restricted_beta(m, torus)
         assert restricted == weight.beta == Matrix.diag([restricted[a, a] for a in range(2)])
         # the frame's density, c^(p-r) times the one of the job's own F
@@ -540,11 +543,11 @@ class TestLieGeneratingCommutant:
         rep = catalog_rep(m, bundle, factors=factors)
         basis, _ = cartan_subalgebra(m.F)
         solved = []
-        # solve afresh: an earlier test may have left this commutant in the memo
-        monkeypatch.setattr(engine, "_commutant_duals", engine._commutant_duals.__wrapped__)
         monkeypatch.setattr(engine, "kernel", lambda eqs, n: solved.append(
             (len(eqs), kernel(eqs, n))) or solved[-1][1])
-        project = _commutant_projection(rep.R, _lie_generators(m.F, basis))
+        # solved afresh on a copy's own unit fiber: an earlier test may have
+        # left this commutant on the shared one
+        project = _commutant_projection(replace(rep).unit[0], _lie_generators(m.F, basis))
         return m, rep, basis, project, solved
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -590,17 +593,10 @@ class TestLieGeneratingCommutant:
                    for i in range(len(basis), len(gens)))
 
 
-def _lines_and_generators(rep, basis):
-    """The engine's generators g = sum_i v[i] R_i, nonzero ones only, as
-    they are (the route before the memo) and each divided by its first entry."""
-    gens = tuple(g for g in (combination(zip(v, rep.R), rep.dimV) for v in basis) if g)
-    firsts = [next(r for r in g.nonzeros if r) for g in gens]
-    return tuple(g.scale(1 / row[min(row)]) for g, row in zip(gens, firsts)), gens
-
-
 class TestCommutantMemo:
-    """The commutant basis, its Gram inverse and duals depend on the lines
-    through the generators alone, so every radius and sign shares them."""
+    """The commutant of c R0 is that of R0, so its basis, Gram inverse and
+    duals are solved once on the unit fiber and every radius and sign of it
+    shares them."""
 
     CASES = {
         "s3_vecspin": (lambda s, r: s(3, r), "tensor_product", _VS),
@@ -609,25 +605,19 @@ class TestCommutantMemo:
     }
     RADII = (1, rational(2, 3), rational(5, 2))
 
-    @staticmethod
-    def _recorded(monkeypatch):
-        seen, memo = [], engine._commutant_duals
-        monkeypatch.setattr(engine, "_commutant_duals",
-                            lambda gens: seen.append((gens, memo(gens))) or seen[-1][1])
-        return seen, memo.__wrapped__
-
     def _check(self, monkeypatch, models, bundle, factors):
-        seen, fresh = self._recorded(monkeypatch)
+        solves, original = [], engine._commutant_duals
+        monkeypatch.setattr(engine, "_commutant_duals",
+                            lambda R, gens: solves.append(R) or original(R, gens))
         rng = random.Random(bundle)
+        fibers = []
         for m in models:
             rep = catalog_rep(m, bundle, factors=factors)
-            basis = _lie_generators(m.F, cartan_subalgebra(m.F)[0])
-            project = _commutant_projection(rep.R, basis)
-            lines, gens = _lines_and_generators(rep, basis)
-            assert seen[-1][0] == lines
-            # the memo's entry, one solved from the lines and one from the
-            # generators as they are: all three equal
-            assert seen[-1][1] == fresh(lines) == fresh(gens)
+            gens = m.unit.lie_generators
+            project = _commutant_projection(rep.unit[0], gens)
+            fibers.append(rep.unit[0])
+            # the kept basis and duals, against a solve on the job's own R
+            assert rep.unit[0].commutant == (gens, original(rep.R, gens))
             dim = rep.dimV
             for _ in range(2):
                 a = Matrix.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
@@ -635,30 +625,37 @@ class TestCommutantMemo:
                 got = project(a)
                 assert all((got * r - r * got).is_zero() for r in rep.R)
                 assert project(got) == got
-        return seen
+        # at most one solve per unit fiber, on its own R
+        assert len(solves) <= len({id(f) for f in fibers})
+        assert all(any(R is f.R for f in fibers) for R in solves)
+        return fibers
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_every_radius_and_sign_shares_one_entry(self, monkeypatch, name):
         space, bundle, factors = self.CASES[name]
         models = [space(s, r) for s in (sphere, hyperbolic) for r in self.RADII]
-        seen = self._check(monkeypatch, models, bundle, factors)
-        assert len({gens for gens, _ in seen}) == 1
+        fibers = self._check(monkeypatch, models, bundle, factors)
+        assert all(f is fibers[0] for f in fibers)
 
     def test_product_with_unequal_factor_radii(self, monkeypatch):
-        # S2 x S3 with radii 1 and 2/3: beta is not a multiple of the identity
+        # S2 x S3 with radii 1 and 2/3: beta is not a multiple of the identity,
+        # and each ratio of the radii is a frame of its own
         models = [product([sphere(2, a), sphere(3, b)])
                   for a, b in ((1, 1), (1, rational(2, 3)), (rational(2, 3), 1))]
-        self._check(monkeypatch, models, "vector", None)
+        fibers = self._check(monkeypatch, models, "vector", None)
+        assert len({id(f) for f in fibers}) == 3
 
     def test_memo_is_bounded(self):
-        # distinct commutants, one per diagonal generator diag(1, c): the memo
-        # keeps its bound however many there are
-        memo = engine._commutant_duals
-        for c in range(2, 2 * memo.cache_info().maxsize + 3):
-            project = _commutant_projection((Matrix.diag([1, c]),), [(1,)])
-            assert project(Matrix.from_rows([[1, 2], [3, 4]])) == Matrix.diag([1, 4])
-        info = memo.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+        # forty frames S2 x S2 of radii 1 and 1/j share one vector table, whose
+        # memo holds a fiber per live frame: at most the frames build_model keeps
+        table = None
+        for j in range(1, 41):
+            rep = catalog_rep(product([sphere(2, 1), sphere(2, rational(1, j))]), "vector")
+            assert table is None or rep.G is table
+            table = rep.G
+        del rep
+        gc.collect()
+        assert 0 < len(table.fibers) <= spaces._unit_structure.cache_info().maxsize
 
 
 def _power(c, k):
@@ -762,9 +759,190 @@ class TestUnitTorus:
                 HeatRequest(bad, scalar_rep(bad), 1)
 
 
+def _reference_build_rep(model, G, B=None, dimV=None):
+    """build_rep as it was before the unit fiber: S_k, R and the Casimir
+    formed at the model's own beta, and every check run on them there (the
+    rep has its own unit fiber, at c = 1)."""
+    dimV = dimV or next(iter(G.values())).rows
+    table = bundles._normalize_generators(model.n, dimV, G)
+    minus_half = GaussianRational(rational(-1, 2))
+    S = [combination(((x, table[a][b]) for a, row in enumerate(e.nonzeros) for b, x in row.items()
+                      if table[a][b]), dimV) for e in model.data.E]
+    R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items() if S[k]), dimV)
+              for row in model.beta.nonzeros)
+    casimir = combination(((minus_half, s, r) for s, r in zip(S, R) if s and r), dimV)
+    rep = FiberRep(model=model, dimV=dimV, G=table, B=Matrix.zeros(model.n) if B is None else B,
+                   R=R, casimir=casimir)
+    rep.report = validate_rep(model, rep)
+    return rep
+
+
+def _catalog_fiber(name, factors=None):
+    """(G, dimV) of a catalog bundle as build_rep receives it."""
+    return lambda m: bundles._catalog_generators(m, name, None, factors)
+
+
+def _monopole(q):
+    """The S2 monopole of charge q/2: G_01 = i q/2 on a line."""
+    return lambda m: ({(0, 1): Matrix.from_rows([[GaussianRational(0, rational(q, 2))]])}, 1)
+
+
+_RADII_SIGNED = [(s, r) for s in (sphere, hyperbolic) for r in _RADII]
+
+
+def _unit_fiber_cases():
+    """name: (model, fiber maker, twist blocks or None) over every radius and sign."""
+    cases = {}
+    for s, r in _RADII_SIGNED:
+        tag = f"{s.__name__[0]}_r{r}".replace("/", "_")
+        for n in range(2, 7):
+            for bundle in ("scalar", "vector", "spinor"):
+                cases[f"{bundle}{n}_{tag}"] = (lambda s=s, n=n, r=r: s(n, r),
+                                               _catalog_fiber(bundle), None)
+        cases[f"flat2x2_vecspin_twist_{tag}"] = (
+            lambda s=s, r=r: product([flat(2), s(2, r)]),
+            _catalog_fiber("tensor_product", _VS), [rational(1, 3)])
+        cases[f"rotated4_spinor_{tag}"] = (lambda s=s, r=r: _rotated(s(4, r)),
+                                           _catalog_fiber("spinor"), None)
+        for q in (1, 2, 3):
+            cases[f"monopole{q}_{tag}"] = (lambda s=s, r=r: s(2, r), _monopole(q), None)
+    return cases
+
+
+class TestUnitFiber:
+    """One unit fiber per frame and table: a rep scales R0 and the Casimir,
+    reads the frame's check results, and the engine scales the kept cosh
+    pencil and reads the kept commutant; all against the fiber built at the
+    job's own beta."""
+
+    CASES = _unit_fiber_cases()
+
+    @staticmethod
+    def _compare(model, rep, ref, degree=4):
+        assert rep.R == ref.R and rep.casimir == ref.casimir
+        assert [(c.name, c.passed, c.detail) for c in rep.report.checks] == [
+            (c.name, c.passed, c.detail) for c in ref.report.checks]
+        basis = model.unit.torus[0]
+        assert engine._cosh(rep, degree, basis) == cosh_pencil(ref.R, rep.dimV, degree, basis)
+        gens = model.unit.lie_generators
+        engine._commutant_projection(rep.unit[0], gens)
+        assert rep.unit[0].commutant == (gens, engine._commutant_duals(ref.R, gens))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_the_fiber_built_at_the_job_scale(self, name):
+        space, fiber, twist = self.CASES[name]
+        m = space()
+        G, dimV = fiber(m)
+        B = twist_matrix(m, twist) if twist else None
+        rep = build_rep(m, G, B, dimV=dimV)
+        self._compare(m, rep, _reference_build_rep(m, G, B, dimV))
+
+    @pytest.mark.parametrize("make", [
+        lambda m: replace(m),
+        lambda m: spaces.SymmetricSpaceModel(**{f: getattr(m, f) for f in (
+            "data", "D", "F", "riemann", "ricci", "scalar_R", "R_H")}),
+    ], ids=["replace", "constructor"])
+    @pytest.mark.parametrize("bundle", ["spinor", "vector"])
+    def test_rep_on_an_equal_data_model(self, make, bundle):
+        m = sphere(4, rational(2, 3))
+        other = make(m)
+        G, dimV = _catalog_fiber(bundle)(m)
+        ref = _reference_build_rep(m, G, dimV=dimV)
+        for rep_model, req_model in ((other, m), (m, other)):
+            rep = build_rep(rep_model, G, dimV=dimV)
+            self._compare(req_model, rep, ref)
+            want = heat_coefficients(HeatRequest(req_model, ref, 3)).a
+            assert heat_coefficients(HeatRequest(req_model, rep, 3)).a == want
+        assert build_rep(other, G, dimV=dimV).unit[0] is not build_rep(m, G, dimV=dimV).unit[0]
+
+    @pytest.mark.parametrize("space", [sphere, hyperbolic])
+    def test_replaced_rep_with_corrupted_r_is_refused(self, space):
+        m = space(4, rational(2, 3))
+        rep = catalog_rep(m, "spinor")
+        R = list(rep.R)
+        R[1] = R[1] + R[0].scale(rational(1, 2))
+        for bad in (replace(rep, R=tuple(R)), replace(rep, R=tuple(r.scale(2) for r in rep.R))):
+            got = validate_rep(m, bad)
+            assert not got.ok and "fiber-holonomy-bracket" in got.failed()
+            assert bad.unit[0] is not rep.unit[0] and bad.unit[0].R is bad.R
+        assert validate_rep(m, rep).ok
+
+    def test_failing_fiber_raises_the_same_error_on_every_call(self, monkeypatch):
+        # the S3 frame with beta = diag(1, 1, 2): the vector fiber fails
+        # integrability at every scale; its unit fiber is derived once
+        E = tuple(spaces.unit_bivectors(3).values())
+        calls, original = [], bundles._fiber_checks
+        monkeypatch.setattr(bundles, "_fiber_checks", lambda *a: calls.append(1) or original(*a))
+        for c in (1, rational(2, 3), rational(-5, 2)):
+            m = build_model(CurvatureData(n=3, p=3, E=E, beta=Matrix.diag([c, c, 2 * c])))
+            with pytest.raises(bundles.BundleError) as info:
+                catalog_rep(m, "vector")
+            assert str(info.value) == ("fiber checks failed: casimir-centrality, "
+                                       "fiber-curvature-integrability")
+        assert len(calls) == 1
+
+    def test_checks_against_another_model_run_afresh(self):
+        # a radius-1 rep checked against the radius-2 model of its frame: its
+        # R does not scale with that model's F, so the bracket and
+        # integrability fail there, as they did with every check run per call
+        m = sphere(4, 1)
+        rep = catalog_rep(m, "spinor")
+        got = validate_rep(sphere(4, 2), rep)
+        assert [(c.name, c.passed, c.detail) for c in got.checks] == [
+            ("fiber-g-antisymmetry", True, ""), ("fiber-so-n-relations", True, ""),
+            ("twist-flat-support", True, ""), ("fiber-holonomy-bracket", False, "pair (0, 1)"),
+            ("casimir-centrality", True, ""),
+            ("fiber-curvature-integrability", False, "indices (0, 1, 0, 2)")]
+        assert validate_rep(m, rep).ok
+
+    def test_one_derivation_per_frame_table_and_degree(self, monkeypatch):
+        # six radii and two signs in the catalog and the rotated S4 frame, and
+        # on flat2 x S2 with a twist, each job at k = 2 and 3
+        calls = []
+        for owner, name in ((bundles, "_table_checks"), (bundles, "_fiber_checks"),
+                            (engine, "cosh_pencil"), (engine, "_commutant_duals")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, name=name, original=original:
+                                calls.append((name, a)) or original(*a))
+        for table in (bundles._catalog_table("spinor", 4, ())[0],
+                      bundles._catalog_table("tensor_product", 4, tuple(_VS))[0]):
+            monkeypatch.setattr(table, "fibers", weakref.WeakKeyDictionary())
+        radii = (1, rational(2, 3), rational(5, 2), rational(3, 7), rational(9, 4), 7)
+        frames = {
+            "s4": (lambda s, r: s(4, r), "spinor", None),
+            "rotated_s4": (lambda s, r: _rotated(s(4, r)), "spinor", None),
+            "flat2xs2": (lambda s, r: product([flat(2), s(2, r)]), "tensor_product", _VS),
+        }
+        for frame, (space, bundle, factors) in frames.items():
+            calls.clear()
+            for s in (sphere, hyperbolic):
+                for r in radii:
+                    m = space(s, r)
+                    twist = [rational(1, 3)] if factors else None
+                    rep = catalog_rep(m, bundle, factors=factors, twist=twist)
+                    G, dimV = _catalog_fiber(bundle, factors)(m)
+                    ref = _reference_build_rep(m, G, rep.B, dimV)
+                    assert rep.R == ref.R
+                    for k_max in (2, 3):
+                        want = _reference_heat_coefficients(HeatRequest(m, ref, k_max))
+                        assert heat_coefficients(HeatRequest(m, rep, k_max)).a == want
+            seen = {}
+            for name, args in calls:
+                # the fiber checks on a frame's unit-scale model, not those of
+                # the references' own fibers at the job scale
+                if name != "_fiber_checks" or args[0].unit.model is args[0]:
+                    seen.setdefault(name, []).append(args[2] if name == "cosh_pencil" else None)
+            assert len(seen["_fiber_checks"]) == 1, frame
+            assert sorted(seen["cosh_pencil"]) == [4, 6], frame
+            projected = frame != "flat2xs2"  # h abelian on flat2 x S2
+            assert len(seen.get("_commutant_duals", ())) == projected, frame
+            assert len(seen.get("_table_checks", ())) <= 1, frame
+
+
 class TestTracedProjectedJob:
     """The benchmark's tracer on a projected fiber whose second job reads
-    the table checks and the commutant from the memo."""
+    the table checks, the fiber checks, the cosh pencil and the commutant
+    from its unit fiber."""
 
     def test_second_radius_hits_the_memo(self, monkeypatch):
         monkeypatch.syspath_prepend(str(REFS.parent))
@@ -777,28 +955,38 @@ class TestTracedProjectedJob:
         api = run.import_symheat()
         jtype = next(t for t in WORKLOADS["fiber_heavy"] if t.name == "s4_spinor_k3")
         refs = load_refs([jtype])
-        checked = []
-        table_checks = bundles._table_checks
-        monkeypatch.setattr(bundles, "_table_checks",
-                            lambda G: checked.append(G) or table_checks(G))
-        tracer, hits, times = Tracer(), [], []
+        # a cold start: the S4 spinor table with no unit fiber yet
+        table, _ = bundles._catalog_table("spinor", 4, ())
+        monkeypatch.setattr(table, "fibers", weakref.WeakKeyDictionary())
+        calls = []
+        for owner, name in ((bundles, "_table_checks"), (bundles, "_fiber_checks"),
+                            (engine, "_commutant_duals")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, name=name, original=original:
+                                calls.append(name) or original(*a))
+        tracer, times, per_job = Tracer(), [], []
         with tracer.installed():
             for job_id, (sign, radius) in enumerate(((1, rational(3, 2)),
                                                      (-1, rational(2, 5)))):
-                before = engine._commutant_duals.cache_info().hits
+                calls.clear()
                 with tracer.job(job_id):
                     dt, ok = run.run_job(api, Job(jtype, sign, radius), refs[jtype.name, sign],
                                          tracer)
                 assert ok
                 times.append(dt)
-                hits.append(engine._commutant_duals.cache_info().hits - before)
-        # the second job reads both memos: no table check, one commutant hit
-        assert hits[1] == 1 and len(checked) <= 1
-        for job_id in (0, 1):
-            names = {s.name for s in tracer.spans if s.job == job_id}
-            assert {"job", *run.SPAN_TIMES.values()} <= names
+                per_job.append(list(calls))
+        # the first job derives the unit fiber, its pencil and its commutant
+        # (the table's own checks may be kept from an earlier test); the
+        # second derives none of them
+        assert {"_fiber_checks", "_commutant_duals"} <= set(per_job[0])
+        assert per_job[1] == []
+        cold, warm = ({s.name for s in tracer.spans if s.job == j} for j in (0, 1))
+        assert {"job", *run.SPAN_TIMES.values()} <= cold
+        assert {"job", *run.SPAN_TIMES.values()} - {"series.cosh"} <= warm
+        assert "series.cosh" not in warm
         metrics = run.per_layer_metrics(tracer, 2, times, times)
-        assert set(metrics) == set(run.PER_LAYER) and metrics["wick.monomials"] >= 1
+        assert set(metrics) == set(run.PER_LAYER)
+        assert metrics["bundles.build_rep_calls"] > 0 and metrics["wick.monomials"] > 0
 
 
 def _whole_pencil_weyl_density(mats, basis):
@@ -1076,12 +1264,12 @@ class TestMatmulCount:
         assert calls == []
 
     def test_matmul_calls_per_heat_coefficients(self, monkeypatch):
-        # the weight's inverse check beta * beta^-1 alone: the prefactor's
-        # steps and the sums of prefactor[i] * averaged[j] pass their products
-        # to a combination as factors, the request's beta-f-invariance check
-        # sums its entries, and the weight is read off the beta-orthogonal
-        # torus with no embedded beta
+        # none: the prefactor's steps and the sums of prefactor[i] *
+        # averaged[j] pass their products to a combination as factors, the
+        # request's beta-f-invariance check sums its entries, and the weight
+        # is diagonal on the beta-orthogonal torus, formed with its inverse
+        # by GaussianWeight.diagonal, which has no product to check
         model, rep = _flat2_x_s2_vector_spinor()
         calls = self._counting(monkeypatch)
         heat_coefficients(HeatRequest(model, rep, 4))
-        assert len(calls) == 1
+        assert len(calls) == 0

@@ -505,6 +505,19 @@ class TestNonzeroStorage:
                     got = invert(ma)
                     assert canonical(got) and got.to_rows() == inv
 
+    def test_hash_is_computed_once(self, monkeypatch):
+        from symheat import exact
+        rng = random.Random(23)
+        a = sparse_matrix(rng, 4, zero_share=0.4)
+        twin = Matrix.from_rows(a.to_rows())
+        calls = []
+        monkeypatch.setattr(exact, "frozenset", lambda x: calls.append(1) or frozenset(x),
+                            raising=False)
+        first = hash(a)
+        assert len(calls) == 4
+        assert hash(a) == first and len(calls) == 4
+        assert hash(twin) == first and a == twin
+
     def test_sum_with_negative_is_canonical_zero(self):
         rng = random.Random(21)
         for n in range(5):

@@ -6,6 +6,7 @@ import random
 import pytest
 import sympy
 
+from symheat import series
 from symheat.bundles import catalog_rep
 from symheat.exact import GaussianRational, Matrix, combination, rational
 from symheat.series import (
@@ -111,6 +112,17 @@ class TestDetSinhcPencil:
 
     def test_empty_pencil(self):
         assert det_sinhc_pencil([], HALF, rational(-1, 2), 4).exp() == SeriesPoly(0, 1, 4, {(): 1})
+
+    def test_zero_pencil_forms_no_power(self, monkeypatch):
+        # every generator zero, as an untwisted B or the F of an abelian h:
+        # the zero exponent, with no pencil power formed
+        def refuse(*args):
+            raise AssertionError("a zero pencil needs no power")
+
+        monkeypatch.setattr(series, "_pencil_step", refuse)
+        zero = Matrix.zeros(3)
+        assert det_sinhc_pencil([zero, zero], HALF, HALF, 6, [(1, 2)]) == SeriesPoly(1, 1, 6)
+        assert det_sinhc_numeric(zero, rational(-1, 2), 8) == [1, 0, 0, 0, 0]
 
     def test_inverse_exponents_multiply_to_one(self):
         rng = random.Random(21)
@@ -421,6 +433,28 @@ class TestOneValueKind:
         twist = det_sinhc_numeric(Matrix.from_rows([[0, GaussianRational(0, 1)],
                                                     [GaussianRational(0, -1), 0]]), -HALF, 6)
         assert all(type(v) is GaussianRational for v in twist + log_sinhc_coeffs(6))
+
+
+class TestDilate:
+    @pytest.mark.parametrize("c", [rational(4, 9), rational(-9, 4), GaussianRational(1, 2)],
+                             ids=["4/9", "-9/4", "1+2i"])
+    @pytest.mark.parametrize("kind, p, dim, degree", _COSH_GRID[::6])
+    def test_cosh_of_a_scaled_pencil(self, kind, p, dim, degree, c):
+        # cosh(s c R(omega)) is cosh(s R(omega)) at c omega: each term times c^|mu|
+        rng = random.Random(f"dilate-{kind}-{p}-{dim}-{degree}")
+        mats = _random_pencil(rng, kind, p, dim)
+        pencil = cosh_pencil(mats, dim, degree)
+        got = pencil.dilate(c)
+        assert got == cosh_pencil([m.scale(c) for m in mats], dim, degree)
+        for mono, v in pencil.terms.items():
+            power = GaussianRational(1)
+            for _ in range(sum(mono)):
+                power = power * c
+            assert got.terms[mono] == v.scale(power)
+
+    def test_unit_scale_is_the_same_polynomial(self):
+        pencil = cosh_pencil([EPS], 2, 4)
+        assert pencil.dilate(1) is pencil
 
 
 class TestCoshAgainstDensePowers:

@@ -239,6 +239,25 @@ class TestWeightValidation:
         with pytest.raises(ValueError):
             GaussianWeight.from_beta(Matrix.from_rows([[1, 1], [1, 1]]))
 
+    def test_diagonal_weight_forms_what_it_does_not_check(self, monkeypatch):
+        d = [rational(4, 9), rational(-2, 3), GaussianRational(1, 1)]
+        density = {(2, 0, 0): 1, (0, 2, 2): rational(-1, 3)}
+        checked = GaussianWeight(Matrix.diag(d), Matrix.diag([1 / x for x in d]), density)
+        calls = []
+        for name in ("matmul", "transpose"):
+            original = getattr(Matrix, name)
+            monkeypatch.setattr(Matrix, name, lambda *a, original=original:
+                                calls.append(a) or original(*a))
+        w = GaussianWeight.diagonal(d, density)
+        assert calls == []
+        assert (w.p, w.beta, w.beta_inv, w.density) == (
+            checked.p, checked.beta, checked.beta_inv, checked.density)
+        poly = SeriesPoly(3, 1, 4, {mono: Matrix.from_rows([[x]]) for mono, x in (
+            ((2, 0, 0), 1), ((1, 1, 0), 2), ((0, 2, 2), rational(1, 5)))})
+        assert average_poly(poly, w) == average_poly(poly, checked)
+        with pytest.raises(ValueError, match="one exponent per variable"):
+            GaussianWeight.diagonal(d, {(2,): 1})
+
 
 def _form(beta, u, v):
     return sum((u[i] * beta[i, j] * v[j] for i in range(beta.rows) for j in range(beta.rows)),
