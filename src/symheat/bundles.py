@@ -85,9 +85,9 @@ class FiberRep:
     p holonomy generators; Omega, the total curvature table, is computed on
     first read.  report is the validate_rep verdict build_rep reached on it.
     unit is (fiber, c) with R = c fiber.R and the Casimir c fiber.casimir:
-    build_rep sets the UnitFiber its frame and table share, and any other rep
-    (dataclasses.replace, a direct call) derives its own from its own R and
-    Casimir on first read, with c = 1.
+    build_rep sets the UnitFiber its frame and table share, at the frame's
+    scale, and any other rep (dataclasses.replace, a direct call) derives its
+    own from its own model, R and Casimir on first read, with c = 1.
     """
 
     model: SymmetricSpaceModel
@@ -117,10 +117,13 @@ class UnitFiber:
     """A fiber at unit scale: R and the Casimir of a generator table on a
     model, and the fiber-holonomy-bracket, casimir-centrality and
     fiber-curvature-integrability results on them (checks), which hold
-    unchanged at every scale of beta.  The engine keeps here what it derives
-    from R alone: the cosh pencil per degree, with the torus basis it was
-    expanded on (cosh), and the commutant's basis and duals, with the
-    Lie-generating set they were solved for (commutant).
+    unchanged at every scale of beta; shift is the model's R/8 + R_H/6, so
+    that M0 = shift I - Casimir is the prefactor's exponent at this scale.
+    The engine keeps here what it derives from these alone, none of it
+    scaled: the cosh pencil per degree, with the torus basis it was expanded
+    on (cosh), the prefactor [M0^i / i!] per degree (prefactor), and the
+    commutant's basis and duals, with the Lie-generating set they were
+    solved for (commutant).
 
     It holds neither its model nor its table, so the table's memo
     (GeneratorTable.fibers) keeps no frame alive.
@@ -128,8 +131,10 @@ class UnitFiber:
 
     def __init__(self, model: SymmetricSpaceModel, dimV: int, R: tuple, casimir: Matrix):
         self.dimV, self.R, self.casimir = dimV, R, casimir
+        self.shift = model.scalar_R / 8 + model.R_H / 6
         self.checks = _fiber_checks(model, R, casimir)
         self.cosh = {}
+        self.prefactor = {}
         self.commutant = None
 
 

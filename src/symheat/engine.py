@@ -27,27 +27,35 @@ h-average lies; the trace pairing with a commutant basis is invariant, so
 it fixes that projection.  An abelian h takes the same route with t = h
 (the p unit vectors), W = 1 and no projection.
 
-The weight check, the torus basis, its density and the Lie-generating set
-depend on the frame alone, up to a factor of W that cancels in the ratio:
-each is read from the model's spaces.UnitStructure, and a job forms only
-the norms d_a = <v_a, beta v_a> of its own beta.  Likewise the fiber: with
-R = c R0, the degree-|mu| terms of cosh(s R(y)) are c^|mu| times those of
-R0, and the commutant of c R0 is that of R0.  So the cosh pencil of each
-degree and the commutant's basis and duals are derived once on the rep's
-unit fiber (bundles.UnitFiber, one per frame and generator table) and kept
-there, and a job scales the cosh terms.  The two det(sinhc) pencils are
-still expanded per job on the job model's own F and D, which
-perfbench/spans.py tells apart by identity with model.F.
+A radius and a sign only scale beta = c beta0, and with the twist set aside
+b_m(c) = c^m b0_m: F, D and R are c F0, c D0 and c R0, so the bracket at c
+is B0(c y); under the weight of the norms d_a = c d0_a its t^j coefficient
+is c^j times that of B0 under d0; W's factor cancels in the ratio; and the
+prefactor's exponent is M = c M0.  So the bracket, its average and the
+prefactor run at the frame's unit scale, and each b_m takes c^m once, in
+its combination's coefficients.  The weight check, the torus basis, its
+density, the Lie-generating set and the weight of the d0_a and W are read
+from the model's frame (spaces.UnitStructure).  The cosh pencil and the
+prefactor of each degree and the commutant's basis and duals (the
+commutant of c R0 is that of R0) are derived once on the rep's unit fiber
+(bundles.UnitFiber, one per frame and generator table) and kept there.
+The two det(sinhc) pencils run per job on the job model's own F and D, at
+the scale 1/(2c), so they expand F0 and D0; perfbench/spans.py tells them
+apart by identity with model.F.  A fiber at another scale than its model
+frame's, c_fiber, as a rep that build_rep did not make may have, enters
+through r = c_fiber / c: its cosh pencil is dilated by r, and its
+prefactor term of t-degree i is scaled by r^i.
 
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
 exponents of the two determinant factors; cosh and the determinant
 factors take their pencil powers, restricted to t, from the same sparse
 routine.  The average turns the bracket into a list of t-coefficients,
-the prefactor is the list [M^k / k!], the twist factor is the list of
-its t-coefficients (the same det(sinhc) expansion on the pencil t*B),
-and a_k is the t^k coefficient of the three lists' product; without a
-twist that list is [1, 0, ...] and a_k is the product of the other two.
+the prefactor is the list [M0^k / k!], their product scaled by c^m at t^m
+is the list of the b_m, the twist factor is the list of its
+t-coefficients (the same det(sinhc) expansion on the pencil t*B), and a_k
+is the t^k coefficient of the b_m and twist lists' product; without a
+twist that list is [1, 0, ...] and a_k = b_k.
 
 pi never appears: coefficients and traced invariants are exact rationals.
 """
@@ -60,9 +68,9 @@ from .exact import (
     GaussianRational, Matrix, ONE, ZERO, combination, invert, kernel, rational, rational_to_str,
 )
 from .series import (
-    SeriesPoly, cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series,
+    SeriesPoly, _powers, cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series,
 )
-from .spaces import HolonomyAverageError, SymmetricSpaceModel, _beta_form
+from .spaces import HolonomyAverageError, SymmetricSpaceModel, _beta_form, beta_scale
 from .wick import GaussianWeight, average_poly
 
 K_MAX_LIMIT = 6
@@ -126,34 +134,48 @@ class HeatTraceResult:
 
 
 def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
-    """Expand the generating function and read off a_0 .. a_kmax exactly."""
+    """Expand the generating function and read off a_0 .. a_kmax exactly.
+
+    Everything up to b_m runs at the model frame's unit scale, c = beta /
+    beta0: b_m(c) = c^m b0_m, and the rep's unit fiber is at c_fiber = R /
+    R0, which build_rep makes c.
+    """
     model, rep, k_max = req.model, req.rep, req.k_max
     degree = 2 * k_max
     dimV = rep.dimV
+    frame = model.unit
+    fiber, c_fiber = rep.unit
+    c = beta_scale(model.beta) / beta_scale(frame.model.beta)
+    r = c_fiber / c  # 1 unless the fiber's scale is not its model frame's
 
-    # the bracket on a Cartan subalgebra t, averaged with the Weyl density
-    basis, density = model.unit.torus
-    d = [_beta_form(model.beta, v, v) for v in basis]
-    f_cosh = _cosh(rep, degree, basis)
-    # the two det(sinhc) factors as exponents, added and exponentiated once
-    f_hol = det_sinhc_pencil(model.F, _HALF, _HALF, degree, basis)
-    f_tan = det_sinhc_pencil(model.D, _HALF, -_HALF, degree, basis)
+    # the bracket at beta0 on a Cartan subalgebra t, averaged with the Weyl density
+    basis = frame.torus[0]
+    f_cosh = _cosh(fiber, degree, basis).dilate(r)
+    # the two det(sinhc) factors as exponents, added and exponentiated once;
+    # F = c F0 and D = c D0, so the pencils at 1/(2c) are those of F0 and D0
+    f_hol = det_sinhc_pencil(model.F, _HALF / c, _HALF, degree, basis)
+    f_tan = det_sinhc_pencil(model.D, _HALF / c, -_HALF, degree, basis)
     bracket = f_cosh * (f_hol + f_tan).exp()
-    averaged = average_poly(bracket, GaussianWeight.diagonal(d, density))
+    averaged = average_poly(bracket, _weight(frame))
     if len(basis) < model.p and dimV > 1:
-        project = _commutant_projection(rep.unit[0], model.unit.lie_generators)
+        project = _commutant_projection(fiber, frame.lie_generators)
         averaged = [project(a) for a in averaged]
 
-    exponent_matrix = Matrix.identity(dimV).scale(
-        model.scalar_R / 8 + model.R_H / 6
-    ) - rep.casimir
-    prefactor = matrix_exp_series(exponent_matrix, degree)
+    # [M0^i / i!] at the fiber's scale, kept there per degree; r^i of it at
+    # the frame's, as the cosh pencil is dilated by r
+    prefactor = fiber.prefactor.get(degree)
+    if prefactor is None:
+        prefactor = fiber.prefactor[degree] = matrix_exp_series(
+            Matrix.identity(dimV).scale(fiber.shift) - fiber.casimir, degree)
+    if r != ONE:
+        prefactor = [x.scale(y) for x, y in zip(prefactor, _powers(r, k_max))]
     twist = det_sinhc_numeric(rep.B, -_HALF, degree)
 
-    # a_k = sum_m twist[k - m] b_m with b_m = sum_(i + j = m) prefactor[i]
-    # averaged[j]: one combination per b_m, its products passed as factors,
-    # and one per a_k unless the twist series is 1
-    b = [combination(((1, prefactor[i], averaged[m - i]) for i in range(m + 1)), dimV)
+    # a_k = sum_m twist[k - m] b_m with b_m = c^m sum_(i + j = m) prefactor[i]
+    # averaged[j]: one combination per b_m, with the coefficient c^m and its
+    # products passed as factors, and one per a_k unless the twist series is 1
+    cm = _powers(c, k_max)
+    b = [combination(((cm[m], prefactor[i], averaged[m - i]) for i in range(m + 1)), dimV)
          for m in range(k_max + 1)]
     coeffs = b if not any(twist[1:]) else [
         combination(((twist[k - m], b[m]) for m in range(k + 1)), dimV) for k in range(k_max + 1)]
@@ -162,15 +184,23 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     return HeatCoefficients(n=model.n, dimV=dimV, a=tuple(coeffs))
 
 
-def _cosh(rep: FiberRep, degree: int, basis) -> SeriesPoly:
-    """cosh(s R(y)) on the torus basis: the rep's unit fiber's pencil, kept
-    there per degree, at c y.  With R = c R0, each term of degree |mu| is
-    c^|mu| times that of R0."""
-    fiber, c = rep.unit
+def _cosh(fiber, degree: int, basis) -> SeriesPoly:
+    """cosh(s R0(y)) on the torus basis, for the unit fiber's R0: expanded
+    once per degree and kept on the fiber."""
     kept = fiber.cosh.get(degree)
     if kept is None or kept[0] != basis:
-        kept = fiber.cosh[degree] = basis, cosh_pencil(fiber.R, rep.dimV, degree, basis)
-    return kept[1].dilate(c)
+        kept = fiber.cosh[degree] = basis, cosh_pencil(fiber.R, fiber.dimV, degree, basis)
+    return kept[1]
+
+
+def _weight(frame) -> GaussianWeight:
+    """The frame's diagonal weight at beta0 on its torus basis, with the Weyl
+    density: formed on the frame's first job and kept on it (gaussian)."""
+    if frame.gaussian is None:
+        basis, density = frame.torus
+        frame.gaussian = GaussianWeight.diagonal(
+            [_beta_form(frame.model.beta, v, v) for v in basis], density)
+    return frame.gaussian
 
 
 # ---------------------------------------------------------------------------

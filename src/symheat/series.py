@@ -89,9 +89,7 @@ class SeriesPoly:
         """The polynomial at c*omega: each term times c^|mu|."""
         if c == ONE:
             return self
-        powers = [ONE]
-        for _ in range(self.degree):
-            powers.append(powers[-1] * c)
+        powers = _powers(c, self.degree)
         return SeriesPoly(self.p, self.dim, self.degree, {
             mono: v * powers[sum(mono)] for mono, v in self.terms.items()
         })
@@ -143,6 +141,14 @@ class SeriesPoly:
                 g[n] = gn
         return SeriesPoly(self.p, 1, self.degree,
                           {mono: v for gn in g.values() for mono, v in gn.items()})
+
+
+def _powers(x, top: int) -> list:
+    """[x^0 .. x^top]."""
+    out = [ONE]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 def log_sinhc_coeffs(order: int) -> list:

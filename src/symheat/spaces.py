@@ -204,10 +204,15 @@ class UnitStructure:
       density on it, up to c^(p-r), which cancels in <phi W>_t / <W>_t;
     - lie_generators: _lie_generators on that basis, which sees only spans.
     An error is not kept: a failing derivation raises again on every read.
+    The engine runs the average at this unit scale and keeps its weight
+    here (gaussian, None until the first job): the wick.GaussianWeight of
+    the norms <v_a, beta0 v_a> on the torus basis and of W, so its moment
+    memo serves every scale of the frame.
     """
 
     def __init__(self, model: SymmetricSpaceModel):
         self.model = model
+        self.gaussian = None
 
     @cached_property
     def weight(self) -> CheckResult:

@@ -3,7 +3,9 @@ import json
 import random
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -461,11 +463,18 @@ class TestGrownTorus:
         original = engine.average_poly
         monkeypatch.setattr(engine, "average_poly", lambda *a: seen.append(a) or original(*a))
         heat_coefficients(HeatRequest(m, scalar_rep(m), 2))
-        torus, weight = m.unit.torus[0], seen[0][1]
-        restricted = _restricted_beta(m, torus)
+        frame = m.unit
+        torus, weight = frame.torus[0], seen[0][1]
+        # the frame's weight, at its beta0, kept on the frame
+        assert weight is frame.gaussian
+        restricted = _restricted_beta(frame.model, torus)
         assert restricted == weight.beta == Matrix.diag([restricted[a, a] for a in range(2)])
-        # the frame's density, c^(p-r) times the one of the job's own F
-        scale = _power(_first_entry(m.beta), m.p - len(torus))
+        # the job's own beta on the torus is c times the frame's
+        c = _first_entry(m.beta) / _first_entry(frame.model.beta)
+        assert _restricted_beta(m, torus) == restricted.scale(c)
+        # the frame's density, that of F0, and c^(p-r) times it is the job's own F's
+        assert weight.density == weyl_density(frame.model.F, torus)
+        scale = _power(c, m.p - len(torus))
         assert weyl_density(m.F, torus) == {mono: scale * x for mono, x in weight.density.items()}
         # the same torus: every new vector lies in the span of the grown basis
         assert all(len(kernel([{a: c[i] for a, c in enumerate(basis + [v]) if c[i]}
@@ -811,9 +820,9 @@ def _unit_fiber_cases():
 
 class TestUnitFiber:
     """One unit fiber per frame and table: a rep scales R0 and the Casimir,
-    reads the frame's check results, and the engine scales the kept cosh
-    pencil and reads the kept commutant; all against the fiber built at the
-    job's own beta."""
+    reads the frame's check results, and the engine reads the kept cosh
+    pencil and commutant unscaled; all against the fiber built at the job's
+    own beta, divided by the fiber's scale."""
 
     CASES = _unit_fiber_cases()
 
@@ -822,8 +831,15 @@ class TestUnitFiber:
         assert rep.R == ref.R and rep.casimir == ref.casimir
         assert [(c.name, c.passed, c.detail) for c in rep.report.checks] == [
             (c.name, c.passed, c.detail) for c in ref.report.checks]
+        fiber, c = rep.unit
+        # R0 = R / c and M0 = M / c, from the fiber built at the job's beta
+        inv = GaussianRational(1) / c
         basis = model.unit.torus[0]
-        assert engine._cosh(rep, degree, basis) == cosh_pencil(ref.R, rep.dimV, degree, basis)
+        assert engine._cosh(fiber, degree, basis) == cosh_pencil(
+            tuple(r.scale(inv) for r in ref.R), rep.dimV, degree, basis)
+        exponent = Matrix.identity(rep.dimV).scale(
+            model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)) - ref.casimir
+        assert Matrix.identity(rep.dimV).scale(fiber.shift) - fiber.casimir == exponent.scale(inv)
         gens = model.unit.lie_generators
         engine._commutant_projection(rep.unit[0], gens)
         assert rep.unit[0].commutant == (gens, engine._commutant_duals(ref.R, gens))
@@ -938,11 +954,77 @@ class TestUnitFiber:
             assert len(seen.get("_commutant_duals", ())) == projected, frame
             assert len(seen.get("_table_checks", ())) <= 1, frame
 
+    def test_unit_scale_parts_once_per_frame_fiber_and_degree(self, monkeypatch):
+        # twelve radii and signs of S4 spinor on a fresh frame, each at k = 2 and 3
+        _fresh_frames(monkeypatch)
+        calls = []
+        for owner, name in ((engine, "matrix_exp_series"), (engine, "cosh_pencil"),
+                            (spaces, "weyl_density")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, name=name, original=original:
+                                calls.append(name) or original(*a))
+        diagonal = GaussianWeight.diagonal
+        monkeypatch.setattr(GaussianWeight, "diagonal", classmethod(
+            lambda cls, *a: calls.append("diagonal") or diagonal(*a)))
+        for s in (sphere, hyperbolic):
+            for r in (1, rational(2, 3), rational(5, 2), rational(3, 7), rational(9, 4), 7):
+                m = s(4, r)
+                rep = catalog_rep(m, "spinor")
+                for k_max in (2, 3):
+                    heat_coefficients(HeatRequest(m, rep, k_max))
+        assert sorted(calls) == ["cosh_pencil"] * 2 + ["diagonal"] + [
+            "matrix_exp_series"] * 2 + ["weyl_density"]
+
+
+def _fresh_frames(monkeypatch):
+    """Have build_model derive every frame anew, so each frame, and each unit
+    fiber of a table on it, starts with nothing kept."""
+    memo = spaces._unit_structure
+    monkeypatch.setattr(spaces, "_unit_structure",
+                        lru_cache(maxsize=memo.cache_info().maxsize)(memo.__wrapped__))
+
+
+class TestOneScalingPoint:
+    """b_m(c) = c^m b0_m: the engine runs the bracket, its average and the
+    prefactor at the frame's unit scale.  A model that dataclasses.replace
+    made is its own frame, c = 1, and a rep built on it has its fiber at
+    c = 1 too, so that route runs wholly at the job's scale; the crossed
+    requests take a fiber whose scale is not the model frame's."""
+
+    CASES = {
+        "flat2xs2_vecspin_twist": (lambda s, r: product([flat(2), s(2, r)]),
+                                   _catalog_fiber("tensor_product", _VS), [rational(1, 3)]),
+        "vecspin3": (lambda s, r: s(3, r), _catalog_fiber("tensor_product", _VS), None),
+        "spinor4": (lambda s, r: s(4, r), _catalog_fiber("spinor"), None),
+        **{f"monopole{q}": (lambda s, r: s(2, r), _monopole(q), None) for q in (1, 2, 3)},
+        "rotated4_spinor": (lambda s, r: _rotated(s(4, r)), _catalog_fiber("spinor"), None),
+    }
+
+    @pytest.mark.parametrize("radius", [rational(2, 3), rational(5, 2)])
+    @pytest.mark.parametrize("space", [sphere, hyperbolic])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_equals_the_job_scale_route(self, monkeypatch, name, space, radius):
+        # fresh frames, so each fiber derives its prefactor at k = 2 before k = 3
+        _fresh_frames(monkeypatch)
+        make, fiber, twist = self.CASES[name]
+        m = make(space, radius)
+        own = replace(m)
+        G, dimV = fiber(m)
+        B = twist_matrix(m, twist) if twist else None
+        reps = [build_rep(x, G, B, dimV=dimV) for x in (m, own)]
+        assert m.unit.model.beta == m.beta.scale(1 / _first_entry(m.beta)) != m.beta
+        assert own.unit.model is own and reps[1].unit[1] == 1
+        for k_max in (2, 3):
+            want = heat_coefficients(HeatRequest(own, reps[1], k_max)).a
+            for model in (m, own):
+                for rep in reps:
+                    assert heat_coefficients(HeatRequest(model, rep, k_max)).a == want
+
 
 class TestTracedProjectedJob:
     """The benchmark's tracer on a projected fiber whose second job reads
-    the table checks, the fiber checks, the cosh pencil and the commutant
-    from its unit fiber."""
+    the table checks, the fiber checks, the cosh pencil, the prefactor and
+    the commutant from its unit fiber."""
 
     def test_second_radius_hits_the_memo(self, monkeypatch):
         monkeypatch.syspath_prepend(str(REFS.parent))
@@ -982,11 +1064,59 @@ class TestTracedProjectedJob:
         assert per_job[1] == []
         cold, warm = ({s.name for s in tracer.spans if s.job == j} for j in (0, 1))
         assert {"job", *run.SPAN_TIMES.values()} <= cold
-        assert {"job", *run.SPAN_TIMES.values()} - {"series.cosh"} <= warm
-        assert "series.cosh" not in warm
+        kept = {"series.cosh", "series.prefactor"}
+        assert {"job", *run.SPAN_TIMES.values()} - kept <= warm
+        assert not kept & warm
         metrics = run.per_layer_metrics(tracer, 2, times, times)
         assert set(metrics) == set(run.PER_LAYER)
         assert metrics["bundles.build_rep_calls"] > 0 and metrics["wick.monomials"] > 0
+
+
+class TestTracerContract:
+    """What perfbench/spans.py and its tests read off a job, on a cold and a
+    warm job of every benchmark job type: one det_F and one det_D span (the
+    pencils take model.F and model.D by identity), a bracket product directly
+    under engine.solve, and average_monomial calls; and the per-layer metrics
+    of a traced run of warm jobs alone."""
+
+    def test_cold_and_warm_jobs_of_every_type(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(REFS.parent))
+        import run
+        from fractions import Fraction
+        from jobmix import WORKLOADS, Job
+        from refcheck import load_refs
+        from spans import Tracer
+
+        api = run.import_symheat()
+        _fresh_frames(monkeypatch)
+        types = [t for workload in WORKLOADS.values() for t in workload]
+        assert len(types) == 9
+        refs = load_refs(types)
+        jobs = [Job(t, sign, Fraction(r)) for t in types
+                for sign, r in ((1, "3/2"), (-1, "2/5"), (1, "7/4"))]
+        cold, warm = Tracer(), Tracer()
+        times = []
+        for tracer, batch in ((cold, jobs[::3] + jobs[1::3]), (warm, jobs[2::3])):
+            with tracer.installed():
+                for job_id, job in enumerate(batch):
+                    with tracer.job(job_id):
+                        dt, ok = run.run_job(api, job, refs[job.type.name, job.sign], tracer)
+                    assert ok, job.key
+                    if tracer is warm:
+                        times.append(dt)
+            monomials = Counter(j for j, _ in tracer.moment_keys)
+            for job_id, job in enumerate(batch):
+                spans = [s for s in tracer.spans if s.job == job_id]
+                names = Counter(s.name for s in spans)
+                assert names["series.det_F"] == names["series.det_D"] == 1, job.key
+                solve = next(s.id for s in spans if s.name == "engine.solve")
+                assert any(s.name == "series.bracket" and s.parent == solve for s in spans)
+                assert monomials[job_id] > 0, job.key
+        # the third batch runs on frames and fibers the first two warmed
+        assert not {"series.cosh", "series.prefactor"} & {s.name for s in warm.spans}
+        metrics = run.per_layer_metrics(warm, len(times), times, times)
+        assert set(metrics) == set(run.PER_LAYER)
+        assert metrics["wick.monomials"] > 0 and 0 <= metrics["wick.reuse_ratio"] < 1
 
 
 def _whole_pencil_weyl_density(mats, basis):
@@ -1193,7 +1323,8 @@ class TestGoldenReports:
 
 
 class TestFusedAssembly:
-    """a_k is one combination per k; checked against the term-by-term sum."""
+    """a_k is one combination per k of the unit-scale parts; checked against
+    the term-by-term sum with each part's power of its scale."""
 
     CASES = {
         "flat2xs2_vecspin_twist_k4": lambda: HeatRequest(
@@ -1221,18 +1352,27 @@ class TestFusedAssembly:
             return lambda a: projected.append(project(a)) or projected[-1]
 
         original_projection = engine._commutant_projection
-        for key in ("matrix_exp_series", "average_poly", "det_sinhc_numeric"):
+        for key in ("average_poly", "det_sinhc_numeric"):
             monkeypatch.setattr(engine, key, recording(key, getattr(engine, key)))
         monkeypatch.setattr(engine, "_commutant_projection", recording_projection)
         req = self.CASES[name]()
         got = heat_coefficients(req).a
-        prefactor, twist = seen["matrix_exp_series"], seen["det_sinhc_numeric"]
+        k_max, dimV, model = req.k_max, req.rep.dimV, req.model
+        # the frame's scale c and the fiber's, and the prefactor kept on the
+        # fiber: the series of M0 = M / c_fiber, M formed at the job's scale
+        c = _first_entry(model.beta) / _first_entry(model.unit.model.beta) if model.p else q(1)
+        fiber, c_fiber = req.rep.unit
+        assert c_fiber == c
+        prefactor = fiber.prefactor[2 * k_max]
+        exponent = Matrix.identity(dimV).scale(
+            model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)) - req.rep.casimir
+        assert prefactor == matrix_exp_series(exponent.scale(q(1) / c_fiber), 2 * k_max)
+        twist = seen["det_sinhc_numeric"]
         averaged = seen.get("projected", seen["average_poly"])
-        k_max, dimV = req.k_max, req.rep.dimV
         want = [Matrix.zeros(dimV)] * (k_max + 1)
         for i, pre in enumerate(prefactor):
             for j, avg in enumerate(averaged[: k_max + 1 - i]):
-                prod = pre * avg
+                prod = (pre * avg).scale(_power(c_fiber, i) * _power(c, j))
                 for k in range(i + j, k_max + 1):
                     if twist[k - i - j]:
                         want[k] = want[k] + prod.scale(twist[k - i - j])
