@@ -26,8 +26,8 @@ Casimir by c, and every item of the holonomy bracket, Casimir centrality
 and integrability checks by c^2, so those three run once per frame
 (spaces.UnitStructure) and table, on the frame's unit-scale model, and are
 kept with R0 and the Casimir there (UnitFiber, held by GeneratorTable.fibers);
-a rep scales R0 and the Casimir by c.  Only the twist's support, which reads
-B, runs on every call.
+a rep scales R0 and the Casimir by the model's scale c.  Only the twist's
+support, which reads B, runs on every call.
 
 validate_rep walks nonzero couplings only: a check item whose operands are
 all zero holds without forming a matrix, and a check whose items all hold
@@ -53,8 +53,8 @@ from .exact import (
     rational,
 )
 from .spaces import (
-    CheckResult, SymmetricSpaceModel, ValidationReport, beta_scale, entries_at, first_failure,
-    index_pairs, unit_bivectors,
+    CheckResult, SymmetricSpaceModel, ValidationReport, entries_at, first_failure, index_pairs,
+    unit_bivectors,
 )
 
 PAULI_X = Matrix.from_rows([[0, 1], [1, 0]])
@@ -84,10 +84,10 @@ class FiberRep:
     G[b][a] = -G[a][b]); B is the n x n fiber-scalar twist; R holds the
     p holonomy generators; Omega, the total curvature table, is computed on
     first read.  report is the validate_rep verdict build_rep reached on it.
-    unit is (fiber, c) with R = c fiber.R and the Casimir c fiber.casimir:
-    build_rep sets the UnitFiber its frame and table share, at the frame's
-    scale, and any other rep (dataclasses.replace, a direct call) derives its
-    own from its own model, R and Casimir on first read, with c = 1.
+    unit is the UnitFiber on the model's frame, with R = c unit.R and the
+    Casimir c unit.casimir for the model's scale c: build_rep sets the one
+    its frame and table share, and any other rep (dataclasses.replace, a
+    direct call) derives its own from R / c and the Casimir / c on first read.
     """
 
     model: SymmetricSpaceModel
@@ -99,8 +99,10 @@ class FiberRep:
     report: ValidationReport | None = None
 
     @cached_property
-    def unit(self) -> tuple:
-        return UnitFiber(self.model, self.dimV, self.R, self.casimir), ONE
+    def unit(self) -> UnitFiber:
+        inv = ONE / self.model.scale
+        return UnitFiber(self.model.unit.model, self.dimV, tuple(r.scale(inv) for r in self.R),
+                         self.casimir.scale(inv))
 
     @cached_property
     def Omega(self) -> tuple:
@@ -114,16 +116,15 @@ class FiberRep:
 
 
 class UnitFiber:
-    """A fiber at unit scale: R and the Casimir of a generator table on a
-    model, and the fiber-holonomy-bracket, casimir-centrality and
+    """A fiber on a frame's unit-scale model: R0 and the Casimir there, and
+    the fiber-holonomy-bracket, casimir-centrality and
     fiber-curvature-integrability results on them (checks), which hold
     unchanged at every scale of beta; shift is the model's R/8 + R_H/6, so
     that M0 = shift I - Casimir is the prefactor's exponent at this scale.
-    The engine keeps here what it derives from these alone, none of it
-    scaled: the cosh pencil per degree, with the torus basis it was expanded
-    on (cosh), the prefactor [M0^i / i!] per degree (prefactor), and the
-    commutant's basis and duals, with the Lie-generating set they were
-    solved for (commutant).
+    The engine keeps here what it derives from these and the frame alone,
+    none of it scaled: the cosh pencil on the frame's torus basis (cosh) and
+    the prefactor [M0^i / i!] (prefactor), each per degree, and the
+    commutant's basis and duals (commutant, None until solved).
 
     It holds neither its model nor its table, so the table's memo
     (GeneratorTable.fibers) keeps no frame alive.
@@ -263,7 +264,7 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
 
     detail = twist_flat_support()
     checks.append(CheckResult("twist-flat-support", not detail, detail))
-    checks += (rep.unit[0].checks if model is rep.model
+    checks += (rep.unit.checks if model is rep.model
                else _fiber_checks(model, rep.R, rep.casimir))
     return ValidationReport(tuple(checks))
 
@@ -371,9 +372,9 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
 
     R and the Casimir are linear in beta, so the table's UnitFiber on the
     model's frame, derived at the frame's beta0 on first use and kept in
-    table.fibers, serves every radius and sign: with c = beta / beta0, the
-    rep scales its R and Casimir by c.  A failing fiber is kept too, and
-    raises the same BundleError on every call.
+    table.fibers, serves every radius and sign: the rep scales its R and
+    Casimir by the model's scale c, with beta = c beta0.  A failing fiber is
+    kept too, and raises the same BundleError on every call.
     """
     n = model.n
     if dimV is None:
@@ -396,10 +397,10 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     if fiber is None:
         fiber = table.fibers[frame] = UnitFiber(frame.model, dimV,
                                                 *_holonomy(frame.model, table, dimV))
-    c = beta_scale(model.beta) / beta_scale(frame.model.beta)
+    c = model.scale
     rep = FiberRep(model=model, dimV=dimV, G=table, B=B,
                    R=tuple(r.scale(c) for r in fiber.R), casimir=fiber.casimir.scale(c))
-    rep.unit = fiber, c
+    rep.unit = fiber
     rep.report = validate_rep(model, rep)
     if not rep.report.ok:
         raise BundleError(f"fiber checks failed: {', '.join(rep.report.failed())}")

@@ -6,8 +6,8 @@ as a rational coefficient together with a pi power, and traced invariants
 are reported the same way.
 
 Exit codes: 0 success, 2 unreadable/invalid input, 3 validation or check
-failure (a weight not invariant under the holonomy algebra included),
-4 truncation overflow.
+failure (a weight not invariant under the holonomy algebra and a traced
+fiber trace that is not real included), 4 truncation overflow.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .bundles import BundleError, rep_from_descriptor
 from .engine import (
     HeatRequest,
     HolonomyAverageError,
+    NonRealTraceError,
     TruncationOverflowError,
     coefficient_report,
     heat_coefficients,
@@ -126,9 +127,9 @@ def cmd_compute(args) -> int:
             vol, pi_power = _parse_volume(job.get("volume"))
         if vol is None:
             raise JobError(EXIT_PARSE, "error: --trace needs a 'volume' entry in the job file")
-    with _exits(EXIT_VALIDATION, "error: ", HolonomyAverageError):
+    with _exits(EXIT_VALIDATION, "error: ", HolonomyAverageError, NonRealTraceError):
         coeffs = heat_coefficients(req)
-    trace = heat_trace(coeffs, vol) if args.trace else None
+        trace = heat_trace(coeffs, vol) if args.trace else None
     report = coefficient_report(coeffs, trace=trace, mode=args.output,
                                 pi_power=pi_power)
     if args.format == "text":

@@ -25,26 +25,25 @@ moment factors into one-variable moments.  For a matrix fiber and r < p,
 the t-average is projected onto the commutant of the R_i, where the
 h-average lies; the trace pairing with a commutant basis is invariant, so
 it fixes that projection.  An abelian h takes the same route with t = h
-(the p unit vectors), W = 1 and no projection.
+(the p unit vectors), W = 1 and no projection, and a fiber whose R_i are
+all zero needs none either: its commutant is every matrix.
 
-A radius and a sign only scale beta = c beta0, and with the twist set aside
-b_m(c) = c^m b0_m: F, D and R are c F0, c D0 and c R0, so the bracket at c
-is B0(c y); under the weight of the norms d_a = c d0_a its t^j coefficient
-is c^j times that of B0 under d0; W's factor cancels in the ratio; and the
-prefactor's exponent is M = c M0.  So the bracket, its average and the
-prefactor run at the frame's unit scale, and each b_m takes c^m once, in
-its combination's coefficients.  The weight check, the torus basis, its
+A radius and a sign only scale beta = c beta0 (c is the model's scale), and
+with the twist set aside b_m(c) = c^m b0_m: F, D and R are c F0, c D0 and
+c R0, so the bracket at c is B0(c y); under the weight of the norms
+d_a = c d0_a its t^j coefficient is c^j times that of B0 under d0; W's
+factor cancels in the ratio; and the prefactor's exponent is M = c M0.  So
+the bracket, its average and the prefactor run at the frame's unit scale,
+and each b_m takes c^m once, in its combination's coefficients.  The engine
+runs on the rep's model, whose frame is its unit fiber's, so the frame, c
+and the fiber always match.  The weight check, the torus basis, its
 density, the Lie-generating set and the weight of the d0_a and W are read
-from the model's frame (spaces.UnitStructure).  The cosh pencil and the
-prefactor of each degree and the commutant's basis and duals (the
-commutant of c R0 is that of R0) are derived once on the rep's unit fiber
-(bundles.UnitFiber, one per frame and generator table) and kept there.
-The two det(sinhc) pencils run per job on the job model's own F and D, at
-the scale 1/(2c), so they expand F0 and D0; perfbench/spans.py tells them
-apart by identity with model.F.  A fiber at another scale than its model
-frame's, c_fiber, as a rep that build_rep did not make may have, enters
-through r = c_fiber / c: its cosh pencil is dilated by r, and its
-prefactor term of t-degree i is scaled by r^i.
+from that frame (spaces.UnitStructure).  The cosh pencil and the prefactor
+of each degree and the commutant's basis and duals (the commutant of c R0
+is that of R0) are derived once on the rep's unit fiber
+(bundles.UnitFiber) and kept there.  The two det(sinhc) pencils run per job
+on the model's own F and D, at the scale 1/(2c), so they expand F0 and D0;
+perfbench/spans.py tells them apart by identity with model.F.
 
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
@@ -67,10 +66,8 @@ from .bundles import FiberRep
 from .exact import (
     GaussianRational, Matrix, ONE, ZERO, combination, invert, kernel, rational, rational_to_str,
 )
-from .series import (
-    SeriesPoly, _powers, cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series,
-)
-from .spaces import HolonomyAverageError, SymmetricSpaceModel, _beta_form, beta_scale
+from .series import _powers, cosh_pencil, det_sinhc_numeric, det_sinhc_pencil, matrix_exp_series
+from .spaces import HolonomyAverageError, SymmetricSpaceModel, _beta_form
 from .wick import GaussianWeight, average_poly
 
 K_MAX_LIMIT = 6
@@ -86,8 +83,16 @@ class RepModelMismatchError(ValueError):
     """The fiber representation was built against a different model."""
 
 
+class NonRealTraceError(ValueError):
+    """The fiber trace of some a_k is not real, so it has no traced invariant."""
+
+
 @dataclass(frozen=True)
 class HeatRequest:
+    """A truncated expansion of the rep's bundle over model.  The rep's model
+    must have model's data; the engine runs on the rep's model, and the
+    weight's invariance is checked there."""
+
     model: SymmetricSpaceModel
     rep: FiberRep
     k_max: int
@@ -100,7 +105,7 @@ class HeatRequest:
         rep_model = self.rep.model
         if rep_model is not self.model and rep_model.data != self.model.data:
             raise RepModelMismatchError("rep was built for a different model")
-        check = self.model.unit.weight
+        check = rep_model.unit.weight
         if not check.passed:
             raise HolonomyAverageError(
                 f"{check.name} fails ({check.detail}): the weight exp(-<w, beta w>/4) "
@@ -136,39 +141,35 @@ class HeatTraceResult:
 def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     """Expand the generating function and read off a_0 .. a_kmax exactly.
 
-    Everything up to b_m runs at the model frame's unit scale, c = beta /
-    beta0: b_m(c) = c^m b0_m, and the rep's unit fiber is at c_fiber = R /
-    R0, which build_rep makes c.
+    Everything up to b_m runs at the unit scale of the rep's model frame,
+    whose fiber is rep.unit, and b_m(c) = c^m b0_m for the model's scale c.
     """
-    model, rep, k_max = req.model, req.rep, req.k_max
+    rep, k_max = req.rep, req.k_max
+    model, fiber, dimV = rep.model, rep.unit, rep.dimV
+    frame, c = model.unit, model.scale
     degree = 2 * k_max
-    dimV = rep.dimV
-    frame = model.unit
-    fiber, c_fiber = rep.unit
-    c = beta_scale(model.beta) / beta_scale(frame.model.beta)
-    r = c_fiber / c  # 1 unless the fiber's scale is not its model frame's
 
-    # the bracket at beta0 on a Cartan subalgebra t, averaged with the Weyl density
+    # the bracket at beta0 on a Cartan subalgebra t, averaged with the Weyl
+    # density; the cosh pencil of R0 is kept on the fiber per degree
     basis = frame.torus[0]
-    f_cosh = _cosh(fiber, degree, basis).dilate(r)
+    f_cosh = fiber.cosh.get(degree)
+    if f_cosh is None:
+        f_cosh = fiber.cosh[degree] = cosh_pencil(fiber.R, dimV, degree, basis)
     # the two det(sinhc) factors as exponents, added and exponentiated once;
     # F = c F0 and D = c D0, so the pencils at 1/(2c) are those of F0 and D0
     f_hol = det_sinhc_pencil(model.F, _HALF / c, _HALF, degree, basis)
     f_tan = det_sinhc_pencil(model.D, _HALF / c, -_HALF, degree, basis)
     bracket = f_cosh * (f_hol + f_tan).exp()
     averaged = average_poly(bracket, _weight(frame))
-    if len(basis) < model.p and dimV > 1:
+    if len(basis) < model.p and any(fiber.R):
         project = _commutant_projection(fiber, frame.lie_generators)
         averaged = [project(a) for a in averaged]
 
-    # [M0^i / i!] at the fiber's scale, kept there per degree; r^i of it at
-    # the frame's, as the cosh pencil is dilated by r
+    # [M0^i / i!], kept on the fiber per degree
     prefactor = fiber.prefactor.get(degree)
     if prefactor is None:
         prefactor = fiber.prefactor[degree] = matrix_exp_series(
             Matrix.identity(dimV).scale(fiber.shift) - fiber.casimir, degree)
-    if r != ONE:
-        prefactor = [x.scale(y) for x, y in zip(prefactor, _powers(r, k_max))]
     twist = det_sinhc_numeric(rep.B, -_HALF, degree)
 
     # a_k = sum_m twist[k - m] b_m with b_m = c^m sum_(i + j = m) prefactor[i]
@@ -182,15 +183,6 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     if coeffs[0] != Matrix.identity(dimV):
         raise AssertionError("a_0 is not the identity")
     return HeatCoefficients(n=model.n, dimV=dimV, a=tuple(coeffs))
-
-
-def _cosh(fiber, degree: int, basis) -> SeriesPoly:
-    """cosh(s R0(y)) on the torus basis, for the unit fiber's R0: expanded
-    once per degree and kept on the fiber."""
-    kept = fiber.cosh.get(degree)
-    if kept is None or kept[0] != basis:
-        kept = fiber.cosh[degree] = basis, cosh_pencil(fiber.R, fiber.dimV, degree, basis)
-    return kept[1]
 
 
 def _weight(frame) -> GaussianWeight:
@@ -210,8 +202,9 @@ def _weight(frame) -> GaussianWeight:
 def _commutant_projection(fiber, gens):
     """The projection onto the commutant of the R_i, as a function of a matrix A.
 
-    Called only when t is smaller than h: for an abelian h the t-average
-    is the h-average already.  The commutant basis Gamma_b solves
+    Called only when t is smaller than h and some R_i is nonzero: for an
+    abelian h the t-average is the h-average already, and with every R_i
+    zero the commutant is every matrix.  The commutant basis Gamma_b solves
     [g, X] = 0 for g = sum_i v[i] R_i, v in gens, a Lie-generating set of
     h (_lie_generators, Cartan generators first: they settle most unknowns).
     An X that commutes with two matrices commutes with their bracket, and R
@@ -223,15 +216,12 @@ def _commutant_projection(fiber, gens):
     anti-Hermitian or not.
 
     The commutant of c R is that of R, so the basis and its duals are solved
-    once on the unit fiber's R (bundles.UnitFiber) and kept there with gens;
-    only P(A) runs per job.
+    once on the unit fiber's R (bundles.UnitFiber), whose frame gens come
+    from, and kept there; only P(A) runs per job.
     """
-    if fiber.commutant is None or fiber.commutant[0] != gens:
-        fiber.commutant = gens, _commutant_duals(fiber.R, gens)
-    duals = fiber.commutant[1]
-    if duals is None:  # every R_i is zero: the commutant is every matrix
-        return lambda a: a
-    dim = fiber.dimV
+    if fiber.commutant is None:
+        fiber.commutant = _commutant_duals(fiber.R, gens)
+    duals, dim = fiber.commutant, fiber.dimV
 
     def pair(vec, a):  # tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim]
         return sum((x * y for u, x in vec if (y := a.nonzeros[u % dim].get(u // dim))), ZERO)
@@ -241,7 +231,7 @@ def _commutant_projection(fiber, gens):
 
 def _commutant_duals(R, gens):
     """((Gamma_b, dual_b), ...) for the commutant of the g = sum_i v[i] R_i,
-    v in gens, or None when every g is zero: each Gamma_b as its sparse
+    v in gens, not all zero: each Gamma_b as its sparse
     (unknown, value) items, where the unknown u = k*dim + c is X[k, c], and
     dual_b the matrix with tr(Gamma_a dual_b) = delta_ab.  exact.kernel
     returns the reduced basis of the null space, which depends on the null
@@ -264,8 +254,6 @@ def _commutant_duals(R, gens):
                         u = r * dim + k
                         row[u] = row[u] - x if u in row else -x
                     eqs.append(row)
-    if not eqs:
-        return None
     vecs = kernel(eqs, dim * dim)
     gammas, at = [], {}  # at[u] lists (b, Gamma_b[u]) over the b with Gamma_b[u] != 0
     for b, vec in enumerate(vecs):
@@ -296,7 +284,7 @@ def heat_trace(coeffs: HeatCoefficients, volume) -> HeatTraceResult:
     for a in coeffs.a:
         tr = a.trace()
         if tr.im != 0:
-            raise AssertionError("fiber trace is not real")
+            raise NonRealTraceError("fiber trace is not real")
         out.append(vol * tr.re)
     return HeatTraceResult(volume=vol, A=tuple(out))
 

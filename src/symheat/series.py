@@ -85,15 +85,6 @@ class SeriesPoly:
             mono: v * c for mono, v in self.terms.items()
         })
 
-    def dilate(self, c) -> "SeriesPoly":
-        """The polynomial at c*omega: each term times c^|mu|."""
-        if c == ONE:
-            return self
-        powers = _powers(c, self.degree)
-        return SeriesPoly(self.p, self.dim, self.degree, {
-            mono: v * powers[sum(mono)] for mono, v in self.terms.items()
-        })
-
     def _check_compatible(self, other: "SeriesPoly"):
         if self.p != other.p:
             raise ValueError("omega variable counts differ")

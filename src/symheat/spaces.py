@@ -24,8 +24,9 @@ factor come first by convention.
 A radius and a sign only scale beta, and everything derived is linear in
 that scale, so build_model derives each frame once at unit scale and
 rescales it per call.  Every model has a frame (UnitStructure), which
-holds what the engine's average shares across scales; a model that
-build_model did not make has its own.
+holds what the engine's average shares across scales, and a scale against
+it (SymmetricSpaceModel.scale), the one place where that scale is
+computed; a model that build_model did not make is its own frame.
 
 Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
@@ -111,6 +112,8 @@ class SymmetricSpaceModel:
     R_G are computed on first read.  unit is the model's frame, a
     UnitStructure: build_model sets the one its frame shares, and any other
     model (dataclasses.replace, a direct call) derives its own on first read.
+    scale is c with beta = c beta0, beta0 the frame's: 1 for a model that is
+    its own frame.
     """
 
     data: CurvatureData
@@ -124,6 +127,10 @@ class SymmetricSpaceModel:
     @cached_property
     def unit(self) -> UnitStructure:
         return UnitStructure(self)
+
+    @cached_property
+    def scale(self) -> GaussianRational:
+        return _beta_scale(self.beta) / _beta_scale(self.unit.model.beta)
 
     @cached_property
     def C(self) -> tuple:
@@ -258,7 +265,7 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     derivation (_derive) is raised at beta exactly when at beta0, with the
     same message; an error is not kept, so every call raises it again.
     """
-    c = beta_scale(data.beta)
+    c = _beta_scale(data.beta)
     unit = _unit_structure(data.n, data.flat_dim, data.E, data.beta.scale(ONE / c))
     m = unit.model
     model = SymmetricSpaceModel(
@@ -269,7 +276,7 @@ def build_model(data: CurvatureData) -> SymmetricSpaceModel:
     return model
 
 
-def beta_scale(beta: Matrix) -> GaussianRational:
+def _beta_scale(beta: Matrix) -> GaussianRational:
     """The first nonzero entry of beta, 1 when there is none: build_model's
     scale c, which takes a frame's beta0 to beta = c beta0."""
     row = next((r for r in beta.nonzeros if r), None)

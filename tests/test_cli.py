@@ -284,6 +284,19 @@ class TestCompute:
         assert rc == 3
         assert err.startswith("error: ") and "beta-f-invariance" in err
 
+    @pytest.mark.parametrize("job", [
+        {"space": {"catalog": "sphere", "params": {"n": 2}},
+         "bundle": {"explicit": {"dimV": 1, "G": {"1,2": [[{"re": "1", "im": "1"}]]}}}},
+        {"space": {"explicit": {**S2_EXPLICIT, "beta": [[{"re": "1", "im": "1"}]]}}},
+    ], ids=["complex_generator", "complex_beta"])
+    def test_non_real_fiber_trace_refused(self, tmp_path, capsys, job):
+        # the a_k exist, but tr a_1 is not real, so --trace has no A_1 to report
+        path = write_job(tmp_path, {**job, "k_max": 2, "volume": "1"})
+        assert main(["compute", path]) == 0
+        capsys.readouterr()
+        rc = main(["compute", path, "--trace"])
+        assert (rc, *capsys.readouterr()) == (3, "", "error: fiber trace is not real\n")
+
     def test_text_format(self, capsys):
         rc = main(["compute", str(JOBS / "s2_scalar.json"), "--format", "text"])
         assert rc == 0
@@ -472,7 +485,7 @@ def _at(node, path):
 _LEAVES = st.sampled_from([
     -1, 0, 1, 2, 3, 4, 41, 100000, None, True, 0.5, "1/0", "1e999999999", "x", "1/2", "", "1,2",
     "sphere", "product", "explicit", "spinor", "vector",
-])
+]) | st.fixed_dictionaries({"re": st.just("1"), "im": st.just("1")})  # a complex entry
 _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
     st.lists(inner, max_size=3),
     st.dictionaries(st.sampled_from(["catalog", "explicit", "params", "n", "p", "E",
@@ -511,7 +524,8 @@ def test_mutated_jobs_end_in_documented_exit_codes(tmp_path_factory, job):
     # any malformed job must end in a documented exit code, never a traceback
     path = tmp_path_factory.getbasetemp() / "mutated_job.json"
     path.write_text(json.dumps(job), encoding="utf-8")
-    for argv in (["compute", str(path), "-k", "2"], ["validate", str(path)]):
+    for argv in (["compute", str(path), "-k", "2"], ["compute", str(path), "-k", "2", "--trace"],
+                 ["validate", str(path)]):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2, 3, 4), (argv, job)

@@ -27,6 +27,7 @@ from symheat.engine import (
     HeatCoefficients,
     HeatRequest,
     K_MAX_LIMIT,
+    NonRealTraceError,
     RepModelMismatchError,
     TruncationOverflowError,
     _commutant_projection,
@@ -225,6 +226,16 @@ class TestHeatTrace:
         hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 0))
         with pytest.raises(ValueError):
             heat_trace(hc, 0)
+
+    def test_non_real_trace_raises_a_value_error(self):
+        # G_12 = [[1 + i]] on S2 builds, with the Casimir 2i, and tr a_2 is not real
+        m = sphere(2, 1)
+        rep = build_rep(m, {(0, 1): Matrix.from_rows([[GaussianRational(1, 1)]])})
+        hc = heat_coefficients(HeatRequest(m, rep, 2))
+        assert [a.trace().im for a in hc.a] == [0, 0, rational(1, 3)]
+        with pytest.raises(NonRealTraceError, match="^fiber trace is not real$") as info:
+            heat_trace(hc, 1)
+        assert isinstance(info.value, ValueError)
 
 
 class TestRequestValidation:
@@ -556,7 +567,7 @@ class TestLieGeneratingCommutant:
             (len(eqs), kernel(eqs, n))) or solved[-1][1])
         # solved afresh on a copy's own unit fiber: an earlier test may have
         # left this commutant on the shared one
-        project = _commutant_projection(replace(rep).unit[0], _lie_generators(m.F, basis))
+        project = _commutant_projection(replace(rep).unit, _lie_generators(m.F, basis))
         return m, rep, basis, project, solved
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -623,10 +634,10 @@ class TestCommutantMemo:
         for m in models:
             rep = catalog_rep(m, bundle, factors=factors)
             gens = m.unit.lie_generators
-            project = _commutant_projection(rep.unit[0], gens)
-            fibers.append(rep.unit[0])
+            project = _commutant_projection(rep.unit, gens)
+            fibers.append(rep.unit)
             # the kept basis and duals, against a solve on the job's own R
-            assert rep.unit[0].commutant == (gens, original(rep.R, gens))
+            assert rep.unit.commutant == original(rep.R, gens)
             dim = rep.dimV
             for _ in range(2):
                 a = Matrix.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
@@ -748,9 +759,13 @@ class TestUnitTorus:
                 original = getattr(spaces, name)
                 monkeypatch.setattr(spaces, name, lambda *a, name=name, original=original:
                                     calls.append((name, a[0])) or original(*a))
+            # a crossed request runs on the rep's model, whose frame is warm
             assert heat_coefficients(HeatRequest(copy, rep, 2)).a == want
+            assert calls == [] and "unit" not in vars(copy)
+            # a rep on the copy runs on the copy's own frame
+            assert heat_coefficients(HeatRequest(m, catalog_rep(copy, "spinor"), 2)).a == want
             monkeypatch.undo()
-            assert copy.unit is not m.unit and copy.unit.model is copy
+            assert copy.unit is not m.unit and copy.unit.model is copy and copy.scale == 1
             # each part of the copy's frame is derived once, from the copy itself
             assert sorted(name for name, _ in calls) == [
                 "_lie_generators", "cartan_subalgebra", "weight_invariance"]
@@ -770,8 +785,10 @@ class TestUnitTorus:
 
 def _reference_build_rep(model, G, B=None, dimV=None):
     """build_rep as it was before the unit fiber: S_k, R and the Casimir
-    formed at the model's own beta, and every check run on them there (the
-    rep has its own unit fiber, at c = 1)."""
+    formed at the model's own beta, and every check run on them there, by
+    validate_rep against an equal-data copy of the model.  The rep derives its
+    own unit fiber on the model's frame, from R and the Casimir over the
+    model's scale, when the engine first reads it."""
     dimV = dimV or next(iter(G.values())).rows
     table = bundles._normalize_generators(model.n, dimV, G)
     minus_half = GaussianRational(rational(-1, 2))
@@ -782,7 +799,7 @@ def _reference_build_rep(model, G, B=None, dimV=None):
     casimir = combination(((minus_half, s, r) for s, r in zip(S, R) if s and r), dimV)
     rep = FiberRep(model=model, dimV=dimV, G=table, B=Matrix.zeros(model.n) if B is None else B,
                    R=R, casimir=casimir)
-    rep.report = validate_rep(model, rep)
+    rep.report = validate_rep(replace(model), rep)
     return rep
 
 
@@ -822,27 +839,33 @@ class TestUnitFiber:
     """One unit fiber per frame and table: a rep scales R0 and the Casimir,
     reads the frame's check results, and the engine reads the kept cosh
     pencil and commutant unscaled; all against the fiber built at the job's
-    own beta, divided by the fiber's scale."""
+    own beta, divided by the model's scale."""
 
     CASES = _unit_fiber_cases()
 
     @staticmethod
-    def _compare(model, rep, ref, degree=4):
+    def _compare(model, rep, ref, k_max=2):
         assert rep.R == ref.R and rep.casimir == ref.casimir
         assert [(c.name, c.passed, c.detail) for c in rep.report.checks] == [
             (c.name, c.passed, c.detail) for c in ref.report.checks]
-        fiber, c = rep.unit
+        fiber, frame = rep.unit, rep.model.unit
         # R0 = R / c and M0 = M / c, from the fiber built at the job's beta
-        inv = GaussianRational(1) / c
-        basis = model.unit.torus[0]
-        assert engine._cosh(fiber, degree, basis) == cosh_pencil(
-            tuple(r.scale(inv) for r in ref.R), rep.dimV, degree, basis)
+        inv = GaussianRational(1) / (
+            _first_entry(rep.model.beta) / _first_entry(frame.model.beta) if model.p else 1)
+        R0 = tuple(r.scale(inv) for r in ref.R)
+        assert fiber.R == R0
+        heat_coefficients(HeatRequest(model, rep, k_max))
+        basis = frame.torus[0]
+        assert fiber.cosh[2 * k_max] == cosh_pencil(R0, rep.dimV, 2 * k_max, basis)
         exponent = Matrix.identity(rep.dimV).scale(
             model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)) - ref.casimir
         assert Matrix.identity(rep.dimV).scale(fiber.shift) - fiber.casimir == exponent.scale(inv)
-        gens = model.unit.lie_generators
-        engine._commutant_projection(rep.unit[0], gens)
-        assert rep.unit[0].commutant == (gens, engine._commutant_duals(ref.R, gens))
+        if not any(ref.R):  # the commutant is every matrix: nothing is solved
+            assert fiber.commutant is None
+            return
+        gens = frame.lie_generators
+        engine._commutant_projection(fiber, gens)
+        assert fiber.commutant == engine._commutant_duals(ref.R, gens)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_the_fiber_built_at_the_job_scale(self, name):
@@ -869,7 +892,7 @@ class TestUnitFiber:
             self._compare(req_model, rep, ref)
             want = heat_coefficients(HeatRequest(req_model, ref, 3)).a
             assert heat_coefficients(HeatRequest(req_model, rep, 3)).a == want
-        assert build_rep(other, G, dimV=dimV).unit[0] is not build_rep(m, G, dimV=dimV).unit[0]
+        assert build_rep(other, G, dimV=dimV).unit is not build_rep(m, G, dimV=dimV).unit
 
     @pytest.mark.parametrize("space", [sphere, hyperbolic])
     def test_replaced_rep_with_corrupted_r_is_refused(self, space):
@@ -877,10 +900,11 @@ class TestUnitFiber:
         rep = catalog_rep(m, "spinor")
         R = list(rep.R)
         R[1] = R[1] + R[0].scale(rational(1, 2))
+        inv = GaussianRational(1) / _first_entry(m.beta)
         for bad in (replace(rep, R=tuple(R)), replace(rep, R=tuple(r.scale(2) for r in rep.R))):
             got = validate_rep(m, bad)
             assert not got.ok and "fiber-holonomy-bracket" in got.failed()
-            assert bad.unit[0] is not rep.unit[0] and bad.unit[0].R is bad.R
+            assert bad.unit is not rep.unit and bad.unit.R == tuple(r.scale(inv) for r in bad.R)
         assert validate_rep(m, rep).ok
 
     def test_failing_fiber_raises_the_same_error_on_every_call(self, monkeypatch):
@@ -931,6 +955,7 @@ class TestUnitFiber:
         }
         for frame, (space, bundle, factors) in frames.items():
             calls.clear()
+            units = set()
             for s in (sphere, hyperbolic):
                 for r in radii:
                     m = space(s, r)
@@ -939,14 +964,17 @@ class TestUnitFiber:
                     G, dimV = _catalog_fiber(bundle, factors)(m)
                     ref = _reference_build_rep(m, G, rep.B, dimV)
                     assert rep.R == ref.R
+                    units.add(rep.unit)
                     for k_max in (2, 3):
                         want = _reference_heat_coefficients(HeatRequest(m, ref, k_max))
                         assert heat_coefficients(HeatRequest(m, rep, k_max)).a == want
+            assert len(units) == 1, frame
+            unit_R = next(iter(units)).R
             seen = {}
             for name, args in calls:
-                # the fiber checks on a frame's unit-scale model, not those of
-                # the references' own fibers at the job scale
-                if name != "_fiber_checks" or args[0].unit.model is args[0]:
+                # the fiber checks on the shared unit fiber's R, not those of
+                # the references' own fibers
+                if name != "_fiber_checks" or args[1] is unit_R:
                     seen.setdefault(name, []).append(args[2] if name == "cosh_pencil" else None)
             assert len(seen["_fiber_checks"]) == 1, frame
             assert sorted(seen["cosh_pencil"]) == [4, 6], frame
@@ -987,9 +1015,9 @@ def _fresh_frames(monkeypatch):
 class TestOneScalingPoint:
     """b_m(c) = c^m b0_m: the engine runs the bracket, its average and the
     prefactor at the frame's unit scale.  A model that dataclasses.replace
-    made is its own frame, c = 1, and a rep built on it has its fiber at
-    c = 1 too, so that route runs wholly at the job's scale; the crossed
-    requests take a fiber whose scale is not the model frame's."""
+    made is its own frame, c = 1, and a rep built on it has its fiber on
+    that frame too, so that route runs wholly at the job's scale; the
+    crossed requests pair a model with a rep built on the other."""
 
     CASES = {
         "flat2xs2_vecspin_twist": (lambda s, r: product([flat(2), s(2, r)]),
@@ -1013,9 +1041,54 @@ class TestOneScalingPoint:
         B = twist_matrix(m, twist) if twist else None
         reps = [build_rep(x, G, B, dimV=dimV) for x in (m, own)]
         assert m.unit.model.beta == m.beta.scale(1 / _first_entry(m.beta)) != m.beta
-        assert own.unit.model is own and reps[1].unit[1] == 1
+        assert m.scale == _first_entry(m.beta) and own.unit.model is own and own.scale == 1
+        assert reps[1].unit.R == reps[1].R
         for k_max in (2, 3):
             want = heat_coefficients(HeatRequest(own, reps[1], k_max)).a
+            for model in (m, own):
+                for rep in reps:
+                    assert heat_coefficients(HeatRequest(model, rep, k_max)).a == want
+
+
+class TestOneFiberPerRepFrame:
+    """Every rep's unit fiber sits on its model's frame at R / c, for the
+    model's scale c, however the rep was made: by build_rep, by
+    dataclasses.replace or by a direct FiberRep call.  The engine runs on the
+    rep's model, so a request reads one frame, one c and one fiber, and every
+    crossed request gives the same a_k."""
+
+    CASES = {
+        "spinor4": (lambda s, r: s(4, r), _catalog_fiber("spinor"), None),
+        "rotated4_spinor": (lambda s, r: _rotated(s(4, r)), _catalog_fiber("spinor"), None),
+        "flat2xs2_vecspin_twist": (lambda s, r: product([flat(2), s(2, r)]),
+                                   _catalog_fiber("tensor_product", _VS), [rational(1, 3)]),
+        "monopole1": (lambda s, r: s(2, r), _monopole(1), None),
+    }
+
+    @pytest.mark.parametrize("radius", [rational(2, 3), rational(5, 2)])
+    @pytest.mark.parametrize("space", [sphere, hyperbolic])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_every_rep_reads_its_model_frame(self, name, space, radius):
+        make, fiber, twist = self.CASES[name]
+        m = make(space, radius)
+        own = replace(m)
+        G, dimV = fiber(m)
+        B = twist_matrix(m, twist) if twist else None
+        built = build_rep(m, G, B, dimV=dimV)
+        fields = {f: getattr(built, f) for f in ("model", "dimV", "G", "B", "R", "casimir")}
+        reps = [built, replace(built), FiberRep(**fields), build_rep(own, G, B, dimV=dimV),
+                replace(built, model=own)]
+        doubled = replace(built, R=tuple(r.scale(2) for r in built.R))
+        assert m.scale != 1 and own.scale == 1
+        for rep in reps + [doubled]:
+            frame, inv = rep.model.unit.model, GaussianRational(1) / rep.model.scale
+            assert rep.unit.R == tuple(r.scale(inv) for r in rep.R)
+            assert rep.unit.casimir == rep.casimir.scale(inv)
+            assert rep.unit.shift == frame.scalar_R / 8 + frame.R_H / 6
+            # each check item scales as c^2 and names indices only
+            assert rep.unit.checks == bundles._fiber_checks(rep.model, rep.R, rep.casimir)
+        for k_max in (2, 3):
+            want = heat_coefficients(HeatRequest(m, built, k_max)).a
             for model in (m, own):
                 for rep in reps:
                     assert heat_coefficients(HeatRequest(model, rep, k_max)).a == want
@@ -1358,21 +1431,20 @@ class TestFusedAssembly:
         req = self.CASES[name]()
         got = heat_coefficients(req).a
         k_max, dimV, model = req.k_max, req.rep.dimV, req.model
-        # the frame's scale c and the fiber's, and the prefactor kept on the
-        # fiber: the series of M0 = M / c_fiber, M formed at the job's scale
+        # the frame's scale c, and the prefactor kept on the fiber: the
+        # series of M0 = M / c, M formed at the job's scale
         c = _first_entry(model.beta) / _first_entry(model.unit.model.beta) if model.p else q(1)
-        fiber, c_fiber = req.rep.unit
-        assert c_fiber == c
-        prefactor = fiber.prefactor[2 * k_max]
+        assert req.rep.model.scale == c
+        prefactor = req.rep.unit.prefactor[2 * k_max]
         exponent = Matrix.identity(dimV).scale(
             model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)) - req.rep.casimir
-        assert prefactor == matrix_exp_series(exponent.scale(q(1) / c_fiber), 2 * k_max)
+        assert prefactor == matrix_exp_series(exponent.scale(q(1) / c), 2 * k_max)
         twist = seen["det_sinhc_numeric"]
         averaged = seen.get("projected", seen["average_poly"])
         want = [Matrix.zeros(dimV)] * (k_max + 1)
         for i, pre in enumerate(prefactor):
             for j, avg in enumerate(averaged[: k_max + 1 - i]):
-                prod = (pre * avg).scale(_power(c_fiber, i) * _power(c, j))
+                prod = (pre * avg).scale(_power(c, i + j))
                 for k in range(i + j, k_max + 1):
                     if twist[k - i - j]:
                         want[k] = want[k] + prod.scale(twist[k - i - j])

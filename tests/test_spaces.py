@@ -606,6 +606,25 @@ class TestUnitStructure:
         assert list(m.riemann) == list(fresh.riemann)
         assert validate_model(m).to_json() == validate_model(fresh).to_json()
 
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_scale_takes_the_frame_to_the_model(self, name):
+        m = self.MODELS[name]()
+        frame = m.unit.model
+        # beta = c beta0, and every scaled field is c times the frame's
+        assert m.beta == frame.beta.scale(m.scale)
+        assert m.F == tuple(f.scale(m.scale) for f in frame.F)
+        assert (m.scalar_R, m.R_H) == (m.scale * frame.scalar_R, m.scale * frame.R_H)
+        # the frame's own model, and a model build_model did not make, are
+        # their own frames at scale 1
+        assert frame.scale == 1 and replace(m).scale == 1
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_radius_and_sign_move_only_the_scale(self, n):
+        for space, sign in ((sphere, 1), (hyperbolic, -1)):
+            for r in RADII:
+                m = space(n, r)
+                assert m.unit is sphere(n, 1).unit and m.scale == rational(sign) / (r * r)
+
     ERRORS = {
         "singular_beta": lambda s: frame_data(
             3, sphere(3, 1).data.E, Matrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]]).scale(s)),
