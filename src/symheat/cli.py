@@ -5,9 +5,10 @@ survive round-trips and diffs; pi is never evaluated — volumes are given
 as a rational coefficient together with a pi power, and traced invariants
 are reported the same way.
 
-Exit codes: 0 success, 2 unreadable/invalid input, 3 validation or check
-failure (a weight not invariant under the holonomy algebra and a traced
-fiber trace that is not real included), 4 truncation overflow.
+Exit codes: 0 success, 2 unreadable/invalid input or a result too large
+to render, 3 validation or check failure (a weight not invariant under the
+holonomy algebra and a traced fiber trace that is not real included), 4
+truncation overflow.
 """
 from __future__ import annotations
 
@@ -72,6 +73,8 @@ def _load_job(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise JobError(EXIT_PARSE, f"error: malformed JSON in {path} at line {exc.lineno} "
                                    f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise JobError(EXIT_PARSE, f"error: malformed JSON in {path}: nested too deeply") from exc
     except (OSError, ValueError) as exc:
         raise JobError(EXIT_PARSE, f"error: cannot read {path}: {exc}") from exc
     if not isinstance(job, dict):
@@ -130,12 +133,12 @@ def cmd_compute(args) -> int:
     with _exits(EXIT_VALIDATION, "error: ", HolonomyAverageError, NonRealTraceError):
         coeffs = heat_coefficients(req)
         trace = heat_trace(coeffs, vol) if args.trace else None
-    report = coefficient_report(coeffs, trace=trace, mode=args.output,
-                                pi_power=pi_power)
-    if args.format == "text":
-        _emit(render_report_text(report) + "\n", args.out)
-    else:
-        _emit(_json_dumps(report), args.out)
+    # a decimal past the float range (OverflowError) or an exact value past
+    # Python's int-to-str digit limit (ValueError) cannot be rendered
+    with _exits(EXIT_PARSE, "error: result too large to render: ", OverflowError, ValueError):
+        report = coefficient_report(coeffs, trace=trace, mode=args.output, pi_power=pi_power)
+        text = render_report_text(report) + "\n" if args.format == "text" else _json_dumps(report)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -165,7 +168,8 @@ def cmd_check_group(args) -> int:
     )
 
     model, rep = _parsed(_build_pair, _load_job(args.job))
-    with _exits(EXIT_PARSE, "refused: ", GroupCheckError):
+    with _exits(EXIT_PARSE, "refused: ", GroupCheckError), \
+            _exits(EXIT_PARSE, "refused: model too large for floats: ", OverflowError):
         samples = sample_points(model, args.samples, radius=args.radius, seed=args.seed)
         lap = float(laplace_identity_residual(model, samples, h=args.step))
         heq = float(heat_equation_residual(model, rep, samples, [args.time]))

@@ -37,10 +37,10 @@ the bracket, its average and the prefactor run at the frame's unit scale,
 and each b_m takes c^m once, in its combination's coefficients.  The engine
 runs on the rep's model, whose frame is its unit fiber's, so the frame, c
 and the fiber always match.  The weight check, the torus basis, its
-density, the Lie-generating set and the weight of the d0_a and W are read
-from that frame (spaces.UnitStructure).  The cosh pencil and the prefactor
-of each degree and the commutant's basis and duals (the commutant of c R0
-is that of R0) are derived once on the rep's unit fiber
+density and the weight of the d0_a and W are read from that frame
+(spaces.UnitStructure).  The cosh pencil and the prefactor of each degree
+and the commutant's basis and duals (solved on the R0_i themselves: the
+commutant of c R0 is that of R0) are derived once on the rep's unit fiber
 (bundles.UnitFiber) and kept there.  The two det(sinhc) pencils run per job
 on the model's own F and D, at the scale 1/(2c), so they expand F0 and D0;
 perfbench/spans.py tells them apart by identity with model.F.
@@ -162,7 +162,7 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
     bracket = f_cosh * (f_hol + f_tan).exp()
     averaged = average_poly(bracket, _weight(frame))
     if len(basis) < model.p and any(fiber.R):
-        project = _commutant_projection(fiber, frame.lie_generators)
+        project = _commutant_projection(fiber)
         averaged = [project(a) for a in averaged]
 
     # [M0^i / i!], kept on the fiber per degree
@@ -199,28 +199,23 @@ def _weight(frame) -> GaussianWeight:
 # commutant
 
 
-def _commutant_projection(fiber, gens):
+def _commutant_projection(fiber):
     """The projection onto the commutant of the R_i, as a function of a matrix A.
 
     Called only when t is smaller than h and some R_i is nonzero: for an
     abelian h the t-average is the h-average already, and with every R_i
     zero the commutant is every matrix.  The commutant basis Gamma_b solves
-    [g, X] = 0 for g = sum_i v[i] R_i, v in gens, a Lie-generating set of
-    h (_lie_generators, Cartan generators first: they settle most unknowns).
-    An X that commutes with two matrices commutes with their bracket, and R
-    is a Lie homomorphism, [R_i, R_k] = F^j_ik R_j (fiber-holonomy-bracket,
-    enforced by build_rep), so this commutant is that of every R_i.  The
-    projection P(A) is the commutant element with tr(Gamma_b P(A)) =
-    tr(Gamma_b A) for every b.  This pairing vanishes on every [R_i, Y], so
-    P is the average over the holonomy group for any fiber generators,
-    anti-Hermitian or not.
+    [R_i, X] = 0 for every R_i (_commutant_duals).  The projection P(A) is
+    the commutant element with tr(Gamma_b P(A)) = tr(Gamma_b A) for every
+    b.  This pairing vanishes on every [R_i, Y], so P is the average over
+    the holonomy group for any fiber generators, anti-Hermitian or not.
 
     The commutant of c R is that of R, so the basis and its duals are solved
-    once on the unit fiber's R (bundles.UnitFiber), whose frame gens come
-    from, and kept there; only P(A) runs per job.
+    once on the unit fiber's R (bundles.UnitFiber) and kept there; only
+    P(A) runs per job.
     """
     if fiber.commutant is None:
-        fiber.commutant = _commutant_duals(fiber.R, gens)
+        fiber.commutant = _commutant_duals(fiber.R)
     duals, dim = fiber.commutant, fiber.dimV
 
     def pair(vec, a):  # tr(Gamma A) = sum_u Gamma[u] A[u % dim, u // dim]
@@ -229,13 +224,13 @@ def _commutant_projection(fiber, gens):
     return lambda a: combination(((pair(v, a), d) for v, d in duals), dim)
 
 
-def _commutant_duals(R, gens):
-    """((Gamma_b, dual_b), ...) for the commutant of the g = sum_i v[i] R_i,
-    v in gens, not all zero: each Gamma_b as its sparse
-    (unknown, value) items, where the unknown u = k*dim + c is X[k, c], and
-    dual_b the matrix with tr(Gamma_a dual_b) = delta_ab.  exact.kernel
-    returns the reduced basis of the null space, which depends on the null
-    space alone.
+def _commutant_duals(R):
+    """((Gamma_b, dual_b), ...) for the commutant of the R_i, not all zero:
+    the rows of [g, X] = 0 for each g = R_i in index order, each Gamma_b as
+    its sparse (unknown, value) items, where the unknown u = k*dim + c is
+    X[k, c], and dual_b the matrix with tr(Gamma_a dual_b) = delta_ab.
+    exact.kernel returns the reduced basis of the null space, which depends
+    on the null space alone.
 
     [g, X]_(r,c) = sum_k g[r,k] X[k,c] - X[r,k] g[k,c]; the two sums meet only
     at X[r,c], through g[r,r] and g[c,c].  In the Gram matrix
@@ -244,7 +239,7 @@ def _commutant_duals(R, gens):
     """
     dim = R[0].rows
     eqs = []
-    for g in (combination(zip(v, R), dim) for v in gens):
+    for g in R:
         cols = g.transpose().nonzeros
         for r, grow in enumerate(g.nonzeros):
             for c, gcol in enumerate(cols):

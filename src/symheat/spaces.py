@@ -208,8 +208,7 @@ class UnitStructure:
       by c^2, so it passes, or fails at the same index;
     - torus, (basis, W): cartan_subalgebra made beta-orthogonal, which sees
       only spans, zero patterns and ratios of <u, beta v>, and the Weyl
-      density on it, up to c^(p-r), which cancels in <phi W>_t / <W>_t;
-    - lie_generators: _lie_generators on that basis, which sees only spans.
+      density on it, up to c^(p-r), which cancels in <phi W>_t / <W>_t.
     An error is not kept: a failing derivation raises again on every read.
     The engine runs the average at this unit scale and keeps its weight
     here (gaussian, None until the first job): the wick.GaussianWeight of
@@ -231,10 +230,6 @@ class UnitStructure:
         basis, density = cartan_subalgebra(F)
         torus = _beta_orthogonal(basis, beta)
         return torus, density if torus == basis else weyl_density(F, torus)
-
-    @cached_property
-    def lie_generators(self) -> list:
-        return _lie_generators(self.model.F, self.torus[0])
 
 
 def _structure_constant(model_parts, upper: int, lo1: int, lo2: int) -> GaussianRational:
@@ -520,45 +515,6 @@ def _beta_orthogonal(basis, beta) -> list:
                 c = c / form(v, v)
                 vecs[b] = tuple(x - c * y for x, y in zip(vecs[b], v))
     return vecs
-
-
-def _lie_generators(F, basis) -> list:
-    """Vectors that generate h as a Lie algebra: the Cartan vectors of basis,
-    then each unit vector e_i, in index order, outside the Lie closure of
-    those chosen so far, until that closure is h.  The closure is the least
-    span that holds each chosen g and is stable under ad_g = g_i F_i; it is
-    kept in row echelon form, each row's first entry 1."""
-    p, echelon = len(F), {}
-
-    def reduced(v):  # v minus its part in the closure
-        while v and (c := min(v)) in echelon:
-            x, row = v[c], echelon[c]
-            v = {k: y for k in v.keys() | row.keys()
-                 if (y := v.get(k, ZERO) - x * row.get(k, ZERO))}
-        return v
-
-    gens, ads, kept = [], [], []  # ads: the columns of each chosen ad_g
-    for v in list(basis) + [tuple(int(i == j) for j in range(p)) for i in range(p)]:
-        if len(echelon) == p:
-            break
-        if not reduced(g := {i: GaussianRational.of(x) for i, x in enumerate(v) if x}):
-            continue
-        gens.append(v)
-        ads.append(combination(((x, F[i]) for i, x in g.items()), p).transpose().nonzeros)
-        pending = [(ads[-1], x) for x in kept] + [(None, g)]
-        while pending and len(echelon) < p:
-            ad, x = pending.pop()
-            if ad is not None:  # [g, x] = ad_g x, summed over the columns of ad_g
-                acc = {}
-                for k, y in x.items():
-                    _add_scaled(acc, y.p, y.q, y.d, ad[k])
-                x = _settle(acc, {})
-            if r := reduced(x):
-                c = min(r)
-                echelon[c] = {k: y / r[c] for k, y in r.items()}
-                kept.append(x)
-                pending += [(a, x) for a in ads]
-    return gens
 
 
 # ---------------------------------------------------------------------------

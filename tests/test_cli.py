@@ -274,6 +274,31 @@ class TestCompute:
         assert main(["compute", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read")
 
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    def test_deeply_nested_json_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        rc = main([command, str(path)])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", f"error: malformed JSON in {path}: nested too deeply\n")
+
+    @pytest.mark.parametrize("radius, k_max, flags", [
+        ("1/" + "7" * 1000, 6, []),
+        ("1/" + "7" * 1000, 6, ["--trace"]),
+        ("1/1" + "0" * 200, 1, ["--output", "both"]),
+        ("1/1" + "0" * 200, 1, ["--format", "text"]),
+    ], ids=["digits", "digits_trace", "float_both", "float_text"])
+    def test_result_too_large_to_render_refused(self, tmp_path, capsys, radius, k_max, flags):
+        # the a_k compute, but an exact value passes Python's int-to-str digit
+        # limit, or a decimal passes the float range
+        job = {"space": {"catalog": "sphere", "params": {"n": 2, "radius": radius}},
+               "bundle": {"catalog": "scalar"}, "k_max": k_max, "volume": "4"}
+        out = tmp_path / "out.json"
+        rc = main(["compute", write_job(tmp_path, job), *flags, "-o", str(out)])
+        stdout, err = capsys.readouterr()
+        assert (rc, stdout) == (2, "") and not out.exists()
+        assert err.startswith("error: result too large to render: ") and err.count("\n") == 1
+
     def test_non_invariant_weight_refused(self, tmp_path, capsys):
         # beta = diag(1, 2, 3) on the so(3) frame of S3: the model builds, but
         # beta F_j is not antisymmetric, so the holonomy average is undefined
@@ -412,6 +437,16 @@ class TestCheckGroup:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("radius", ["1/" + "7" * 1000, "1/1" + "0" * 200],
+                             ids=["digits", "float"])
+    def test_model_too_large_for_floats_refused(self, tmp_path, capsys, radius):
+        job = {"space": {"catalog": "sphere", "params": {"n": 2, "radius": radius}},
+               "bundle": {"catalog": "scalar"}}
+        rc = main(["check-group", write_job(tmp_path, job)])
+        stdout, err = capsys.readouterr()
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("refused: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_refused(self, capsys, samples):
         rc = main(["check-group", str(JOBS / "s2_scalar.json"), "--samples", samples])
@@ -494,11 +529,24 @@ _VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
 ), max_leaves=6)
 
 
+# explicit-form seeds with a volume, so that a leaf mutation can put a
+# complex entry into E, beta or G and reach the --trace path; a draw picks
+# them as often as all of jobs/*.json, since only a single leaf mutation on
+# their matrix entries reaches that path
+_EXPLICIT_SEEDS = [
+    {"space": {"explicit": S2_EXPLICIT}, "bundle": {"catalog": "scalar"}, "volume": "4"},
+    {"space": {"catalog": "sphere", "params": {"n": 2, "radius": "1"}},
+     "bundle": {"explicit": {"dimV": 1, "G": {"1,2": [[{"re": "0/1", "im": "1/2"}]]}}},
+     "volume": "4"},
+]
+
+
 @st.composite
 def mutated_jobs(draw):
-    """A jobs/*.json job with one to three leaves or subtrees replaced,
-    deleted or wrapped in an array."""
-    job = json.loads(draw(st.sampled_from(sorted(JOBS.glob("*.json")))).read_text())
+    """A jobs/*.json job or an explicit-form seed, each half the time, with
+    one to three leaves or subtrees replaced, deleted or wrapped in an array."""
+    job = json.loads(draw(st.sampled_from([p.read_text() for p in sorted(JOBS.glob("*.json"))])
+                          | st.sampled_from([json.dumps(j) for j in _EXPLICIT_SEEDS])))
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(["leaf", "subtree", "delete", "wrap"]))
         paths = list(_paths(job))

@@ -53,7 +53,6 @@ from symheat.spaces import (
     HolonomyAverageError,
     _beta_form,
     _beta_orthogonal,
-    _lie_generators,
     build_model,
     cartan_subalgebra,
     flat,
@@ -510,8 +509,9 @@ class TestGrownTorus:
 
 
 def _all_generator_commutant(R, basis):
-    """The commutant basis solved as before the Lie-generating set: the rows of
-    [g, X] = 0 for the Cartan generators g, then again for every R_i."""
+    """A reference commutant basis, built apart from engine._commutant_duals:
+    the rows of [g, X] = 0 for the Cartan generators g, then again for every
+    R_i."""
     dim = R[0].rows
     eqs = []
     for g in [combination(zip(v, R), dim) for v in basis] + list(R):
@@ -527,23 +527,9 @@ def _all_generator_commutant(R, basis):
     return kernel(eqs, dim * dim)
 
 
-def _lie_closure_dim(F, gens):
-    """Dimension of the Lie closure of gens: vectors w are kept while they
-    raise the rank (read off exact.kernel), and each kept w queues ad_g w."""
-    p = len(F)
-    ads = [combination(zip(g, F), p) for g in gens]
-    kept, todo = [], [dict(enumerate(g)) for g in gens]
-    while todo:
-        w = todo.pop()
-        if len(kernel(kept + [w], p)) < p - len(kept):
-            kept.append(w)
-            col = Matrix(p, 1, [w.get(i, ZERO) for i in range(p)])
-            todo += [{j: r[0] for j, r in enumerate((ad * col).nonzeros) if r} for ad in ads]
-    return len(kept)
-
-
-class TestLieGeneratingCommutant:
-    """The commutant solved on a Lie-generating set of h, against all of R."""
+class TestFiberGeneratorCommutant:
+    """The commutant solved on the fiber's own R_i, in index order, against
+    the solve on the Cartan generators and every R_i."""
 
     CASES = {
         "s3_vecspin": (lambda: sphere(3, 1), "tensor_product", _VS),
@@ -552,29 +538,36 @@ class TestLieGeneratingCommutant:
         "s4_spinor": (lambda: sphere(4, 1), "spinor", None),
         "s6_spinor": (lambda: sphere(6, 1), "spinor", None),
         "s5_vector": (lambda: sphere(5, 1), "vector", None),
+        "s5_vecvec": (lambda: sphere(5, 1), "tensor_product", ["vector", "vector"]),
+        "s5_vecspin": (lambda: sphere(5, 1), "tensor_product", _VS),
         "s2_x_s3_vector": (lambda: product([sphere(2, 1), sphere(3, 1)]), "vector", None),
+        # the last R_i, S2's, is the one generator of its factor
+        "s3_x_s2_vector": (lambda: product([sphere(3, 1), sphere(2, 1)]), "vector", None),
         "rotated_s4_spinor": (lambda: _rotated(sphere(4, 1)), "spinor", None),
     }
 
     @staticmethod
     def _solve(monkeypatch, name):
-        space, bundle, factors = TestLieGeneratingCommutant.CASES[name]
+        space, bundle, factors = TestFiberGeneratorCommutant.CASES[name]
         m = space()
         rep = catalog_rep(m, bundle, factors=factors)
-        basis, _ = cartan_subalgebra(m.F)
         solved = []
         monkeypatch.setattr(engine, "kernel", lambda eqs, n: solved.append(
             (len(eqs), kernel(eqs, n))) or solved[-1][1])
         # solved afresh on a copy's own unit fiber: an earlier test may have
         # left this commutant on the shared one
-        project = _commutant_projection(replace(rep).unit, _lie_generators(m.F, basis))
-        return m, rep, basis, project, solved
+        fiber = replace(rep).unit
+        project = _commutant_projection(fiber)
+        return m, rep, fiber, project, solved
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_same_commutant_basis_as_all_generators(self, monkeypatch, name):
-        m, rep, basis, project, solved = self._solve(monkeypatch, name)
+        m, rep, fiber, project, solved = self._solve(monkeypatch, name)
         assert len(solved) == 1
-        assert solved[0][1] == _all_generator_commutant(rep.R, basis)
+        # the kept basis spans the same null space; only the item order in a
+        # vector may differ, so the vectors are compared as dicts
+        basis, _ = cartan_subalgebra(m.F)
+        assert [dict(v) for v, _ in fiber.commutant] == _all_generator_commutant(rep.R, basis)
         rng = random.Random(name)
         dim = rep.dimV
         for _ in range(3):
@@ -585,32 +578,9 @@ class TestLieGeneratingCommutant:
             assert project(got) == got
 
     def test_row_count_on_s4_vector_x_spinor(self, monkeypatch):
-        # three generators (two Cartan, one unit vector) of 256 rows each,
-        # where every R_i on top of the Cartan ones took 2048
+        # six generators R_i of 256 rows each
         *_, solved = self._solve(monkeypatch, "s4_vecspin")
-        assert solved[0][0] == 768
-
-    @pytest.mark.parametrize("space", [
-        *[lambda n=n: sphere(n, 1) for n in range(2, 11)],
-        *[lambda n=n: hyperbolic(n, rational(2, 3)) for n in (3, 4, 6)],
-        lambda: product([sphere(2, 1), sphere(2, 1)]),
-        lambda: product([sphere(2, 1), hyperbolic(3, 1)]),
-        lambda: product([flat(2), sphere(2, 1), sphere(3, 1)]),
-        lambda: product([sphere(3, 1), sphere(3, 1)]),
-        lambda: product([sphere(2, 1), sphere(2, 1), sphere(2, 1)]),
-        lambda: _rotated(sphere(4, 1)),
-    ], ids=[*(f"s{n}" for n in range(2, 11)), "h3", "h4", "h6", "s2xs2", "s2xh3", "flat2xs2xs3",
-            "s3xs3", "s2xs2xs2", "rotated_s4"])
-    def test_closure_spans_h(self, space):
-        m = space()
-        basis, _ = cartan_subalgebra(m.F)
-        gens = _lie_generators(m.F, basis)
-        assert gens[: len(basis)] == basis
-        assert all(v in basis or sum(map(bool, v)) == 1 for v in gens)
-        assert _lie_closure_dim(m.F, gens) == m.p
-        # no generator is redundant: each lies outside the closure of those before it
-        assert all(_lie_closure_dim(m.F, gens[:i]) < _lie_closure_dim(m.F, gens[: i + 1])
-                   for i in range(len(basis), len(gens)))
+        assert solved[0][0] == 1536
 
 
 class TestCommutantMemo:
@@ -628,16 +598,15 @@ class TestCommutantMemo:
     def _check(self, monkeypatch, models, bundle, factors):
         solves, original = [], engine._commutant_duals
         monkeypatch.setattr(engine, "_commutant_duals",
-                            lambda R, gens: solves.append(R) or original(R, gens))
+                            lambda R: solves.append(R) or original(R))
         rng = random.Random(bundle)
         fibers = []
         for m in models:
             rep = catalog_rep(m, bundle, factors=factors)
-            gens = m.unit.lie_generators
-            project = _commutant_projection(rep.unit, gens)
+            project = _commutant_projection(rep.unit)
             fibers.append(rep.unit)
             # the kept basis and duals, against a solve on the job's own R
-            assert rep.unit.commutant == original(rep.R, gens)
+            assert rep.unit.commutant == original(rep.R)
             dim = rep.dimV
             for _ in range(2):
                 a = Matrix.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
@@ -694,8 +663,8 @@ _RADII = (1, rational(2, 3), rational(5, 2))
 
 
 class TestUnitTorus:
-    """The torus, the Weyl density and the Lie generators live on the model's
-    frame, spaces.UnitStructure, derived once from its unit-scale F0."""
+    """The torus and the Weyl density live on the model's frame,
+    spaces.UnitStructure, derived once from its unit-scale F0."""
 
     MODELS = {
         **{f"{s.__name__}{n}_r{r}".replace("/", "_"): (lambda s=s, n=n, r=r: s(n, r))
@@ -718,20 +687,12 @@ class TestUnitTorus:
             got = heat_coefficients(HeatRequest(m, rep, 3)).a
             assert got == heat_coefficients(HeatRequest(replace(m), rep, 3)).a
 
-    @pytest.mark.parametrize("name", ["sphere4_r2_3", "hyperbolic5_r5_2", "s2xh3", "rotated_h4"])
-    def test_lie_generators_do_not_see_the_scale(self, name):
-        m = self.MODELS[name]()
-        torus = _beta_orthogonal(cartan_subalgebra(m.F)[0], m.beta)
-        gens = _lie_generators(m.F, torus)
-        assert gens == _lie_generators(m.unit.model.F, torus)
-        assert gens == m.unit.lie_generators
-
     def test_one_derivation_per_frame(self, monkeypatch):
         # six radii and two signs of S4 spinor, in the catalog frame and in the
         # rotated one: after a frame's first job, nothing of it is derived again
         calls = []
         for name in ("_solve_structure_constants", "weight_invariance", "cartan_subalgebra",
-                     "_beta_orthogonal", "_lie_generators", "weyl_density"):
+                     "_beta_orthogonal", "weyl_density"):
             original = getattr(spaces, name)
             monkeypatch.setattr(spaces, name, lambda *a, name=name, original=original:
                                 calls.append(name) or original(*a))
@@ -755,7 +716,7 @@ class TestUnitTorus:
         want = heat_coefficients(HeatRequest(m, rep, 2)).a
         for copy in (replace(m), spaces.SymmetricSpaceModel(**fields)):
             calls = []
-            for name in ("cartan_subalgebra", "_lie_generators", "weight_invariance"):
+            for name in ("cartan_subalgebra", "weight_invariance"):
                 original = getattr(spaces, name)
                 monkeypatch.setattr(spaces, name, lambda *a, name=name, original=original:
                                     calls.append((name, a[0])) or original(*a))
@@ -767,8 +728,7 @@ class TestUnitTorus:
             monkeypatch.undo()
             assert copy.unit is not m.unit and copy.unit.model is copy and copy.scale == 1
             # each part of the copy's frame is derived once, from the copy itself
-            assert sorted(name for name, _ in calls) == [
-                "_lie_generators", "cartan_subalgebra", "weight_invariance"]
+            assert sorted(name for name, _ in calls) == ["cartan_subalgebra", "weight_invariance"]
             assert all(x is (copy if name == "weight_invariance" else copy.F)
                        for name, x in calls)
 
@@ -863,9 +823,8 @@ class TestUnitFiber:
         if not any(ref.R):  # the commutant is every matrix: nothing is solved
             assert fiber.commutant is None
             return
-        gens = frame.lie_generators
-        engine._commutant_projection(fiber, gens)
-        assert fiber.commutant == engine._commutant_duals(ref.R, gens)
+        engine._commutant_projection(fiber)
+        assert fiber.commutant == engine._commutant_duals(ref.R)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_the_fiber_built_at_the_job_scale(self, name):
@@ -1419,8 +1378,8 @@ class TestFusedAssembly:
                 return out
             return wrapper
 
-        def recording_projection(R, basis):
-            project = original_projection(R, basis)
+        def recording_projection(fiber):
+            project = original_projection(fiber)
             projected = seen.setdefault("projected", [])
             return lambda a: projected.append(project(a)) or projected[-1]
 

@@ -673,11 +673,10 @@ class TestUnitStructure:
         for other in (replace(m), replace(m, F=m.F), spaces.SymmetricSpaceModel(**fields)):
             assert other == m and other.unit is not m.unit
             # derived from the copy's own F, kept on the copy, and the same
-            # scale-free torus basis and Lie generators as the shared frame's
+            # scale-free torus basis as the shared frame's
             assert other.unit.model is other and other.unit is other.unit
             assert other.unit.weight == m.unit.weight
             assert other.unit.torus[0] == m.unit.torus[0]
-            assert other.unit.lie_generators == m.unit.lie_generators
         with pytest.raises(TypeError):
             replace(m, unit=m.unit)
 
