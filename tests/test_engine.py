@@ -560,15 +560,13 @@ class TestFiberGeneratorCommutant:
         project = _commutant_projection(fiber)
         return m, rep, fiber, project, solved
 
-    @pytest.mark.parametrize("name", list(CASES))
-    def test_same_commutant_basis_as_all_generators(self, monkeypatch, name):
-        m, rep, fiber, project, solved = self._solve(monkeypatch, name)
-        assert len(solved) == 1
+    @staticmethod
+    def _check(m, rep, fiber, project, seed):
         # the kept basis spans the same null space; only the item order in a
         # vector may differ, so the vectors are compared as dicts
         basis, _ = cartan_subalgebra(m.F)
         assert [dict(v) for v, _ in fiber.commutant] == _all_generator_commutant(rep.R, basis)
-        rng = random.Random(name)
+        rng = random.Random(seed)
         dim = rep.dimV
         for _ in range(3):
             a = Matrix.from_rows([[GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
@@ -576,6 +574,32 @@ class TestFiberGeneratorCommutant:
             got = project(a)
             assert all((got * r - r * got).is_zero() for r in rep.R)
             assert project(got) == got
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_commutant_basis_as_all_generators(self, monkeypatch, name):
+        m, rep, fiber, project, solved = self._solve(monkeypatch, name)
+        assert len(solved) == 1
+        self._check(m, rep, fiber, project, name)
+
+    @pytest.mark.parametrize("space", [
+        *[lambda n=n: sphere(n, 1) for n in range(2, 11)],
+        *[lambda n=n: hyperbolic(n, rational(2, 3)) for n in (3, 4, 6)],
+        lambda: product([sphere(2, 1), sphere(2, 1)]),
+        lambda: product([sphere(2, 1), hyperbolic(3, 1)]),
+        lambda: product([flat(2), sphere(2, 1), sphere(3, 1)]),
+        lambda: product([sphere(3, 1), sphere(3, 1)]),
+        lambda: product([sphere(2, 1), sphere(2, 1), sphere(2, 1)]),
+        lambda: _rotated(sphere(4, 1)),
+    ], ids=[*(f"s{n}" for n in range(2, 11)), "h3", "h4", "h6", "s2xs2", "s2xh3", "flat2xs2xs3",
+            "s3xs3", "s2xs2xs2", "rotated_s4"])
+    def test_vector_commutant_on_every_space(self, space):
+        # the vector fiber R_i = F_i on each space, the products' several
+        # factors and a rotated frame among them: the solve on every R_i
+        # keeps the reference basis, whatever the rank of h
+        m = space()
+        rep = catalog_rep(m, "vector")
+        fiber = replace(rep).unit
+        self._check(m, rep, fiber, _commutant_projection(fiber), m.n)
 
     def test_row_count_on_s4_vector_x_spinor(self, monkeypatch):
         # six generators R_i of 256 rows each
@@ -686,6 +710,19 @@ class TestUnitTorus:
             rep = catalog_rep(m, bundle)
             got = heat_coefficients(HeatRequest(m, rep, 3)).a
             assert got == heat_coefficients(HeatRequest(replace(m), rep, 3)).a
+
+    @pytest.mark.parametrize("name", ["sphere4_r2_3", "hyperbolic5_r5_2", "s2xh3", "rotated_h4"])
+    def test_commutant_does_not_see_the_scale(self, name):
+        # the solve on the job-scale R, c R0, keeps the unit fiber's basis
+        # and duals, which the engine solves once on R0
+        m = self.MODELS[name]()
+        assert m.scale != 1
+        for bundle, factors in (("spinor", None), ("tensor_product", _VS)):
+            rep = catalog_rep(m, bundle, factors=factors)
+            fiber = replace(rep).unit
+            assert fiber.R != rep.R
+            _commutant_projection(fiber)
+            assert engine._commutant_duals(rep.R) == fiber.commutant
 
     def test_one_derivation_per_frame(self, monkeypatch):
         # six radii and two signs of S4 spinor, in the catalog frame and in the
