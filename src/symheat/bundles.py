@@ -23,11 +23,11 @@ catalog space beta carries only the radius and the sign.  G's antisymmetry
 and the so(n) relations read G alone, so they run once per table and are
 kept on it (GeneratorTable.checks).  A scale c of beta multiplies R and the
 Casimir by c, and every item of the holonomy bracket, Casimir centrality
-and integrability checks by c^2, so those three run once per frame
-(spaces.UnitStructure) and table, on the frame's unit-scale model, and are
-kept with R0 and the Casimir there (UnitFiber, held by GeneratorTable.fibers);
-a rep scales R0 and the Casimir by the model's scale c.  Only the twist's
-support, which reads B, runs on every call.
+and integrability checks by c^2, so those three run once per frame (the
+unit-scale model, SymmetricSpaceModel.unit) and table, on the frame, and
+are kept with R0 and the Casimir there (UnitFiber, held by
+GeneratorTable.fibers); a rep scales R0 and the Casimir by the model's
+scale c.  Only the twist's support, which reads B, runs on every call.
 
 validate_rep walks nonzero couplings only: a check item whose operands are
 all zero holds without forming a matrix, and a check whose items all hold
@@ -101,7 +101,7 @@ class FiberRep:
     @cached_property
     def unit(self) -> UnitFiber:
         inv = ONE / self.model.scale
-        return UnitFiber(self.model.unit.model, self.dimV, tuple(r.scale(inv) for r in self.R),
+        return UnitFiber(self.model.unit, self.dimV, tuple(r.scale(inv) for r in self.R),
                          self.casimir.scale(inv))
 
     @cached_property
@@ -177,7 +177,7 @@ class GeneratorTable(tuple):
     first read and kept on the table (checks).  A catalog table is built
     once per process and shared across radii, so those checks run once per
     table; any other table carries its own results and drops them with
-    itself.  fibers maps each frame (spaces.UnitStructure) the table was
+    itself.  fibers maps each frame (a unit-scale model) the table was
     built on to its UnitFiber there; the frame is held weakly, so the memo
     holds no more entries than there are live frames.
     """
@@ -236,7 +236,7 @@ def _table_checks(G) -> tuple:
                 so_n_holds))
 
 
-def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
+def validate_rep(rep: FiberRep) -> ValidationReport:
     """Exact checks on an assembled fiber representation, each naming its
     first failing item: G antisymmetry, the so(n) relations, the twist's
     flat support, the holonomy bracket, Casimir centrality and curvature
@@ -245,10 +245,10 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
     The first two read G alone (GeneratorTable.checks); a table that is not
     a GeneratorTable, say one put in by dataclasses.replace, is checked
     afresh.  The last three are read off the rep's UnitFiber (rep.unit),
-    whose results hold at every scale, unless model is not rep.model.  Only
-    the twist's support runs on every call.
+    whose results hold at every scale.  Only the twist's support runs on
+    every call.
     """
-    B = rep.B
+    B, flat_dim = rep.B, rep.model.flat_dim
     checks = list(rep.G.checks if isinstance(rep.G, GeneratorTable) else _table_checks(rep.G))
 
     def twist_flat_support():  # the first failing item, or ""
@@ -258,14 +258,13 @@ def validate_rep(model: SymmetricSpaceModel, rep: FiberRep) -> ValidationReport:
             for b in sorted(row):
                 if row[b].re != 0:
                     return f"B({a},{b}) not purely imaginary"
-                if a >= model.flat_dim or b >= model.flat_dim:
+                if a >= flat_dim or b >= flat_dim:
                     return f"B({a},{b}) on a curved direction"
         return ""
 
     detail = twist_flat_support()
     checks.append(CheckResult("twist-flat-support", not detail, detail))
-    checks += (rep.unit.checks if model is rep.model
-               else _fiber_checks(model, rep.R, rep.casimir))
+    checks += rep.unit.checks
     return ValidationReport(tuple(checks))
 
 
@@ -359,8 +358,8 @@ def _holonomy(model: SymmetricSpaceModel, table, dimV: int) -> tuple:
     return R, casimir
 
 
-def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
-              dimV: int | None = None) -> FiberRep:
+def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None, *,
+              dimV: int) -> FiberRep:
     """Assemble and check a fiber representation.
 
     G may be a dict {(a, b): matrix} for a < b or a full n x n table; B
@@ -377,13 +376,6 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     kept too, and raises the same BundleError on every call.
     """
     n = model.n
-    if dimV is None:
-        if isinstance(G, dict):
-            if not G:
-                raise BundleError("cannot infer the fiber dimension from empty G")
-            dimV = next(iter(G.values())).rows
-        else:
-            dimV = G[0][0].rows
     if dimV < 1:
         raise BundleError(f"fibers need dimV >= 1, got {dimV}")
     table = _normalize_generators(n, dimV, G)
@@ -395,13 +387,12 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None,
     frame = model.unit
     fiber = table.fibers.get(frame)
     if fiber is None:
-        fiber = table.fibers[frame] = UnitFiber(frame.model, dimV,
-                                                *_holonomy(frame.model, table, dimV))
+        fiber = table.fibers[frame] = UnitFiber(frame, dimV, *_holonomy(frame, table, dimV))
     c = model.scale
     rep = FiberRep(model=model, dimV=dimV, G=table, B=B,
                    R=tuple(r.scale(c) for r in fiber.R), casimir=fiber.casimir.scale(c))
     rep.unit = fiber
-    rep.report = validate_rep(model, rep)
+    rep.report = validate_rep(rep)
     if not rep.report.ok:
         raise BundleError(f"fiber checks failed: {', '.join(rep.report.failed())}")
     return rep
@@ -532,18 +523,6 @@ def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,
     G, dimV = _catalog_generators(model, name, twist, factors)
     B = twist_matrix(model, twist) if twist else None
     return build_rep(model, G, B, dimV=dimV)
-
-
-def scalar_rep(model: SymmetricSpaceModel, twist=None) -> FiberRep:
-    return catalog_rep(model, "scalar", twist=twist)
-
-
-def vector_rep(model: SymmetricSpaceModel, twist=None) -> FiberRep:
-    return catalog_rep(model, "vector", twist=twist)
-
-
-def spinor_rep(model: SymmetricSpaceModel, twist=None) -> FiberRep:
-    return catalog_rep(model, "spinor", twist=twist)
 
 
 def tensor_product_rep(rep1: FiberRep, rep2: FiberRep,

@@ -37,13 +37,14 @@ the bracket, its average and the prefactor run at the frame's unit scale,
 and each b_m takes c^m once, in its combination's coefficients.  The engine
 runs on the rep's model, whose frame is its unit fiber's, so the frame, c
 and the fiber always match.  The weight check, the torus basis, its
-density and the weight of the d0_a and W are read from that frame
-(spaces.UnitStructure).  The cosh pencil and the prefactor of each degree
-and the commutant's basis and duals (solved on the R0_i themselves: the
-commutant of c R0 is that of R0) are derived once on the rep's unit fiber
-(bundles.UnitFiber) and kept there.  The two det(sinhc) pencils run per job
-on the model's own F and D, at the scale 1/(2c), so they expand F0 and D0;
-perfbench/spans.py tells them apart by identity with model.F.
+density and the weight of the d0_a and W are read from that frame, the
+unit-scale model (SymmetricSpaceModel.unit).  The cosh pencil and the
+prefactor of each degree and the commutant's basis and duals (solved on
+the R0_i themselves: the commutant of c R0 is that of R0) are derived once
+on the rep's unit fiber (bundles.UnitFiber) and kept there.  The two
+det(sinhc) pencils run per job on the model's own F and D, at the scale
+1/(2c), so they expand F0 and D0; perfbench/spans.py tells them apart by
+identity with model.F.
 
 The bracket is a polynomial in y with one exact value per monomial
 (series.SeriesPoly): the cosh pencil times the exp of the summed
@@ -191,7 +192,7 @@ def _weight(frame) -> GaussianWeight:
     if frame.gaussian is None:
         basis, density = frame.torus
         frame.gaussian = GaussianWeight.diagonal(
-            [_beta_form(frame.model.beta, v, v) for v in basis], density)
+            [_beta_form(frame.beta, v, v) for v in basis], density)
     return frame.gaussian
 
 

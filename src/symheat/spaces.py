@@ -4,10 +4,10 @@ The primary datum is the factorized curvature (E, beta): a list of p
 antisymmetric n x n matrices E^i and a symmetric invertible p x p matrix
 beta with R_abcd = beta_ik E^i_ab E^k_cd.  Everything else — holonomy
 generators D_i, structure constants F^j_ik, curvature contractions — is
-derived exactly when the model is built, at the cost of the nonzero
-entries and with no matrix formed.  Each bracket [D_i, D_k] is summed from
-its entry chains D_i[a, b] D_k[b, c] - D_k[a, b] D_i[b, c] into one
-accumulator keyed by (a, c), in one unreduced pass (exact._add_product):
+derived exactly, at the cost of the nonzero entries and with no matrix
+formed.  Each bracket [D_i, D_k] is summed from its entry chains
+D_i[a, b] D_k[b, c] - D_k[a, b] D_i[b, c] into one accumulator keyed by
+(a, c), in one unreduced pass (exact._add_product):
 the projections onto the D_j, whose nonzeros are indexed once by position,
 F^j = g^jl proj_l and the closure residual [D_i, D_k] - F^j_ik D_j follow
 in the same pass, and each is settled once (exact._settle).  R_H and R_G
@@ -21,12 +21,15 @@ algebra and its invariant metric are derived on first read: only
 validation and the group checks read them.  Frame indices of the flat
 factor come first by convention.
 
-A radius and a sign only scale beta, and everything derived is linear in
-that scale, so build_model derives each frame once at unit scale and
-rescales it per call.  Every model has a frame (UnitStructure), which
-holds what the engine's average shares across scales, and a scale against
-it (SymmetricSpaceModel.scale), the one place where that scale is
-computed; a model that build_model did not make is its own frame.
+A radius and a sign only scale beta, and D and F are linear in that scale,
+so build_model derives each frame once at unit scale and rescales D and F
+per call; the curvature contractions (the Riemann entries, Ricci, scalar_R
+and R_H) are derived from a model's own data on first read, and no job
+reads them from a scaled model.  Every model has a frame, the unit-scale
+model (SymmetricSpaceModel.unit), which holds what the engine's average
+shares across scales, and a scale against it (SymmetricSpaceModel.scale),
+the one place where that scale is computed; a model that build_model did
+not make is its own frame.
 
 Sign convention: the unit n-sphere has scalar curvature n(n-1) > 0.
 """
@@ -101,36 +104,80 @@ class CurvatureData:
             raise ModelBuildError("beta has the wrong shape")
 
 
-@dataclass
+@dataclass(eq=False)
 class SymmetricSpaceModel:
     """Curvature data with the derived exact structure the engine reads.
 
-    F is stored as p matrices F_i with (F_i)[j, k] = F^j_ik.  riemann is
-    the dict {(a, b, c, d): R_abcd} of the nonzero entries only; an absent
-    key is a zero entry.  The combined algebra C (N adjoint matrices with
-    (C_A)[B, C] = C^B_AC, N = n + p), its metric gamma, gamma's inverse and
-    R_G are computed on first read.  unit is the model's frame, a
-    UnitStructure: build_model sets the one its frame shares, and any other
-    model (dataclasses.replace, a direct call) derives its own on first read.
-    scale is c with beta = c beta0, beta0 the frame's: 1 for a model that is
-    its own frame.
+    F is stored as p matrices F_i with (F_i)[j, k] = F^j_ik.  Everything
+    else is derived from the model's own data on first read: riemann, the
+    dict {(a, b, c, d): R_abcd} of the nonzero entries only (an absent key
+    is a zero entry), ricci, scalar_R and R_H; the combined algebra C (N
+    adjoint matrices with (C_A)[B, C] = C^B_AC, N = n + p), its metric
+    gamma, gamma's inverse and R_G.  A model equals only itself, so a frame
+    can key a weak memo (bundles.GeneratorTable.fibers).
+
+    unit is the model's frame, a unit-scale model: build_model sets the one
+    its frame shares, and any other model (dataclasses.replace, a direct
+    call) is its own frame.  scale is c with beta = c beta0, beta0 the
+    frame's: 1 for a model that is its own frame.  A scale c of beta
+    multiplies each F_j and <u, beta v> by c, so what is read on a frame
+    holds at every scale of it:
+    - weight, the beta-f-invariance check: (beta F_j) + (beta F_j)^T scales
+      by c^2, so it passes, or fails at the same index;
+    - torus, (basis, W): cartan_subalgebra made beta-orthogonal, which sees
+      only spans, zero patterns and ratios of <u, beta v>, and the Weyl
+      density on it, up to c^(p-r), which cancels in <phi W>_t / <W>_t.
+    An error is not kept: a failing derivation raises again on every read.
+    The engine runs the average at unit scale and keeps its weight on the
+    frame (gaussian, None until the first job): the wick.GaussianWeight of
+    the norms <v_a, beta0 v_a> on the torus basis and of W, so its moment
+    memo serves every scale of the frame.
     """
 
     data: CurvatureData
     D: tuple
     F: tuple
-    riemann: dict
-    ricci: Matrix
-    scalar_R: GaussianRational
-    R_H: GaussianRational
+
+    gaussian = None
 
     @cached_property
-    def unit(self) -> UnitStructure:
-        return UnitStructure(self)
+    def unit(self) -> SymmetricSpaceModel:
+        return self
 
     @cached_property
     def scale(self) -> GaussianRational:
-        return _beta_scale(self.beta) / _beta_scale(self.unit.model.beta)
+        return _beta_scale(self.beta) / _beta_scale(self.unit.beta)
+
+    @cached_property
+    def weight(self) -> CheckResult:
+        return weight_invariance(self)
+
+    @cached_property
+    def torus(self) -> tuple:
+        basis, density = cartan_subalgebra(self.F)
+        torus = _beta_orthogonal(basis, self.beta)
+        return torus, density if torus == basis else weyl_density(self.F, torus)
+
+    @cached_property
+    def riemann(self) -> dict:
+        return _riemann_entries(self.data.E, self.beta)
+
+    @cached_property
+    def ricci(self) -> Matrix:
+        rows = [{} for _ in range(self.n)]  # Ric_bd = R_abad
+        for (a, b, c, d), x in self.riemann.items():
+            if a == c:
+                rows[b][d] = rows[b].get(d, ZERO) + x
+        return Matrix.from_nonzeros(self.n, rows)
+
+    @cached_property
+    def scalar_R(self) -> GaussianRational:
+        return self.ricci.trace()
+
+    @cached_property
+    def R_H(self) -> GaussianRational:
+        """-(1/4) beta^{ik} tr(F_i F_k), as R_G over the combined algebra."""
+        return _quarter_contraction(invert(self.beta) if self.p else self.beta, self.F)
 
     @cached_property
     def C(self) -> tuple:
@@ -200,38 +247,6 @@ class ValidationReport:
         ]
 
 
-class UnitStructure:
-    """What every model of one frame shares, derived from model on first read:
-    build_model's model at beta0 = beta / c, else the model itself.  A scale
-    c of beta multiplies each F_j and <u, beta v> by c, so every scale has
-    - weight, the beta-f-invariance check: (beta F_j) + (beta F_j)^T scales
-      by c^2, so it passes, or fails at the same index;
-    - torus, (basis, W): cartan_subalgebra made beta-orthogonal, which sees
-      only spans, zero patterns and ratios of <u, beta v>, and the Weyl
-      density on it, up to c^(p-r), which cancels in <phi W>_t / <W>_t.
-    An error is not kept: a failing derivation raises again on every read.
-    The engine runs the average at this unit scale and keeps its weight
-    here (gaussian, None until the first job): the wick.GaussianWeight of
-    the norms <v_a, beta0 v_a> on the torus basis and of W, so its moment
-    memo serves every scale of the frame.
-    """
-
-    def __init__(self, model: SymmetricSpaceModel):
-        self.model = model
-        self.gaussian = None
-
-    @cached_property
-    def weight(self) -> CheckResult:
-        return weight_invariance(self.model)
-
-    @cached_property
-    def torus(self) -> tuple:
-        F, beta = self.model.F, self.model.beta
-        basis, density = cartan_subalgebra(F)
-        torus = _beta_orthogonal(basis, beta)
-        return torus, density if torus == basis else weyl_density(F, torus)
-
-
 def _structure_constant(model_parts, upper: int, lo1: int, lo2: int) -> GaussianRational:
     """C^upper_{lo1 lo2}: indices 0..n-1 tangent, n..N-1 holonomy."""
     n, E, D, F = model_parts
@@ -248,26 +263,23 @@ def _structure_constant(model_parts, upper: int, lo1: int, lo2: int) -> Gaussian
 
 
 def build_model(data: CurvatureData) -> SymmetricSpaceModel:
-    """Derive the full model from (E, beta); exact throughout.
+    """The model of (E, beta), exact throughout, with D and F set and the
+    rest derived on first read.
 
-    Everything derived is linear in the scale of beta: with c its first
-    nonzero entry and beta0 = beta / c, D = c D0, F = c F0, R_H = c R_H0,
-    and so are the Riemann entries, Ricci and scalar_R.  So the model at
-    beta0 is derived once per frame (E, beta0, flat_dim, n) and kept as the
-    frame's UnitStructure (at most 16 frames), which the model gets as its
-    unit, and each call only scales its fields by c.  Every radius and sign
-    of one catalog space share one frame.  Each ModelBuildError of the
-    derivation (_derive) is raised at beta exactly when at beta0, with the
-    same message; an error is not kept, so every call raises it again.
+    D and F are linear in the scale of beta: with c its first nonzero entry
+    and beta0 = beta / c, D = c D0 and F = c F0.  So the model at beta0 is
+    derived once per frame (E, beta0, flat_dim, n) and kept (at most 16
+    frames) as the model's unit, and each call only scales D and F by c.
+    Every radius and sign of one catalog space share one frame.  Each
+    ModelBuildError of the derivation (_derive) is raised at beta exactly
+    when at beta0, with the same message; an error is not kept, so every
+    call raises it again.
     """
     c = _beta_scale(data.beta)
-    unit = _unit_structure(data.n, data.flat_dim, data.E, data.beta.scale(ONE / c))
-    m = unit.model
-    model = SymmetricSpaceModel(
-        data=data, D=tuple(d.scale(c) for d in m.D), F=tuple(f.scale(c) for f in m.F),
-        riemann={key: c * x for key, x in m.riemann.items()}, ricci=m.ricci.scale(c),
-        scalar_R=c * m.scalar_R, R_H=c * m.R_H)
-    model.unit = unit
+    frame = _frame(data.n, data.flat_dim, data.E, data.beta.scale(ONE / c))
+    model = SymmetricSpaceModel(data=data, D=tuple(d.scale(c) for d in frame.D),
+                                F=tuple(f.scale(c) for f in frame.F))
+    model.unit = frame
     return model
 
 
@@ -279,14 +291,13 @@ def _beta_scale(beta: Matrix) -> GaussianRational:
 
 
 @lru_cache(maxsize=16)
-def _unit_structure(n: int, flat_dim: int, E: tuple, beta0: Matrix) -> UnitStructure:
-    """The UnitStructure of one frame, derived at most once while it is kept:
-    the unit-scale model's own unit."""
-    return _derive(CurvatureData(n=n, p=len(E), E=E, beta=beta0, flat_dim=flat_dim)).unit
+def _frame(n: int, flat_dim: int, E: tuple, beta0: Matrix) -> SymmetricSpaceModel:
+    """The unit-scale model of one frame, derived at most once while it is kept."""
+    return _derive(CurvatureData(n=n, p=len(E), E=E, beta=beta0, flat_dim=flat_dim))
 
 
 def _derive(data: CurvatureData) -> SymmetricSpaceModel:
-    """The model of data derived from scratch; its unit is its own.
+    """The model of data derived from scratch; it is its own frame.
 
     The structure constants F^j_ik of [D_i, D_k] = F^j_ik D_j are the
     projections of each bracket onto the D_j through the inverse of their
@@ -294,34 +305,18 @@ def _derive(data: CurvatureData) -> SymmetricSpaceModel:
     formed (_solve_structure_constants).  A singular beta, dependent D_j (a
     singular Gram matrix) and a bracket that does not close on the D_j
     raise ModelBuildError, in that order: a singular beta would make the D_j
-    dependent too.  R_H and the Riemann entries are accumulated unreduced
-    and settled once.
+    dependent too.  Nothing that cannot raise is derived here.
     """
     n, p, E, beta = data.n, data.p, data.E, data.beta
     _check_data(data)
     try:
-        beta_inv = invert(beta) if p else beta
+        invert(beta) if p else None
     except ValueError as exc:
         raise ModelBuildError(f"beta is singular: {exc}") from exc
 
     # D_i = -sum_k beta_ik E^k (the delta metric raises the first index)
     D = tuple(combination(((-x, E[k]) for k, x in row.items()), n) for row in beta.nonzeros)
-
-    F = _solve_structure_constants(p, D)
-
-    riemann = _riemann_entries(E, beta)
-    rows = [{} for _ in range(n)]  # Ric_bd = R_abad
-    for (a, b, c, d), x in riemann.items():
-        if a == c:
-            rows[b][d] = rows[b].get(d, ZERO) + x
-    ricci = Matrix.from_nonzeros(n, rows)
-    scalar_R = ricci.trace()
-
-    # R_H = -(1/4) beta^{ik} tr(F_i F_k), as R_G over the combined algebra
-    R_H = _quarter_contraction(beta_inv, F)
-
-    return SymmetricSpaceModel(data=data, D=D, F=F, riemann=riemann, ricci=ricci,
-                               scalar_R=scalar_R, R_H=R_H)
+    return SymmetricSpaceModel(data=data, D=D, F=_solve_structure_constants(p, D))
 
 
 def _block_diag(blocks) -> Matrix:
@@ -599,17 +594,16 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
                       lambda c: (gc := m.gamma * C[c]).transpose() == -gc, "index"),
     ]
 
-    ok, detail = True, ""
-    for e in range(m.flat_dim):
-        for i, Ei in enumerate(E):
-            if Ei.nonzeros[e]:
-                ok, detail = False, f"E^{i} row {e}"
-        for i, Di in enumerate(D):
-            if Di.nonzeros[e] or any(e in row for row in Di.nonzeros):
-                ok, detail = False, f"D_{i} direction {e}"
-        if any(x for key, x in R.items() if key[0] == e):
-            ok, detail = False, f"R row {e}"
-    add("flat-projector-annihilation", ok, detail)
+    def flat_failures():  # each failing item, in order
+        for e in range(m.flat_dim):
+            yield from (f"E^{i} row {e}" for i, Ei in enumerate(E) if Ei.nonzeros[e])
+            yield from (f"D_{i} direction {e}" for i, Di in enumerate(D)
+                        if Di.nonzeros[e] or any(e in row for row in Di.nonzeros))
+            if any(x for key, x in R.items() if key[0] == e):
+                yield f"R row {e}"
+
+    detail = next(flat_failures(), "")
+    add("flat-projector-annihilation", not detail, detail)
 
     return ValidationReport(tuple(checks))
 

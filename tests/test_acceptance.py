@@ -203,7 +203,7 @@ def test_criterion_09_validator(grid):
 
     ok = True
     for (sname, rname), (model, rep, _) in grid.items():
-        if not validate_model(model).ok or not validate_rep(model, rep).ok:
+        if not validate_model(model).ok or not validate_rep(rep).ok:
             ok = False
 
     # injected single-entry corruptions must be caught
@@ -231,14 +231,15 @@ def test_criterion_09_validator(grid):
     m3_bad.gamma = Matrix.from_rows(bad_gamma)
     detections.append(not validate_model(m3_bad).ok)
 
-    detections.append(not validate_model(replace(
-        m, riemann={**m.riemann, (0, 0, 0, 0): q(1)})).ok)
+    m_bad = replace(m)  # so are the Riemann entries
+    m_bad.riemann = {**m.riemann, (0, 0, 0, 0): q(1)}
+    detections.append(not validate_model(m_bad).ok)
 
     rep2 = catalog_rep(m, "spinor")
     bad_g = [[x for x in row] for row in rep2.G]
     bad_g[0][1] = bad_g[0][1].scale(2)
     rep_bad = replace(rep2, G=tuple(tuple(r) for r in bad_g))
-    detections.append(not validate_rep(m, rep_bad).ok)
+    detections.append(not validate_rep(rep_bad).ok)
 
     report(9, ok and all(detections),
            f"all {len(grid)} catalog pairs validate; "

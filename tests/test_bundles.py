@@ -9,12 +9,9 @@ from symheat.bundles import (
     build_rep,
     catalog_rep,
     gamma_matrices,
-    scalar_rep,
-    spinor_rep,
     tensor_product_rep,
     twist_matrix,
     validate_rep,
-    vector_rep,
 )
 from symheat import spaces
 from symheat.exact import (
@@ -69,7 +66,7 @@ class TestGammaMatrices:
 
 class TestBuildRep:
     def test_scalar_on_s2(self):
-        rep = scalar_rep(sphere(2, 1))
+        rep = catalog_rep(sphere(2, 1), "scalar")
         assert rep.dimV == 1
         assert rep.R[0].is_zero()
         assert rep.casimir.is_zero()
@@ -77,43 +74,42 @@ class TestBuildRep:
 
     def test_spinor_on_s2(self):
         m = sphere(2, 1)
-        rep = spinor_rep(m)
+        rep = catalog_rep(m, "spinor")
         assert rep.dimV == 2
         assert rep.R[0] == -rep.G[0][1]
         assert rep.casimir == Matrix.identity(2).scale(rational(-1, 4))
 
     def test_vector_on_s2(self):
-        rep = vector_rep(sphere(2, 1))
+        rep = catalog_rep(sphere(2, 1), "vector")
         assert rep.R[0] == -EPS
         assert rep.casimir == -Matrix.identity(2)
 
     def test_vector_on_s3(self):
-        rep = vector_rep(sphere(3, 1))
+        rep = catalog_rep(sphere(3, 1), "vector")
         assert rep.dimV == 3
         assert rep.casimir == Matrix.identity(3).scale(-2)
 
     def test_casimir_matches_contraction_oracle(self):
-        for maker, repf in [
-            (lambda: sphere(3, 1), vector_rep),
-            (lambda: sphere(2, 1), spinor_rep),
-            (lambda: sphere(4, 1), spinor_rep),
-            (lambda: hyperbolic(3, 1), vector_rep),
-            (lambda: sphere(4, 1), vector_rep),
+        for maker, bundle, kw in [
+            (lambda: sphere(3, 1), "vector", {}),
+            (lambda: sphere(2, 1), "spinor", {}),
+            (lambda: sphere(4, 1), "spinor", {}),
+            (lambda: hyperbolic(3, 1), "vector", {}),
+            (lambda: sphere(4, 1), "vector", {}),
             # radii 1 and 2: beta is not a multiple of the identity
-            (lambda: product([sphere(2, 1), sphere(2, 2)]), spinor_rep),
-            (lambda: product([flat(2), sphere(2, 1)]),
-             lambda m: catalog_rep(m, "tensor_product", factors=["vector", "spinor"],
-                                   twist=[rational(1, 3)])),
+            (lambda: product([sphere(2, 1), sphere(2, 2)]), "spinor", {}),
+            (lambda: product([flat(2), sphere(2, 1)]), "tensor_product",
+             {"factors": ["vector", "spinor"], "twist": [rational(1, 3)]}),
         ]:
             m = maker()
-            rep = repf(m)
+            rep = catalog_rep(m, bundle, **kw)
             assert rep.casimir == casimir_by_contraction(m, rep)
 
     def test_casimir_equals_beta_contraction_of_r(self):
         # R^2 = beta^{ij} R_i R_j must agree with the curvature contraction
         for m, rep in [
-            (sphere(3, 1), vector_rep(sphere(3, 1))),
-            (sphere(2, 1), spinor_rep(sphere(2, 1))),
+            (sphere(3, 1), catalog_rep(sphere(3, 1), "vector")),
+            (sphere(2, 1), catalog_rep(sphere(2, 1), "spinor")),
         ]:
             beta_inv = invert(m.beta)
             acc = Matrix.zeros(rep.dimV)
@@ -169,21 +165,21 @@ class TestTwist:
 
     def test_twist_with_spinor(self):
         m = product([flat(2), sphere(2, 1)])
-        rep = spinor_rep(m, twist=[rational(1, 2)])
+        rep = catalog_rep(m, "spinor", twist=[rational(1, 2)])
         assert rep.B[0, 1] == GaussianRational(0, rational(1, 2))
-        assert validate_rep(m, rep).ok
+        assert validate_rep(rep).ok
 
 
 class TestTensorProduct:
     def test_dimension_and_generators(self):
         m = sphere(2, 1)
-        rep = tensor_product_rep(spinor_rep(m), vector_rep(m))
+        rep = tensor_product_rep(catalog_rep(m, "spinor"), catalog_rep(m, "vector"))
         assert rep.dimV == 4
 
     def test_casimir_sum_rule(self):
         # R^2_(1x2) = R^2_1 x I + I x R^2_2 + 2 beta^{ik} R1_i x R2_k
         m = sphere(2, 1)
-        r1, r2 = spinor_rep(m), vector_rep(m)
+        r1, r2 = catalog_rep(m, "spinor"), catalog_rep(m, "vector")
         rep = tensor_product_rep(r1, r2)
         beta_inv = invert(m.beta)
         e1 = Matrix.identity(r1.dimV)
@@ -267,18 +263,18 @@ class TestRepInvariants:
     def test_validation_passes(self, maker, repname):
         m = maker()
         rep = catalog_rep(m, repname)
-        report = validate_rep(m, rep)
+        report = validate_rep(rep)
         assert report.ok, report.failed()
 
     def test_casimir_commutes_with_holonomy(self):
         m = sphere(4, 1)
-        rep = vector_rep(m)
+        rep = catalog_rep(m, "vector")
         for r in rep.R:
             assert commutator(rep.casimir, r).is_zero()
 
     def test_scalar_rep_everything_vanishes(self):
         m = sphere(4, 1)
-        rep = scalar_rep(m)
+        rep = catalog_rep(m, "scalar")
         assert all(r.is_zero() for r in rep.R)
         assert rep.casimir.is_zero()
 
@@ -303,7 +299,7 @@ def failed_detail(report, name):
 class TestFirstFailure:
     def test_so_n_violation_named(self):
         m = sphere(4, 1)
-        rep = vector_rep(m)
+        rep = catalog_rep(m, "vector")
         G = [list(row) for row in rep.G]
         G[2][3], G[3][2] = G[2][3].scale(2), G[3][2].scale(2)
         bad = dataclasses.replace(rep, G=tuple(tuple(row) for row in G))
@@ -315,11 +311,11 @@ class TestFirstFailure:
 
         want = first_failure(4, holds)
         assert want == "indices (0, 2, 0, 3)"
-        assert failed_detail(validate_rep(m, bad), "fiber-so-n-relations") == want
+        assert failed_detail(validate_rep(bad), "fiber-so-n-relations") == want
 
     def test_integrability_violation_named(self):
         m = sphere(4, 1)
-        rep = vector_rep(m)
+        rep = catalog_rep(m, "vector")
         R = (rep.R[0].scale(2),) + rep.R[1:]
         bad = dataclasses.replace(rep, R=R)
         E, riem = m.data.E, m.riemann
@@ -334,7 +330,7 @@ class TestFirstFailure:
 
         want = first_failure(4, holds)
         assert want == "indices (0, 1, 0, 2)"
-        assert failed_detail(validate_rep(m, bad), "fiber-curvature-integrability") == want
+        assert failed_detail(validate_rep(bad), "fiber-curvature-integrability") == want
 
 
 def one_commutator_per_quadruple(model, rep):
@@ -439,7 +435,7 @@ def report_fields(report):
 def unchecked(monkeypatch, make):
     # the rep `make` assembles, with validate_rep stubbed so build_rep keeps it
     with monkeypatch.context() as patch:
-        patch.setattr(bundles, "validate_rep", lambda model, rep: ValidationReport(()))
+        patch.setattr(bundles, "validate_rep", lambda rep: ValidationReport(()))
         return make()
 
 
@@ -448,17 +444,17 @@ class TestValidateRepParity:
     @pytest.mark.parametrize("name", list(BENCHMARK_REPS))
     def test_benchmark_reps(self, name, space):
         m, rep = benchmark_rep(name, space, rational(2, 3))
-        got = validate_rep(m, rep)
+        got = validate_rep(rep)
         assert got.ok
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
 
     def test_full_table_with_nonzero_diagonal(self):
         m = sphere(3, 1)
-        rep = vector_rep(m)
+        rep = catalog_rep(m, "vector")
         table = [list(row) for row in rep.G]
         table[0][0] = Matrix.identity(3)
         bad = dataclasses.replace(rep, G=tuple(tuple(row) for row in table))
-        got = validate_rep(m, bad)
+        got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "fiber-g-antisymmetry") == "diagonal (0,0)"
         # want = -G_00 - G_11 is nonzero on the diagonal quadruple, where [X, X] = 0
@@ -467,22 +463,22 @@ class TestValidateRepParity:
     def test_full_table_with_one_sided_generator(self):
         # G_01 = 0 but G_10 != 0: the first failing pair is (0,1), not (1,0)
         m = sphere(3, 1)
-        rep = vector_rep(m)
+        rep = catalog_rep(m, "vector")
         table = [list(row) for row in rep.G]
         table[0][1] = Matrix.zeros(3)
         bad = dataclasses.replace(rep, G=tuple(tuple(row) for row in table))
-        got = validate_rep(m, bad)
+        got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "fiber-g-antisymmetry") == "pair (0,1)"
 
     def test_zero_holonomy_generator_and_off_center_casimir(self):
         # R_1 = 0 while the Casimir no longer commutes with R_2, R_3, ...
         m = sphere(4, 1)
-        rep = spinor_rep(m)
+        rep = catalog_rep(m, "spinor")
         shift = Matrix.diag([1, 0, 0, 0])
         bad = dataclasses.replace(rep, R=(Matrix.zeros(4),) + rep.R[1:],
                                   casimir=rep.casimir + shift)
-        got = validate_rep(m, bad)
+        got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "casimir-centrality") != "index 0"
 
@@ -490,7 +486,7 @@ class TestValidateRepParity:
         # a real B on S2 fails both item tests at (0,1) and again at (1,0)
         m = sphere(2, 1)
         bad = dataclasses.replace(catalog_rep(m, "scalar"), B=Matrix.from_rows([[0, 1], [-1, 0]]))
-        got = validate_rep(m, bad)
+        got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "twist-flat-support") == "B(0,1) not purely imaginary"
 
@@ -501,12 +497,12 @@ class TestValidateRepParity:
         i = GaussianRational(0, 1)
         B = Matrix.from_nonzeros(4, [{3: i, 1: 1}, {0: -1}, {}, {0: -i}])
         bad = dataclasses.replace(catalog_rep(m, "scalar"), B=B)
-        got = validate_rep(m, bad)
+        got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "twist-flat-support") == "B(0,1) not purely imaginary"
         # times i, B(0,1) holds and B(0,3) = -1 fails first as real
         bad = dataclasses.replace(bad, B=B.scale(i))
-        got = validate_rep(m, bad)
+        got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "twist-flat-support") == "B(0,3) not purely imaginary"
 
@@ -521,7 +517,7 @@ class TestValidateRepParity:
         R = list(rep.R)
         R[1] = R[1] + R[0].scale(rational(1, 2))
         bad = dataclasses.replace(rep, R=tuple(R))
-        got = validate_rep(m, bad)
+        got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert {"fiber-holonomy-bracket", "fiber-curvature-integrability"} <= set(got.failed())
 
@@ -531,7 +527,7 @@ class TestValidateRepParity:
     def test_twisted_flat2_x_s2(self, name, factors):
         m = flat2_x(sphere(2, rational(3, 2)))
         rep = catalog_rep(m, name, factors=factors, twist=[rational(2, 5)])
-        got = validate_rep(m, rep)
+        got = validate_rep(rep)
         assert got.ok
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
 
@@ -544,7 +540,7 @@ class TestValidateRepParity:
         E = tuple(unit_bivectors(3).values())
         m = build_model(CurvatureData(n=3, p=3, E=E, beta=Matrix.diag(beta)))
         rep = unchecked(monkeypatch, lambda: catalog_rep(m, name))
-        got = validate_rep(m, rep)
+        got = validate_rep(rep)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
         if name == "scalar":
             assert got.ok
@@ -557,7 +553,7 @@ class TestValidateRepParity:
         m = sphere(3, 1)
         rep = unchecked(monkeypatch,
                         lambda: build_rep(m, {(0, 1): Matrix.from_rows([[1]])}, dimV=1))
-        got = validate_rep(m, rep)
+        got = validate_rep(rep)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, rep))
         assert failed_detail(got, "fiber-so-n-relations") == "indices (0, 2, 1, 2)"
 
@@ -576,7 +572,7 @@ class TestValidateRepParity:
         seen = []
         original = bundles.commutator
         monkeypatch.setattr(bundles, "commutator", lambda a, b: seen.append(1) or original(a, b))
-        assert validate_rep(m, rep).ok
+        assert validate_rep(rep).ok
         assert seen == []
         assert all(c.passed for c in bundles._fiber_checks(m, rep.R, rep.casimir))
         assert len(seen) == calls
@@ -618,14 +614,14 @@ class TestEntryWiseChecks:
         space, bundle, factors, corrupt = CORRUPTED_TABLES[name]
         m = space()
         bad = corrupt(catalog_rep(m, bundle, factors=factors))
-        got, want = validate_rep(m, bad), one_commutator_per_quadruple(m, bad)
+        got, want = validate_rep(bad), one_commutator_per_quadruple(m, bad)
         assert report_fields(got) == report_fields(want)
         assert not got.ok
 
     def test_both_checks_fail_where_expected(self):
         space, bundle, factors, corrupt = CORRUPTED_TABLES["symmetric_pair_30"]
         m = space()
-        got = validate_rep(m, corrupt(catalog_rep(m, bundle, factors=factors)))
+        got = validate_rep(corrupt(catalog_rep(m, bundle, factors=factors)))
         # (0, 3) fails exactly when (3, 0) does, and comes first; the so(n)
         # items read the upper generators, which are intact
         assert failed_detail(got, "fiber-g-antisymmetry") == "pair (0,3)"
@@ -649,11 +645,11 @@ class TestTableCheckMemo:
         space, bundle, factors, corrupt = CORRUPTED_TABLES[name]
         m = space()
         good = catalog_rep(m, bundle, factors=factors)
-        assert validate_rep(m, good).ok
+        assert validate_rep(good).ok
         bad = corrupt(good)
         if as_table:  # a GeneratorTable of its own, as build_rep would make
             bad = dataclasses.replace(bad, G=bundles._normalize_generators(m.n, bad.dimV, bad.G))
-        got, want = validate_rep(m, bad), one_commutator_per_quadruple(m, bad)
+        got, want = validate_rep(bad), one_commutator_per_quadruple(m, bad)
         assert report_fields(got) == report_fields(want)
         assert not got.ok
 
@@ -662,8 +658,9 @@ class TestTableCheckMemo:
         # freed with their reps
         m = sphere(2, 1)
         for q in (1, 2, 3):  # S2 monopoles of charge q/2
-            rep = build_rep(m, {(0, 1): Matrix.from_rows([[GaussianRational(0, rational(q, 2))]])})
-            assert validate_rep(m, rep).ok and "checks" in vars(rep.G)
+            rep = build_rep(m, {(0, 1): Matrix.from_rows([[GaussianRational(0, rational(q, 2))]])},
+                            dimV=1)
+            assert validate_rep(rep).ok and "checks" in vars(rep.G)
             (holder,) = gc.get_referrers(rep.G)
             assert holder is rep or holder is vars(rep)
 

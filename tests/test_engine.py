@@ -16,12 +16,9 @@ from symheat.bundles import (
     build_rep,
     catalog_rep,
     rep_from_descriptor,
-    scalar_rep,
     spin_generator_table,
-    spinor_rep,
     twist_matrix,
     validate_rep,
-    vector_rep,
 )
 from symheat.engine import (
     HeatCoefficients,
@@ -75,7 +72,7 @@ def q(a, b=1):
 
 
 def scalar_coeffs(model, k_max):
-    hc = heat_coefficients(HeatRequest(model, scalar_rep(model), k_max))
+    hc = heat_coefficients(HeatRequest(model, catalog_rep(model, "scalar"), k_max))
     return [a[0, 0] for a in hc.a]
 
 
@@ -102,13 +99,13 @@ class TestScalarSpheres:
 class TestMatrixReps:
     def test_s2_spinor(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, spinor_rep(m), 2))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "spinor"), 2))
         assert hc.a[1] == Matrix.identity(2).scale(rational(1, 3))
         assert hc.a[2] == Matrix.identity(2).scale(rational(1, 40))
 
     def test_s2_vector(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, vector_rep(m), 2))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "vector"), 2))
         assert hc.a[1] == Matrix.identity(2).scale(rational(1, 3))
         assert hc.a[2] == Matrix.identity(2).scale(rational(-1, 10))
 
@@ -204,32 +201,32 @@ class TestStructuralProperties:
 class TestHeatTrace:
     def test_s2_scalar_normalized_trace(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 1))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 1))
         res = heat_trace(hc, 4)  # volume 4*pi with the pi tracked outside
         assert res.A[1] / res.volume == rational(1, 3)
 
     def test_a0_trace_is_volume_times_dim(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, spinor_rep(m), 0))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "spinor"), 0))
         res = heat_trace(hc, rational(7, 2))
         assert res.A[0] == rational(7, 2) * 2
 
     def test_spinor_trace(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, spinor_rep(m), 1))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "spinor"), 1))
         res = heat_trace(hc, 1)
         assert res.A[1] == rational(2, 3)
 
     def test_nonpositive_volume_rejected(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 0))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 0))
         with pytest.raises(ValueError):
             heat_trace(hc, 0)
 
     def test_non_real_trace_raises_a_value_error(self):
         # G_12 = [[1 + i]] on S2 builds, with the Casimir 2i, and tr a_2 is not real
         m = sphere(2, 1)
-        rep = build_rep(m, {(0, 1): Matrix.from_rows([[GaussianRational(1, 1)]])})
+        rep = build_rep(m, {(0, 1): Matrix.from_rows([[GaussianRational(1, 1)]])}, dimV=1)
         hc = heat_coefficients(HeatRequest(m, rep, 2))
         assert [a.trace().im for a in hc.a] == [0, 0, rational(1, 3)]
         with pytest.raises(NonRealTraceError, match="^fiber trace is not real$") as info:
@@ -241,17 +238,17 @@ class TestRequestValidation:
     def test_kmax_overflow(self):
         m = sphere(2, 1)
         with pytest.raises(TruncationOverflowError):
-            HeatRequest(m, scalar_rep(m), K_MAX_LIMIT + 1)
+            HeatRequest(m, catalog_rep(m, "scalar"), K_MAX_LIMIT + 1)
         with pytest.raises(TruncationOverflowError):
-            HeatRequest(m, scalar_rep(m), -1)
+            HeatRequest(m, catalog_rep(m, "scalar"), -1)
 
     def test_rep_model_mismatch(self):
         m2, m3 = sphere(2, 1), sphere(3, 1)
         with pytest.raises(RepModelMismatchError):
-            HeatRequest(m2, scalar_rep(m3), 1)
+            HeatRequest(m2, catalog_rep(m3, "scalar"), 1)
 
     def test_equal_data_accepted(self):
-        rep = scalar_rep(sphere(2, 1))
+        rep = catalog_rep(sphere(2, 1), "scalar")
         HeatRequest(sphere(2, 1), rep, 1)  # same data, different object
 
 
@@ -261,7 +258,7 @@ class TestRequestValidation:
         data = CurvatureData(n=3, p=3, E=base.data.E, beta=Matrix.diag([1, 2, 3]))
         m = build_model(data)
         with pytest.raises(HolonomyAverageError, match="beta-f-invariance"):
-            HeatRequest(m, scalar_rep(m), 1)
+            HeatRequest(m, catalog_rep(m, "scalar"), 1)
 
 
 def _reference_frame(beta):
@@ -406,7 +403,7 @@ class TestCartanRoute:
         # R = 0 commutes with every X, so the commutant is every matrix and the
         # projection is the identity, with no kernel solve for its basis
         model = sphere(3, 1)
-        scalar = heat_coefficients(HeatRequest(model, scalar_rep(model), 3)).a
+        scalar = heat_coefficients(HeatRequest(model, catalog_rep(model, "scalar"), 3)).a
 
         def refuse(*args):
             raise AssertionError("a zero-generator fiber needs no kernel")
@@ -461,8 +458,8 @@ class TestGrownTorus:
         ads = [combination(zip(v, m.F), m.p) for v in basis]
         assert all((ads[a] * Matrix(m.p, 1, basis[b])).is_zero()
                    for a in range(3) for b in range(3))
-        want = heat_coefficients(HeatRequest(base, scalar_rep(base), 2)).a
-        assert heat_coefficients(HeatRequest(m, scalar_rep(m), 2)).a == want
+        want = heat_coefficients(HeatRequest(base, catalog_rep(base, "scalar"), 2)).a
+        assert heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 2)).a == want
 
     @pytest.mark.parametrize("space", [sphere, hyperbolic])
     def test_rotated_frame_weight_is_diagonal(self, monkeypatch, space):
@@ -472,18 +469,18 @@ class TestGrownTorus:
         seen = []
         original = engine.average_poly
         monkeypatch.setattr(engine, "average_poly", lambda *a: seen.append(a) or original(*a))
-        heat_coefficients(HeatRequest(m, scalar_rep(m), 2))
+        heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 2))
         frame = m.unit
         torus, weight = frame.torus[0], seen[0][1]
         # the frame's weight, at its beta0, kept on the frame
         assert weight is frame.gaussian
-        restricted = _restricted_beta(frame.model, torus)
+        restricted = _restricted_beta(frame, torus)
         assert restricted == weight.beta == Matrix.diag([restricted[a, a] for a in range(2)])
         # the job's own beta on the torus is c times the frame's
-        c = _first_entry(m.beta) / _first_entry(frame.model.beta)
+        c = _first_entry(m.beta) / _first_entry(frame.beta)
         assert _restricted_beta(m, torus) == restricted.scale(c)
         # the frame's density, that of F0, and c^(p-r) times it is the job's own F's
-        assert weight.density == weyl_density(frame.model.F, torus)
+        assert weight.density == weyl_density(frame.F, torus)
         scale = _power(c, m.p - len(torus))
         assert weyl_density(m.F, torus) == {mono: scale * x for mono, x in weight.density.items()}
         # the same torus: every new vector lies in the span of the grown basis
@@ -668,7 +665,7 @@ class TestCommutantMemo:
             table = rep.G
         del rep
         gc.collect()
-        assert 0 < len(table.fibers) <= spaces._unit_structure.cache_info().maxsize
+        assert 0 < len(table.fibers) <= spaces._frame.cache_info().maxsize
 
 
 def _power(c, k):
@@ -687,8 +684,8 @@ _RADII = (1, rational(2, 3), rational(5, 2))
 
 
 class TestUnitTorus:
-    """The torus and the Weyl density live on the model's frame,
-    spaces.UnitStructure, derived once from its unit-scale F0."""
+    """The torus and the Weyl density live on the model's frame, the
+    unit-scale model, derived once from its F0."""
 
     MODELS = {
         **{f"{s.__name__}{n}_r{r}".replace("/", "_"): (lambda s=s, n=n, r=r: s(n, r))
@@ -726,10 +723,13 @@ class TestUnitTorus:
 
     def test_one_derivation_per_frame(self, monkeypatch):
         # six radii and two signs of S4 spinor, in the catalog frame and in the
-        # rotated one: after a frame's first job, nothing of it is derived again
+        # rotated one: after a frame's first job, nothing of it is derived
+        # again, and no job derives the curvature contractions of its own
+        # model; the first job derives the frame's Riemann entries once
+        _fresh_frames(monkeypatch)
         calls = []
         for name in ("_solve_structure_constants", "weight_invariance", "cartan_subalgebra",
-                     "_beta_orthogonal", "weyl_density"):
+                     "_beta_orthogonal", "weyl_density", "_riemann_entries"):
             original = getattr(spaces, name)
             monkeypatch.setattr(spaces, name, lambda *a, name=name, original=original:
                                 calls.append(name) or original(*a))
@@ -742,16 +742,15 @@ class TestUnitTorus:
                     m = frame(space(4, r))
                     heat_coefficients(HeatRequest(m, catalog_rep(m, "spinor"), 2))
                     assert not (units and calls), calls
+                    assert calls.count("_riemann_entries") == (0 if units else 1)
                     units.append(m.unit)
             assert all(unit is units[0] for unit in units)
 
     def test_model_not_made_by_build_model_has_its_own_frame(self, monkeypatch):
         m = sphere(4, rational(2, 3))
         rep = catalog_rep(m, "spinor")
-        fields = {f: getattr(m, f) for f in ("data", "D", "F", "riemann", "ricci", "scalar_R",
-                                             "R_H")}
         want = heat_coefficients(HeatRequest(m, rep, 2)).a
-        for copy in (replace(m), spaces.SymmetricSpaceModel(**fields)):
+        for copy in (replace(m), spaces.SymmetricSpaceModel(m.data, m.D, m.F)):
             calls = []
             for name in ("cartan_subalgebra", "weight_invariance"):
                 original = getattr(spaces, name)
@@ -763,7 +762,7 @@ class TestUnitTorus:
             # a rep on the copy runs on the copy's own frame
             assert heat_coefficients(HeatRequest(m, catalog_rep(copy, "spinor"), 2)).a == want
             monkeypatch.undo()
-            assert copy.unit is not m.unit and copy.unit.model is copy and copy.scale == 1
+            assert copy.unit is not m.unit and copy.unit is copy and copy.scale == 1
             # each part of the copy's frame is derived once, from the copy itself
             assert sorted(name for name, _ in calls) == ["cartan_subalgebra", "weight_invariance"]
             assert all(x is (copy if name == "weight_invariance" else copy.F)
@@ -771,21 +770,22 @@ class TestUnitTorus:
 
     def test_replaced_model_checks_its_own_weight(self):
         m = sphere(4, rational(2, 3))
-        HeatRequest(m, scalar_rep(m), 1)
+        HeatRequest(m, catalog_rep(m, "scalar"), 1)
         bad_f = replace(m, F=(m.F[0] + Matrix.from_nonzeros(m.p, [{1: 1}] + [{}] * (m.p - 1)),)
                       + m.F[1:])
         bad_beta = replace(m, data=replace(m.data, beta=Matrix.diag(range(1, m.p + 1))))
         for bad in (bad_f, bad_beta):
             with pytest.raises(HolonomyAverageError, match=r"beta-f-invariance fails \(index 0\)"):
-                HeatRequest(bad, scalar_rep(bad), 1)
+                HeatRequest(bad, catalog_rep(bad, "scalar"), 1)
 
 
 def _reference_build_rep(model, G, B=None, dimV=None):
     """build_rep as it was before the unit fiber: S_k, R and the Casimir
     formed at the model's own beta, and every check run on them there, by
-    validate_rep against an equal-data copy of the model.  The rep derives its
-    own unit fiber on the model's frame, from R and the Casimir over the
-    model's scale, when the engine first reads it."""
+    validate_rep on the rep moved to an equal-data copy of the model, which
+    is its own frame.  The rep derives its own unit fiber on the model's
+    frame, from R and the Casimir over the model's scale, when the engine
+    first reads it."""
     dimV = dimV or next(iter(G.values())).rows
     table = bundles._normalize_generators(model.n, dimV, G)
     minus_half = GaussianRational(rational(-1, 2))
@@ -796,7 +796,7 @@ def _reference_build_rep(model, G, B=None, dimV=None):
     casimir = combination(((minus_half, s, r) for s, r in zip(S, R) if s and r), dimV)
     rep = FiberRep(model=model, dimV=dimV, G=table, B=Matrix.zeros(model.n) if B is None else B,
                    R=R, casimir=casimir)
-    rep.report = validate_rep(replace(model), rep)
+    rep.report = validate_rep(replace(rep, model=replace(model)))
     return rep
 
 
@@ -848,7 +848,7 @@ class TestUnitFiber:
         fiber, frame = rep.unit, rep.model.unit
         # R0 = R / c and M0 = M / c, from the fiber built at the job's beta
         inv = GaussianRational(1) / (
-            _first_entry(rep.model.beta) / _first_entry(frame.model.beta) if model.p else 1)
+            _first_entry(rep.model.beta) / _first_entry(frame.beta) if model.p else 1)
         R0 = tuple(r.scale(inv) for r in ref.R)
         assert fiber.R == R0
         heat_coefficients(HeatRequest(model, rep, k_max))
@@ -874,8 +874,7 @@ class TestUnitFiber:
 
     @pytest.mark.parametrize("make", [
         lambda m: replace(m),
-        lambda m: spaces.SymmetricSpaceModel(**{f: getattr(m, f) for f in (
-            "data", "D", "F", "riemann", "ricci", "scalar_R", "R_H")}),
+        lambda m: spaces.SymmetricSpaceModel(m.data, m.D, m.F),
     ], ids=["replace", "constructor"])
     @pytest.mark.parametrize("bundle", ["spinor", "vector"])
     def test_rep_on_an_equal_data_model(self, make, bundle):
@@ -898,10 +897,10 @@ class TestUnitFiber:
         R[1] = R[1] + R[0].scale(rational(1, 2))
         inv = GaussianRational(1) / _first_entry(m.beta)
         for bad in (replace(rep, R=tuple(R)), replace(rep, R=tuple(r.scale(2) for r in rep.R))):
-            got = validate_rep(m, bad)
+            got = validate_rep(bad)
             assert not got.ok and "fiber-holonomy-bracket" in got.failed()
             assert bad.unit is not rep.unit and bad.unit.R == tuple(r.scale(inv) for r in bad.R)
-        assert validate_rep(m, rep).ok
+        assert validate_rep(rep).ok
 
     def test_failing_fiber_raises_the_same_error_on_every_call(self, monkeypatch):
         # the S3 frame with beta = diag(1, 1, 2): the vector fiber fails
@@ -918,18 +917,18 @@ class TestUnitFiber:
         assert len(calls) == 1
 
     def test_checks_against_another_model_run_afresh(self):
-        # a radius-1 rep checked against the radius-2 model of its frame: its
-        # R does not scale with that model's F, so the bracket and
-        # integrability fail there, as they did with every check run per call
+        # a radius-1 rep moved onto the radius-2 model of its frame: its R
+        # does not scale with that model's F, so the unit fiber it derives
+        # fails the bracket and integrability, as every check run per call did
         m = sphere(4, 1)
         rep = catalog_rep(m, "spinor")
-        got = validate_rep(sphere(4, 2), rep)
+        got = validate_rep(replace(rep, model=sphere(4, 2)))
         assert [(c.name, c.passed, c.detail) for c in got.checks] == [
             ("fiber-g-antisymmetry", True, ""), ("fiber-so-n-relations", True, ""),
             ("twist-flat-support", True, ""), ("fiber-holonomy-bracket", False, "pair (0, 1)"),
             ("casimir-centrality", True, ""),
             ("fiber-curvature-integrability", False, "indices (0, 1, 0, 2)")]
-        assert validate_rep(m, rep).ok
+        assert validate_rep(rep).ok
 
     def test_one_derivation_per_frame_table_and_degree(self, monkeypatch):
         # six radii and two signs in the catalog and the rotated S4 frame, and
@@ -1003,8 +1002,8 @@ class TestUnitFiber:
 def _fresh_frames(monkeypatch):
     """Have build_model derive every frame anew, so each frame, and each unit
     fiber of a table on it, starts with nothing kept."""
-    memo = spaces._unit_structure
-    monkeypatch.setattr(spaces, "_unit_structure",
+    memo = spaces._frame
+    monkeypatch.setattr(spaces, "_frame",
                         lru_cache(maxsize=memo.cache_info().maxsize)(memo.__wrapped__))
 
 
@@ -1036,8 +1035,8 @@ class TestOneScalingPoint:
         G, dimV = fiber(m)
         B = twist_matrix(m, twist) if twist else None
         reps = [build_rep(x, G, B, dimV=dimV) for x in (m, own)]
-        assert m.unit.model.beta == m.beta.scale(1 / _first_entry(m.beta)) != m.beta
-        assert m.scale == _first_entry(m.beta) and own.unit.model is own and own.scale == 1
+        assert m.unit.beta == m.beta.scale(1 / _first_entry(m.beta)) != m.beta
+        assert m.scale == _first_entry(m.beta) and own.unit is own and own.scale == 1
         assert reps[1].unit.R == reps[1].R
         for k_max in (2, 3):
             want = heat_coefficients(HeatRequest(own, reps[1], k_max)).a
@@ -1077,7 +1076,7 @@ class TestOneFiberPerRepFrame:
         doubled = replace(built, R=tuple(r.scale(2) for r in built.R))
         assert m.scale != 1 and own.scale == 1
         for rep in reps + [doubled]:
-            frame, inv = rep.model.unit.model, GaussianRational(1) / rep.model.scale
+            frame, inv = rep.model.unit, GaussianRational(1) / rep.model.scale
             assert rep.unit.R == tuple(r.scale(inv) for r in rep.R)
             assert rep.unit.casimir == rep.casimir.scale(inv)
             assert rep.unit.shift == frame.scalar_R / 8 + frame.R_H / 6
@@ -1272,13 +1271,13 @@ class TestBlockWeylDensity:
 class TestReport:
     def test_scalar_formatting(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 1))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 1))
         text = render_report_text(coefficient_report(hc))
         assert "a_1 = 1/3 (~0.333333)" in text
 
     def test_json_structure(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 1))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 1))
         rep = coefficient_report(hc, mode="exact")
         assert rep["a"][0]["matrix"] == [["1/1"]]
         assert rep["a"][1]["matrix"] == [["1/3"]]
@@ -1286,13 +1285,13 @@ class TestReport:
 
     def test_kmax_zero_only_a0(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 0))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 0))
         rep = coefficient_report(hc)
         assert len(rep["a"]) == 1
 
     def test_matrix_rendering(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, spinor_rep(m), 1))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "spinor"), 1))
         rep = coefficient_report(hc, mode="exact")
         assert rep["a"][1]["matrix"][0][0] == "1/3"
         text = render_report_text(rep)
@@ -1300,7 +1299,7 @@ class TestReport:
 
     def test_bad_mode(self):
         m = sphere(2, 1)
-        hc = heat_coefficients(HeatRequest(m, scalar_rep(m), 0))
+        hc = heat_coefficients(HeatRequest(m, catalog_rep(m, "scalar"), 0))
         with pytest.raises(ValueError):
             coefficient_report(hc, mode="fancy")
 
@@ -1429,7 +1428,7 @@ class TestFusedAssembly:
         k_max, dimV, model = req.k_max, req.rep.dimV, req.model
         # the frame's scale c, and the prefactor kept on the fiber: the
         # series of M0 = M / c, M formed at the job's scale
-        c = _first_entry(model.beta) / _first_entry(model.unit.model.beta) if model.p else q(1)
+        c = _first_entry(model.beta) / _first_entry(model.unit.beta) if model.p else q(1)
         assert req.rep.model.scale == c
         prefactor = req.rep.unit.prefactor[2 * k_max]
         exponent = Matrix.identity(dimV).scale(
@@ -1481,3 +1480,13 @@ class TestMatmulCount:
         calls = self._counting(monkeypatch)
         heat_coefficients(HeatRequest(model, rep, 4))
         assert len(calls) == 0
+
+
+def test_readme_library_example_runs_as_written():
+    # the README's library example, executed from the README itself: on flat
+    # R2 x unit S2, R = 2, so a_1 = (R/6) I on the spinor fiber of dimV 4
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    assert scope["coeffs"].a[1] == Matrix.identity(4).scale(rational(1, 3))

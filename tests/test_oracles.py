@@ -9,7 +9,7 @@ import sympy
 from mpmath import mp
 
 import symheat
-from symheat.bundles import catalog_rep, scalar_rep, spinor_rep, vector_rep
+from symheat.bundles import catalog_rep
 from symheat.engine import HeatRequest, heat_coefficients
 from symheat.exact import GaussianRational, Matrix, rational
 from symheat.oracles import (
@@ -136,14 +136,14 @@ class TestExtraction:
 class TestGilkey:
     def test_s2_scalar(self):
         m = sphere(2, 1)
-        rep = scalar_rep(m)
+        rep = catalog_rep(m, "scalar")
         assert gilkey_a1(m, rep)[0, 0] == GaussianRational(rational(1, 3))
         # (1/180)(4 - 2) + (1/72)*4 = 1/15
         assert gilkey_a2(m, rep)[0, 0] == GaussianRational(rational(1, 15))
 
     def test_s2_spinor(self):
         m = sphere(2, 1)
-        rep = spinor_rep(m)
+        rep = catalog_rep(m, "spinor")
         want = Matrix.identity(2).scale(rational(1, 15))
         omega2 = Matrix.zeros(2)
         for a in range(2):
@@ -233,7 +233,7 @@ class TestExactSphereScalarOracle:
     def test_frontier_matches_heat_engine(self, n, k_max):
         model = sphere(n, 1)
         start = time.perf_counter()
-        hc = heat_coefficients(HeatRequest(model, scalar_rep(model), k_max))
+        hc = heat_coefficients(HeatRequest(model, catalog_rep(model, "scalar"), k_max))
         if n == 10:
             # the Weyl density by coupling blocks and the Wick average from
             # per-variable moment tables: k = 2 takes about 0.2 s and k = 4

@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import pytest
@@ -361,16 +361,24 @@ def with_adjoint_entry(m, c, i, j, value):
 
 
 def with_riemann_entry(m, idx, value):
-    return replace(m, riemann={**m.riemann, idx: GaussianRational.of(value)})
+    # so are the Riemann entries
+    bad = replace(m)
+    bad.riemann = {**m.riemann, idx: GaussianRational.of(value)}
+    return bad
+
+
+def with_data(m, **changes):
+    # the data changed on a copy that keeps m's D, F and Riemann entries
+    bad = replace(m, data=replace(m.data, **changes))
+    bad.riemann = m.riemann
+    return bad
 
 
 S2, S3, FLAT2_S2 = sphere(2, 1), sphere(3, 1), product([flat(2), sphere(2, 1)])
 
 CORRUPTED = {
-    "e_symmetric": lambda: replace(
-        S2, data=replace(S2.data, E=(Matrix.from_rows([[0, 1], [1, 0]]),))),
-    "beta_asymmetric": lambda: replace(
-        S3, data=replace(S3.data, beta=with_entry(S3.beta, 0, 1, rational(1, 2)))),
+    "e_symmetric": lambda: with_data(S2, E=(Matrix.from_rows([[0, 1], [1, 0]]),)),
+    "beta_asymmetric": lambda: with_data(S3, beta=with_entry(S3.beta, 0, 1, rational(1, 2))),
     "f_entry": lambda: replace(
         S3, F=(with_entry(S3.F[0], 0, 1, S3.F[0][0, 1] + 1),) + S3.F[1:]),
     "riemann_entry": lambda: with_riemann_entry(
@@ -471,7 +479,7 @@ class TestValidateModel:
                            ("gamma-invariance", "index 4")]),
         ("d_on_flat", [("d-from-e-beta", "D indices [0]"),
                        ("gamma-invariance", "index 2"),
-                       ("flat-projector-annihilation", "D_0 direction 1")]),
+                       ("flat-projector-annihilation", "D_0 direction 0")]),
     ])
     def test_failure_details(self, name, want):
         report = validate_model(CORRUPTED[name]())
@@ -582,7 +590,8 @@ def frame_data(n, E, beta, flat_dim=0):
 
 
 class TestUnitStructure:
-    """build_model derives each frame once at beta0 = beta / c and scales by c."""
+    """build_model derives each frame, the unit-scale model, once at
+    beta0 = beta / c and scales its D and F by c."""
 
     MODELS = {
         **{f"S{n}_r{r}".replace("/", "_"): partial(sphere, n, r)
@@ -609,7 +618,9 @@ class TestUnitStructure:
     @pytest.mark.parametrize("name", list(MODELS))
     def test_scale_takes_the_frame_to_the_model(self, name):
         m = self.MODELS[name]()
-        frame = m.unit.model
+        # build_model sets D, F and the frame; the rest is derived on first read
+        assert vars(m).keys() == {"data", "D", "F", "unit"}
+        frame = m.unit
         # beta = c beta0, and every scaled field is c times the frame's
         assert m.beta == frame.beta.scale(m.scale)
         assert m.F == tuple(f.scale(m.scale) for f in frame.F)
@@ -649,17 +660,17 @@ class TestUnitStructure:
                     build_model(data)
                 assert type(got.value) is type(want.value)
                 assert str(got.value) == str(want.value)
-        assert build_model(sphere(3, 1).data).unit.model.flat_dim == 0
+        assert build_model(sphere(3, 1).data).unit.flat_dim == 0
 
     @pytest.mark.parametrize("n", [2, 4, 7])
     def test_sphere_and_hyperbolic_share_one_entry(self, n):
         models = [space(n, r) for space in (sphere, hyperbolic) for r in RADII]
         assert all(m.unit is models[0].unit for m in models)
-        assert models[0].unit.model.beta == Matrix.identity(models[0].p)
+        assert models[0].unit.beta == Matrix.identity(models[0].p)
 
     def test_memo_is_bounded(self):
         # S3's frame under beta = diag(1, 1, c): one frame per c
-        memo, E = spaces._unit_structure, sphere(3, 1).data.E
+        memo, E = spaces._frame, sphere(3, 1).data.E
         for c in range(2, 2 * memo.cache_info().maxsize + 3):
             m = build_model(frame_data(3, E, Matrix.diag([1, 1, c])))
             assert m.R_H == spaces._derive(m.data).R_H
@@ -668,15 +679,15 @@ class TestUnitStructure:
 
     def test_model_not_made_by_build_model_has_its_own_frame(self):
         m = hyperbolic(4, rational(2, 3))
-        fields = {f: getattr(m, f) for f in ("data", "D", "F", "riemann", "ricci", "scalar_R",
-                                             "R_H")}
-        for other in (replace(m), replace(m, F=m.F), spaces.SymmetricSpaceModel(**fields)):
-            assert other == m and other.unit is not m.unit
+        assert [f.name for f in fields(m)] == ["data", "D", "F"]
+        for other in (replace(m), replace(m, F=m.F), spaces.SymmetricSpaceModel(m.data, m.D, m.F)):
+            # a model equals only itself
+            assert other != m and other == other and other.unit is not m.unit
             # derived from the copy's own F, kept on the copy, and the same
             # scale-free torus basis as the shared frame's
-            assert other.unit.model is other and other.unit is other.unit
-            assert other.unit.weight == m.unit.weight
-            assert other.unit.torus[0] == m.unit.torus[0]
+            assert other.unit is other and other.scale == 1
+            assert other.weight == m.unit.weight
+            assert other.torus[0] == m.unit.torus[0]
         with pytest.raises(TypeError):
             replace(m, unit=m.unit)
 
