@@ -1,11 +1,11 @@
 """Homogeneous twisted bundle data: fiber generators, holonomy action, twist.
 
-A fiber representation consists of so(n) generators G_ab acting on the
-fiber, an optional abelian twist B_ab (fiber-scalar, purely imaginary,
-supported on the flat directions only), and the derived objects: holonomy
-generators R_i = -(1/2) beta_ik S_k and the Casimir R^2 = -(1/2) S_i R_i,
-both from S_k = E^k_ab G_ab; the total curvature Omega_ab = -E^i_ab R_i + B_ab
-is derived on first read.
+A fiber representation holds its model, dimV, the so(n) generators G_ab
+acting on the fiber and an abelian twist B_ab (fiber-scalar, purely
+imaginary, supported on the flat directions only).  Everything else is
+derived on first read: the holonomy generators R_i = -(1/2) beta_ik S_k and
+the Casimir R^2 = -(1/2) S_i R_i, both from S_k = E^k_ab G_ab, the check
+verdict, and the total curvature Omega_ab = -E^i_ab R_i + B_ab.
 
 The purely imaginary convention for B encodes a real magnetic-type field
 strength: the twist matrix then has real eigenvalues, so its sinh-type
@@ -23,10 +23,12 @@ catalog space beta carries only the radius and the sign.  G's antisymmetry
 and the so(n) relations read G alone, so they run once per table and are
 kept on it (GeneratorTable.checks).  A scale c of beta multiplies R and the
 Casimir by c, and every item of the holonomy bracket, Casimir centrality
-and integrability checks by c^2, so those three run once per frame (the
-unit-scale model, SymmetricSpaceModel.unit) and table, on the frame, and
-are kept with R0 and the Casimir there (UnitFiber, held by
-GeneratorTable.fibers); a rep scales R0 and the Casimir by the model's
+and integrability checks by c^2, so R0, the Casimir and those three checks
+are derived once per frame (the unit-scale model,
+SymmetricSpaceModel.unit) and table, on the frame, and kept there
+(UnitFiber, held by GeneratorTable.fibers).  That is the one route from a
+table to a fiber: a rep reads its model's frame's UnitFiber (FiberRep.unit)
+and takes R and the Casimir as c times its R0 and Casimir for the model's
 scale c.  Only the twist's support, which reads B, runs on every call.
 
 validate_rep walks nonzero couplings only: a check item whose operands are
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exact import (
-    GaussianRational, I_UNIT, Matrix, ONE, ZERO, at_most, combination, commutator, json_kind,
+    GaussianRational, I_UNIT, Matrix, ZERO, at_most, combination, commutator, json_kind,
     rational,
 )
 from .spaces import (
@@ -80,29 +82,44 @@ class BundleError(ValueError):
 class FiberRep:
     """Fiber representation tied to a symmetric-space model.
 
-    G is the full antisymmetric table G[a][b] (dimV x dimV matrices with
-    G[b][a] = -G[a][b]); B is the n x n fiber-scalar twist; R holds the
-    p holonomy generators; Omega, the total curvature table, is computed on
-    first read.  report is the validate_rep verdict build_rep reached on it.
-    unit is the UnitFiber on the model's frame, with R = c unit.R and the
-    Casimir c unit.casimir for the model's scale c: build_rep sets the one
-    its frame and table share, and any other rep (dataclasses.replace, a
-    direct call) derives its own from R / c and the Casimir / c on first read.
+    It holds the model, dimV, the full generator table G and the n x n
+    fiber-scalar twist B.  G is made a GeneratorTable on construction (from
+    a dict {(a, b): M} with a < b, or any n x n table of dimV x dimV
+    matrices); an antisymmetric one has G[b][a] = -G[a][b].  The rest is
+    derived on first read, by one route, however the rep was made
+    (build_rep, dataclasses.replace, a direct call): unit is the table's
+    UnitFiber on the model's frame (model.unit), kept in G.fibers; R, the p
+    holonomy generators, and the Casimir are c unit.R and c unit.casimir for
+    the model's scale c; report is validate_rep(rep); Omega is the total
+    curvature table.
     """
 
     model: SymmetricSpaceModel
     dimV: int
-    G: tuple
+    G: GeneratorTable
     B: Matrix
-    R: tuple
-    casimir: Matrix
-    report: ValidationReport | None = None
+
+    def __post_init__(self):
+        self.G = _normalize_generators(self.model.n, self.dimV, self.G)
 
     @cached_property
     def unit(self) -> UnitFiber:
-        inv = ONE / self.model.scale
-        return UnitFiber(self.model.unit, self.dimV, tuple(r.scale(inv) for r in self.R),
-                         self.casimir.scale(inv))
+        frame, fibers = self.model.unit, self.G.fibers
+        if frame not in fibers:
+            fibers[frame] = UnitFiber(frame, self.dimV, *_holonomy(frame, self.G, self.dimV))
+        return fibers[frame]
+
+    @cached_property
+    def R(self) -> tuple:
+        return tuple(r.scale(self.model.scale) for r in self.unit.R)
+
+    @cached_property
+    def casimir(self) -> Matrix:
+        return self.unit.casimir.scale(self.model.scale)
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        return validate_rep(self)
 
     @cached_property
     def Omega(self) -> tuple:
@@ -119,12 +136,11 @@ class UnitFiber:
     """A fiber on a frame's unit-scale model: R0 and the Casimir there, and
     the fiber-holonomy-bracket, casimir-centrality and
     fiber-curvature-integrability results on them (checks), which hold
-    unchanged at every scale of beta; shift is the model's R/8 + R_H/6, so
-    that M0 = shift I - Casimir is the prefactor's exponent at this scale.
-    The engine keeps here what it derives from these and the frame alone,
-    none of it scaled: the cosh pencil on the frame's torus basis (cosh) and
-    the prefactor [M0^i / i!] (prefactor), each per degree, and the
-    commutant's basis and duals (commutant, None until solved).
+    unchanged at every scale of beta.  FiberRep.unit builds it, once per
+    frame and table.  The engine keeps here what it derives from these and
+    the frame alone, none of it scaled: the cosh pencil on the frame's torus
+    basis (cosh) and the prefactor [M0^i / i!] (prefactor), each per degree,
+    and the commutant's basis and duals (commutant, None until solved).
 
     It holds neither its model nor its table, so the table's memo
     (GeneratorTable.fibers) keeps no frame alive.
@@ -132,7 +148,6 @@ class UnitFiber:
 
     def __init__(self, model: SymmetricSpaceModel, dimV: int, R: tuple, casimir: Matrix):
         self.dimV, self.R, self.casimir = dimV, R, casimir
-        self.shift = model.scalar_R / 8 + model.R_H / 6
         self.checks = _fiber_checks(model, R, casimir)
         self.cosh = {}
         self.prefactor = {}
@@ -242,14 +257,12 @@ def validate_rep(rep: FiberRep) -> ValidationReport:
     flat support, the holonomy bracket, Casimir centrality and curvature
     integrability.
 
-    The first two read G alone (GeneratorTable.checks); a table that is not
-    a GeneratorTable, say one put in by dataclasses.replace, is checked
-    afresh.  The last three are read off the rep's UnitFiber (rep.unit),
-    whose results hold at every scale.  Only the twist's support runs on
-    every call.
+    The first two read G alone (GeneratorTable.checks).  The last three are
+    read off the rep's UnitFiber (rep.unit), whose results hold at every
+    scale.  Only the twist's support runs on every call.
     """
     B, flat_dim = rep.B, rep.model.flat_dim
-    checks = list(rep.G.checks if isinstance(rep.G, GeneratorTable) else _table_checks(rep.G))
+    checks = list(rep.G.checks)
 
     def twist_flat_support():  # the first failing item, or ""
         if B.transpose() != -B:
@@ -366,33 +379,19 @@ def build_rep(model: SymmetricSpaceModel, G, B: Matrix | None = None, *,
     defaults to zero.  Raises BundleError when any of the six validate_rep
     checks fails (G antisymmetry, the so(n) relations, the twist's flat
     support, the holonomy bracket, Casimir centrality, curvature
-    integrability), naming the failed checks; the passing report is kept as
+    integrability), naming the failed checks; the passing report is
     rep.report.
 
     R and the Casimir are linear in beta, so the table's UnitFiber on the
-    model's frame, derived at the frame's beta0 on first use and kept in
-    table.fibers, serves every radius and sign: the rep scales its R and
-    Casimir by the model's scale c, with beta = c beta0.  A failing fiber is
-    kept too, and raises the same BundleError on every call.
+    model's frame (FiberRep.unit), derived at the frame's beta0 on first use
+    and kept in table.fibers, serves every radius and sign.  A failing fiber
+    is kept too, and raises the same BundleError on every call.
     """
-    n = model.n
     if dimV < 1:
         raise BundleError(f"fibers need dimV >= 1, got {dimV}")
-    table = _normalize_generators(n, dimV, G)
-    if B is None:
-        B = Matrix.zeros(n)
-    if B.rows != n or B.cols != n:
+    rep = FiberRep(model, dimV, G, Matrix.zeros(model.n) if B is None else B)
+    if rep.B.rows != model.n or rep.B.cols != model.n:
         raise BundleError("twist matrix must be n x n")
-
-    frame = model.unit
-    fiber = table.fibers.get(frame)
-    if fiber is None:
-        fiber = table.fibers[frame] = UnitFiber(frame, dimV, *_holonomy(frame, table, dimV))
-    c = model.scale
-    rep = FiberRep(model=model, dimV=dimV, G=table, B=B,
-                   R=tuple(r.scale(c) for r in fiber.R), casimir=fiber.casimir.scale(c))
-    rep.unit = fiber
-    rep.report = validate_rep(rep)
     if not rep.report.ok:
         raise BundleError(f"fiber checks failed: {', '.join(rep.report.failed())}")
     return rep
@@ -525,21 +524,6 @@ def catalog_rep(model: SymmetricSpaceModel, name: str, *, twist=None,
     return build_rep(model, G, B, dimV=dimV)
 
 
-def tensor_product_rep(rep1: FiberRep, rep2: FiberRep,
-                       B: Matrix | None = None) -> FiberRep:
-    """Fiber tensor product: G_ab = G1_ab (x) I + I (x) G2_ab, twists add.
-
-    A further twist matrix B, if given, is added to the factors' twists.
-    """
-    if rep1.model is not rep2.model and rep1.model.data != rep2.model.data:
-        raise BundleError("tensor factors live over different models")
-    table = _kron_sum(_pair_generators(rep1.G), rep1.dimV, _pair_generators(rep2.G), rep2.dimV)
-    twist = rep1.B + rep2.B
-    if B is not None:
-        twist = twist + B
-    return build_rep(rep1.model, table, twist, dimV=rep1.dimV * rep2.dimV)
-
-
 def _optional(value, kind: type, name: str):
     """An optional JSON field: None (absent or null) or a value of one kind."""
     return value if value is None else json_kind(value, kind, name)
@@ -547,7 +531,10 @@ def _optional(value, kind: type, name: str):
 
 def rep_from_descriptor(model: SymmetricSpaceModel, bundle: dict | None,
                         twist: dict | None = None) -> FiberRep:
-    """Parse the JSON bundle + twist descriptors."""
+    """Parse the JSON bundle + twist descriptors.
+
+    An explicit G is keyed by 1-based "a,b" strings with a < b; two keys
+    that name one generator (say "1,2" and "1, 2") are refused."""
     twist = _optional(twist, dict, "twist") or {}
     blocks = _optional(twist.get("blocks"), list, "twist blocks")
     bundle = _optional(bundle, dict, "bundle") or {"catalog": "scalar"}
@@ -557,9 +544,11 @@ def rep_from_descriptor(model: SymmetricSpaceModel, bundle: dict | None,
     if "explicit" in bundle:
         body = json_kind(bundle["explicit"], dict, "explicit bundle")
         dimV = at_most(json_kind(body["dimV"], int, "dimV"), MAX_EXPLICIT_DIMV, "dimV")
-        table = {}
+        table, keys = {}, {}  # keys: the first key that named each generator
         for key, mat in json_kind(body.get("G", {}), dict, "bundle G").items():
             a, b = (int(x) for x in key.split(","))
+            if (first := keys.setdefault((a, b), key)) != key:
+                raise ValueError(f'bundle G keys "{first}" and "{key}" name one generator')
             table[(a - 1, b - 1)] = Matrix.from_json(mat)
         B = twist_matrix(model, blocks) if blocks else None
         return build_rep(model, table, B, dimV=dimV)

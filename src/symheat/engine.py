@@ -166,11 +166,11 @@ def heat_coefficients(req: HeatRequest) -> HeatCoefficients:
         project = _commutant_projection(fiber)
         averaged = [project(a) for a in averaged]
 
-    # [M0^i / i!], kept on the fiber per degree
+    # [M0^i / i!], M0 = (R/8 + R_H/6) I - Casimir on the frame, kept per degree
     prefactor = fiber.prefactor.get(degree)
     if prefactor is None:
-        prefactor = fiber.prefactor[degree] = matrix_exp_series(
-            Matrix.identity(dimV).scale(fiber.shift) - fiber.casimir, degree)
+        prefactor = fiber.prefactor[degree] = matrix_exp_series(Matrix.identity(dimV).scale(
+            frame.scalar_R / 8 + frame.R_H / 6) - fiber.casimir, degree)
     twist = det_sinhc_numeric(rep.B, -_HALF, degree)
 
     # a_k = sum_m twist[k - m] b_m with b_m = c^m sum_(i + j = m) prefactor[i]

@@ -558,13 +558,20 @@ def validate_model(m: SymmetricSpaceModel) -> ValidationReport:
     except ValueError:
         add("beta-invertible", False, "beta is singular")
 
-    bad = [i for i, d in enumerate(D)
-           if d != -combination(((beta[i, k], E[k]) for k in range(p)), n)]
+    # M_i = beta_ik E^k: D_i = -M_i, and R_abcd = E^i_ab (M_i)_cd
+    M = [combination(((beta[i, k], E[k]) for k in range(p)), n) for i in range(p)]
+    bad = [i for i, d in enumerate(D) if d != -M[i]]
     add("d-from-e-beta", not bad, f"D indices {bad}")
     bad = [i for i, d in enumerate(D) if not d.trace().is_zero()]
     add("d-traceless", not bad, f"D indices {bad}")
 
-    want = _riemann_entries(E, beta)
+    want = {}
+    for e, mi in zip(E, M):
+        for a, row in enumerate(e.nonzeros):
+            for b, x in row.items():
+                for c, mrow in enumerate(mi.nonzeros):
+                    for d, y in mrow.items():
+                        want[a, b, c, d] = want.get((a, b, c, d), ZERO) + x * y
     checks += [
         first_failure("riemann-from-e-beta", sorted(R.keys() | want.keys()),
                       lambda t: R.get(t, ZERO) == want.get(t, ZERO), "entry"),

@@ -9,7 +9,6 @@ from symheat.bundles import (
     build_rep,
     catalog_rep,
     gamma_matrices,
-    tensor_product_rep,
     twist_matrix,
     validate_rep,
 )
@@ -21,6 +20,16 @@ from symheat.spaces import CheckResult, CurvatureData, ValidationReport, build_m
     hyperbolic, index_pairs, product, sphere, unit_bivectors
 
 EPS = Matrix.from_rows([[0, 1], [-1, 0]])
+
+
+def with_unit(rep, R, casimir=None):
+    # a copy of rep whose unit fiber is built from R and the Casimir (rep's
+    # unless given) over the model's scale c, so its R and Casimir are these
+    inv = GaussianRational(1) / rep.model.scale
+    bad = dataclasses.replace(rep)
+    bad.unit = bundles.UnitFiber(rep.model.unit, rep.dimV, tuple(r.scale(inv) for r in R),
+                                 (rep.casimir if casimir is None else casimir).scale(inv))
+    return bad
 
 
 def casimir_by_contraction(model, rep):
@@ -170,27 +179,35 @@ class TestTwist:
         assert validate_rep(rep).ok
 
 
+def product_sum_rules(m, head, last, rep):
+    # the product of two fibers: G_ab = G1_ab (x) I + I (x) G2_ab, so
+    # R_i = R1_i (x) I + I (x) R2_i, and
+    # R^2_(1x2) = R^2_1 x I + I x R^2_2 + 2 beta^{ik} R1_i x R2_k
+    e1, e2 = Matrix.identity(head.dimV), Matrix.identity(last.dimV)
+    assert rep.dimV == head.dimV * last.dimV
+    assert all(rep.G[a][b] == head.G[a][b].kron(e2) + e1.kron(last.G[a][b])
+               for a in range(m.n) for b in range(m.n))
+    assert rep.R == tuple(r1.kron(e2) + e1.kron(r2) for r1, r2 in zip(head.R, last.R))
+    beta_inv = invert(m.beta)
+    want = head.casimir.kron(e2) + e1.kron(last.casimir)
+    for i in range(m.p):
+        for k in range(m.p):
+            x = beta_inv[i, k]
+            if not x.is_zero():
+                want = want + head.R[i].kron(last.R[k]).scale(2 * x)
+    assert rep.casimir == want
+
+
 class TestTensorProduct:
     def test_dimension_and_generators(self):
         m = sphere(2, 1)
-        rep = tensor_product_rep(catalog_rep(m, "spinor"), catalog_rep(m, "vector"))
+        rep = catalog_rep(m, "tensor_product", factors=["spinor", "vector"])
         assert rep.dimV == 4
 
     def test_casimir_sum_rule(self):
-        # R^2_(1x2) = R^2_1 x I + I x R^2_2 + 2 beta^{ik} R1_i x R2_k
         m = sphere(2, 1)
-        r1, r2 = catalog_rep(m, "spinor"), catalog_rep(m, "vector")
-        rep = tensor_product_rep(r1, r2)
-        beta_inv = invert(m.beta)
-        e1 = Matrix.identity(r1.dimV)
-        e2 = Matrix.identity(r2.dimV)
-        want = r1.casimir.kron(e2) + e1.kron(r2.casimir)
-        for i in range(m.p):
-            for k in range(m.p):
-                x = beta_inv[i, k]
-                if not x.is_zero():
-                    want = want + r1.R[i].kron(r2.R[k]).scale(2 * x)
-        assert rep.casimir == want
+        product_sum_rules(m, catalog_rep(m, "spinor"), catalog_rep(m, "vector"),
+                          catalog_rep(m, "tensor_product", factors=["spinor", "vector"]))
 
     def test_catalog_tensor_product(self):
         m = sphere(2, 1)
@@ -215,16 +232,14 @@ class TestTensorProduct:
         (lambda: sphere(3, 1), ["spinor", "spinor", "vector"], None),
         (lambda: product([flat(2), sphere(2, 1)]), ["vector", "spinor"], [rational(1, 3)]),
     ])
-    def test_catalog_product_matches_product_of_factor_reps(self, maker, factors, twist):
+    def test_catalog_product_obeys_the_sum_rules(self, maker, factors, twist):
+        # against the catalog product of all factors but the last, and the last
         m = maker()
-        reps = [catalog_rep(m, f) for f in factors]
-        want = reps[0]
-        for r in reps[1:-1]:
-            want = tensor_product_rep(want, r)
-        want = tensor_product_rep(want, reps[-1], twist_matrix(m, twist) if twist else None)
+        head = catalog_rep(m, factors[0]) if len(factors) == 2 else \
+            catalog_rep(m, "tensor_product", factors=factors[:-1])
         rep = catalog_rep(m, "tensor_product", factors=factors, twist=twist)
-        assert (rep.dimV, rep.G, rep.B, rep.R, rep.casimir, rep.Omega) == \
-            (want.dimV, want.G, want.B, want.R, want.casimir, want.Omega)
+        product_sum_rules(m, head, catalog_rep(m, factors[-1]), rep)
+        assert rep.B == (twist_matrix(m, twist) if twist else Matrix.zeros(m.n))
 
     @pytest.mark.parametrize("name,factors,twist", [
         ("scalar", None, None),
@@ -317,7 +332,7 @@ class TestFirstFailure:
         m = sphere(4, 1)
         rep = catalog_rep(m, "vector")
         R = (rep.R[0].scale(2),) + rep.R[1:]
-        bad = dataclasses.replace(rep, R=R)
+        bad = with_unit(rep, R)
         E, riem = m.data.E, m.riemann
         curly = [[sum((R[i].scale(-E[i][a, b]) for i in range(m.p)), Matrix.zeros(4))
                   for b in range(4)] for a in range(4)]
@@ -476,8 +491,7 @@ class TestValidateRepParity:
         m = sphere(4, 1)
         rep = catalog_rep(m, "spinor")
         shift = Matrix.diag([1, 0, 0, 0])
-        bad = dataclasses.replace(rep, R=(Matrix.zeros(4),) + rep.R[1:],
-                                  casimir=rep.casimir + shift)
+        bad = with_unit(rep, (Matrix.zeros(4),) + rep.R[1:], rep.casimir + shift)
         got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert failed_detail(got, "casimir-centrality") != "index 0"
@@ -516,7 +530,7 @@ class TestValidateRepParity:
         rep = catalog_rep(m, name)
         R = list(rep.R)
         R[1] = R[1] + R[0].scale(rational(1, 2))
-        bad = dataclasses.replace(rep, R=tuple(R))
+        bad = with_unit(rep, tuple(R))
         got = validate_rep(bad)
         assert report_fields(got) == report_fields(one_commutator_per_quadruple(m, bad))
         assert {"fiber-holonomy-bracket", "fiber-curvature-integrability"} <= set(got.failed())
@@ -621,7 +635,9 @@ class TestEntryWiseChecks:
     def test_both_checks_fail_where_expected(self):
         space, bundle, factors, corrupt = CORRUPTED_TABLES["symmetric_pair_30"]
         m = space()
-        got = validate_rep(corrupt(catalog_rep(m, bundle, factors=factors)))
+        good = catalog_rep(m, bundle, factors=factors)
+        # the corrupted table's copy keeps the good rep's R and Casimir
+        got = validate_rep(with_unit(corrupt(good), good.R, good.casimir))
         # (0, 3) fails exactly when (3, 0) does, and comes first; the so(n)
         # items read the upper generators, which are intact
         assert failed_detail(got, "fiber-g-antisymmetry") == "pair (0,3)"

@@ -185,6 +185,17 @@ class TestCompute:
         assert "error: bad job file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
+    def test_two_keys_naming_one_generator_refused(self, tmp_path, capsys, command):
+        # "1,2" and "1, 2" both name G_12, each a valid S2 monopole on its own
+        G = {"1,2": [[{"re": "0", "im": "1/2"}]], "1, 2": [[{"re": "0", "im": "1"}]]}
+        job = {"space": {"catalog": "sphere", "params": {"n": 2}},
+               "bundle": {"explicit": {"dimV": 1, "G": G}}}
+        rc = main([command, write_job(tmp_path, job)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            'error: bad job file: bundle G keys "1,2" and "1, 2" name one generator\n')
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "check-group"])
     @pytest.mark.parametrize("value", [1.5, True, "2"], ids=["float", "bool", "string"])
     @pytest.mark.parametrize("field", ["catalog_n", "n", "p", "flat_dim"])
     def test_non_integer_space_field_rejected(self, tmp_path, capsys, field, value,

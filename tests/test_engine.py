@@ -505,6 +505,12 @@ class TestGrownTorus:
         assert all(d) and len(kernel(embed.nonzeros, 3)) == 0
 
 
+def _fresh_unit(rep):
+    """A unit fiber of its own on rep's frame, with rep's R0 and Casimir and
+    nothing solved on it yet."""
+    return bundles.UnitFiber(rep.model.unit, rep.dimV, rep.unit.R, rep.unit.casimir)
+
+
 def _all_generator_commutant(R, basis):
     """A reference commutant basis, built apart from engine._commutant_duals:
     the rows of [g, X] = 0 for the Cartan generators g, then again for every
@@ -551,9 +557,9 @@ class TestFiberGeneratorCommutant:
         solved = []
         monkeypatch.setattr(engine, "kernel", lambda eqs, n: solved.append(
             (len(eqs), kernel(eqs, n))) or solved[-1][1])
-        # solved afresh on a copy's own unit fiber: an earlier test may have
+        # solved afresh on a unit fiber of its own: an earlier test may have
         # left this commutant on the shared one
-        fiber = replace(rep).unit
+        fiber = _fresh_unit(rep)
         project = _commutant_projection(fiber)
         return m, rep, fiber, project, solved
 
@@ -595,7 +601,7 @@ class TestFiberGeneratorCommutant:
         # keeps the reference basis, whatever the rank of h
         m = space()
         rep = catalog_rep(m, "vector")
-        fiber = replace(rep).unit
+        fiber = _fresh_unit(rep)
         self._check(m, rep, fiber, _commutant_projection(fiber), m.n)
 
     def test_row_count_on_s4_vector_x_spinor(self, monkeypatch):
@@ -716,7 +722,7 @@ class TestUnitTorus:
         assert m.scale != 1
         for bundle, factors in (("spinor", None), ("tensor_product", _VS)):
             rep = catalog_rep(m, bundle, factors=factors)
-            fiber = replace(rep).unit
+            fiber = rep.unit
             assert fiber.R != rep.R
             _commutant_projection(fiber)
             assert engine._commutant_duals(rep.R) == fiber.commutant
@@ -781,11 +787,10 @@ class TestUnitTorus:
 
 def _reference_build_rep(model, G, B=None, dimV=None):
     """build_rep as it was before the unit fiber: S_k, R and the Casimir
-    formed at the model's own beta, and every check run on them there, by
-    validate_rep on the rep moved to an equal-data copy of the model, which
-    is its own frame.  The rep derives its own unit fiber on the model's
-    frame, from R and the Casimir over the model's scale, when the engine
-    first reads it."""
+    formed at the model's own beta, with no scaling.  The reference rep sits
+    on an equal-data copy of the model, which is its own frame (scale 1),
+    with its unit fiber set to those R and Casimir: the fiber checks run on
+    them there, and its R, Casimir and report are those of the job's beta."""
     dimV = dimV or next(iter(G.values())).rows
     table = bundles._normalize_generators(model.n, dimV, G)
     minus_half = GaussianRational(rational(-1, 2))
@@ -794,9 +799,9 @@ def _reference_build_rep(model, G, B=None, dimV=None):
     R = tuple(combination(((minus_half * x, S[k]) for k, x in row.items() if S[k]), dimV)
               for row in model.beta.nonzeros)
     casimir = combination(((minus_half, s, r) for s, r in zip(S, R) if s and r), dimV)
-    rep = FiberRep(model=model, dimV=dimV, G=table, B=Matrix.zeros(model.n) if B is None else B,
-                   R=R, casimir=casimir)
-    rep.report = validate_rep(replace(rep, model=replace(model)))
+    own = replace(model)
+    rep = FiberRep(own, dimV, table, Matrix.zeros(model.n) if B is None else B)
+    rep.unit = bundles.UnitFiber(own, dimV, R, casimir)
     return rep
 
 
@@ -856,7 +861,7 @@ class TestUnitFiber:
         assert fiber.cosh[2 * k_max] == cosh_pencil(R0, rep.dimV, 2 * k_max, basis)
         exponent = Matrix.identity(rep.dimV).scale(
             model.scalar_R * rational(1, 8) + model.R_H * rational(1, 6)) - ref.casimir
-        assert Matrix.identity(rep.dimV).scale(fiber.shift) - fiber.casimir == exponent.scale(inv)
+        assert fiber.prefactor[2 * k_max] == matrix_exp_series(exponent.scale(inv), 2 * k_max)
         if not any(ref.R):  # the commutant is every matrix: nothing is solved
             assert fiber.commutant is None
             return
@@ -896,11 +901,15 @@ class TestUnitFiber:
         R = list(rep.R)
         R[1] = R[1] + R[0].scale(rational(1, 2))
         inv = GaussianRational(1) / _first_entry(m.beta)
-        for bad in (replace(rep, R=tuple(R)), replace(rep, R=tuple(r.scale(2) for r in rep.R))):
+        for corrupted in (tuple(R), tuple(r.scale(2) for r in rep.R)):
+            # a copy whose unit fiber is built from the corrupted R / c
+            bad = replace(rep)
+            bad.unit = bundles.UnitFiber(m.unit, rep.dimV, tuple(r.scale(inv) for r in corrupted),
+                                         rep.casimir.scale(inv))
             got = validate_rep(bad)
             assert not got.ok and "fiber-holonomy-bracket" in got.failed()
-            assert bad.unit is not rep.unit and bad.unit.R == tuple(r.scale(inv) for r in bad.R)
-        assert validate_rep(rep).ok
+            assert bad.R == corrupted
+        assert validate_rep(rep).ok and replace(rep).unit is rep.unit
 
     def test_failing_fiber_raises_the_same_error_on_every_call(self, monkeypatch):
         # the S3 frame with beta = diag(1, 1, 2): the vector fiber fails
@@ -916,19 +925,15 @@ class TestUnitFiber:
                                        "fiber-curvature-integrability")
         assert len(calls) == 1
 
-    def test_checks_against_another_model_run_afresh(self):
-        # a radius-1 rep moved onto the radius-2 model of its frame: its R
-        # does not scale with that model's F, so the unit fiber it derives
-        # fails the bracket and integrability, as every check run per call did
-        m = sphere(4, 1)
+    def test_rep_moved_to_another_model_derives_r_there(self):
+        # a radius-1 rep moved onto the radius-2 model of its frame reads the
+        # frame's one unit fiber and takes R and the Casimir at the new scale
+        m, other = sphere(4, 1), sphere(4, 2)
         rep = catalog_rep(m, "spinor")
-        got = validate_rep(replace(rep, model=sphere(4, 2)))
-        assert [(c.name, c.passed, c.detail) for c in got.checks] == [
-            ("fiber-g-antisymmetry", True, ""), ("fiber-so-n-relations", True, ""),
-            ("twist-flat-support", True, ""), ("fiber-holonomy-bracket", False, "pair (0, 1)"),
-            ("casimir-centrality", True, ""),
-            ("fiber-curvature-integrability", False, "indices (0, 1, 0, 2)")]
-        assert validate_rep(rep).ok
+        moved, want = replace(rep, model=other), catalog_rep(other, "spinor")
+        assert moved.unit is rep.unit is want.unit
+        assert (moved.R, moved.casimir) == (want.R, want.casimir) != (rep.R, rep.casimir)
+        assert validate_rep(moved).ok
 
     def test_one_derivation_per_frame_table_and_degree(self, monkeypatch):
         # six radii and two signs in the catalog and the rotated S4 frame, and
@@ -1046,11 +1051,13 @@ class TestOneScalingPoint:
 
 
 class TestOneFiberPerRepFrame:
-    """Every rep's unit fiber sits on its model's frame at R / c, for the
-    model's scale c, however the rep was made: by build_rep, by
-    dataclasses.replace or by a direct FiberRep call.  The engine runs on the
-    rep's model, so a request reads one frame, one c and one fiber, and every
-    crossed request gives the same a_k."""
+    """One route from a table to a fiber, however the rep was made: by
+    build_rep, by dataclasses.replace (onto the same model or a copy) or by a
+    direct FiberRep call.  Its unit fiber is its table's on its model's
+    frame, built once per frame and table; R and the Casimir are c times the
+    unit fiber's, for the model's scale c; its report is validate_rep's.  The
+    engine runs on the rep's model, so a request reads one frame, one c and
+    one fiber, and every crossed request gives the same a_k."""
 
     CASES = {
         "spinor4": (lambda s, r: s(4, r), _catalog_fiber("spinor"), None),
@@ -1063,25 +1070,32 @@ class TestOneFiberPerRepFrame:
     @pytest.mark.parametrize("radius", [rational(2, 3), rational(5, 2)])
     @pytest.mark.parametrize("space", [sphere, hyperbolic])
     @pytest.mark.parametrize("name", list(CASES))
-    def test_every_rep_reads_its_model_frame(self, name, space, radius):
+    def test_every_rep_reads_its_model_frame(self, monkeypatch, name, space, radius):
+        _fresh_frames(monkeypatch)  # so no unit fiber of the frame is kept yet
+        inits, init = [], bundles.UnitFiber.__init__
+        monkeypatch.setattr(bundles.UnitFiber, "__init__",
+                            lambda self, *a: inits.append(a[0]) or init(self, *a))
         make, fiber, twist = self.CASES[name]
         m = make(space, radius)
         own = replace(m)
         G, dimV = fiber(m)
         B = twist_matrix(m, twist) if twist else None
         built = build_rep(m, G, B, dimV=dimV)
-        fields = {f: getattr(built, f) for f in ("model", "dimV", "G", "B", "R", "casimir")}
-        reps = [built, replace(built), FiberRep(**fields), build_rep(own, G, B, dimV=dimV),
-                replace(built, model=own)]
-        doubled = replace(built, R=tuple(r.scale(2) for r in built.R))
+        assert set(vars(built)) == {"model", "dimV", "G", "B", "unit", "report"}
+        reps = [built, replace(built), FiberRep(m, dimV, built.G, built.B),
+                build_rep(own, G, B, dimV=dimV), replace(built, model=own)]
         assert m.scale != 1 and own.scale == 1
-        for rep in reps + [doubled]:
-            frame, inv = rep.model.unit, GaussianRational(1) / rep.model.scale
-            assert rep.unit.R == tuple(r.scale(inv) for r in rep.R)
-            assert rep.unit.casimir == rep.casimir.scale(inv)
-            assert rep.unit.shift == frame.scalar_R / 8 + frame.R_H / 6
+        for rep in reps:
+            c = rep.model.scale
+            assert rep.unit is rep.G.fibers[rep.model.unit]
+            assert rep.R == tuple(r.scale(c) for r in rep.unit.R)
+            assert rep.casimir == rep.unit.casimir.scale(c)
+            assert rep.report == validate_rep(rep)
             # each check item scales as c^2 and names indices only
             assert rep.unit.checks == bundles._fiber_checks(rep.model, rep.R, rep.casimir)
+        # a dict G makes a table per build_rep call; a GeneratorTable is shared
+        pairs = {(id(rep.model.unit), id(rep.G)) for rep in reps}
+        assert len(inits) == len(pairs) == (3 if isinstance(G, dict) else 2)
         for k_max in (2, 3):
             want = heat_coefficients(HeatRequest(m, built, k_max)).a
             for model in (m, own):

@@ -33,15 +33,25 @@ def test_import_does_not_load_mpmath():
                        env={**os.environ, "PYTHONPATH": src})
 
 
-def test_spaces_does_not_load_the_engine():
+def _bare_import(module, dependency, refused):
     # the package __init__ imports every module, so symheat is stood in by a
-    # bare package of the same path: what loads then is what spaces imports
+    # bare package of the same path: what loads then is what module imports
     pkg = str(Path(symheat.__file__).resolve().parent)
     code = ("import sys, types; pkg = types.ModuleType('symheat'); "
-            f"pkg.__path__ = [{pkg!r}]; sys.modules['symheat'] = pkg; import symheat.spaces; "
-            "loaded = {'symheat.engine', 'symheat.bundles', 'symheat.wick'} & set(sys.modules); "
-            "assert 'symheat.series' in sys.modules and not loaded, loaded")
+            f"pkg.__path__ = [{pkg!r}]; sys.modules['symheat'] = pkg; import {module}; "
+            f"loaded = {refused!r} & set(sys.modules); "
+            f"assert {dependency!r} in sys.modules and not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_spaces_does_not_load_the_engine():
+    _bare_import("symheat.spaces", "symheat.series",
+                 {"symheat.engine", "symheat.bundles", "symheat.wick"})
+
+
+def test_bundles_does_not_load_the_engine():
+    # engine formulas, such as the prefactor's exponent, stay out of bundles
+    _bare_import("symheat.bundles", "symheat.spaces", {"symheat.engine", "symheat.wick"})
 
 
 class TestSpectralModel:

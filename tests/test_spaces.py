@@ -415,6 +415,14 @@ class TestValidateModel:
         assert time.perf_counter() - start < 2
         assert report.ok, report.failed()
 
+    def test_riemann_reference_takes_the_matrix_route(self, monkeypatch):
+        # the model derives its Riemann entries once; the check's reference is
+        # summed from M_i = beta_ik E^k, the D-check's combinations, instead
+        calls, original = [], spaces._riemann_entries
+        monkeypatch.setattr(spaces, "_riemann_entries", lambda *a: calls.append(1) or original(*a))
+        assert validate_model(sphere(4, rational(2, 3))).ok
+        assert len(calls) == 1
+
     def test_sign_flip_still_passes(self):
         # H^2 is S^2 with beta -> -beta; all structural checks are sign-blind
         assert validate_model(hyperbolic(2, 1)).ok
